@@ -4,7 +4,7 @@ The package models imperfect photon sources entering a passive linear
 interferometer, with photon counters on all but the first output mode.
 Conditioning on a detection pattern changes the photon statistics of the
 kept mode; the modules here compute those conditional statistics exactly
-(via matrix permanents), score them with figures of merit, build the
+(by creation-operator expansion), score them with figures of merit, build the
 known improvement schemes, model imperfect detectors, and search for
 better interferometers.
 """
@@ -14,7 +14,6 @@ from .conditioner import (
     DetectionPattern,
     PureState,
     condition_mixed,
-    condition_mixed_bs_closed_form,
     condition_pure,
     propagate_pure,
 )
@@ -80,11 +79,8 @@ from .schemes import (
 from .search import (
     SearchReport,
     SearchTask,
-    chain_seed_angles,
     detector_patterns,
     evaluate_candidate,
-    evaluate_single,
-    pair_order,
     reevaluate,
     search_improvement,
     unitary_from_angles,
@@ -128,12 +124,10 @@ __all__ = [
     "build_chain_from_elements",
     "chain_asymptotics",
     "chain_element_angles",
-    "chain_seed_angles",
     "complete_rows",
     "compose",
     "compositions",
     "condition_mixed",
-    "condition_mixed_bs_closed_form",
     "condition_pure",
     "detection_coefficients",
     "detector_patterns",
@@ -141,13 +135,11 @@ __all__ = [
     "embed_two_mode",
     "enumerate_inputs",
     "evaluate_candidate",
-    "evaluate_single",
     "figures_of_merit",
     "haar_random",
     "improvement_predicate",
     "improvement_threshold",
     "observe",
-    "pair_order",
     "benchmark_detector_suite",
     "permanent",
     "permanent_naive",

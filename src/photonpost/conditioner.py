@@ -13,20 +13,24 @@ where the sum runs over emission configurations s with the same total as
 n, W_s is the emission probability divided by prod_i s_i!, and L[n, s]
 repeats column i of the interferometer s_i times and row j n_j times.
 Summing c~ over n1 gives exactly the probability of seeing the pattern.
+
+That formula is the definition.  engine.py computes it by expanding the
+creation operators, with no permanent and none of the cancellation of
+Ryser's sum; the permanent routines remain as public API and oracles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import DimensionMismatch
-from .fock import InputSpec, PhotonConfig, compositions, enumerate_inputs
+from .engine import basis, expand, output_table
+from .fock import InputSpec, PhotonConfig
 from .interferometer import Interferometer
-from .permanent import permanent_with_multiplicity
 
 # c~ entries are sums of non-negative terms; anything below this is
 # floating-point dust and gets clamped to zero.
@@ -120,91 +124,40 @@ def _check_shapes(spec: InputSpec, interf: Interferometer, pattern: DetectionPat
         )
 
 
+def condition_patterns(
+    spec: InputSpec, interf: Interferometer, patterns: Sequence[DetectionPattern]
+) -> list[ConditionalResult]:
+    """condition_mixed for each pattern, all read from one joint output table.
+
+    The table caps each detector at its largest count among the patterns
+    and the kept mode at the source maximum minus the fewest detected.
+    """
+    for pattern in patterns:
+        _check_shapes(spec, interf, pattern)
+    if not patterns:
+        return []
+    top = spec.max_total()
+    counts = np.array([p.counts for p in patterns])
+    caps = (top - int(counts.sum(axis=1).min()),) + tuple(int(c) for c in counts.max(axis=0))
+    b, table = output_table(spec.distributions, interf.matrix, caps, top)
+    results = []
+    for pattern in patterns:
+        idx = b.kept(pattern.counts)
+        values = table[idx] if idx.size else [0.0]
+        results.append(ConditionalResult.from_unnormalized(values, pattern=pattern))
+    return results
+
+
 def condition_mixed(
     spec: InputSpec, interf: Interferometer, pattern: DetectionPattern
 ) -> ConditionalResult:
     """Conditional output of mode 1 given exact detector counts.
 
-    Sums squared permanents over every emission configuration consistent
-    with the photon total; n1 runs up to the source maximum minus the
-    detected total (an impossible pattern yields the flagged zero result).
+    Evaluates c~ above with engine.py; n1 runs up to the source maximum
+    minus the detected total (an impossible pattern yields the flagged
+    zero result).
     """
-    _check_shapes(spec, interf, pattern)
-    detected = pattern.total()
-    cap = spec.max_total() - detected
-    if cap < 0:
-        return ConditionalResult.from_unnormalized([0.0], pattern=pattern)
-    pat_norm = 1.0
-    for nj in pattern:
-        pat_norm *= math.factorial(nj)
-    matrix = interf.matrix
-    coeffs = np.zeros(cap + 1)
-    for n1 in range(cap + 1):
-        row_reps = (n1,) + pattern.counts
-        acc = 0.0
-        for s, weight in enumerate_inputs(spec, detected + n1):
-            amp = permanent_with_multiplicity(matrix, row_reps, s.counts)
-            acc += weight * (amp.real * amp.real + amp.imag * amp.imag)
-        coeffs[n1] = acc / (math.factorial(n1) * pat_norm)
-    return ConditionalResult.from_unnormalized(coeffs, pattern=pattern)
-
-
-def condition_mixed_bs_closed_form(
-    dist1, dist2, element: Interferometer, detected: int
-) -> ConditionalResult:
-    """Two-mode special case in closed form (no permanents).
-
-    dist1 and dist2 are the photon-number distributions feeding the two
-    inputs of `element`; `detected` photons are seen on output mode 2.
-    Matches condition_mixed on the same data to ~1e-10 per coefficient.
-    """
-    if element.n_modes != 2:
-        raise DimensionMismatch("closed form applies to a two-mode element")
-    if detected < 0:
-        raise ValueError("detected photon count must be non-negative")
-    spec = InputSpec((dist1, dist2))
-    l11, l12 = element.matrix[0, 0], element.matrix[0, 1]
-    l21, l22 = element.matrix[1, 0], element.matrix[1, 1]
-    d = detected
-    cap = spec.max_total() - d
-    if cap < 0:
-        return ConditionalResult.from_unnormalized(
-            [0.0], pattern=DetectionPattern((d,))
-        )
-    coeffs = np.zeros(cap + 1)
-    sup1, sup2 = spec.support(0), spec.support(1)
-    for k in sup1:
-        pk = spec.prob(0, k)
-        for l in sup2:
-            n1 = k + l - d
-            if n1 < 0 or n1 > cap:
-                continue
-            ql = spec.prob(1, l)
-            amp = 0j
-            for m in range(max(0, n1 - k), min(l, n1) + 1):
-                # m photons of the second input end up in the kept mode
-                amp += (
-                    l11 ** (n1 - m)
-                    * l21 ** (k - n1 + m)
-                    * l12**m
-                    * l22 ** (l - m)
-                    / (
-                        math.factorial(n1 - m)
-                        * math.factorial(k - n1 + m)
-                        * math.factorial(m)
-                        * math.factorial(l - m)
-                    )
-                )
-            coeffs[n1] += (
-                pk
-                * ql
-                * math.factorial(k)
-                * math.factorial(l)
-                * math.factorial(n1)
-                * math.factorial(d)
-                * (amp.real * amp.real + amp.imag * amp.imag)
-            )
-    return ConditionalResult.from_unnormalized(coeffs, pattern=DetectionPattern((d,)))
+    return condition_patterns(spec, interf, [pattern])[0]
 
 
 @dataclass(frozen=True, eq=False)
@@ -277,32 +230,27 @@ def propagate_pure(state: PureState, interf: Interferometer) -> PureState:
     """Send a pure state through an interferometer.
 
     Output amplitude of configuration n from input s is
-    per(L[n, s]) / sqrt(prod n_i! prod s_i!); the norm is preserved to
-    ~1e-10 for the photon numbers this package targets.
+    per(L[n, s]) / sqrt(prod n_i! prod s_i!), computed by engine.py; the
+    norm is preserved to ~1e-10 for the photon numbers this package targets.
     """
     n = interf.n_modes
     if state.n_modes not in (0, n):
         raise DimensionMismatch(
             f"state has {state.n_modes} modes, interferometer has {n}"
         )
-    matrix = interf.matrix
-    out: dict[PhotonConfig, complex] = {}
+    if not state.amplitudes:
+        return state
+    top = max(s.total() for s in state.amplitudes)
+    caps = (top,) * n
+    b = basis(caps, top)
+    amps = np.zeros(len(b.states), dtype=complex)
     for s, a_in in state.amplitudes.items():
-        total = s.total()
-        s_fact = 1.0
-        for si in s:
-            s_fact *= math.factorial(si)
-        for counts in compositions(total, n):
-            amp = permanent_with_multiplicity(matrix, counts, s.counts)
-            if amp == 0:
-                continue
-            n_fact = 1.0
-            for ni in counts:
-                n_fact *= math.factorial(ni)
-            config = PhotonConfig(counts)
-            out[config] = out.get(config, 0j) + a_in * amp / math.sqrt(
-                n_fact * s_fact
-            )
+        _, sectors = expand([((c, 1.0),) for c in s.counts], interf.matrix, caps, top)
+        ((weights, coeffs),) = sectors.values()
+        lo, hi = b.offsets[s.total()], b.offsets[s.total() + 1]
+        amps[lo:hi] += a_in * math.sqrt(weights[0]) * coeffs[0]
+    amps *= np.sqrt(b.factorials)
+    out = {PhotonConfig(v): a for v, a in zip(map(tuple, b.states.tolist()), amps)}
     return PureState.from_amplitudes(out, require_normalized=False)
 
 

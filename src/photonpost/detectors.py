@@ -14,7 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import ConditionalResult, DetectionPattern, condition_mixed
+from .conditioner import ConditionalResult
+from .engine import output_table
 from .errors import DimensionMismatch, NotNormalized
 from .fock import InputSpec
 from .interferometer import Interferometer
@@ -22,10 +23,6 @@ from .interferometer import Interferometer
 BUCKET = ">=2"
 
 ROW_SUM_TOL = 1e-12
-
-
-def _outcome_key(outcome) -> str:
-    return outcome if isinstance(outcome, str) else str(int(outcome))
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,10 +175,11 @@ def observe(
 ) -> ConditionalResult:
     """Conditional output given reported (possibly misread) outcomes.
 
-    Mixes the unnormalized exact-pattern results over all true patterns
-    with a nonzero response factor; the summed weights then give the
-    probability of the reported pattern, so completeness over all
-    reports is inherited from the response rows being stochastic.
+    Contracts one joint output table with every detector's response
+    column; the summed weights then give the probability of the reported
+    pattern, so completeness over all reports is inherited from the
+    response rows being stochastic.  Models must cover every count the
+    source can emit.
     """
     n = interf.n_modes
     if len(observed) != n - 1 or len(models) != n - 1:
@@ -190,39 +188,21 @@ def observe(
             f"{len(observed)} and {len(models)}"
         )
     max_total = spec.max_total()
-    supports = []
+    if any(model.cap < max_total for model in models):
+        raise DimensionMismatch(f"detector models must cover counts up to {max_total}")
+    columns = []
     for obs, model in zip(observed, models):
-        sup = [(t, p) for t, p in model.true_support(obs) if t <= max_total]
-        if not sup:
-            return ConditionalResult.from_unnormalized([0.0], pattern=observed)
-        supports.append(sup)
-
-    results: list[tuple[float, ConditionalResult]] = []
-    min_detected = None
-
-    def rec(idx: int, counts: list[int], factor: float, remaining: int):
-        nonlocal min_detected
-        if idx == len(supports):
-            pattern = DetectionPattern(tuple(counts))
-            res = condition_mixed(spec, interf, pattern)
-            results.append((factor, res))
-            d = pattern.total()
-            if min_detected is None or d < min_detected:
-                min_detected = d
-            return
-        for t, p in supports[idx]:
-            if t > remaining:
-                continue
-            counts.append(t)
-            rec(idx + 1, counts, factor * p, remaining - t)
-            counts.pop()
-
-    rec(0, [], 1.0, max_total)
-    if min_detected is None:
+        col = np.zeros(model.cap + 1)
+        for t, p in model.true_support(obs):
+            col[t] = p
+        columns.append(col[: max_total + 1])
+    supports = [np.flatnonzero(col) for col in columns]
+    if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
         return ConditionalResult.from_unnormalized([0.0], pattern=observed)
-    cap = max_total - min_detected
-    mixed = np.zeros(cap + 1)
-    for factor, res in results:
-        arr = res.unnormalized
-        mixed[: arr.size] += factor * arr
+    cap = max_total - sum(int(t[0]) for t in supports)
+    caps = (cap,) + tuple(int(t[-1]) for t in supports)
+    basis, table = output_table(spec.distributions, interf.matrix, caps, max_total)
+    for j, col in enumerate(columns):
+        table = table * col[basis.states[:, j + 1]]
+    mixed = np.bincount(basis.states[:, 0], weights=table, minlength=cap + 1)
     return ConditionalResult.from_unnormalized(mixed, pattern=observed)

@@ -1,0 +1,153 @@
+"""Joint output weights by expanding creation operators.
+
+Input configuration s leaves the interferometer as
+prod_i (sum_k U[k, i] b_k^dag)^{s_i} / sqrt(s_i!) |0>.  If c_s[n] is the
+coefficient of prod_k (b_k^dag)^{n_k}, then <n|U|s> = c_s[n] sqrt(n!/s!)
+= per(U[n, s]) / sqrt(n! s!), reached by multiplying and adding path
+amplitudes only, without the cancellation of Ryser's alternating sum.
+Input modes are expanded one at a time, one coefficient row per emission
+configuration, so configurations sharing an input prefix share partial
+products; rows with t photons only reach vectors with t photons, so each
+photon total (sector) has its own (rows, states) array.  For a diagonal
+source the joint output weight of the occupation vector n is
+
+    P(n) = n! * sum_s w_s |c_s[n]|^2,    w_s = prod_i P_i(s_i) / s_i!
+
+Only vectors with n[k] <= caps[k] and sum(n) <= max_total are kept, which
+is exact for them: photons are only ever added.  Cap-0 modes drop out.
+"""
+
+from __future__ import annotations
+
+import functools
+import math
+from dataclasses import dataclass, field
+from typing import Sequence
+
+import numpy as np
+
+from .errors import DimensionTooLarge
+
+# Largest rows * states coefficient array the engine allocates (32 MiB of
+# complex128); bigger problems raise instead of exhausting memory.
+MAX_CELLS = 1 << 21
+
+
+@dataclass(frozen=True, eq=False)
+class Basis:
+    """Occupation vectors with n[k] <= caps[k] and sum(n) <= total.
+
+    states is sorted by key = n @ strides + sum(n) * span, so sector t,
+    the vectors with t photons, is states[offsets[t]:offsets[t + 1]].
+    steps[t] = (sources, modes, starts) adds a photon to sector t: edge e
+    takes state sources[e] through output mode modes[e], and the edges
+    into the j-th state of sector t + 1 start at starts[j].
+    """
+
+    caps: np.ndarray
+    total: int
+    states: np.ndarray
+    factorials: np.ndarray
+    offsets: np.ndarray
+    steps: tuple
+    strides: np.ndarray
+    span: int
+    keys: np.ndarray
+    _kept: dict = field(default_factory=dict, repr=False)
+
+    def lookup(self, vectors) -> np.ndarray:
+        """Indices of full-length occupation vectors, -1 outside the basis."""
+        v = np.asarray(vectors, dtype=np.int64).reshape(-1, self.caps.size)
+        inside = np.all(v <= self.caps, axis=1) & (v.sum(axis=1) <= self.total)
+        pos = np.searchsorted(self.keys, v @ self.strides + v.sum(axis=1) * self.span)
+        return np.where(inside, np.minimum(pos, len(self.keys) - 1), -1)
+
+    def kept(self, pattern: Sequence[int]) -> np.ndarray:
+        """Indices of (n1, *pattern) for n1 = 0, 1, ... inside the basis."""
+        pattern = tuple(pattern)
+        if pattern not in self._kept:
+            top = min(int(self.caps[0]), self.total - sum(pattern))
+            self._kept[pattern] = self.lookup([(n1,) + pattern for n1 in range(top + 1)])
+        return self._kept[pattern]
+
+
+@functools.lru_cache(maxsize=128)
+def basis(caps: tuple[int, ...], total: int) -> Basis:
+    """The (cached, read-only) basis for per-mode caps and a total limit."""
+    limits = np.minimum(np.maximum(np.array(caps, dtype=np.int64), 0), total)
+    radix = [int(c) + 1 for c in limits]
+    span = math.prod(radix)
+    states = np.zeros((1, 0), dtype=np.int64)
+    for r in radix:
+        if span * (total + 1) >= 2**63 or len(states) * r * len(caps) > MAX_CELLS:
+            raise DimensionTooLarge(f"output basis for caps {caps} is too large")
+        states = np.column_stack(
+            [np.repeat(states, r, axis=0), np.tile(np.arange(r), len(states))]
+        )
+        states = states[states.sum(axis=1) <= total]
+    strides = np.array([math.prod(radix[k + 1 :]) for k in range(len(caps))], dtype=np.int64)
+    keys = states @ strides + states.sum(axis=1) * span
+    order = np.argsort(keys)
+    states, keys = states[order], keys[order]
+    offsets = np.searchsorted(keys // span, np.arange(keys[-1] // span + 2))
+    steps = []
+    for t in range(len(offsets) - 2):
+        lo, hi = offsets[t], offsets[t + 1]
+        sources, modes = np.nonzero(states[lo:hi] < limits)
+        targets = np.searchsorted(keys, keys[lo + sources] + strides[modes] + span) - hi
+        order = np.argsort(targets, kind="stable")
+        starts = np.flatnonzero(np.diff(targets[order], prepend=-1))
+        steps.append((sources[order], modes[order], starts))
+    fact = np.array([math.factorial(k) for k in range(total + 1)], dtype=float)
+    factorials = fact[states].prod(axis=1)
+    for a in (limits, states, factorials, offsets, strides, keys, *sum(steps, ())):
+        a.setflags(write=False)
+    return Basis(limits, total, states, factorials, offsets, tuple(steps), strides, span, keys)
+
+
+def expand(
+    supports: Sequence[Sequence[tuple[int, float]]], matrix, caps: Sequence[int], max_total: int
+) -> tuple[Basis, dict]:
+    """Expansion coefficients c_s[n] for every configuration s of the supports.
+
+    supports[i] lists (count, weight) pairs of input mode i, counts
+    ascending.  Returns (basis, sectors): sectors[t] = (weights, coeffs)
+    holds one row per configuration s with t photons, its weight
+    prod_i weight_i / s_i! and its coefficients on the states of sector t.
+    """
+    b = basis(tuple(int(c) for c in caps), int(max_total))
+    rows, widest = math.prod(len(s) for s in supports), int(np.diff(b.offsets).max())
+    if rows * widest > MAX_CELLS:
+        raise DimensionTooLarge(f"{rows} x {widest} coefficients exceed {MAX_CELLS}")
+    matrix = np.asarray(matrix, dtype=complex)
+    top = len(b.offsets) - 2  # largest photon total in the basis
+    sectors = {0: (np.ones(1), np.ones((1, 1), dtype=complex))}
+    for i, support in enumerate(supports):
+        weight_of = dict(support)
+        parts = {}
+        for t, (weights, power) in sectors.items():
+            for c in range(min(support[-1][0], top - t) + 1):
+                if c:  # multiply by sum_k U[k, i] b_k^dag
+                    sources, modes, starts = b.steps[t + c - 1]
+                    terms = power[:, sources] * matrix[modes, i]
+                    power = np.add.reduceat(terms, starts, axis=1)
+                if c in weight_of:
+                    row_weights = weights * (weight_of[c] / math.factorial(c))
+                    parts.setdefault(t + c, []).append((row_weights, power))
+        sectors = {t: tuple(map(np.concatenate, zip(*p))) for t, p in parts.items()}
+    return b, sectors
+
+
+def output_table(
+    supports: Sequence[Sequence[tuple[int, float]]], matrix, caps: Sequence[int], max_total: int
+) -> tuple[Basis, np.ndarray]:
+    """Joint output weights n! * sum_s w_s |c_s[n]|^2 over basis(caps, max_total).
+
+    With probabilities as the support weights these are the joint output
+    probabilities P(n); every entry is exact, however tight the caps.
+    """
+    b, sectors = expand(supports, matrix, caps, max_total)
+    table = np.zeros(len(b.states))
+    for t, (weights, coeffs) in sectors.items():
+        table[b.offsets[t] : b.offsets[t + 1]] = weights @ (coeffs.real**2 + coeffs.imag**2)
+    return b, table * b.factorials

@@ -132,18 +132,6 @@ class InputSpec:
     def is_two_level(self) -> bool:
         return all(n in (0, 1) for dist in self.distributions for n, _ in dist)
 
-    def weight(self, config: Sequence[int]) -> float:
-        """Probability of emitting exactly the given configuration."""
-        counts = tuple(config)
-        if len(counts) != self.n_modes:
-            raise ValueError("configuration length does not match mode count")
-        w = 1.0
-        for i, c in enumerate(counts):
-            w *= self.prob(i, c)
-            if w == 0.0:
-                return 0.0
-        return w
-
 
 def enumerate_inputs(
     spec: InputSpec, total_photons: int

@@ -15,7 +15,6 @@ wherever results are produced.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -23,10 +22,10 @@ from typing import Sequence
 import numpy as np
 
 from .conditioner import ConditionalResult, DetectionPattern
+from .engine import output_table
 from .errors import ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
-from .permanent import permanent_with_multiplicity
 
 
 @dataclass(frozen=True)
@@ -134,21 +133,12 @@ def detection_coefficients(
     cap = len(active) - detected
     if cap < 0:
         return np.zeros(0)
-    matrix = interf.matrix
-    row_base = list(pattern.counts)
-    coeffs = np.zeros(cap + 1)
-    for n1 in range(cap + 1):
-        row_reps = [n1] + row_base
-        total = detected + n1
-        acc = 0.0
-        for chosen in itertools.combinations(active, total):
-            col_reps = [0] * n
-            for i in chosen:
-                col_reps[i] = 1
-            amp = permanent_with_multiplicity(matrix, row_reps, col_reps)
-            acc += amp.real * amp.real + amp.imag * amp.imag
-        coeffs[n1] = acc
-    return coeffs
+    # unit weights on the active modes: the table sums |c_s[n]|^2 over
+    # every subset s, and |per(L[n, s])|^2 = (n!)^2 |c_s[n]|^2
+    supports = [((0, 1.0), (1, 1.0)) if i in active else ((0, 1.0),) for i in range(n)]
+    basis, table = output_table(supports, interf.matrix, (cap,) + pattern.counts, len(active))
+    idx = basis.kept(pattern.counts)
+    return table[idx] * basis.factorials[idx]
 
 
 def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:

@@ -1,10 +1,10 @@
 """Matrix permanents.
 
-The workhorse is a Gray-code Ryser evaluation with O(2^n * n) cost; tiny
-matrices short-circuit to closed forms since they dominate the call
-profile when conditioning on detection patterns.  A naive permutation-sum
-oracle is kept alongside so the fast kernel can always be cross-checked
-against an independent route.
+The workhorse is a Gray-code Ryser evaluation with O(2^n * n) cost.  A
+naive permutation-sum oracle is kept alongside so the fast kernel can
+always be cross-checked against an independent route.  Conditional
+outputs come from engine.py, which expands the creation operators; the
+permanents here are public API and test oracles.
 """
 
 from __future__ import annotations
@@ -19,24 +19,6 @@ from .errors import DimensionTooLarge, MismatchedTotals, NonSquare
 # Hard cap on the expanded dimension; 2^30 steps is already out of reach
 # for interactive use and anything larger is certainly a caller bug.
 MAX_DIMENSION = 30
-
-
-def _per2(m) -> complex:
-    return m[0][0] * m[1][1] + m[0][1] * m[1][0]
-
-
-def _per3(m) -> complex:
-    (a, b, c), (d, e, f), (g, h, i) = m
-    return a * (e * i + f * h) + b * (d * i + f * g) + c * (d * h + e * g)
-
-
-def _per4(m) -> complex:
-    total = 0j
-    rows = [m[1], m[2], m[3]]
-    for j in range(4):
-        minor = [[row[k] for k in range(4) if k != j] for row in rows]
-        total += m[0][j] * _per3(minor)
-    return total
 
 
 def _ryser_gray(a: np.ndarray) -> complex:
@@ -67,19 +49,7 @@ def _ryser_gray(a: np.ndarray) -> complex:
 
 
 def _kernel(a: np.ndarray) -> complex:
-    n = a.shape[0]
-    if n == 0:
-        return 1 + 0j
-    if n <= 4:
-        m = a.tolist()
-        if n == 1:
-            return complex(m[0][0])
-        if n == 2:
-            return complex(_per2(m))
-        if n == 3:
-            return complex(_per3(m))
-        return complex(_per4(m))
-    return _ryser_gray(a)
+    return 1 + 0j if a.shape[0] == 0 else _ryser_gray(a)
 
 
 def _validated(matrix) -> np.ndarray:

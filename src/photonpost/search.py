@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import optimize
 
-from .conditioner import ConditionalResult, DetectionPattern, condition_mixed
+from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_patterns
 from .errors import BadParameters
 from .fock import InputSpec, compositions
 from .interferometer import Interferometer, beam_splitter, compose, embed_two_mode, haar_random
@@ -168,8 +168,7 @@ def evaluate_candidate(
     best = -math.inf
     best_pattern: tuple[int, ...] = ()
     violations = 0
-    for pattern in patterns:
-        result = condition_mixed(spec, interf, pattern)
+    for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
         if not _check_bound(result, spec):
             violations += 1
         value = _objective_value(result, objective)
@@ -464,28 +463,17 @@ def verify_nogo_patterns(
         ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
         ps[modes[0]] = p_max
         random_spec = InputSpec.two_level(ps.tolist())
-        for counts in compositions(occupied - 1, n - 1):
-            pattern = DetectionPattern(counts)
-            result = condition_mixed(random_spec, interf, pattern)
-            evals += 1
-            if not _check_bound(result, random_spec):
-                violations += 1
-            excess = ratio_of(result) - ratio_in
-            if excess > worst_excess:
-                worst_excess = excess
-                best_pattern = pattern.counts
-                best_interf = interf
-
-        for pattern in single_clicks:
-            result = condition_mixed(uniform_spec, interf, pattern)
-            evals += 1
-            if not _check_bound(result, uniform_spec):
-                violations += 1
-            excess = ratio_of(result) - ratio_in
-            if excess > worst_excess:
-                worst_excess = excess
-                best_pattern = pattern.counts
-                best_interf = interf
+        one_left = [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)]
+        for spec, patterns in ((random_spec, one_left), (uniform_spec, single_clicks)):
+            for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
+                evals += 1
+                if not _check_bound(result, spec):
+                    violations += 1
+                excess = ratio_of(result) - ratio_in
+                if excess > worst_excess:
+                    worst_excess = excess
+                    best_pattern = pattern.counts
+                    best_interf = interf
 
     found = worst_excess > IMPROVEMENT_SLACK
     return SearchReport(

@@ -3,19 +3,34 @@
 For a two-level input with uniform best probability p and M occupied
 modes, detecting D photons can raise the one-to-zero photon ratio by at
 most a factor (M - D), and not at all when D = 0 or D = M - 1.  The
-fixture below wraps condition_mixed in every module that calls it, so a
+fixture below wraps condition_mixed, and the engine's joint output table
+that every consumer builds on, in every module that calls them, so a
 violation fails the specific test that produced it, wherever it ran.
+A table is checked on every exact detector pattern it holds, except
+where the vacuum entry is cancellation dust: below DUST times the same
+entry computed from |U|, which bounds the magnitude of every path summed
+into it, roundoff decides the value (a pattern of probability zero, say
+behind a balanced splitter), and no ratio can be read from it.
 """
 
+import numpy as np
 import pytest
 
 import photonpost
-from photonpost import cli, conditioner, detectors, schemes, search
+from photonpost import cli, conditioner, detectors, engine, merit, schemes, search
 from photonpost.conditioner import DetectionPattern
 
 BOUND_SLACK = 1e-9
+DUST = 1e-20
 
 _original = conditioner.condition_mixed
+_original_table = engine.output_table
+
+
+def _allowed_ratio(ratio_in, m, d):
+    """Largest ratio_out the bound allows when d of m occupied modes click."""
+    strict = (d == 0) | (d == m - 1)
+    return np.where(strict, ratio_in, ratio_in * (m - d)) + BOUND_SLACK
 
 
 def _checked_condition_mixed(spec, interf, pattern, *args, **kwargs):
@@ -46,11 +61,47 @@ def _checked_condition_mixed(spec, interf, pattern, *args, **kwargs):
     return result
 
 
+def _checked_output_table(supports, matrix, caps, max_total):
+    basis, table = _original_table(supports, matrix, caps, max_total)
+    dists = [dict(s) for s in supports]
+    two_level = all(
+        set(d) <= {0, 1} and abs(sum(d.values()) - 1.0) <= 1e-12 for d in dists
+    )
+    p = max((d.get(1, 0.0) for d in dists), default=0.0)
+    if not two_level or not 0.0 < p < 1.0:
+        return basis, table
+    ratio_in = p / (1.0 - p)
+    m = sum(1 for d in dists if d.get(1, 0.0) > 0.0)
+    # pair each (0, pattern) entry with its (1, pattern) entry
+    zero = np.flatnonzero(basis.states[:, 0] == 0)
+    raised = basis.states[zero]
+    raised[:, 0] = 1
+    one = basis.lookup(raised)
+    zero, one = zero[one >= 0], one[one >= 0]
+    q0, q1 = table[zero], table[one]
+    _, paths = _original_table(supports, np.abs(matrix), caps, max_total)
+    seen = (q0 > 0.0) & (q0 >= DUST * paths[zero])
+    d = basis.states[zero[seen], 1:].sum(axis=1)
+    ratio_out = q1[seen] / q0[seen]
+    bad = np.flatnonzero(ratio_out > _allowed_ratio(ratio_in, m, d))
+    assert bad.size == 0, (
+        f"ratio bound violated in a joint output table at pattern "
+        f"{basis.states[zero[seen]][bad[0], 1:].tolist()}: "
+        f"{ratio_out[bad[0]]} > {ratio_in} at D={d[bad[0]]}, M={m}"
+    )
+    return basis, table
+
+
 @pytest.fixture(autouse=True, scope="session")
 def ratio_bound_tripwire():
     holders = [conditioner, schemes, detectors, search, cli, photonpost]
+    table_holders = [engine, conditioner, detectors, merit]
     for mod in holders:
         mod.condition_mixed = _checked_condition_mixed
+    for mod in table_holders:
+        mod.output_table = _checked_output_table
     yield
     for mod in holders:
         mod.condition_mixed = _original
+    for mod in table_holders:
+        mod.output_table = _original_table

@@ -3,12 +3,16 @@
 Everything here works by expanding creation-operator polynomials in a
 dense dictionary keyed by photon configuration.  No permanents, no
 combinatorial shortcuts; slow but obviously correct for small sizes.
+The one exception is the two-mode closed form at the end, an independent
+hand expansion of the beam-splitter case.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from photonpost import ConditionalResult, DetectionPattern, InputSpec
 
 
 def propagate_fock(matrix: np.ndarray, in_counts) -> dict:
@@ -100,3 +104,53 @@ def permanent_reference(matrix: np.ndarray) -> complex:
             term *= matrix[i, j]
         total += term
     return total
+
+
+def condition_mixed_bs_closed_form(dist1, dist2, element, detected: int):
+    """Two-mode conditioning in closed form (no permanents, no expansion).
+
+    dist1 and dist2 are the photon-number distributions feeding the two
+    inputs of the two-mode `element`; `detected` photons are seen on
+    output mode 2.  Returns the ConditionalResult condition_mixed gives.
+    """
+    assert element.n_modes == 2 and detected >= 0
+    spec = InputSpec((dist1, dist2))
+    l11, l12 = element.matrix[0, 0], element.matrix[0, 1]
+    l21, l22 = element.matrix[1, 0], element.matrix[1, 1]
+    d = detected
+    cap = spec.max_total() - d
+    if cap < 0:
+        return ConditionalResult.from_unnormalized([0.0], pattern=DetectionPattern((d,)))
+    coeffs = np.zeros(cap + 1)
+    for k in spec.support(0):
+        pk = spec.prob(0, k)
+        for l in spec.support(1):
+            n1 = k + l - d
+            if n1 < 0 or n1 > cap:
+                continue
+            ql = spec.prob(1, l)
+            amp = 0j
+            for m in range(max(0, n1 - k), min(l, n1) + 1):
+                # m photons of the second input end up in the kept mode
+                amp += (
+                    l11 ** (n1 - m)
+                    * l21 ** (k - n1 + m)
+                    * l12**m
+                    * l22 ** (l - m)
+                    / (
+                        math.factorial(n1 - m)
+                        * math.factorial(k - n1 + m)
+                        * math.factorial(m)
+                        * math.factorial(l - m)
+                    )
+                )
+            coeffs[n1] += (
+                pk
+                * ql
+                * math.factorial(k)
+                * math.factorial(l)
+                * math.factorial(n1)
+                * math.factorial(d)
+                * (amp.real * amp.real + amp.imag * amp.imag)
+            )
+    return ConditionalResult.from_unnormalized(coeffs, pattern=DetectionPattern((d,)))

@@ -13,9 +13,11 @@ from scipy import optimize
 import photonpost.cli as cli
 import photonpost.conditioner
 import photonpost.detectors
+import photonpost.engine
+import photonpost.merit
 import photonpost.schemes
 import photonpost.search
-from oracles import conditional_coefficients
+from oracles import condition_mixed_bs_closed_form, conditional_coefficients
 from photonpost import (
     BUCKET,
     DegenerateTheta,
@@ -28,7 +30,6 @@ from photonpost import (
     build_chain,
     chain_asymptotics,
     condition_mixed,
-    condition_mixed_bs_closed_form,
     detection_coefficients,
     figures_of_merit,
     haar_random,
@@ -176,6 +177,14 @@ def test_criterion_3_ratio_bound():
             photonpost,
         ):
             assert mod.condition_mixed.__name__ == "_checked_condition_mixed"
+        # ... and so does every joint output table the engine builds
+        for mod in (
+            photonpost.engine,
+            photonpost.conditioner,
+            photonpost.detectors,
+            photonpost.merit,
+        ):
+            assert mod.output_table.__name__ == "_checked_output_table"
 
         # explicit spot checks at the pattern extremes
         rng = np.random.default_rng(ACCEPTANCE_SEED + 3)

@@ -12,13 +12,16 @@ from photonpost import (
     beam_splitter,
     compose,
     condition_mixed,
-    condition_mixed_bs_closed_form,
     condition_pure,
     embed_two_mode,
     haar_random,
     propagate_pure,
 )
-from oracles import conditional_coefficients, propagate_fock
+from oracles import (
+    condition_mixed_bs_closed_form,
+    conditional_coefficients,
+    propagate_fock,
+)
 
 
 def random_bs(rng):

@@ -189,3 +189,12 @@ def test_impossible_report_gives_zero():
     )
     assert res.zero_probability
     assert res.pattern_probability == 0.0
+
+
+def test_observe_rejects_models_below_the_source_maximum():
+    # mass above a model's cap would otherwise be dropped without notice
+    spec = InputSpec.two_level([0.2, 0.2, 0.2])
+    u = haar_random(3, seed=2)
+    models = [DetectorModel.exact(2)] * 2
+    with pytest.raises(DimensionMismatch):
+        observe(spec, u, ObservedPattern((0, 0)), models)

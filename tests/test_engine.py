@@ -1,0 +1,157 @@
+"""The creation-operator engine against brute force and high precision."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from oracles import conditional_coefficients, joint_output_probabilities
+from photonpost import (
+    DetectionPattern,
+    DimensionTooLarge,
+    InputSpec,
+    build_chain,
+    chain_asymptotics,
+    condition_mixed,
+    haar_random,
+)
+from photonpost.engine import output_table
+
+REL_TOL = 1e-12
+
+
+@st.composite
+def sources(draw):
+    """A Haar seed and 2-4 mode distributions with up to 3-photon terms."""
+    n = draw(st.integers(2, 4))
+    seed = draw(st.integers(0, 2**31 - 1))
+    budget = 6  # most photons the brute-force oracle has to expand
+    dists = []
+    for i in range(n):
+        top = draw(st.integers(1, min(3, budget - (n - 1 - i))))
+        budget -= top
+        w = draw(st.lists(st.floats(0.05, 1.0), min_size=top + 1, max_size=top + 1))
+        total = sum(w)
+        dists.append({k: x / total for k, x in enumerate(w)})
+    return haar_random(n, seed), InputSpec(tuple(dists))
+
+
+def _full_table(interf, spec):
+    top = spec.max_total()
+    return output_table(spec.distributions, interf.matrix, (top,) * interf.n_modes, top)
+
+
+def _assert_close(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert np.all(np.abs(got - want) <= REL_TOL * np.abs(want) + 1e-300), (got, want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sources())
+def test_table_matches_brute_force_joint_distribution(source):
+    interf, spec = source
+    basis, table = _full_table(interf, spec)
+    want = joint_output_probabilities(interf.matrix, [dict(d) for d in spec.distributions])
+    got = dict(zip(map(tuple, basis.states.tolist()), table))
+    for vector, p in got.items():
+        if vector not in want:
+            assert p == 0.0
+    _assert_close([got[v] for v in want], list(want.values()))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sources(), st.data())
+def test_pattern_slice_matches_brute_force_coefficients(source, data):
+    interf, spec = source
+    n = interf.n_modes
+    counts = tuple(data.draw(st.integers(0, 2)) for _ in range(n - 1))
+    top = spec.max_total()
+    want = conditional_coefficients(
+        interf.matrix, [dict(d) for d in spec.distributions], counts
+    )
+    if want.size == 0:
+        return
+    caps = (top - sum(counts),) + counts
+    basis, table = output_table(spec.distributions, interf.matrix, caps, top)
+    _assert_close(table[basis.kept(counts)], want)
+
+
+@settings(max_examples=40, deadline=None)
+@given(sources())
+def test_untruncated_table_is_complete(source):
+    _, table = _full_table(*source)
+    assert abs(table.sum() - 1.0) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None)
+@given(sources(), st.lists(st.floats(0.0, 2 * math.pi), min_size=4, max_size=4))
+def test_output_phases_do_not_change_the_table(source, phases):
+    interf, spec = source
+    n = interf.n_modes
+    shifted = np.exp(1j * np.array(phases[:n]))[:, None] * interf.matrix
+    top = spec.max_total()
+    _, table = _full_table(interf, spec)
+    _, moved = output_table(spec.distributions, shifted, (top,) * n, top)
+    assert np.allclose(moved, table, rtol=REL_TOL, atol=1e-16)
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-5, 1e-6])
+def test_small_epsilon_chain_gain_reaches_its_limit(epsilon):
+    n, d, p = 8, 4, 0.2
+    chain = build_chain(n, epsilon)
+    spec = InputSpec.two_level([p] * n)
+    q = condition_mixed(spec, chain.interferometer, chain.pattern_for(d)).unnormalized
+    gain = (q[1] / q[0]) / (p / (1 - p))
+    limit, _ = chain_asymptotics(n, d)
+    assert abs(gain - limit) <= 1e-6
+
+
+def _mp_chain_coefficients(matrix, p, detected):
+    """c~[n1] of the chain's tap pattern, expanded in 50-digit arithmetic.
+
+    Terms that put a photon on a vacuum detector (modes 3..N) are dropped,
+    which is exact for the pattern (detected, 0, ..., 0).
+    """
+    n = matrix.shape[0]
+    u = [[mpmath.mpc(complex(matrix[k, i])) for i in range(n)] for k in range(n)]
+    coeffs = [mpmath.mpf(0)] * (n - detected + 1)
+    for bits in range(1 << n):
+        s = [(bits >> i) & 1 for i in range(n)]
+        poly = {(0, 0): mpmath.mpc(1)}
+        for i in range(n):
+            if not s[i]:
+                continue
+            grown = {}
+            for (a, b), c in poly.items():
+                for key, lam in (((a + 1, b), u[0][i]), ((a, b + 1), u[1][i])):
+                    if key[1] <= detected:
+                        grown[key] = grown.get(key, 0) + c * lam
+            poly = grown
+        weight = mpmath.mpf(p) ** sum(s) * (1 - mpmath.mpf(p)) ** (n - sum(s))
+        for (n1, tap), c in poly.items():
+            if tap == detected:
+                coeffs[n1] += (
+                    weight * math.factorial(n1) * math.factorial(detected) * abs(c) ** 2
+                )
+    return coeffs
+
+
+def test_small_epsilon_chain_row_matches_50_digits():
+    n, d, p, epsilon = 6, 3, 0.2, 1e-5
+    chain = build_chain(n, epsilon)
+    spec = InputSpec.two_level([p] * n)
+    got = condition_mixed(spec, chain.interferometer, chain.pattern_for(d)).unnormalized
+    with mpmath.workdps(50):
+        want = _mp_chain_coefficients(chain.interferometer.matrix, p, d)
+        assert got.size == len(want)
+        for g, w in zip(got, want):
+            assert abs(mpmath.mpf(float(g)) - w) <= REL_TOL * abs(w)
+
+
+def test_size_guard_raises_instead_of_allocating():
+    spec = InputSpec.two_level([0.5] * 14)
+    with pytest.raises(DimensionTooLarge):
+        output_table(spec.distributions, np.eye(14), (14,) * 14, 14)

@@ -10,18 +10,16 @@ from photonpost import (
     SearchReport,
     SearchTask,
     build_chain,
-    chain_seed_angles,
     condition_mixed,
     detector_patterns,
     evaluate_candidate,
-    evaluate_single,
-    pair_order,
     reevaluate,
     search_improvement,
     unitary_from_angles,
     verify_nogo_patterns,
     verify_nogo_small,
 )
+from photonpost.search import chain_seed_angles, evaluate_single, pair_order
 
 
 def test_pair_order_starts_with_chain_layout():
