@@ -10,7 +10,6 @@ CSV files carry 17 significant digits so values survive a round trip.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import json
 import math
 import os
@@ -248,18 +247,11 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _thread_map(fn, items, threads: int):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
 
-def _cmd_simulate(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_simulate(cfg: _Config, out: str, seed) -> int:
     n_modes = cfg.take("modes", int)
     if n_modes < 2:
         raise ConfigError("field 'modes' must be at least 2")
@@ -295,7 +287,7 @@ def _cmd_simulate(cfg: _Config, out: str, seed, threads: int) -> int:
     return 0
 
 
-def _cmd_pure_landscape(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     theta_grid = _parse_grid(cfg.take("theta_grid", dict), "theta_grid")
     phi_grid = _parse_grid(cfg.take("phi_grid", dict), "phi_grid")
     beta_mag = cfg.take("beta_mag", float)
@@ -303,26 +295,19 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed, threads: int) -> int:
     if not (0.0 <= beta_mag <= 1.0):
         raise ConfigError(f"field 'beta_mag' must lie in [0, 1], got {beta_mag}")
 
-    def row(theta: float) -> list[str]:
-        lines = []
+    lines = ["theta,phi,probability"]
+    for theta in theta_grid:
         for phi in phi_grid:
             if abs(math.sin(theta) * math.cos(theta)) < 1e-12:
                 prob = 0.0
             else:
                 prob = pure_success_probability(theta, phi, beta_mag)
             lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(prob)}")
-        return lines
-
-    blocks = _thread_map(row, theta_grid, threads)
-    lines = ["theta,phi,probability"]
-    for block in blocks:
-        lines.extend(block)
     _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
-def _chain_sweep_point(args) -> str:
-    n_modes, p, detected, epsilon = args
+def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) -> str:
     scheme = build_chain(n_modes, epsilon)
     spec = InputSpec.two_level([p] * n_modes)
     result = condition_mixed(spec, scheme.interferometer, scheme.pattern_for(detected))
@@ -351,7 +336,7 @@ def _chain_sweep_point(args) -> str:
     )
 
 
-def _cmd_chain_sweep(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
     n_modes = cfg.take("modes", int)
     p = cfg.take("p", float)
     detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
@@ -369,9 +354,7 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed, threads: int) -> int:
         if not (0.0 < eps < 1.0):
             raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
 
-    rows = _thread_map(
-        _chain_sweep_point, [(n_modes, p, detected, eps) for eps in grid], threads
-    )
+    rows = [_chain_sweep_point(n_modes, p, detected, eps) for eps in grid]
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
         "ratio_gain_limit,two_photon_out,two_photon_limit,fano_out,fano_in"
@@ -380,8 +363,9 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed, threads: int) -> int:
     return 0
 
 
-def _exp_sweep_point(args) -> str:
-    n_modes, p, detected, epsilon, scenario, two_photon_prob = args
+def _exp_sweep_point(
+    n_modes: int, p: float, detected: int, epsilon: float, scenario: str, two_photon_prob: float
+) -> str:
     scheme = build_chain(n_modes, epsilon)
     interf = scheme.interferometer
 
@@ -414,7 +398,7 @@ def _exp_sweep_point(args) -> str:
     return f"{fmt(epsilon)},{fmt(result.pattern_probability)},{fmt(c1)}"
 
 
-def _cmd_exp_sweep(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
     n_modes = cfg.take("modes", int)
     p = cfg.take("p", float)
     detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
@@ -447,17 +431,16 @@ def _cmd_exp_sweep(cfg: _Config, out: str, seed, threads: int) -> int:
         if not (0.0 < eps < 1.0):
             raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
 
-    rows = _thread_map(
-        _exp_sweep_point,
-        [(n_modes, p, detected, eps, scenario, two_photon_prob) for eps in grid],
-        threads,
-    )
+    rows = [
+        _exp_sweep_point(n_modes, p, detected, eps, scenario, two_photon_prob)
+        for eps in grid
+    ]
     header = "epsilon,pattern_probability,single_photon_probability"
     _write_text(out, "\n".join([header] + rows) + "\n")
     return 0
 
 
-def _cmd_nogo_verify(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
     variant = cfg.take("variant", str)
     n_modes = cfg.take("modes", int)
     p_max = cfg.take("p_max", float)
@@ -475,6 +458,8 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed, threads: int) -> int:
         raise ConfigError(f"field 'p_max' must lie inside (0, 1), got {p_max}")
     if trials < 1:
         raise ConfigError("field 'trials' must be at least 1")
+    if refine_iters < 0:
+        raise ConfigError("field 'refine_iters' must be non-negative")
     use_seed = cfg_seed if seed is None else seed
     if variant == "small":
         report = verify_nogo_small(n_modes, p_max, trials, use_seed, refine_iters)
@@ -484,7 +469,7 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed, threads: int) -> int:
     return 0
 
 
-def _cmd_search(cfg: _Config, out: str, seed, threads: int) -> int:
+def _cmd_search(cfg: _Config, out: str, seed) -> int:
     n_modes = cfg.take("modes", int)
     p_max = cfg.take("p_max", float)
     objective = cfg.take("objective", str, required=False, default="single_photon")
@@ -494,8 +479,6 @@ def _cmd_search(cfg: _Config, out: str, seed, threads: int) -> int:
     include_chain = cfg.take("include_chain_seed", bool, required=False, default=True)
     chain_epsilon = cfg.take("chain_epsilon", float, required=False, default=1e-3)
     cfg.finish()
-    if trials < 0:
-        raise ConfigError("field 'trials' must be non-negative")
     use_seed = cfg_seed if seed is None else seed
     try:
         task = SearchTask(
@@ -540,29 +523,30 @@ def _build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=None,
-            help="worker threads for sweeps (default: PHOTON_THREADS or 1)",
+            help=(
+                "accepted for compatibility and ignored (as is PHOTON_THREADS): "
+                "sweeps run serially, since the GIL serializes their points"
+            ),
         )
     return parser
 
 
-def _resolve_threads(flag) -> int:
-    if flag is not None:
-        return max(1, int(flag))
+def _check_threads(flag) -> None:
+    """--threads and PHOTON_THREADS have no effect, but a bad value is an error."""
     env = os.environ.get("PHOTON_THREADS", "")
-    if env:
+    if flag is None and env:
         try:
-            return max(1, int(env))
+            int(env)
         except ValueError:
             raise ConfigError(f"PHOTON_THREADS must be an integer, got {env!r}")
-    return 1
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        threads = _resolve_threads(args.threads)
+        _check_threads(args.threads)
         cfg = _load_config(args.config, args.command)
-        return COMMANDS[args.command](cfg, args.out, args.seed, threads)
+        return COMMANDS[args.command](cfg, args.out, args.seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

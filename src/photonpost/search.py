@@ -53,6 +53,13 @@ class SearchTask:
             raise BadParameters(
                 f"objective {self.objective!r} not one of {OBJECTIVES}"
             )
+        if self.trials < 0 or self.refine_iters < 0:
+            raise BadParameters(
+                f"trials and refine_iters must be non-negative, got "
+                f"{self.trials} and {self.refine_iters}"
+            )
+        if self.trials == 0 and self.refine_iters == 0:
+            raise BadParameters("a budget of no trials and no refinement scores nothing")
 
 
 @dataclass
@@ -245,6 +252,63 @@ def _trial_seeds(seed: int, count: int) -> list[int]:
 # searches
 
 
+class _Tally:
+    """Evaluation count, bound violations and best candidate of one search."""
+
+    def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern] = ()):
+        self.task = task
+        self.spec = InputSpec.two_level([task.p_max] * task.n_modes)
+        self.patterns = patterns
+        self.evals = 0
+        self.violations = 0
+        self.best_value = -math.inf
+        self.best_pattern: tuple[int, ...] = ()
+        self.best_interf: Interferometer | None = None
+
+    def count(self, violations: int) -> None:
+        self.evals += 1
+        self.violations += violations
+
+    def offer(self, value: float, pattern: tuple[int, ...], interf: Interferometer) -> None:
+        if value > self.best_value:
+            self.best_value, self.best_pattern, self.best_interf = value, pattern, interf
+
+    def evaluate(self, interf: Interferometer) -> tuple[float, tuple[int, ...]]:
+        """Score a candidate over every pattern, counted but not offered."""
+        value, pattern, bad = evaluate_candidate(
+            interf, self.spec, self.task.objective, self.patterns
+        )
+        self.count(bad)
+        return value, pattern
+
+    def score(self, interf: Interferometer) -> float:
+        value, pattern = self.evaluate(interf)
+        self.offer(value, pattern, interf)
+        return value
+
+    def report(
+        self, kind: str, benchmark: float, found: str, best_value: float | None = None
+    ) -> SearchReport:
+        """The verdict is `found` when the best value clears the benchmark."""
+        task = self.task
+        beaten = self.best_value > benchmark + IMPROVEMENT_SLACK
+        return SearchReport(
+            kind=kind,
+            n_modes=task.n_modes,
+            p_max=task.p_max,
+            objective=task.objective,
+            seed=task.seed,
+            trials=task.trials,
+            refine_iters=task.refine_iters,
+            trials_run=self.evals,
+            best_value=float(self.best_value if best_value is None else best_value),
+            best_pattern=self.best_pattern,
+            best_interferometer=self.best_interf,
+            verdict=found if beaten else "none found",
+            bound_violations=self.violations,
+        )
+
+
 def search_improvement(task: SearchTask) -> SearchReport:
     """Look for interferometers beating the source's single-photon odds.
 
@@ -254,47 +318,19 @@ def search_improvement(task: SearchTask) -> SearchReport:
     best value clears the input benchmark by more than 1e-9.
     """
     n = task.n_modes
-    spec = InputSpec.two_level([task.p_max] * n)
-    patterns = detector_patterns(n, n - 1)
-    evals = 0
-    violations = 0
-    best_value = -math.inf
-    best_pattern: tuple[int, ...] = ()
-    best_interf: Interferometer | None = None
-
-    def consider(interf: Interferometer):
-        nonlocal best_value, best_pattern, best_interf, evals, violations
-        value, pattern, bad = evaluate_candidate(interf, spec, task.objective, patterns)
-        evals += 1
-        violations += bad
-        if value > best_value:
-            best_value = value
-            best_pattern = pattern
-            best_interf = interf
-
+    tally = _Tally(task, detector_patterns(n, n - 1))
     for trial_seed in _trial_seeds(task.seed, task.trials):
-        consider(haar_random(n, trial_seed))
+        tally.score(haar_random(n, trial_seed))
 
     starts: list[np.ndarray] = []
     if task.include_chain_seed and n >= 3:
         starts.append(chain_seed_angles(n, task.chain_epsilon))
     rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
-    n_angles = n * (n - 1)
-    starts.append(rng.uniform(0.0, math.pi, size=n_angles))
+    starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
     if task.refine_iters > 0:
         for x0 in starts:
-            def negated(x: np.ndarray) -> float:
-                nonlocal evals, violations
-                interf = unitary_from_angles(n, x)
-                value, _, bad = evaluate_candidate(
-                    interf, spec, task.objective, patterns
-                )
-                evals += 1
-                violations += bad
-                return -value
-
             res = optimize.minimize(
-                negated,
+                lambda x: -tally.evaluate(unitary_from_angles(n, x))[0],
                 x0,
                 method="Nelder-Mead",
                 options={
@@ -303,30 +339,14 @@ def search_improvement(task: SearchTask) -> SearchReport:
                     "fatol": 1e-12,
                 },
             )
-            interf = unitary_from_angles(n, res.x)
-            consider(interf)
+            tally.score(unitary_from_angles(n, res.x))
 
     benchmark = (
         task.p_max
         if task.objective in ("single_photon", "single_photon_no_pairs")
         else task.p_max / (1.0 - task.p_max)
     )
-    improved = best_value > benchmark + IMPROVEMENT_SLACK
-    return SearchReport(
-        kind="search",
-        n_modes=n,
-        p_max=task.p_max,
-        objective=task.objective,
-        seed=task.seed,
-        trials=task.trials,
-        refine_iters=task.refine_iters,
-        trials_run=evals,
-        best_value=float(best_value),
-        best_pattern=best_pattern,
-        best_interferometer=best_interf,
-        verdict="improvement found" if improved else "none found",
-        bound_violations=violations,
-    )
+    return tally.report("search", benchmark, "improvement found")
 
 
 def verify_nogo_small(
@@ -345,37 +365,11 @@ def verify_nogo_small(
         raise BadParameters(
             f"exhaustive verification is limited to 2 or 3 modes, got {n_modes}"
         )
-    task = SearchTask(
-        n_modes=n_modes,
-        p_max=p_max,
-        objective="single_photon",
-        trials=trials,
-        refine_iters=refine_iters,
-        seed=seed,
-        include_chain_seed=False,
-    )
-    n = task.n_modes
-    spec = InputSpec.two_level([task.p_max] * n)
-    patterns = detector_patterns(n, n)
-    evals = 0
-    violations = 0
-    best_value = -math.inf
-    best_pattern: tuple[int, ...] = ()
-    best_interf: Interferometer | None = None
-
-    def score(interf: Interferometer) -> float:
-        nonlocal best_value, best_pattern, best_interf, evals, violations
-        value, pattern, bad = evaluate_candidate(interf, spec, task.objective, patterns)
-        evals += 1
-        violations += bad
-        if value > best_value:
-            best_value = value
-            best_pattern = pattern
-            best_interf = interf
-        return value
-
+    task = SearchTask(n_modes, p_max, "single_photon", trials, refine_iters, seed)
+    n = n_modes
+    tally = _Tally(task, detector_patterns(n, n))
     for trial_seed in _trial_seeds(seed, trials):
-        score(haar_random(n, trial_seed))
+        tally.score(haar_random(n, trial_seed))
 
     if refine_iters > 0:
         n_angles = n * (n - 1)
@@ -383,7 +377,7 @@ def verify_nogo_small(
         for _ in range(3):
             x = rng.uniform(0.0, math.pi, size=n_angles)
             step = 0.4
-            current = score(unitary_from_angles(n, x))
+            current = tally.score(unitary_from_angles(n, x))
             remaining = refine_iters
             while remaining > 0 and step > 1e-4:
                 improved = False
@@ -391,7 +385,7 @@ def verify_nogo_small(
                     for delta in (step, -step):
                         y = x.copy()
                         y[i] += delta
-                        value = score(unitary_from_angles(n, y))
+                        value = tally.score(unitary_from_angles(n, y))
                         remaining -= 1
                         if value > current:
                             current = value
@@ -402,24 +396,8 @@ def verify_nogo_small(
                         break
                 if not improved:
                     step *= 0.5
-        # best_* already tracks every scored point
 
-    found = best_value > p_max + IMPROVEMENT_SLACK
-    return SearchReport(
-        kind="nogo-small",
-        n_modes=n,
-        p_max=p_max,
-        objective="single_photon",
-        seed=seed,
-        trials=trials,
-        refine_iters=refine_iters,
-        trials_run=evals,
-        best_value=float(best_value),
-        best_pattern=best_pattern,
-        best_interferometer=best_interf,
-        verdict="counterexample found" if found else "none found",
-        bound_violations=violations,
-    )
+    return tally.report("nogo-small", p_max, "counterexample found")
 
 
 def verify_nogo_patterns(
@@ -430,14 +408,12 @@ def verify_nogo_patterns(
     Per trial: a Haar-random interferometer faces (a) a random two-level
     source, patterns detecting one photon fewer than the occupied modes,
     and (b) a uniform source with every single-click pattern and the
-    empty pattern.  The output ratio must never beat the input ratio.
+    empty pattern.  The output ratio must never beat the input ratio;
+    the tally keeps the largest excess over it.
     """
+    task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
     n = n_modes
-    evals = 0
-    violations = 0
-    worst_excess = -math.inf
-    best_pattern: tuple[int, ...] = ()
-    best_interf: Interferometer | None = None
+    tally = _Tally(task)
     ratio_in = p_max / (1.0 - p_max)
 
     def ratio_of(result: ConditionalResult) -> float:
@@ -446,15 +422,13 @@ def verify_nogo_patterns(
             return 0.0
         return (float(q[1]) if q.size > 1 else 0.0) / float(q[0])
 
-    seeds = _trial_seeds(seed, trials)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    uniform_spec = InputSpec.two_level([p_max] * n)
     single_clicks = [
         DetectionPattern(tuple(1 if j == i else 0 for j in range(n - 1)))
         for i in range(n - 1)
     ] + [DetectionPattern((0,) * (n - 1))]
 
-    for trial_seed in seeds:
+    for trial_seed in _trial_seeds(seed, trials):
         interf = haar_random(n, trial_seed)
 
         occupied = int(rng.integers(2, n + 1))
@@ -464,30 +438,11 @@ def verify_nogo_patterns(
         ps[modes[0]] = p_max
         random_spec = InputSpec.two_level(ps.tolist())
         one_left = [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)]
-        for spec, patterns in ((random_spec, one_left), (uniform_spec, single_clicks)):
+        for spec, patterns in ((random_spec, one_left), (tally.spec, single_clicks)):
             for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
-                evals += 1
-                if not _check_bound(result, spec):
-                    violations += 1
-                excess = ratio_of(result) - ratio_in
-                if excess > worst_excess:
-                    worst_excess = excess
-                    best_pattern = pattern.counts
-                    best_interf = interf
+                tally.count(not _check_bound(result, spec))
+                tally.offer(ratio_of(result) - ratio_in, pattern.counts, interf)
 
-    found = worst_excess > IMPROVEMENT_SLACK
-    return SearchReport(
-        kind="nogo-patterns",
-        n_modes=n,
-        p_max=p_max,
-        objective="ratio",
-        seed=seed,
-        trials=trials,
-        refine_iters=0,
-        trials_run=evals,
-        best_value=float(ratio_in + worst_excess),
-        best_pattern=best_pattern,
-        best_interferometer=best_interf,
-        verdict="counterexample found" if found else "none found",
-        bound_violations=violations,
+    return tally.report(
+        "nogo-patterns", 0.0, "counterexample found", ratio_in + tally.best_value
     )

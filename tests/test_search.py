@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -19,6 +20,7 @@ from photonpost import (
     verify_nogo_patterns,
     verify_nogo_small,
 )
+from photonpost.cli import main
 from photonpost.search import chain_seed_angles, evaluate_single, pair_order
 
 
@@ -69,6 +71,51 @@ def test_task_validation():
         SearchTask(n_modes=4, p_max=0.0)
     with pytest.raises(BadParameters):
         SearchTask(n_modes=4, p_max=0.2, objective="coherence")
+
+
+def _search_cli(**fields):
+    return ("search", {"modes": 3, "p_max": 0.2, "trials": 4, "refine_iters": 5, **fields})
+
+
+def _nogo_cli(**fields):
+    fields = {"variant": "small", "modes": 2, "p_max": 0.3, "trials": 4, **fields}
+    return ("nogo-verify", fields)
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        lambda: SearchTask(n_modes=4, p_max=0.2, trials=0, refine_iters=0),
+        lambda: SearchTask(n_modes=4, p_max=0.2, trials=-1),
+        lambda: SearchTask(n_modes=4, p_max=0.2, refine_iters=-1),
+        lambda: verify_nogo_patterns(3, 1.0, 2, 0),
+        lambda: verify_nogo_patterns(3, 0.3, 0, 0),
+        lambda: verify_nogo_small(2, 0.3, 0, 0, 0),
+        lambda: verify_nogo_small(2, 0.3, 5, 0, -1),
+        _search_cli(trials=0, refine_iters=0),
+        _search_cli(trials=-1),
+        _search_cli(refine_iters=-1),
+        _nogo_cli(refine_iters=-1),
+        _nogo_cli(variant="patterns", modes=3, refine_iters=-1),
+    ],
+    ids=[
+        "task-empty", "task-negative-trials", "task-negative-refine",
+        "patterns-p-one", "patterns-no-trials", "small-empty", "small-negative-refine",
+        "cli-search-empty", "cli-search-negative-trials", "cli-search-negative-refine",
+        "cli-nogo-negative-refine", "cli-nogo-patterns-negative-refine",
+    ],
+)
+def test_empty_or_negative_budgets_are_rejected(case, tmp_path):
+    if callable(case):
+        with pytest.raises(BadParameters):
+            case()
+        return
+    command, fields = case
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"command": command, "version": 1, **fields}))
+    out = tmp_path / "out.json"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
 
 
 def test_evaluate_candidate_reports_best_pattern():
@@ -179,3 +226,36 @@ def test_nogo_patterns_deterministic():
     a = verify_nogo_patterns(3, 0.3, trials=10, seed=2).to_json_dict()
     b = verify_nogo_patterns(3, 0.3, trials=10, seed=2).to_json_dict()
     assert a == b
+
+
+# Recorded before the three searches shared one tally; any change in the
+# order of evaluations, the seeds or the best-candidate rule shows here.
+@pytest.mark.parametrize(
+    "run, trials_run, best_pattern, best_value, verdict",
+    [
+        (
+            lambda: search_improvement(SearchTask(4, 0.2, "single_photon", 20, 40, 7)),
+            176, (2, 0, 0), 0.24242394702821612, "improvement found",
+        ),
+        (
+            lambda: search_improvement(SearchTask(3, 0.25, "ratio", 10, 20, 4)),
+            152, (0, 0), 0.3333333333333335, "none found",
+        ),
+        (
+            lambda: verify_nogo_small(3, 0.2, 25, 6, 10),
+            59, (0, 0), 0.1999590525547066, "none found",
+        ),
+        (
+            lambda: verify_nogo_patterns(4, 0.25, 25, 12),
+            263, (0, 0, 0), 0.3333333333333336, "none found",
+        ),
+    ],
+    ids=["search-4", "search-3-ratio", "nogo-small-3", "nogo-patterns-4"],
+)
+def test_searches_reproduce_recorded_results(run, trials_run, best_pattern, best_value, verdict):
+    report = run()
+    assert report.trials_run == trials_run
+    assert report.best_pattern == best_pattern
+    assert report.verdict == verdict
+    assert report.bound_violations == 0
+    assert report.best_value == pytest.approx(best_value, abs=1e-12)
