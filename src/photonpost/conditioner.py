@@ -124,21 +124,24 @@ def _check_shapes(spec: InputSpec, interf: Interferometer, pattern: DetectionPat
         )
 
 
+def pattern_caps(top: int, patterns: Sequence[DetectionPattern]) -> tuple[int, ...]:
+    """Table caps that hold every pattern: each detector at its largest
+    count, the kept mode at top (the source maximum) minus the fewest detected."""
+    counts = np.array([p.counts for p in patterns])
+    return (top - int(counts.sum(axis=1).min()),) + tuple(int(c) for c in counts.max(axis=0))
+
+
 def condition_patterns(
     spec: InputSpec, interf: Interferometer, patterns: Sequence[DetectionPattern]
 ) -> list[ConditionalResult]:
-    """condition_mixed for each pattern, all read from one joint output table.
-
-    The table caps each detector at its largest count among the patterns
-    and the kept mode at the source maximum minus the fewest detected.
-    """
+    """condition_mixed for each pattern, all read from one joint output
+    table with pattern_caps."""
     for pattern in patterns:
         _check_shapes(spec, interf, pattern)
     if not patterns:
         return []
     top = spec.max_total()
-    counts = np.array([p.counts for p in patterns])
-    caps = (top - int(counts.sum(axis=1).min()),) + tuple(int(c) for c in counts.max(axis=0))
+    caps = pattern_caps(top, patterns)
     b, table = output_table(spec.distributions, interf.matrix, caps, top)
     results = []
     for pattern in patterns:

@@ -105,6 +105,19 @@ def basis(caps: tuple[int, ...], total: int) -> Basis:
     return Basis(limits, total, states, factorials, offsets, tuple(steps), strides, span, keys)
 
 
+def _cells(supports: Sequence[Sequence[tuple[int, float]]], b: Basis) -> int:
+    """Coefficients of the largest sector array for one matrix."""
+    return math.prod(len(s) for s in supports) * int(np.diff(b.offsets).max())
+
+
+def max_stack(
+    supports: Sequence[Sequence[tuple[int, float]]], caps: Sequence[int], max_total: int
+) -> int:
+    """Most matrices one expand call takes within MAX_CELLS (0: not even one)."""
+    b = basis(tuple(int(c) for c in caps), int(max_total))
+    return MAX_CELLS // _cells(supports, b)
+
+
 def expand(
     supports: Sequence[Sequence[tuple[int, float]]], matrix, caps: Sequence[int], max_total: int
 ) -> tuple[Basis, dict]:
@@ -114,27 +127,38 @@ def expand(
     ascending.  Returns (basis, sectors): sectors[t] = (weights, coeffs)
     holds one row per configuration s with t photons, its weight
     prod_i weight_i / s_i! and its coefficients on the states of sector t.
+    matrix is one N x N matrix or a stack (B, N, N); a stack gives coeffs
+    a leading batch axis, and each matrix gets exactly the coefficients a
+    call with it alone would.
     """
     b = basis(tuple(int(c) for c in caps), int(max_total))
-    rows, widest = math.prod(len(s) for s in supports), int(np.diff(b.offsets).max())
-    if rows * widest > MAX_CELLS:
-        raise DimensionTooLarge(f"{rows} x {widest} coefficients exceed {MAX_CELLS}")
     matrix = np.asarray(matrix, dtype=complex)
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    if len(stack) * _cells(supports, b) > MAX_CELLS:
+        raise DimensionTooLarge(
+            f"{len(stack)} x {_cells(supports, b)} coefficients exceed {MAX_CELLS}"
+        )
     top = len(b.offsets) - 2  # largest photon total in the basis
-    sectors = {0: (np.ones(1), np.ones((1, 1), dtype=complex))}
+    sectors = {0: (np.ones(1), np.ones((len(stack), 1, 1), dtype=complex))}
     for i, support in enumerate(supports):
         weight_of = dict(support)
+        column = stack[:, None, :, i]
         parts = {}
         for t, (weights, power) in sectors.items():
             for c in range(min(support[-1][0], top - t) + 1):
                 if c:  # multiply by sum_k U[k, i] b_k^dag
                     sources, modes, starts = b.steps[t + c - 1]
-                    terms = power[:, sources] * matrix[modes, i]
-                    power = np.add.reduceat(terms, starts, axis=1)
+                    terms = power[..., sources] * column[..., modes]
+                    power = np.add.reduceat(terms, starts, axis=-1)
                 if c in weight_of:
                     row_weights = weights * (weight_of[c] / math.factorial(c))
                     parts.setdefault(t + c, []).append((row_weights, power))
-        sectors = {t: tuple(map(np.concatenate, zip(*p))) for t, p in parts.items()}
+        sectors = {
+            t: (np.concatenate([w for w, _ in p]), np.concatenate([c for _, c in p], axis=1))
+            for t, p in parts.items()
+        }
+    if matrix.ndim == 2:
+        sectors = {t: (weights, coeffs[0]) for t, (weights, coeffs) in sectors.items()}
     return b, sectors
 
 
@@ -144,10 +168,11 @@ def output_table(
     """Joint output weights n! * sum_s w_s |c_s[n]|^2 over basis(caps, max_total).
 
     With probabilities as the support weights these are the joint output
-    probabilities P(n); every entry is exact, however tight the caps.
+    probabilities P(n); every entry is exact, however tight the caps.  A
+    stack of B matrices gives a (B, states) table, one row per matrix.
     """
     b, sectors = expand(supports, matrix, caps, max_total)
-    table = np.zeros(len(b.states))
+    table = np.zeros(np.shape(matrix)[:-2] + (len(b.states),))
     for t, (weights, coeffs) in sectors.items():
-        table[b.offsets[t] : b.offsets[t + 1]] = weights @ (coeffs.real**2 + coeffs.imag**2)
+        table[..., b.offsets[t] : b.offsets[t + 1]] = weights @ (coeffs.real**2 + coeffs.imag**2)
     return b, table * b.factorials

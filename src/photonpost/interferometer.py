@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,12 +31,10 @@ class Interferometer:
         a = np.array(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise NotUnitary(f"interferometer matrix must be square, got {a.shape}")
-        gram = a.conj().T @ a
-        if not np.allclose(gram, np.eye(a.shape[0]), atol=UNITARITY_TOL, rtol=0.0):
+        deviation = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
+        if not deviation <= UNITARITY_TOL:  # NaN fails too
             raise NotUnitary(
-                "matrix is not unitary within "
-                f"{UNITARITY_TOL} (max deviation "
-                f"{np.max(np.abs(gram - np.eye(a.shape[0]))):.3e})"
+                f"matrix is not unitary within {UNITARITY_TOL} (max deviation {deviation:.3e})"
             )
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
@@ -74,16 +72,22 @@ class Interferometer:
         return cls.from_json_dict(json.loads(text))
 
 
+def coupler_matrix(theta: float, phi: float = 0.0) -> np.ndarray:
+    """The 2 x 2 matrix of beam_splitter(theta, phi), unvalidated."""
+    ct, st = math.cos(theta), math.sin(theta)
+    ph = complex(math.cos(phi), math.sin(phi))
+    return np.array([[ph * ct, -st], [st, ph.conjugate() * ct]], dtype=complex)
+
+
 def beam_splitter(theta: float, phi: float = 0.0) -> Interferometer:
     """Two-mode coupler with reflectivity cos(theta)**2.
 
     Matrix [[e^{i phi} cos t, -sin t], [sin t, e^{-i phi} cos t]];
     a quoted reflectivity r means theta = arccos(sqrt(r)).
     """
-    ct, st = math.cos(theta), math.sin(theta)
-    ph = complex(math.cos(phi), math.sin(phi))
-    m = np.array([[ph * ct, -st], [st, ph.conjugate() * ct]], dtype=complex)
-    return Interferometer(m, provenance=f"beam_splitter(theta={theta!r}, phi={phi!r})")
+    return Interferometer(
+        coupler_matrix(theta, phi), provenance=f"beam_splitter(theta={theta!r}, phi={phi!r})"
+    )
 
 
 def embed_two_mode(
@@ -159,19 +163,29 @@ def complete_rows(partial_rows, n_modes: int) -> Interferometer:
     return Interferometer(m, provenance=f"complete_rows({k} given)")
 
 
-def haar_random(n_modes: int, seed: int) -> Interferometer:
-    """Seeded Haar-random unitary via QR of a complex Gaussian matrix.
+def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:
+    """Seeded Haar-random unitaries, a (len(seeds), n, n) stack.
 
-    The R-diagonal phases are divided out so the distribution is exactly
-    Haar; identical seeds give bit-identical matrices.
+    Each seed draws a complex Gaussian matrix from its own generator; one
+    stacked QR factors them all, and dividing out the R-diagonal phases
+    makes the distribution exactly Haar.  A seed gives the bit-identical
+    matrix wherever it stands in the stack.
     """
     if n_modes < 1:
         raise BadModeIndex("need at least one mode")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal(
-        (n_modes, n_modes)
-    )
+    z = np.empty((len(seeds), n_modes, n_modes), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal(
+            (n_modes, n_modes)
+        )
     q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return Interferometer(q, provenance=f"haar_random(n={n_modes}, seed={seed})")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
+def haar_random(n_modes: int, seed: int) -> Interferometer:
+    """Seeded Haar-random unitary: haar_unitaries for one seed, validated."""
+    return Interferometer(
+        haar_unitaries(n_modes, [seed])[0], provenance=f"haar_random(n={n_modes}, seed={seed})"
+    )

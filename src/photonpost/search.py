@@ -1,16 +1,18 @@
 """Randomized searches for improvement and no-go verification.
 
 Candidates are sampled Haar-randomly and scored over every detection
-pattern; local refinement then climbs in a beam-splitter-angle
-parameterization of the unitary group (a product of two-mode couplers,
-unitary by construction, so no factorization of sampled matrices is ever
-needed).  A negative verdict always means "no counterexample found at
+pattern, in stacks: PatternScorer reads all patterns of all candidates
+in a stack from one stacked engine table.  Local refinement then climbs
+in a beam-splitter-angle parameterization of the unitary group (a
+product of two-mode couplers, unitary by construction), one candidate
+at a time.  A negative verdict always means "no counterexample found at
 this budget", nothing stronger.  Every evaluation also checks the ratio
 bound, so the search doubles as a correctness tripwire.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -19,10 +21,17 @@ from typing import Sequence
 import numpy as np
 from scipy import optimize
 
-from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_patterns
-from .errors import BadParameters
+from .conditioner import (
+    NEGATIVE_CLAMP,
+    ConditionalResult,
+    DetectionPattern,
+    condition_mixed,
+    pattern_caps,
+)
+from .engine import basis, max_stack, output_table
+from .errors import BadParameters, DimensionMismatch
 from .fock import InputSpec, compositions
-from .interferometer import Interferometer, beam_splitter, compose, embed_two_mode, haar_random
+from .interferometer import Interferometer, coupler_matrix, haar_random, haar_unitaries
 from .schemes import chain_element_angles
 
 BOUND_SLACK = 1e-9
@@ -147,22 +156,98 @@ def _objective_value(result: ConditionalResult, objective: str) -> float:
     return q1 if q2 <= 1e-9 else 0.0
 
 
-def _check_bound(result: ConditionalResult, spec: InputSpec) -> bool:
-    """True when the ratio bound holds (always expected)."""
-    if not spec.is_two_level() or result.zero_probability:
-        return True
-    q = result.unnormalized
-    q0 = float(q[0])
-    q1 = float(q[1]) if q.size > 1 else 0.0
-    detected = result.detected_total()
-    if detected is None:
-        return True
-    p = spec.p_max()
-    ratio_in = p / (1.0 - p)
-    allowed = ratio_in * (spec.occupied_modes() - detected) + BOUND_SLACK
-    if q0 <= 0.0:
-        return q1 <= 1e-12
-    return q1 / q0 <= allowed
+class PatternScorer:
+    """Scores stacks of interferometers over fixed detection patterns.
+
+    Built once per search: the caps condition_patterns would use, and a
+    gather index (patterns, n1) into their basis, padded with a zero
+    column.  A (B, N, N) stack then gives one stacked table, and every
+    step of the per-pattern loop it replaces (ConditionalResult's clamp
+    check, clip and normalization, the ratio bound and the objectives)
+    runs over (B, patterns, n1) arrays with the same float operations.
+    """
+
+    def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
+        n = spec.n_modes
+        if not patterns:
+            raise BadParameters("scoring needs at least one detection pattern")
+        for pattern in patterns:
+            if len(pattern) != n - 1:
+                raise DimensionMismatch(
+                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
+                )
+        self.spec, self.patterns = spec, tuple(patterns)
+        self.top = spec.max_total()
+        self.caps = pattern_caps(self.top, patterns)
+        b = basis(self.caps, self.top)
+        kept = [b.kept(p.counts) for p in patterns]
+        lengths = np.array([max(k.size, 1) for k in kept])
+        self.gather = np.full((len(kept), max(3, lengths.max())), len(b.states))
+        for row, k in zip(self.gather, kept):
+            row[: k.size] = k
+        # sums run per length, so each adds the same terms as a 1-D sum
+        self.groups = [(int(size), np.flatnonzero(lengths == size)) for size in np.unique(lengths)]
+        self.allowed = None  # no bound: other sources, or a sure photon
+        if spec.is_two_level() and spec.p_max() < 1.0:
+            p = spec.p_max()
+            ratio_in = p / (1.0 - p)
+            m = spec.occupied_modes()
+            self.allowed = np.array(
+                [ratio_in * (m - pattern.total()) + BOUND_SLACK for pattern in patterns]
+            )
+
+    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
+        n = self.spec.n_modes
+        if np.shape(matrices)[1:] != (n, n):
+            raise DimensionMismatch(
+                f"input has {n} modes, interferometers are {np.shape(matrices)[1:]}"
+            )
+        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
+        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
+        low = q.min()
+        if low < NEGATIVE_CLAMP:
+            raise ValueError(f"coefficient {low} is negative beyond roundoff")
+        np.clip(q, 0.0, None, out=q)
+        prob = np.empty(q.shape[:2])
+        for size, rows in self.groups:
+            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
+        return q, prob
+
+    def violations(self, q: np.ndarray, prob: np.ndarray) -> np.ndarray:
+        """Patterns per matrix that break the ratio bound (expected: none)."""
+        if self.allowed is None:
+            return np.zeros(len(q), dtype=int)
+        q0, q1 = q[..., 0], q[..., 1]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            holds = np.where(q0 <= 0.0, q1 <= 1e-12, q1 / q0 <= self.allowed)
+        return np.count_nonzero(~holds & (prob > 0.0), axis=1)
+
+    @staticmethod
+    def values(q: np.ndarray, prob: np.ndarray, objective: str) -> np.ndarray:
+        """Objective value per (matrix, pattern); 0 where a pattern cannot occur."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q0, q1, q2 = np.moveaxis(q[..., :3] / prob[..., None], -1, 0)
+            if objective == "single_photon":
+                value = q1
+            elif objective == "ratio":
+                value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
+            else:
+                value = np.where(q2 <= 1e-9, q1, 0.0)
+        return np.where(prob > 0.0, value, 0.0)
+
+    def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per matrix: the best value, the first pattern reaching it, violations."""
+        q, prob = self.weights(matrices)
+        values = self.values(q, prob, objective)
+        first = np.argmax(values, axis=1)
+        best = np.take_along_axis(values, first[:, None], axis=1)[:, 0]
+        return best, first, self.violations(q, prob)
+
+
+@functools.lru_cache(maxsize=16)
+def _scorer(spec: InputSpec, patterns: tuple[DetectionPattern, ...]) -> PatternScorer:
+    return PatternScorer(spec, patterns)
 
 
 def evaluate_candidate(
@@ -171,18 +256,16 @@ def evaluate_candidate(
     objective: str,
     patterns: Sequence[DetectionPattern],
 ) -> tuple[float, tuple[int, ...], int]:
-    """Best objective value over the given patterns, plus bound violations."""
-    best = -math.inf
-    best_pattern: tuple[int, ...] = ()
-    violations = 0
-    for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
-        if not _check_bound(result, spec):
-            violations += 1
-        value = _objective_value(result, objective)
-        if value > best:
-            best = value
-            best_pattern = pattern.counts
-    return best, best_pattern, violations
+    """Best objective value over the given patterns, plus bound violations.
+
+    The one-matrix call of PatternScorer, whose gather index is built
+    once per (spec, patterns) and reused.
+    """
+    if not patterns:
+        return -math.inf, (), 0
+    scorer = _scorer(spec, tuple(patterns))
+    best, first, violations = scorer.best(interf.matrix[None], objective)
+    return float(best[0]), scorer.patterns[first[0]].counts, int(violations[0])
 
 
 def evaluate_single(
@@ -218,17 +301,22 @@ def pair_order(n_modes: int) -> list[tuple[int, int]]:
 
 
 def unitary_from_angles(n_modes: int, angles: Sequence[float]) -> Interferometer:
-    """Compose a unitary from (theta, phi) pairs along pair_order."""
+    """Compose a unitary from (theta, phi) couplers along pair_order.
+
+    The embedded couplers are multiplied as plain arrays, later ones on
+    the left as compose does; only the product is validated.
+    """
     pairs = pair_order(n_modes)
     if len(angles) != 2 * len(pairs):
         raise BadParameters(
             f"expected {2 * len(pairs)} angles for {n_modes} modes, got {len(angles)}"
         )
-    elements = []
+    total = np.eye(n_modes, dtype=complex)
     for k, (i, j) in enumerate(pairs):
-        theta, phi = angles[2 * k], angles[2 * k + 1]
-        elements.append(embed_two_mode(beam_splitter(theta, phi), (i, j), n_modes))
-    return compose(*elements)
+        m = np.eye(n_modes, dtype=complex)
+        m[[i, i, j, j], [i, j, i, j]] = coupler_matrix(angles[2 * k], angles[2 * k + 1]).ravel()
+        total = m @ total
+    return Interferometer(total, provenance=f"compose({len(pairs)} elements)")
 
 
 def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
@@ -258,33 +346,51 @@ class _Tally:
     def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern] = ()):
         self.task = task
         self.spec = InputSpec.two_level([task.p_max] * task.n_modes)
-        self.patterns = patterns
+        self.patterns = tuple(patterns)
         self.evals = 0
         self.violations = 0
         self.best_value = -math.inf
         self.best_pattern: tuple[int, ...] = ()
         self.best_interf: Interferometer | None = None
 
-    def count(self, violations: int) -> None:
-        self.evals += 1
-        self.violations += violations
+    def count(self, evals: int, violations: int) -> None:
+        self.evals += evals
+        self.violations += int(violations)
 
-    def offer(self, value: float, pattern: tuple[int, ...], interf: Interferometer) -> None:
-        if value > self.best_value:
-            self.best_value, self.best_pattern, self.best_interf = value, pattern, interf
+    def offer(self, values, candidate) -> None:
+        """Keep the first best of values if it beats the best so far;
+        candidate(k) gives the k-th (pattern, interferometer) and is only
+        called for the one kept."""
+        k = int(np.argmax(values))
+        if values[k] > self.best_value:
+            self.best_value = float(values[k])
+            self.best_pattern, self.best_interf = candidate(k)
 
     def evaluate(self, interf: Interferometer) -> tuple[float, tuple[int, ...]]:
         """Score a candidate over every pattern, counted but not offered."""
         value, pattern, bad = evaluate_candidate(
             interf, self.spec, self.task.objective, self.patterns
         )
-        self.count(bad)
+        self.count(1, bad)
         return value, pattern
 
     def score(self, interf: Interferometer) -> float:
         value, pattern = self.evaluate(interf)
-        self.offer(value, pattern, interf)
+        self.offer([value], lambda k: (pattern, interf))
         return value
+
+    def score_haar(self, seeds: Sequence[int]) -> None:
+        """Score seeded Haar-random trials, in stacks as large as the engine takes."""
+        n = self.task.n_modes
+        scorer = _scorer(self.spec, self.patterns)
+        size = max(1, max_stack(self.spec.distributions, scorer.caps, scorer.top))
+        for lo in range(0, len(seeds), size):
+            chunk = seeds[lo : lo + size]
+            best, first, violations = scorer.best(haar_unitaries(n, chunk), self.task.objective)
+            self.count(len(chunk), violations.sum())
+            self.offer(
+                best, lambda k: (self.patterns[first[k]].counts, haar_random(n, chunk[k]))
+            )
 
     def report(
         self, kind: str, benchmark: float, found: str, best_value: float | None = None
@@ -319,8 +425,7 @@ def search_improvement(task: SearchTask) -> SearchReport:
     """
     n = task.n_modes
     tally = _Tally(task, detector_patterns(n, n - 1))
-    for trial_seed in _trial_seeds(task.seed, task.trials):
-        tally.score(haar_random(n, trial_seed))
+    tally.score_haar(_trial_seeds(task.seed, task.trials))
 
     starts: list[np.ndarray] = []
     if task.include_chain_seed and n >= 3:
@@ -368,8 +473,7 @@ def verify_nogo_small(
     task = SearchTask(n_modes, p_max, "single_photon", trials, refine_iters, seed)
     n = n_modes
     tally = _Tally(task, detector_patterns(n, n))
-    for trial_seed in _trial_seeds(seed, trials):
-        tally.score(haar_random(n, trial_seed))
+    tally.score_haar(_trial_seeds(seed, trials))
 
     if refine_iters > 0:
         n_angles = n * (n - 1)
@@ -416,17 +520,12 @@ def verify_nogo_patterns(
     tally = _Tally(task)
     ratio_in = p_max / (1.0 - p_max)
 
-    def ratio_of(result: ConditionalResult) -> float:
-        q = result.unnormalized
-        if result.zero_probability or float(q[0]) <= 0.0:
-            return 0.0
-        return (float(q[1]) if q.size > 1 else 0.0) / float(q[0])
-
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    single_clicks = [
-        DetectionPattern(tuple(1 if j == i else 0 for j in range(n - 1)))
-        for i in range(n - 1)
-    ] + [DetectionPattern((0,) * (n - 1))]
+    single_clicks = PatternScorer(
+        tally.spec,
+        [DetectionPattern(tuple(1 if j == i else 0 for j in range(n - 1))) for i in range(n - 1)]
+        + [DetectionPattern((0,) * (n - 1))],
+    )
 
     for trial_seed in _trial_seeds(seed, trials):
         interf = haar_random(n, trial_seed)
@@ -436,12 +535,18 @@ def verify_nogo_patterns(
         ps = np.zeros(n)
         ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
         ps[modes[0]] = p_max
-        random_spec = InputSpec.two_level(ps.tolist())
-        one_left = [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)]
-        for spec, patterns in ((random_spec, one_left), (tally.spec, single_clicks)):
-            for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
-                tally.count(not _check_bound(result, spec))
-                tally.offer(ratio_of(result) - ratio_in, pattern.counts, interf)
+        one_left = PatternScorer(
+            InputSpec.two_level(ps.tolist()),
+            [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)],
+        )
+        for scorer in (one_left, single_clicks):
+            q, prob = scorer.weights(interf.matrix[None])
+            tally.count(prob.size, scorer.violations(q, prob)[0])
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
+            tally.offer(
+                ratio[0] - ratio_in, lambda k: (scorer.patterns[k].counts, interf)
+            )
 
     return tally.report(
         "nogo-patterns", 0.0, "counterexample found", ratio_in + tally.best_value

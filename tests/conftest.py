@@ -6,7 +6,8 @@ most a factor (M - D), and not at all when D = 0 or D = M - 1.  The
 fixture below wraps condition_mixed, and the engine's joint output table
 that every consumer builds on, in every module that calls them, so a
 violation fails the specific test that produced it, wherever it ran.
-A table is checked on every exact detector pattern it holds, except
+A table is checked on every exact detector pattern it holds, in every
+matrix of a stack (the searches score candidates in stacks), except
 where the vacuum entry is cancellation dust: below DUST times the same
 entry computed from |U|, which bounds the magnitude of every path summed
 into it, roundoff decides the value (a pattern of probability zero, say
@@ -72,22 +73,25 @@ def _checked_output_table(supports, matrix, caps, max_total):
         return basis, table
     ratio_in = p / (1.0 - p)
     m = sum(1 for d in dists if d.get(1, 0.0) > 0.0)
-    # pair each (0, pattern) entry with its (1, pattern) entry
+    # pair each (0, pattern) entry with its (1, pattern) entry, in every
+    # table of a stack
     zero = np.flatnonzero(basis.states[:, 0] == 0)
     raised = basis.states[zero]
     raised[:, 0] = 1
     one = basis.lookup(raised)
     zero, one = zero[one >= 0], one[one >= 0]
-    q0, q1 = table[zero], table[one]
+    q0, q1 = table[..., zero], table[..., one]
     _, paths = _original_table(supports, np.abs(matrix), caps, max_total)
-    seen = (q0 > 0.0) & (q0 >= DUST * paths[zero])
-    d = basis.states[zero[seen], 1:].sum(axis=1)
-    ratio_out = q1[seen] / q0[seen]
-    bad = np.flatnonzero(ratio_out > _allowed_ratio(ratio_in, m, d))
+    seen = (q0 > 0.0) & (q0 >= DUST * paths[..., zero])
+    d = basis.states[zero, 1:].sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio_out = q1 / q0
+    bad = np.argwhere(seen & (ratio_out > _allowed_ratio(ratio_in, m, d)))
     assert bad.size == 0, (
         f"ratio bound violated in a joint output table at pattern "
-        f"{basis.states[zero[seen]][bad[0], 1:].tolist()}: "
-        f"{ratio_out[bad[0]]} > {ratio_in} at D={d[bad[0]]}, M={m}"
+        f"{basis.states[zero[bad[0][-1]], 1:].tolist()} (stack index "
+        f"{tuple(bad[0][:-1].tolist())}): {ratio_out[tuple(bad[0])]} > {ratio_in} "
+        f"at D={d[bad[0][-1]]}, M={m}"
     )
     return basis, table
 
@@ -95,7 +99,7 @@ def _checked_output_table(supports, matrix, caps, max_total):
 @pytest.fixture(autouse=True, scope="session")
 def ratio_bound_tripwire():
     holders = [conditioner, schemes, detectors, search, cli, photonpost]
-    table_holders = [engine, conditioner, detectors, merit]
+    table_holders = [engine, conditioner, detectors, merit, search]
     for mod in holders:
         mod.condition_mixed = _checked_condition_mixed
     for mod in table_holders:

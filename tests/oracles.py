@@ -154,3 +154,24 @@ def condition_mixed_bs_closed_form(dist1, dist2, element, detected: int):
                 * (amp.real * amp.real + amp.imag * amp.imag)
             )
     return ConditionalResult.from_unnormalized(coeffs, pattern=DetectionPattern((d,)))
+
+
+def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9) -> bool:
+    """Per-pattern ratio bound as the searches apply it: True when it holds.
+
+    ratio_out <= (M - D) * ratio_in for a two-level input with M occupied
+    modes and D detected photons; other inputs, a sure photon (p = 1,
+    where ratio_in is infinite) and impossible patterns pass.  The
+    reference for search.PatternScorer.violations.
+    """
+    if not spec.is_two_level() or spec.p_max() >= 1.0 or result.zero_probability:
+        return True
+    q = result.unnormalized
+    q0 = float(q[0])
+    q1 = float(q[1]) if q.size > 1 else 0.0
+    p = spec.p_max()
+    ratio_in = p / (1.0 - p)
+    allowed = ratio_in * (spec.occupied_modes() - result.pattern.total()) + slack
+    if q0 <= 0.0:
+        return q1 <= 1e-12
+    return q1 / q0 <= allowed

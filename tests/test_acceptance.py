@@ -177,12 +177,14 @@ def test_criterion_3_ratio_bound():
             photonpost,
         ):
             assert mod.condition_mixed.__name__ == "_checked_condition_mixed"
-        # ... and so does every joint output table the engine builds
+        # ... and so does every joint output table the engine builds,
+        # including the stacked tables the searches score candidates from
         for mod in (
             photonpost.engine,
             photonpost.conditioner,
             photonpost.detectors,
             photonpost.merit,
+            photonpost.search,
         ):
             assert mod.output_table.__name__ == "_checked_output_table"
 

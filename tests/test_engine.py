@@ -18,7 +18,7 @@ from photonpost import (
     condition_mixed,
     haar_random,
 )
-from photonpost.engine import output_table
+from photonpost.engine import max_stack, output_table
 
 REL_TOL = 1e-12
 
@@ -155,3 +155,29 @@ def test_size_guard_raises_instead_of_allocating():
     spec = InputSpec.two_level([0.5] * 14)
     with pytest.raises(DimensionTooLarge):
         output_table(spec.distributions, np.eye(14), (14,) * 14, 14)
+
+
+def test_stacked_table_equals_per_matrix_calls():
+    """A (B, N, N) stack gives, row by row, exactly the one-matrix tables."""
+    cases = []
+    for n, d in ((4, 2), (6, 3), (11, 6)):
+        chain = build_chain(n, 0.3)
+        stack = [chain.interferometer.matrix] + [haar_random(n, s).matrix for s in range(3)]
+        caps = (n - d,) + chain.pattern_for(d).counts
+        cases.append((InputSpec.two_level([0.2] * n), stack, caps, n))
+    mixed = InputSpec(({0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 2: 0.4}, {1: 1.0}))
+    cases.append((mixed, [haar_random(3, s).matrix for s in range(5)], (5, 5, 5), 5))
+    for spec, stack, caps, top in cases:
+        basis, stacked = output_table(spec.distributions, np.array(stack), caps, top)
+        assert stacked.shape == (len(stack), len(basis.states))
+        for row, matrix in zip(stacked, stack):
+            assert np.array_equal(row, output_table(spec.distributions, matrix, caps, top)[1])
+
+
+def test_stacks_beyond_the_size_guard_raise():
+    spec = InputSpec.two_level([0.5] * 4)
+    caps, top = (4, 3, 3, 3), 4
+    fits = max_stack(spec.distributions, caps, top)
+    assert fits >= 1
+    with pytest.raises(DimensionTooLarge):
+        output_table(spec.distributions, np.broadcast_to(np.eye(4), (fits + 1, 4, 4)), caps, top)

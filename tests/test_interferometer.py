@@ -14,6 +14,7 @@ from photonpost import (
     embed_two_mode,
     haar_random,
 )
+from photonpost.interferometer import haar_unitaries
 
 
 def test_constructor_checks_unitarity():
@@ -129,6 +130,16 @@ def test_haar_random_unitary_and_deterministic():
     again = haar_random(5, seed=77)
     assert np.array_equal(haar_random(5, seed=77).matrix, again.matrix)
     assert not np.allclose(haar_random(5, seed=78).matrix, again.matrix)
+
+
+def test_haar_stack_equals_haar_random_per_seed():
+    seeds = [0, 1, 77, 2**31 - 1, 2**63 + 5]
+    for n in (1, 2, 3, 4, 6):
+        stack = haar_unitaries(n, seeds)
+        assert stack.shape == (len(seeds), n, n)
+        for matrix, seed in zip(stack, seeds):
+            assert np.array_equal(matrix, haar_random(n, seed).matrix)
+    assert haar_unitaries(3, []).shape == (0, 3, 3)
 
 
 def test_haar_first_entry_moment():

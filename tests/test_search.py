@@ -3,11 +3,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from oracles import check_bound
+
+import photonpost.engine
 from photonpost import (
     BadParameters,
     DetectionPattern,
     InputSpec,
+    Interferometer,
     SearchReport,
     SearchTask,
     build_chain,
@@ -20,8 +26,18 @@ from photonpost import (
     verify_nogo_patterns,
     verify_nogo_small,
 )
+from photonpost import beam_splitter, compose, embed_two_mode, haar_random
 from photonpost.cli import main
-from photonpost.search import chain_seed_angles, evaluate_single, pair_order
+from photonpost.conditioner import condition_patterns
+from photonpost.engine import max_stack
+from photonpost.search import (
+    OBJECTIVES,
+    PatternScorer,
+    _objective_value,
+    chain_seed_angles,
+    evaluate_single,
+    pair_order,
+)
 
 
 def test_pair_order_starts_with_chain_layout():
@@ -45,6 +61,20 @@ def test_unitary_from_angles_is_unitary():
         angles = rng.uniform(0, math.pi, size=n * (n - 1))
         u = unitary_from_angles(n, angles).matrix
         assert np.allclose(u @ u.conj().T, np.eye(n), atol=1e-12)
+
+
+def test_unitary_from_angles_matches_composed_couplers_exactly():
+    rng = np.random.default_rng(82)
+    for n in (2, 3, 4, 5):
+        angles = rng.uniform(0, math.pi, size=n * (n - 1))
+        elements = [
+            embed_two_mode(beam_splitter(angles[2 * k], angles[2 * k + 1]), pair, n)
+            for k, pair in enumerate(pair_order(n))
+        ]
+        want = compose(*elements)
+        got = unitary_from_angles(n, angles)
+        assert np.array_equal(got.matrix, want.matrix)
+        assert got.provenance == want.provenance
 
 
 def test_unitary_from_angles_length_check():
@@ -97,12 +127,15 @@ def _nogo_cli(**fields):
         _search_cli(refine_iters=-1),
         _nogo_cli(refine_iters=-1),
         _nogo_cli(variant="patterns", modes=3, refine_iters=-1),
+        _nogo_cli(trials=0, refine_iters=0),
+        _nogo_cli(variant="patterns", modes=3, trials=0),
     ],
     ids=[
         "task-empty", "task-negative-trials", "task-negative-refine",
         "patterns-p-one", "patterns-no-trials", "small-empty", "small-negative-refine",
         "cli-search-empty", "cli-search-negative-trials", "cli-search-negative-refine",
         "cli-nogo-negative-refine", "cli-nogo-patterns-negative-refine",
+        "cli-nogo-small-empty", "cli-nogo-patterns-no-trials",
     ],
 )
 def test_empty_or_negative_budgets_are_rejected(case, tmp_path):
@@ -116,6 +149,98 @@ def test_empty_or_negative_budgets_are_rejected(case, tmp_path):
     out = tmp_path / "out.json"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_nogo_verify_small_accepts_refinement_without_trials(tmp_path):
+    # the CLI takes the budgets the library takes: three compass starts
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"command": "nogo-verify", "version": 1, **_nogo_cli(trials=0, refine_iters=5, seed=1)[1]}
+    ))
+    out = tmp_path / "out.json"
+    assert main(["nogo-verify", "--config", str(cfg), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["trials_run"] == 19
+    assert report == verify_nogo_small(2, 0.3, 0, 1, 5).to_json_dict()
+
+
+@st.composite
+def scoring_cases(draw):
+    """A 2-4 mode source, interferometer, patterns and objective to score.
+
+    Two-level sources may leave modes dark; other sources may lack vacuum,
+    which with a permutation network gives q0 = 0 < q1 (the ratio
+    objective's inf).  Permutations and dark modes give zero-probability
+    patterns, and some patterns detect more photons than the source has.
+    """
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        ps = draw(st.lists(st.sampled_from([0.0, 0.1, 0.3, 0.6, 0.9]), min_size=n, max_size=n))
+        spec = InputSpec.two_level(ps)
+    else:
+        dists = []
+        for _ in range(n):
+            w = draw(st.lists(st.sampled_from([0.0, 0.2, 1.0]), min_size=3, max_size=3))
+            if sum(w) == 0:
+                w[0] = 1.0
+            dists.append({k: x / sum(w) for k, x in enumerate(w) if x > 0})
+        spec = InputSpec(tuple(dists))
+    if draw(st.booleans()):
+        interf = haar_random(n, draw(st.integers(0, 2**31 - 1)))
+    else:
+        order = draw(st.permutations(range(n)))
+        interf = Interferometer(np.eye(n)[list(order)])
+    limit = spec.max_total() + 1
+    pool = detector_patterns(n, limit)
+    patterns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool)))
+    return spec, interf, patterns, draw(st.sampled_from(OBJECTIVES))
+
+
+_SURE_PHOTON_KEPT = (  # the kept mode never holds vacuum: ratio = inf
+    InputSpec(({1: 0.5, 2: 0.5}, {0: 0.5, 1: 0.5})),
+    Interferometer(np.eye(2)),
+    detector_patterns(2, 4),
+    "ratio",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(scoring_cases())
+@example(_SURE_PHOTON_KEPT)
+def test_array_scorer_equals_per_pattern_reference(case):
+    spec, interf, patterns, objective = case
+    best, best_pattern, violations = -math.inf, (), 0
+    for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
+        violations += not check_bound(result, spec)
+        value = _objective_value(result, objective)
+        if value > best:
+            best, best_pattern = value, pattern.counts
+    got, first, bad = PatternScorer(spec, patterns).best(interf.matrix[None], objective)
+    assert got[0] == best  # bit for bit, inf included
+    assert patterns[first[0]].counts == best_pattern
+    assert bad[0] == violations
+    assert evaluate_candidate(interf, spec, objective, patterns) == (best, best_pattern, violations)
+    if case is _SURE_PHOTON_KEPT:
+        assert best == math.inf
+
+
+@pytest.mark.parametrize(
+    "run, n, max_detected",
+    [
+        (lambda: search_improvement(SearchTask(4, 0.6, "single_photon", 30, 10, 5)), 4, 3),
+        (lambda: verify_nogo_small(3, 0.2, 30, 6, 5), 3, 3),
+    ],
+    ids=["search-4", "nogo-small-3"],
+)
+def test_haar_stacks_do_not_change_results(run, n, max_detected, monkeypatch):
+    """Seeded searches report the same whatever stack size the engine allows."""
+    whole = run().to_json_dict()
+    supports = InputSpec.two_level([0.5] * n).distributions
+    caps = PatternScorer(InputSpec.two_level([0.5] * n), detector_patterns(n, max_detected)).caps
+    cells = photonpost.engine.MAX_CELLS // max_stack(supports, caps, n)
+    monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * cells + 1)
+    assert max_stack(supports, caps, n) == 7  # 30 trials: four stacks of 7, one of 2
+    assert run().to_json_dict() == whole
 
 
 def test_evaluate_candidate_reports_best_pattern():
@@ -249,8 +374,19 @@ def test_nogo_patterns_deterministic():
             lambda: verify_nogo_patterns(4, 0.25, 25, 12),
             263, (0, 0, 0), 0.3333333333333336, "none found",
         ),
+        (
+            lambda: search_improvement(SearchTask(4, 0.3, "ratio", 25, 30, 8)),
+            234, (2, 0, 0), 0.5714273809527305, "improvement found",
+        ),
+        (
+            lambda: search_improvement(SearchTask(4, 0.2, "single_photon_no_pairs", 25, 30, 9)),
+            165, (3, 0, 0), 0.19999971555548618, "none found",
+        ),
     ],
-    ids=["search-4", "search-3-ratio", "nogo-small-3", "nogo-patterns-4"],
+    ids=[
+        "search-4", "search-3-ratio", "nogo-small-3", "nogo-patterns-4",
+        "search-4-ratio", "search-4-no-pairs",
+    ],
 )
 def test_searches_reproduce_recorded_results(run, trials_run, best_pattern, best_value, verdict):
     report = run()
