@@ -2,9 +2,11 @@
 
 Every command reads a JSON config, writes one output file (JSON or CSV),
 and returns exit code 0 on success, 2 for config problems, 3 for
-dimension problems.  Outputs are deterministic: rerunning a command with
-the same config and seed reproduces the file byte for byte.  Floats in
-CSV files carry 17 significant digits so values survive a round trip.
+dimension problems, 4 when a numerical check fails: a search or
+verification whose report counts ratio-bound violations writes no output.
+Outputs are deterministic: rerunning a command with the same config and
+seed reproduces the file byte for byte.  Floats in CSV files carry 17
+significant digits so values survive a round trip.
 """
 
 from __future__ import annotations
@@ -247,6 +249,19 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _write_report(path: str, report) -> int:
+    """Write a search report, or nothing (exit 4) if it breaks the ratio bound."""
+    if report.bound_violations > 0:
+        print(
+            f"numerical check failed: {report.bound_violations} ratio-bound "
+            f"violation(s); {path} not written",
+            file=sys.stderr,
+        )
+        return 4
+    _write_json(path, report.to_json_dict())
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -463,8 +478,7 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
         report = verify_nogo_small(n_modes, p_max, trials, use_seed, refine_iters)
     else:
         report = verify_nogo_patterns(n_modes, p_max, trials, use_seed)
-    _write_json(out, report.to_json_dict())
-    return 0
+    return _write_report(out, report)
 
 
 def _cmd_search(cfg: _Config, out: str, seed) -> int:
@@ -491,9 +505,7 @@ def _cmd_search(cfg: _Config, out: str, seed) -> int:
         )
     except PhotonPostError as exc:
         raise ConfigError(str(exc))
-    report = search_improvement(task)
-    _write_json(out, report.to_json_dict())
-    return 0
+    return _write_report(out, search_improvement(task))
 
 
 COMMANDS = {

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import optimize
 
 from .conditioner import (
     NEGATIVE_CLAMP,
@@ -186,7 +185,8 @@ class PatternScorer:
         for row, k in zip(self.gather, kept):
             row[: k.size] = k
         # sums run per length, so each adds the same terms as a 1-D sum
-        self.groups = [(int(size), np.flatnonzero(lengths == size)) for size in np.unique(lengths)]
+        sizes = sorted(set(lengths.tolist()))  # np.unique would import numpy.ma
+        self.groups = [(size, np.flatnonzero(lengths == size)) for size in sizes]
         self.allowed = None  # no bound: other sources, or a sure photon
         if spec.is_two_level() and spec.p_max() < 1.0:
             p = spec.p_max()
@@ -331,6 +331,61 @@ def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
     return x
 
 
+def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
+    """Minimize f from x0; the point scipy.optimize.minimize returns.
+
+    A port of scipy's Nelder-Mead (`_minimize_neldermead`) on the path the
+    search takes: no bounds, the standard coefficients, an iteration cap
+    and no cap on evaluations.  It evaluates the same points in the same
+    order, from copies, with the same arithmetic and the same sorts, so
+    its result equals scipy's bit for bit.
+    """
+    x0 = np.asarray(x0, dtype=float)
+    n = len(x0)
+    sim = np.tile(x0, (n + 1, 1))
+    for k in range(n):
+        sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
+    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    for _ in range(2):  # scipy sorts twice before the first step
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        with np.errstate(invalid="ignore"):  # -inf - -inf: NaN, not converged
+            spread = np.max(np.abs(fsim[0] - fsim[1:]))
+        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and spread <= fatol:
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / n
+        xr = 2 * xbar - 1 * sim[-1]
+        fxr = f(np.copy(xr))
+        if fxr < fsim[0]:
+            xe = 3 * xbar - 2 * sim[-1]
+            fxe = f(np.copy(xe))
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = 1.5 * xbar - 0.5 * sim[-1]
+                fxc = f(np.copy(xc))
+                keep = fxc <= fxr
+            else:  # inside contraction
+                xc = 0.5 * xbar + 0.5 * sim[-1]
+                fxc = f(np.copy(xc))
+                keep = fxc < fsim[-1]
+            if keep:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink toward the best vertex
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = f(np.copy(sim[j]))
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+    return sim[0]
+
+
 def _trial_seeds(seed: int, count: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
@@ -338,6 +393,14 @@ def _trial_seeds(seed: int, count: int) -> list[int]:
 
 # ---------------------------------------------------------------------------
 # searches
+
+
+def _haar_stacks(n_modes: int, seeds: Sequence[int], scorer: PatternScorer):
+    """(seeds, Haar unitaries) stacks, as large as the engine takes for scorer."""
+    size = max(1, max_stack(scorer.spec.distributions, scorer.caps, scorer.top))
+    for lo in range(0, len(seeds), size):
+        chunk = seeds[lo : lo + size]
+        yield chunk, haar_unitaries(n_modes, chunk)
 
 
 class _Tally:
@@ -383,10 +446,8 @@ class _Tally:
         """Score seeded Haar-random trials, in stacks as large as the engine takes."""
         n = self.task.n_modes
         scorer = _scorer(self.spec, self.patterns)
-        size = max(1, max_stack(self.spec.distributions, scorer.caps, scorer.top))
-        for lo in range(0, len(seeds), size):
-            chunk = seeds[lo : lo + size]
-            best, first, violations = scorer.best(haar_unitaries(n, chunk), self.task.objective)
+        for chunk, matrices in _haar_stacks(n, seeds, scorer):
+            best, first, violations = scorer.best(matrices, self.task.objective)
             self.count(len(chunk), violations.sum())
             self.offer(
                 best, lambda k: (self.patterns[first[k]].counts, haar_random(n, chunk[k]))
@@ -434,17 +495,14 @@ def search_improvement(task: SearchTask) -> SearchReport:
     starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
     if task.refine_iters > 0:
         for x0 in starts:
-            res = optimize.minimize(
+            x = _nelder_mead(
                 lambda x: -tally.evaluate(unitary_from_angles(n, x))[0],
                 x0,
-                method="Nelder-Mead",
-                options={
-                    "maxiter": task.refine_iters,
-                    "xatol": 1e-10,
-                    "fatol": 1e-12,
-                },
+                maxiter=task.refine_iters,
+                xatol=1e-10,
+                fatol=1e-12,
             )
-            tally.score(unitary_from_angles(n, res.x))
+            tally.score(unitary_from_angles(n, x))
 
     benchmark = (
         task.p_max
@@ -513,7 +571,8 @@ def verify_nogo_patterns(
     source, patterns detecting one photon fewer than the occupied modes,
     and (b) a uniform source with every single-click pattern and the
     empty pattern.  The output ratio must never beat the input ratio;
-    the tally keeps the largest excess over it.
+    the tally keeps the largest excess over it.  Half (b) is scored for a
+    stack of trials at once; the offers still go in trial order.
     """
     task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
     n = n_modes
@@ -527,26 +586,34 @@ def verify_nogo_patterns(
         + [DetectionPattern((0,) * (n - 1))],
     )
 
-    for trial_seed in _trial_seeds(seed, trials):
-        interf = haar_random(n, trial_seed)
+    def excess(scorer, matrices):
+        """Output ratio minus ratio_in per (matrix, pattern), counted."""
+        q, prob = scorer.weights(matrices)
+        tally.count(prob.size, scorer.violations(q, prob).sum())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
+        return ratio - ratio_in
 
-        occupied = int(rng.integers(2, n + 1))
-        modes = rng.permutation(n)[:occupied]
-        ps = np.zeros(n)
-        ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
-        ps[modes[0]] = p_max
-        one_left = PatternScorer(
-            InputSpec.two_level(ps.tolist()),
-            [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)],
-        )
-        for scorer in (one_left, single_clicks):
-            q, prob = scorer.weights(interf.matrix[None])
-            tally.count(prob.size, scorer.violations(q, prob)[0])
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
-            tally.offer(
-                ratio[0] - ratio_in, lambda k: (scorer.patterns[k].counts, interf)
+    for chunk, matrices in _haar_stacks(n, _trial_seeds(seed, trials), single_clicks):
+        clicks = excess(single_clicks, matrices)
+        for t, trial_seed in enumerate(chunk):
+            occupied = int(rng.integers(2, n + 1))
+            modes = rng.permutation(n)[:occupied]
+            ps = np.zeros(n)
+            ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
+            ps[modes[0]] = p_max
+            one_left = PatternScorer(
+                InputSpec.two_level(ps.tolist()),
+                [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)],
             )
+            # offers keep trial order: one_left first, then the single clicks
+            for scorer, values in (
+                (one_left, excess(one_left, matrices[t : t + 1])[0]),
+                (single_clicks, clicks[t]),
+            ):
+                tally.offer(
+                    values, lambda k: (scorer.patterns[k].counts, haar_random(n, trial_seed))
+                )
 
     return tally.report(
         "nogo-patterns", 0.0, "counterexample found", ratio_in + tally.best_value

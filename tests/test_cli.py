@@ -1,9 +1,14 @@
+import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import photonpost.cli
 from photonpost.cli import main
 
 
@@ -412,6 +417,76 @@ def test_search_seed_flag_overrides_config(tmp_path):
     d1, d2 = json.loads(out1.read_text()), json.loads(out2.read_text())
     assert d1["seed"] == 1
     assert d2["seed"] == 99
+
+
+def test_search_with_bound_violations_exits_4_and_writes_nothing(tmp_path, capsys):
+    """At 5 modes the ratio objective reaches inf on a pattern of probability
+    ~1e-40 (cancellation dust) and the scorer counts 4 violations: the
+    report used to be written with exit 0, "best_value": Infinity and
+    "improvement found"."""
+    cfg = {
+        "command": "search",
+        "version": 1,
+        "modes": 5,
+        "p_max": 0.6,
+        "objective": "ratio",
+        "trials": 0,
+        "refine_iters": 10,
+        "seed": 1,
+    }
+    code, out = run(tmp_path, "search", cfg)
+    assert code == 4
+    assert not out.exists()
+    assert "4 ratio-bound violation(s)" in capsys.readouterr().err
+
+
+def test_nogo_verify_with_bound_violations_exits_4_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    real = photonpost.cli.verify_nogo_patterns
+    monkeypatch.setattr(
+        photonpost.cli,
+        "verify_nogo_patterns",
+        lambda *args: dataclasses.replace(real(*args), bound_violations=2),
+    )
+    cfg = {
+        "command": "nogo-verify",
+        "version": 1,
+        "variant": "patterns",
+        "modes": 3,
+        "p_max": 0.3,
+        "trials": 4,
+    }
+    code, out = run(tmp_path, "nogo-verify", cfg)
+    assert code == 4
+    assert not out.exists()
+    assert "2 ratio-bound violation(s)" in capsys.readouterr().err
+
+
+_SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_package_and_cli_search_do_not_load_scipy(tmp_path):
+    """The package runs on numpy alone: neither importing it nor a CLI
+    search (which refines with the built-in Nelder-Mead) loads scipy."""
+    cfg = write_config(
+        tmp_path / "search.json",
+        {"command": "search", "version": 1, "modes": 3, "p_max": 0.3, "trials": 4,
+         "refine_iters": 5, "seed": 1},
+    )
+    script = (
+        "import sys\n"
+        "import photonpost, photonpost.cli\n"
+        f"print({_SCIPY_MODULES})\n"
+        f"code = photonpost.cli.main(['search', '--config', {cfg!r}, '--out', {str(tmp_path / 'out.json')!r}])\n"
+        f"print(code, {_SCIPY_MODULES})\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines() == ["[]", "0 []"]
 
 
 # determinism and threading ------------------------------------------------------

@@ -224,19 +224,28 @@ def test_array_scorer_equals_per_pattern_reference(case):
         assert best == math.inf
 
 
+def _single_clicks(n):
+    """verify_nogo_patterns' uniform-source patterns: one click or none."""
+    return [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
+
+
 @pytest.mark.parametrize(
-    "run, n, max_detected",
+    "run, n, patterns",
     [
-        (lambda: search_improvement(SearchTask(4, 0.6, "single_photon", 30, 10, 5)), 4, 3),
-        (lambda: verify_nogo_small(3, 0.2, 30, 6, 5), 3, 3),
+        (
+            lambda: search_improvement(SearchTask(4, 0.6, "single_photon", 30, 10, 5)),
+            4, detector_patterns(4, 3),
+        ),
+        (lambda: verify_nogo_small(3, 0.2, 30, 6, 5), 3, detector_patterns(3, 3)),
+        (lambda: verify_nogo_patterns(4, 0.3, 30, 2), 4, _single_clicks(4)),
     ],
-    ids=["search-4", "nogo-small-3"],
+    ids=["search-4", "nogo-small-3", "nogo-patterns-4"],
 )
-def test_haar_stacks_do_not_change_results(run, n, max_detected, monkeypatch):
+def test_haar_stacks_do_not_change_results(run, n, patterns, monkeypatch):
     """Seeded searches report the same whatever stack size the engine allows."""
     whole = run().to_json_dict()
     supports = InputSpec.two_level([0.5] * n).distributions
-    caps = PatternScorer(InputSpec.two_level([0.5] * n), detector_patterns(n, max_detected)).caps
+    caps = PatternScorer(InputSpec.two_level([0.5] * n), patterns).caps
     cells = photonpost.engine.MAX_CELLS // max_stack(supports, caps, n)
     monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * cells + 1)
     assert max_stack(supports, caps, n) == 7  # 30 trials: four stacks of 7, one of 2
