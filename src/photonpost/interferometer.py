@@ -31,11 +31,7 @@ class Interferometer:
         a = np.array(self.matrix, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise NotUnitary(f"interferometer matrix must be square, got {a.shape}")
-        deviation = np.abs(a.conj().T @ a - np.eye(a.shape[0])).max()
-        if not deviation <= UNITARITY_TOL:  # NaN fails too
-            raise NotUnitary(
-                f"matrix is not unitary within {UNITARITY_TOL} (max deviation {deviation:.3e})"
-            )
+        check_unitary(a)
         a.setflags(write=False)
         object.__setattr__(self, "matrix", a)
 
@@ -70,6 +66,15 @@ class Interferometer:
     @classmethod
     def from_json(cls, text: str) -> "Interferometer":
         return cls.from_json_dict(json.loads(text))
+
+
+def check_unitary(a: np.ndarray) -> None:
+    """Raise NotUnitary unless every matrix of an (..., N, N) stack is unitary."""
+    deviation = np.abs(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1])).max()
+    if not deviation <= UNITARITY_TOL:  # NaN fails too
+        raise NotUnitary(
+            f"matrix is not unitary within {UNITARITY_TOL} (max deviation {deviation:.3e})"
+        )
 
 
 def coupler_matrix(theta: float, phi: float = 0.0) -> np.ndarray:

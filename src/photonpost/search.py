@@ -2,10 +2,11 @@
 
 Candidates are sampled Haar-randomly and scored over every detection
 pattern, in stacks: PatternScorer reads all patterns of all candidates
-in a stack from one stacked engine table.  Local refinement then climbs
-in a beam-splitter-angle parameterization of the unitary group (a
-product of two-mode couplers, unitary by construction), one candidate
-at a time.  A negative verdict always means "no counterexample found at
+in a stack from one stacked engine table.  Nelder-Mead refinement then
+climbs in a beam-splitter-angle parameterization of the unitary group (a
+product of two-mode couplers, unitary by construction); its starts
+advance in lockstep rounds, each round one stack of the points they ask
+for.  A negative verdict always means "no counterexample found at
 this budget", nothing stronger.  Every evaluation also checks the ratio
 bound, so the search doubles as a correctness tripwire.
 """
@@ -30,7 +31,7 @@ from .conditioner import (
 from .engine import basis, max_stack, output_table
 from .errors import BadParameters, DimensionMismatch
 from .fock import InputSpec, compositions
-from .interferometer import Interferometer, coupler_matrix, haar_random, haar_unitaries
+from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .schemes import chain_element_angles
 
 BOUND_SLACK = 1e-9
@@ -300,23 +301,35 @@ def pair_order(n_modes: int) -> list[tuple[int, int]]:
     return line + rest
 
 
-def unitary_from_angles(n_modes: int, angles: Sequence[float]) -> Interferometer:
+def unitary_from_angles(n_modes: int, angles) -> Interferometer | np.ndarray:
     """Compose a unitary from (theta, phi) couplers along pair_order.
 
     The embedded couplers are multiplied as plain arrays, later ones on
-    the left as compose does; only the product is validated.
+    the left as compose does; only the product is validated.  A (B, 2P)
+    array of angle vectors gives the (B, N, N) stack of products, each
+    validated and equal bit for bit to its one-vector call.
     """
     pairs = pair_order(n_modes)
-    if len(angles) != 2 * len(pairs):
+    angles = np.asarray(angles, dtype=float)
+    if angles.ndim not in (1, 2) or angles.shape[-1] != 2 * len(pairs):
         raise BadParameters(
-            f"expected {2 * len(pairs)} angles for {n_modes} modes, got {len(angles)}"
+            f"expected {2 * len(pairs)} angles for {n_modes} modes, got shape {angles.shape}"
         )
+    theta, phi = angles.reshape(-1, len(pairs), 2).transpose(2, 0, 1)
+    ph = np.empty(phi.shape, dtype=complex)
+    ph.real, ph.imag = np.cos(phi), np.sin(phi)
+    ct, st = np.cos(theta), np.sin(theta)
+    m = np.tile(np.eye(n_modes, dtype=complex), theta.shape + (1, 1))  # (B, P) couplers
+    rows, cols = np.array([[(i, i, j, j), (i, j, i, j)] for i, j in pairs]).transpose(1, 0, 2)
+    entries = np.stack([ph * ct, -st, st, ph.conj() * ct], axis=-1)  # coupler_matrix's
+    m[:, np.arange(len(pairs))[:, None], rows, cols] = entries
     total = np.eye(n_modes, dtype=complex)
-    for k, (i, j) in enumerate(pairs):
-        m = np.eye(n_modes, dtype=complex)
-        m[[i, i, j, j], [i, j, i, j]] = coupler_matrix(angles[2 * k], angles[2 * k + 1]).ravel()
-        total = m @ total
-    return Interferometer(total, provenance=f"compose({len(pairs)} elements)")
+    for k in range(len(pairs)):
+        total = m[:, k] @ total
+    if angles.ndim == 1:
+        return Interferometer(total[0], provenance=f"compose({len(pairs)} elements)")
+    check_unitary(total)
+    return total
 
 
 def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
@@ -331,21 +344,21 @@ def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
     return x
 
 
-def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
-    """Minimize f from x0; the point scipy.optimize.minimize returns.
+def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize by ask and tell: yields (k, n) arrays of points, is sent their
+    k values and returns the point scipy.optimize.minimize would from x0.
 
-    A port of scipy's Nelder-Mead (`_minimize_neldermead`) on the path the
-    search takes: no bounds, the standard coefficients, an iteration cap
-    and no cap on evaluations.  It evaluates the same points in the same
-    order, from copies, with the same arithmetic and the same sorts, so
-    its result equals scipy's bit for bit.
+    A port of scipy's `_minimize_neldermead` on the search's path (no bounds,
+    standard coefficients, an iteration cap, no evaluation cap).  It asks for
+    the same points in the same order (the initial simplex and a shrink as
+    one batch each), as copies, with the same arithmetic and sorts.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array([f(np.copy(x)) for x in sim], dtype=float)
+    fsim = np.array((yield np.copy(sim)), dtype=float)
     for _ in range(2):  # scipy sorts twice before the first step
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -358,28 +371,27 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float) -> np.ndarray:
             break
         xbar = np.add.reduce(sim[:-1], 0) / n
         xr = 2 * xbar - 1 * sim[-1]
-        fxr = f(np.copy(xr))
+        fxr = (yield np.copy(xr)[None])[0]
         if fxr < fsim[0]:
             xe = 3 * xbar - 2 * sim[-1]
-            fxe = f(np.copy(xe))
+            fxe = (yield np.copy(xe)[None])[0]
             sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < fsim[-2]:
             sim[-1], fsim[-1] = xr, fxr
         else:
             if fxr < fsim[-1]:  # outside contraction
                 xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = f(np.copy(xc))
+                fxc = (yield np.copy(xc)[None])[0]
                 keep = fxc <= fxr
             else:  # inside contraction
                 xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = f(np.copy(xc))
+                fxc = (yield np.copy(xc)[None])[0]
                 keep = fxc < fsim[-1]
             if keep:
                 sim[-1], fsim[-1] = xc, fxc
             else:  # shrink toward the best vertex
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = f(np.copy(sim[j]))
+                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+                fsim[1:] = yield np.copy(sim[1:])
         iterations += 1
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -404,7 +416,7 @@ def _haar_stacks(n_modes: int, seeds: Sequence[int], scorer: PatternScorer):
 
 
 class _Tally:
-    """Evaluation count, bound violations and best candidate of one search."""
+    """Counts one search's evaluations and bound violations; keeps the best offered one."""
 
     def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern] = ()):
         self.task = task
@@ -429,16 +441,12 @@ class _Tally:
             self.best_value = float(values[k])
             self.best_pattern, self.best_interf = candidate(k)
 
-    def evaluate(self, interf: Interferometer) -> tuple[float, tuple[int, ...]]:
-        """Score a candidate over every pattern, counted but not offered."""
+    def score(self, interf: Interferometer) -> float:
+        """Score one candidate over every pattern, counted and offered."""
         value, pattern, bad = evaluate_candidate(
             interf, self.spec, self.task.objective, self.patterns
         )
         self.count(1, bad)
-        return value, pattern
-
-    def score(self, interf: Interferometer) -> float:
-        value, pattern = self.evaluate(interf)
         self.offer([value], lambda k: (pattern, interf))
         return value
 
@@ -452,6 +460,30 @@ class _Tally:
             self.offer(
                 best, lambda k: (self.patterns[first[k]].counts, haar_random(n, chunk[k]))
             )
+
+    def refine(self, starts: Sequence[np.ndarray], maxiter: int) -> list[np.ndarray]:
+        """Nelder-Mead from every start in lockstep rounds, each scoring the points
+        all live runs ask for, in start order, as stacks; counted, not offered."""
+        scorer = _scorer(self.spec, self.patterns)
+        size = max(1, max_stack(scorer.spec.distributions, scorer.caps, scorer.top))
+        runs = [_nelder_mead(x0, maxiter, xatol=1e-10, fatol=1e-12) for x0 in starts]
+        asked = {k: next(run) for k, run in enumerate(runs)}
+        ends = [None] * len(runs)
+        while asked:
+            matrices = unitary_from_angles(self.task.n_modes, np.concatenate([*asked.values()]))
+            values = np.empty(len(matrices))
+            for lo in range(0, len(matrices), size):
+                best, _, violations = scorer.best(matrices[lo : lo + size], self.task.objective)
+                self.count(len(best), violations.sum())
+                values[lo : lo + size] = -best
+            told = np.split(values, np.cumsum([len(x) for x in asked.values()])[:-1])
+            for k, value in zip(list(asked), told):
+                try:
+                    asked[k] = runs[k].send(value)
+                except StopIteration as stop:
+                    ends[k] = stop.value
+                    del asked[k]
+        return ends
 
     def report(
         self, kind: str, benchmark: float, found: str, best_value: float | None = None
@@ -494,14 +526,7 @@ def search_improvement(task: SearchTask) -> SearchReport:
     rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
     starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
     if task.refine_iters > 0:
-        for x0 in starts:
-            x = _nelder_mead(
-                lambda x: -tally.evaluate(unitary_from_angles(n, x))[0],
-                x0,
-                maxiter=task.refine_iters,
-                xatol=1e-10,
-                fatol=1e-12,
-            )
+        for x in tally.refine(starts, task.refine_iters):
             tally.score(unitary_from_angles(n, x))
 
     benchmark = (

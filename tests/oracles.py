@@ -175,3 +175,50 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
     if q0 <= 0.0:
         return q1 <= 1e-12
     return q1 / q0 <= allowed
+
+
+def search_improvement_sequential(task):
+    """search_improvement with each start refined alone, one candidate per call.
+
+    The loop the search ran before its starts advanced in lockstep:
+    scipy's Nelder-Mead (which search._nelder_mead follows bit for bit)
+    from each start in turn, every point scored by its own
+    evaluate_candidate call.
+    """
+    from scipy import optimize
+
+    from photonpost.search import (
+        _Tally,
+        _trial_seeds,
+        chain_seed_angles,
+        detector_patterns,
+        evaluate_candidate,
+        unitary_from_angles,
+    )
+
+    n = task.n_modes
+    tally = _Tally(task, detector_patterns(n, n - 1))
+    tally.score_haar(_trial_seeds(task.seed, task.trials))
+    starts = []
+    if task.include_chain_seed and n >= 3:
+        starts.append(chain_seed_angles(n, task.chain_epsilon))
+    rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
+    starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
+
+    def f(x):
+        interf = unitary_from_angles(n, x)
+        value, _, bad = evaluate_candidate(interf, tally.spec, task.objective, tally.patterns)
+        tally.count(1, bad)
+        return -value
+
+    if task.refine_iters > 0:
+        for x0 in starts:
+            options = {"maxiter": task.refine_iters, "xatol": 1e-10, "fatol": 1e-12}
+            with np.errstate(invalid="ignore"):  # -inf objectives: NaN in the stop test
+                x = optimize.minimize(f, x0, method="Nelder-Mead", options=options).x
+            tally.score(unitary_from_angles(n, x))
+    if task.objective == "ratio":
+        benchmark = task.p_max / (1.0 - task.p_max)
+    else:
+        benchmark = task.p_max
+    return tally.report("search", benchmark, "improvement found")

@@ -1,9 +1,11 @@
 """The search's built-in Nelder-Mead against scipy's, bit for bit.
 
 `search._nelder_mead` ports scipy.optimize.minimize(method="Nelder-Mead")
-on the path the search uses (no bounds, maxiter set, maxfev unset).  Each
-test runs both on the same function and compares the returned point and
-every evaluated point, in order, by their bytes.
+on the path the search uses (no bounds, maxiter set, maxfev unset) as an
+ask/tell generator.  Each test drives it with `_minimize`, which evaluates
+every asked batch point by point in order, runs scipy on the same
+function, and compares the returned point and every evaluated point, in
+order, by their bytes.
 """
 
 import math
@@ -37,6 +39,18 @@ def _recorded(f):
     return wrapped, calls
 
 
+def _minimize(f, x0, maxiter, xatol, fatol):
+    """Run _nelder_mead to its end, telling it f of each asked point in order."""
+    run = _nelder_mead(x0, maxiter, xatol, fatol)
+    values = None
+    while True:
+        try:
+            points = run.send(values)
+        except StopIteration as stop:
+            return stop.value
+        values = [f(x) for x in points]
+
+
 def _scipy(f, x0, maxiter, xatol, fatol):
     with np.errstate(invalid="ignore"):  # -inf objectives: NaN in the stop test
         res = optimize.minimize(
@@ -65,7 +79,7 @@ def _assert_same_as_scipy(f, x0, maxiter, xatol=1e-10, fatol=1e-12):
     f = _memoized(f)
     ours, our_calls = _recorded(f)
     theirs, their_calls = _recorded(f)
-    x = _nelder_mead(ours, np.array(x0, dtype=float), maxiter, xatol, fatol)
+    x = _minimize(ours, np.array(x0, dtype=float), maxiter, xatol, fatol)
     expected = _scipy(theirs, np.array(x0, dtype=float), maxiter, xatol, fatol)
     assert len(our_calls) == len(their_calls)
     for k, ((a, _), (b, _)) in enumerate(zip(our_calls, their_calls)):
@@ -137,15 +151,32 @@ def test_matches_scipy_on_the_four_mode_search_objective(start):
 
 def test_matches_scipy_in_the_five_mode_ratio_search(monkeypatch):
     """The 5-mode ratio objective reaches inf, so the first simplex of the
-    chain start holds -inf and the stop test compares NaN."""
-    values = []
+    chain start holds -inf and the stop test compares NaN.  Each run's
+    asked points and told values are recorded inside the lockstep search,
+    then replayed through scipy."""
+    runs = []
+    real = photonpost.search._nelder_mead
 
-    def checked(f, x0, maxiter, xatol, fatol):
-        x, seen = _assert_same_as_scipy(f, x0, maxiter, xatol, fatol)
-        values.append(seen)
-        return x
+    def recorded(x0, maxiter, xatol, fatol):
+        calls, result = [], []
+        runs.append(((x0, maxiter, xatol, fatol), calls, result))  # in start order
+        run = real(x0, maxiter, xatol, fatol)
+        values = None
+        while True:
+            try:
+                points = run.send(values)
+            except StopIteration as stop:
+                result.append(stop.value)
+                return stop.value
+            values = yield points
+            calls.extend(zip(points, values))
 
-    monkeypatch.setattr(photonpost.search, "_nelder_mead", checked)
+    monkeypatch.setattr(photonpost.search, "_nelder_mead", recorded)
     search_improvement(SearchTask(5, 0.6, "ratio", trials=0, refine_iters=100, seed=1))
-    assert len(values) == 2  # the chain start and the random start
-    assert -math.inf in values[0][:21]
+    assert len(runs) == 2  # the chain start and the random start
+    for args, calls, result in runs:
+        told = {x.tobytes(): value for x, value in calls}
+        x, seen = _assert_same_as_scipy(lambda x: told[x.tobytes()], *args)
+        assert x.tobytes() == result[0].tobytes()
+        assert seen == [value for _, value in calls]
+    assert -math.inf in [value for _, value in runs[0][1][:21]]

@@ -6,14 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_bound
+from oracles import check_bound, search_improvement_sequential
 
 import photonpost.engine
+import photonpost.search
 from photonpost import (
     BadParameters,
     DetectionPattern,
     InputSpec,
     Interferometer,
+    NotUnitary,
     SearchReport,
     SearchTask,
     build_chain,
@@ -75,6 +77,47 @@ def test_unitary_from_angles_matches_composed_couplers_exactly():
         got = unitary_from_angles(n, angles)
         assert np.array_equal(got.matrix, want.matrix)
         assert got.provenance == want.provenance
+
+
+angles = st.one_of(
+    st.sampled_from([0.0, -0.0, math.pi / 2, math.pi, 2 * math.pi, -2 * math.pi]),
+    st.floats(-2 * math.pi, 2 * math.pi),
+    st.floats(-1e4, 1e4),
+)
+
+
+@st.composite
+def angle_stacks(draw):
+    n = draw(st.integers(2, 6))
+    rows = draw(st.integers(1, 6))
+    width = n * (n - 1)
+    return n, np.array(draw(st.lists(st.lists(angles, min_size=width, max_size=width),
+                                     min_size=rows, max_size=rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(angle_stacks())
+def test_stacked_unitaries_equal_one_vector_calls_bit_for_bit(case):
+    """Each row of a stack is the one-vector call, and that is the product
+    of beam_splitter couplers (math.cos and math.sin) that compose builds."""
+    n, stack = case
+    matrices = unitary_from_angles(n, stack)
+    assert matrices.shape == (len(stack), n, n)
+    for row, matrix in zip(stack, matrices):
+        one = unitary_from_angles(n, row).matrix
+        elements = [
+            embed_two_mode(beam_splitter(row[2 * k], row[2 * k + 1]), pair, n)
+            for k, pair in enumerate(pair_order(n))
+        ]
+        assert matrix.tobytes() == one.tobytes() == compose(*elements).matrix.tobytes()
+
+
+def test_stacked_unitaries_reject_a_nan_row():
+    stack = np.random.default_rng(83).uniform(0, math.pi, size=(4, 12))
+    unitary_from_angles(4, stack)
+    stack[2, 5] = math.nan
+    with pytest.raises(NotUnitary):
+        unitary_from_angles(4, stack)
 
 
 def test_unitary_from_angles_length_check():
@@ -250,6 +293,61 @@ def test_haar_stacks_do_not_change_results(run, n, patterns, monkeypatch):
     monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * cells + 1)
     assert max_stack(supports, caps, n) == 7  # 30 trials: four stacks of 7, one of 2
     assert run().to_json_dict() == whole
+
+
+@pytest.mark.parametrize(
+    "task",
+    [
+        SearchTask(2, 0.3, "single_photon", 6, 40, 1),
+        SearchTask(2, 0.4, "ratio", 0, 30, 2),
+        SearchTask(3, 0.25, "ratio", 10, 40, 4),
+        SearchTask(3, 0.25, "single_photon_no_pairs", 10, 40, 4, include_chain_seed=False),
+        SearchTask(3, 0.6, "single_photon", 0, 60, 3),
+        SearchTask(4, 0.2, "single_photon", 10, 40, 7),
+        SearchTask(4, 0.2, "single_photon", 10, 40, 7, include_chain_seed=False),
+        SearchTask(4, 0.3, "ratio", 0, 30, 8),
+        SearchTask(4, 0.35, "single_photon_no_pairs", 5, 30, 9),
+        SearchTask(5, 0.6, "ratio", 0, 10, 1),  # the chain start's simplex holds -inf
+        SearchTask(5, 0.2, "single_photon", 3, 12, 2, include_chain_seed=False),
+    ],
+    ids=lambda t: f"{t.n_modes}-{t.objective}-{t.trials}-{t.include_chain_seed}",
+)
+def test_lockstep_refinement_equals_the_sequential_loop(task):
+    got = json.dumps(search_improvement(task).to_json_dict())
+    assert got == json.dumps(search_improvement_sequential(task).to_json_dict())
+
+
+def test_refinement_scores_its_starts_in_stacks(monkeypatch):
+    """Every round of refinement is one scorer call, not one per point."""
+    calls, asked = [], []
+    best = PatternScorer.best
+    nelder_mead = photonpost.search._nelder_mead
+
+    def counted(self, matrices, objective):
+        calls.append(len(matrices))
+        return best(self, matrices, objective)
+
+    def counting(*args, **kwargs):
+        asked.append(0)
+        run, values, k = nelder_mead(*args, **kwargs), None, len(asked) - 1
+        while True:
+            try:
+                points = run.send(values)
+            except StopIteration as stop:
+                return stop.value
+            asked[k] += len(points)
+            values = yield points
+
+    monkeypatch.setattr(PatternScorer, "best", counted)
+    monkeypatch.setattr(photonpost.search, "_nelder_mead", counting)
+    report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
+    assert report.trials_run == 907
+    assert len(asked) == 2 and 200 + sum(asked) + 2 == 907
+    spec = InputSpec.two_level([0.6] * 4)
+    size = max_stack(spec.distributions, PatternScorer(spec, detector_patterns(4, 3)).caps, 4)
+    haar = math.ceil(200 / size)
+    assert len(calls) <= max(asked) + haar + 2
+    assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
 
 
 def test_evaluate_candidate_reports_best_pattern():
