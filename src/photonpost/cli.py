@@ -78,6 +78,11 @@ def fmt(x: float) -> str:
 # config plumbing
 
 
+def _is_number(value) -> bool:
+    """A JSON number: int or float, not bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 class _Config:
     """A dict wrapper that tracks touched fields and complains by name."""
 
@@ -96,7 +101,7 @@ class _Config:
             return default
         value = self.data[field]
         if kind is float:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
+            if not _is_number(value):
                 raise ConfigError(f"{self.where}: field {field!r} must be a number")
             return float(value)
         if kind is int:
@@ -156,9 +161,7 @@ def _parse_inputs(raw: list, n_modes: int) -> InputSpec:
         )
     dists = []
     for i, entry in enumerate(raw):
-        if isinstance(entry, bool):
-            raise ConfigError(f"inputs[{i}] must be a number or an object")
-        if isinstance(entry, (int, float)):
+        if _is_number(entry):
             p = float(entry)
             if not (0.0 <= p <= 1.0):
                 raise ConfigError(f"inputs[{i}]: probability {p} outside [0, 1]")
@@ -172,7 +175,11 @@ def _parse_inputs(raw: list, n_modes: int) -> InputSpec:
                     raise ConfigError(
                         f"inputs[{i}]: photon count key {key!r} is not an integer"
                     )
-                if isinstance(prob, bool) or not isinstance(prob, (int, float)):
+                if count < 0 or count in dist:
+                    raise ConfigError(
+                        f"inputs[{i}]: photon count key {key!r} is negative or repeated"
+                    )
+                if not _is_number(prob):
                     raise ConfigError(f"inputs[{i}][{key!r}] must be a number")
                 dist[count] = float(prob)
             dists.append(dist)
@@ -204,6 +211,16 @@ def _parse_interferometer(raw: dict, n_modes: int, where: str) -> Interferometer
     if kind == "matrix":
         rows = cfg.take("matrix", list)
         cfg.finish()
+        for i, row in enumerate(rows):
+            if not isinstance(row, list):
+                raise ConfigError(f"{where}: matrix[{i}] must be an array")
+            for j, z in enumerate(row):
+                if not (
+                    isinstance(z, dict) and _is_number(z.get("re")) and _is_number(z.get("im"))
+                ):
+                    raise ConfigError(
+                        f"{where}: matrix[{i}][{j}] must be an object with numbers 're' and 'im'"
+                    )
         return Interferometer.from_json_dict({"n_modes": len(rows), "matrix": rows})
     raise ConfigError(
         f"{where}: unknown interferometer type {kind!r}; expected one of "
@@ -218,7 +235,7 @@ def _parse_grid(raw: dict, where: str) -> list[float]:
         cfg.finish()
         out = []
         for i, v in enumerate(values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
+            if not _is_number(v):
                 raise ConfigError(f"{where}: values[{i}] must be a number")
             out.append(float(v))
         if not out:
@@ -322,6 +339,24 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     return 0
 
 
+def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
+    """A sweep's modes, p, detected (default ceil(N/2)) and epsilon_grid, checked."""
+    n_modes = cfg.take("modes", int)
+    p = cfg.take("p", float)
+    detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
+    grid = _parse_grid(cfg.take("epsilon_grid", dict), "epsilon_grid")
+    if n_modes < 3:
+        raise ConfigError("field 'modes' must be at least 3 for a chain")
+    if not (0.0 < p < 1.0):
+        raise ConfigError(f"field 'p' must lie inside (0, 1), got {p}")
+    if not (1 <= detected < n_modes):
+        raise ConfigError(f"field 'detected' must lie in 1..{n_modes - 1}, got {detected}")
+    for eps in grid:
+        if not (0.0 < eps < 1.0):
+            raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
+    return n_modes, p, detected, grid
+
+
 def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) -> str:
     scheme = build_chain(n_modes, epsilon)
     spec = InputSpec.two_level([p] * n_modes)
@@ -352,23 +387,8 @@ def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) ->
 
 
 def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
-    n_modes = cfg.take("modes", int)
-    p = cfg.take("p", float)
-    detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
-    grid = _parse_grid(cfg.take("epsilon_grid", dict), "epsilon_grid")
+    n_modes, p, detected, grid = _take_chain_fields(cfg)
     cfg.finish()
-    if n_modes < 3:
-        raise ConfigError("field 'modes' must be at least 3 for a chain")
-    if not (0.0 < p < 1.0):
-        raise ConfigError(f"field 'p' must lie inside (0, 1), got {p}")
-    if not (1 <= detected < n_modes):
-        raise ConfigError(
-            f"field 'detected' must lie in 1..{n_modes - 1}, got {detected}"
-        )
-    for eps in grid:
-        if not (0.0 < eps < 1.0):
-            raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
-
     rows = [_chain_sweep_point(n_modes, p, detected, eps) for eps in grid]
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
@@ -414,17 +434,10 @@ def _exp_sweep_point(
 
 
 def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
-    n_modes = cfg.take("modes", int)
-    p = cfg.take("p", float)
-    detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
+    n_modes, p, detected, grid = _take_chain_fields(cfg)
     scenario = cfg.take("scenario", str)
     two_photon_prob = cfg.take("two_photon_prob", float, required=False, default=0.001)
-    grid = _parse_grid(cfg.take("epsilon_grid", dict), "epsilon_grid")
     cfg.finish()
-    if n_modes < 3:
-        raise ConfigError("field 'modes' must be at least 3 for a chain")
-    if not (0.0 < p < 1.0):
-        raise ConfigError(f"field 'p' must lie inside (0, 1), got {p}")
     if scenario not in EXP_SCENARIOS:
         raise ConfigError(
             f"field 'scenario' must be one of {', '.join(EXP_SCENARIOS)}; got {scenario!r}"
@@ -433,18 +446,11 @@ def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
         raise ConfigError(
             "bucket-detector scenarios model a '>=2' tap click and need detected = 2"
         )
-    if not (1 <= detected < n_modes):
-        raise ConfigError(
-            f"field 'detected' must lie in 1..{n_modes - 1}, got {detected}"
-        )
     if scenario == "+two-photon-inputs":
         if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
             raise ConfigError(
                 f"field 'two_photon_prob' must be positive with p + two_photon_prob < 1"
             )
-    for eps in grid:
-        if not (0.0 < eps < 1.0):
-            raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
 
     rows = [
         _exp_sweep_point(n_modes, p, detected, eps, scenario, two_photon_prob)
@@ -491,20 +497,16 @@ def _cmd_search(cfg: _Config, out: str, seed) -> int:
     include_chain = cfg.take("include_chain_seed", bool, required=False, default=True)
     chain_epsilon = cfg.take("chain_epsilon", float, required=False, default=1e-3)
     cfg.finish()
-    use_seed = cfg_seed if seed is None else seed
-    try:
-        task = SearchTask(
-            n_modes=n_modes,
-            p_max=p_max,
-            objective=objective,
-            trials=trials,
-            refine_iters=refine_iters,
-            seed=use_seed,
-            include_chain_seed=include_chain,
-            chain_epsilon=chain_epsilon,
-        )
-    except PhotonPostError as exc:
-        raise ConfigError(str(exc))
+    task = SearchTask(
+        n_modes=n_modes,
+        p_max=p_max,
+        objective=objective,
+        trials=trials,
+        refine_iters=refine_iters,
+        seed=cfg_seed if seed is None else seed,
+        include_chain_seed=include_chain,
+        chain_epsilon=chain_epsilon,
+    )
     return _write_report(out, search_improvement(task))
 
 

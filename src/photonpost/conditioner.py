@@ -17,6 +17,9 @@ Summing c~ over n1 gives exactly the probability of seeing the pattern.
 That formula is the definition.  engine.py computes it by expanding the
 creation operators, with no permanent and none of the cancellation of
 Ryser's sum; the permanent routines remain as public API and oracles.
+PatternReader is the one reader of exact patterns: it gathers c~ for
+many patterns and a stack of interferometers from one engine table;
+condition_patterns and condition_mixed are its one-matrix calls.
 """
 
 from __future__ import annotations
@@ -27,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .engine import basis, expand, output_table
+from .engine import basis, expand, max_stack, output_table
+from .errors import BadParameters, DimensionMismatch
 from .fock import InputSpec, PhotonConfig
 from .interferometer import Interferometer
 
@@ -112,43 +115,77 @@ class ConditionalResult:
         return 0.0
 
 
-def _check_shapes(spec: InputSpec, interf: Interferometer, pattern: DetectionPattern):
-    n = interf.n_modes
-    if spec.n_modes != n:
-        raise DimensionMismatch(
-            f"input has {spec.n_modes} modes, interferometer has {n}"
-        )
-    if len(pattern) != n - 1:
-        raise DimensionMismatch(
-            f"pattern covers {len(pattern)} detectors, expected {n - 1}"
-        )
+class PatternReader:
+    """Reads exact detection patterns from stacked engine tables.
 
+    Built once per (spec, patterns): caps that hold every pattern (each
+    detector at its largest count, the kept mode at the source maximum
+    minus the fewest detected), a gather index (patterns, n1) into their
+    basis, padded with a zero column, and the patterns grouped by length.
+    A (B, N, N) stack then gives one stacked table, read as arrays with
+    ConditionalResult's clamp check and clip.
+    """
 
-def pattern_caps(top: int, patterns: Sequence[DetectionPattern]) -> tuple[int, ...]:
-    """Table caps that hold every pattern: each detector at its largest
-    count, the kept mode at top (the source maximum) minus the fewest detected."""
-    counts = np.array([p.counts for p in patterns])
-    return (top - int(counts.sum(axis=1).min()),) + tuple(int(c) for c in counts.max(axis=0))
+    def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
+        n = spec.n_modes
+        if not patterns:
+            raise BadParameters("reading needs at least one detection pattern")
+        for pattern in patterns:
+            if len(pattern) != n - 1:
+                raise DimensionMismatch(
+                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
+                )
+        self.spec, self.patterns = spec, tuple(patterns)
+        self.top = spec.max_total()
+        counts = [p.counts for p in patterns]
+        self.caps = (self.top - min(map(sum, counts)),) + tuple(map(max, zip(*counts)))
+        b = basis(self.caps, self.top)
+        kept = [b.kept(c) for c in counts]
+        self.lengths = [max(k.size, 1) for k in kept]
+        self.gather = np.full((len(kept), max(3, *self.lengths)), len(b.states))
+        for row, k in zip(self.gather, kept):
+            row[: k.size] = k
+        # sums run per length, so each adds the same terms as a 1-D sum
+        self.groups = [
+            (size, np.flatnonzero(np.equal(self.lengths, size)))
+            for size in sorted(set(self.lengths))
+        ]
+
+    def stack(self) -> int:
+        """Most matrices one weights call takes within the engine's cell limit."""
+        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
+
+    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
+        n = self.spec.n_modes
+        if np.shape(matrices)[1:] != (n, n):
+            raise DimensionMismatch(
+                f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
+            )
+        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
+        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
+        low = q.min()
+        if low < NEGATIVE_CLAMP:
+            raise ValueError(f"coefficient {low} is negative beyond roundoff")
+        np.clip(q, 0.0, None, out=q)
+        prob = np.empty(q.shape[:2])
+        for size, rows in self.groups:
+            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
+        return q, prob
 
 
 def condition_patterns(
     spec: InputSpec, interf: Interferometer, patterns: Sequence[DetectionPattern]
 ) -> list[ConditionalResult]:
-    """condition_mixed for each pattern, all read from one joint output
-    table with pattern_caps."""
-    for pattern in patterns:
-        _check_shapes(spec, interf, pattern)
+    """condition_mixed for each pattern: one PatternReader call, one table."""
     if not patterns:
         return []
-    top = spec.max_total()
-    caps = pattern_caps(top, patterns)
-    b, table = output_table(spec.distributions, interf.matrix, caps, top)
-    results = []
-    for pattern in patterns:
-        idx = b.kept(pattern.counts)
-        values = table[idx] if idx.size else [0.0]
-        results.append(ConditionalResult.from_unnormalized(values, pattern=pattern))
-    return results
+    reader = PatternReader(spec, patterns)
+    q, _ = reader.weights(interf.matrix[None])
+    return [
+        ConditionalResult.from_unnormalized(q[0, i, :length], pattern=pattern)
+        for i, (pattern, length) in enumerate(zip(reader.patterns, reader.lengths))
+    ]
 
 
 def condition_mixed(

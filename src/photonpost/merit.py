@@ -145,16 +145,22 @@ def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:
     """Whether the output one-photon probability exceeds the input's.
 
     Equivalent to normalized[1] > p for a uniform two-level source with
-    p = ratio_in / (1 + ratio_in); the form below shows the improvement
-    window shrinking as multiphoton terms grow with ratio_in.
+    p = ratio_in / (1 + ratio_in): d[1] must beat the vacuum and
+    multiphoton terms, which grow with ratio_in and close the window.
     """
     d = np.asarray(coeffs, dtype=float)
     if d.size < 2:
         return False
+    return bool(_excess(d, ratio_in) > 0)
+
+
+def _excess(d: np.ndarray, r: float) -> float:
+    """d[1] minus the vacuum and multiphoton terms at input ratio r; the
+    output beats the input exactly where this is positive."""
     rhs = d[0]
     for n in range(2, d.size):
-        rhs += d[n] * ratio_in**n / math.factorial(n)
-    return bool(d[1] > rhs)
+        rhs += d[n] * r**n / math.factorial(n)
+    return d[1] - rhs
 
 
 def improvement_threshold(coeffs: Sequence[float]) -> float:
@@ -167,23 +173,16 @@ def improvement_threshold(coeffs: Sequence[float]) -> float:
     d = np.asarray(coeffs, dtype=float)
     if d.size < 2 or d[1] <= d[0]:
         return 0.0
-
-    def excess(r: float) -> float:
-        rhs = d[0]
-        for n in range(2, d.size):
-            rhs += d[n] * r**n / math.factorial(n)
-        return d[1] - rhs
-
     if d.size == 2 or not np.any(d[2:] > 0):
         return math.inf
     lo, hi = 0.0, 1.0
-    while excess(hi) > 0:
+    while _excess(d, hi) > 0:
         hi *= 2.0
         if hi > 1e18:
             return math.inf
     while hi - lo > 1e-12:
         mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
+        if _excess(d, mid) > 0:
             lo = mid
         else:
             hi = mid

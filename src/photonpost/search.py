@@ -1,14 +1,15 @@
 """Randomized searches for improvement and no-go verification.
 
 Candidates are sampled Haar-randomly and scored over every detection
-pattern, in stacks: PatternScorer reads all patterns of all candidates
-in a stack from one stacked engine table.  Nelder-Mead refinement then
-climbs in a beam-splitter-angle parameterization of the unitary group (a
-product of two-mode couplers, unitary by construction); its starts
-advance in lockstep rounds, each round one stack of the points they ask
-for.  A negative verdict always means "no counterexample found at
-this budget", nothing stronger.  Every evaluation also checks the ratio
-bound, so the search doubles as a correctness tripwire.
+pattern, in stacks: conditioner.PatternReader reads all patterns of a
+stack of candidates from one engine table, and PatternScorer applies the
+objectives and the ratio bound.  Nelder-Mead refinement then climbs in a
+beam-splitter-angle parameterization of the unitary group (a product of
+two-mode couplers, unitary by construction); its starts advance in
+lockstep rounds, each round one stack of the points they ask for.  A
+negative verdict always means "no counterexample found at this budget",
+nothing stronger.  Every evaluation also checks the ratio bound, so the
+search doubles as a correctness tripwire.
 """
 
 from __future__ import annotations
@@ -21,15 +22,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import (
-    NEGATIVE_CLAMP,
-    ConditionalResult,
-    DetectionPattern,
-    condition_mixed,
-    pattern_caps,
-)
-from .engine import basis, max_stack, output_table
-from .errors import BadParameters, DimensionMismatch
+from .conditioner import DetectionPattern, PatternReader
+from .errors import BadParameters
 from .fock import InputSpec, compositions
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .schemes import chain_element_angles
@@ -140,54 +134,16 @@ def detector_patterns(n_modes: int, max_detected: int) -> list[DetectionPattern]
     return pats
 
 
-def _objective_value(result: ConditionalResult, objective: str) -> float:
-    if result.zero_probability:
-        return 0.0
-    q = result.normalized
-    q0 = float(q[0])
-    q1 = float(q[1]) if q.size > 1 else 0.0
-    if objective == "single_photon":
-        return q1
-    if objective == "ratio":
-        if q0 <= 0.0:
-            return math.inf if q1 > 0 else 0.0
-        return q1 / q0
-    q2 = float(q[2]) if q.size > 2 else 0.0
-    return q1 if q2 <= 1e-9 else 0.0
-
-
-class PatternScorer:
+class PatternScorer(PatternReader):
     """Scores stacks of interferometers over fixed detection patterns.
 
-    Built once per search: the caps condition_patterns would use, and a
-    gather index (patterns, n1) into their basis, padded with a zero
-    column.  A (B, N, N) stack then gives one stacked table, and every
-    step of the per-pattern loop it replaces (ConditionalResult's clamp
-    check, clip and normalization, the ratio bound and the objectives)
-    runs over (B, patterns, n1) arrays with the same float operations.
+    Reads them with PatternReader, then applies the ratio bound and the
+    objectives to the (B, patterns, n1) arrays with the float operations
+    of a per-pattern ConditionalResult.
     """
 
     def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
-        n = spec.n_modes
-        if not patterns:
-            raise BadParameters("scoring needs at least one detection pattern")
-        for pattern in patterns:
-            if len(pattern) != n - 1:
-                raise DimensionMismatch(
-                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
-                )
-        self.spec, self.patterns = spec, tuple(patterns)
-        self.top = spec.max_total()
-        self.caps = pattern_caps(self.top, patterns)
-        b = basis(self.caps, self.top)
-        kept = [b.kept(p.counts) for p in patterns]
-        lengths = np.array([max(k.size, 1) for k in kept])
-        self.gather = np.full((len(kept), max(3, lengths.max())), len(b.states))
-        for row, k in zip(self.gather, kept):
-            row[: k.size] = k
-        # sums run per length, so each adds the same terms as a 1-D sum
-        sizes = sorted(set(lengths.tolist()))  # np.unique would import numpy.ma
-        self.groups = [(size, np.flatnonzero(lengths == size)) for size in sizes]
+        super().__init__(spec, patterns)
         self.allowed = None  # no bound: other sources, or a sure photon
         if spec.is_two_level() and spec.p_max() < 1.0:
             p = spec.p_max()
@@ -196,24 +152,6 @@ class PatternScorer:
             self.allowed = np.array(
                 [ratio_in * (m - pattern.total()) + BOUND_SLACK for pattern in patterns]
             )
-
-    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
-        n = self.spec.n_modes
-        if np.shape(matrices)[1:] != (n, n):
-            raise DimensionMismatch(
-                f"input has {n} modes, interferometers are {np.shape(matrices)[1:]}"
-            )
-        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
-        low = q.min()
-        if low < NEGATIVE_CLAMP:
-            raise ValueError(f"coefficient {low} is negative beyond roundoff")
-        np.clip(q, 0.0, None, out=q)
-        prob = np.empty(q.shape[:2])
-        for size, rows in self.groups:
-            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
-        return q, prob
 
     def violations(self, q: np.ndarray, prob: np.ndarray) -> np.ndarray:
         """Patterns per matrix that break the ratio bound (expected: none)."""
@@ -269,24 +207,13 @@ def evaluate_candidate(
     return float(best[0]), scorer.patterns[first[0]].counts, int(violations[0])
 
 
-def evaluate_single(
-    interf: Interferometer, spec: InputSpec, objective: str, pattern: DetectionPattern
-) -> float:
-    """Objective value of one (interferometer, pattern) pair."""
-    return _objective_value(condition_mixed(spec, interf, pattern), objective)
-
-
 def reevaluate(report: SearchReport) -> float:
     """Recompute the reported best value from the stored record."""
     if report.best_interferometer is None:
         raise BadParameters("report carries no interferometer to re-evaluate")
     spec = InputSpec.two_level([report.p_max] * report.n_modes)
-    return evaluate_single(
-        report.best_interferometer,
-        spec,
-        report.objective,
-        DetectionPattern(report.best_pattern),
-    )
+    pattern = DetectionPattern(report.best_pattern)
+    return evaluate_candidate(report.best_interferometer, spec, report.objective, [pattern])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +336,7 @@ def _trial_seeds(seed: int, count: int) -> list[int]:
 
 def _haar_stacks(n_modes: int, seeds: Sequence[int], scorer: PatternScorer):
     """(seeds, Haar unitaries) stacks, as large as the engine takes for scorer."""
-    size = max(1, max_stack(scorer.spec.distributions, scorer.caps, scorer.top))
+    size = scorer.stack()
     for lo in range(0, len(seeds), size):
         chunk = seeds[lo : lo + size]
         yield chunk, haar_unitaries(n_modes, chunk)
@@ -465,7 +392,7 @@ class _Tally:
         """Nelder-Mead from every start in lockstep rounds, each scoring the points
         all live runs ask for, in start order, as stacks; counted, not offered."""
         scorer = _scorer(self.spec, self.patterns)
-        size = max(1, max_stack(scorer.spec.distributions, scorer.caps, scorer.top))
+        size = scorer.stack()
         runs = [_nelder_mead(x0, maxiter, xatol=1e-10, fatol=1e-12) for x0 in starts]
         asked = {k: next(run) for k, run in enumerate(runs)}
         ends = [None] * len(runs)

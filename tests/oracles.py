@@ -177,6 +177,24 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
     return q1 / q0 <= allowed
 
 
+def objective_value(result: ConditionalResult, objective: str) -> float:
+    """A search objective of one conditional result, 0 for an impossible
+    pattern.  The per-pattern reference for search.PatternScorer.values."""
+    if result.zero_probability:
+        return 0.0
+    q = result.normalized
+    q0 = float(q[0])
+    q1 = float(q[1]) if q.size > 1 else 0.0
+    if objective == "single_photon":
+        return q1
+    if objective == "ratio":
+        if q0 <= 0.0:
+            return math.inf if q1 > 0 else 0.0
+        return q1 / q0
+    q2 = float(q[2]) if q.size > 2 else 0.0
+    return q1 if q2 <= 1e-9 else 0.0
+
+
 def search_improvement_sequential(task):
     """search_improvement with each start refined alone, one candidate per call.
 

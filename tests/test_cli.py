@@ -619,3 +619,33 @@ def test_matrix_size_mismatch_is_dimension_error(tmp_path, capsys):
     code, _ = run(tmp_path, "simulate", cfg)
     assert code == 3
     assert "dimension error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry, named",
+    [({"-1": 0.5, "0": 0.5}, "'-1'"), ({"1": 0.5, "01": 0.5}, "'01'")],
+    ids=["negative", "repeated"],
+)
+def test_bad_photon_count_key_is_config_error(tmp_path, capsys, entry, named):
+    code, out = run(tmp_path, "simulate", simulate_config(inputs=[entry, 0.2]))
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "inputs[0]" in err and named in err
+
+
+@pytest.mark.parametrize(
+    "matrix, named",
+    [
+        ([[1, 0], [0, 1]], "matrix[0][0]"),
+        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0}], [1, 0]], "matrix[0][1]"),
+        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}], 7], "matrix[1]"),
+    ],
+    ids=["plain-numbers", "missing-im", "row-not-array"],
+)
+def test_malformed_matrix_entries_are_config_error(tmp_path, capsys, matrix, named):
+    cfg = simulate_config(interferometer={"type": "matrix", "matrix": matrix})
+    code, out = run(tmp_path, "simulate", cfg)
+    assert code == 2
+    assert not out.exists()
+    assert named in capsys.readouterr().err

@@ -12,11 +12,13 @@ from photonpost import (
     beam_splitter,
     compose,
     condition_mixed,
+    build_chain,
     condition_pure,
     embed_two_mode,
     haar_random,
     propagate_pure,
 )
+from photonpost.conditioner import condition_patterns
 from oracles import (
     condition_mixed_bs_closed_form,
     conditional_coefficients,
@@ -116,6 +118,82 @@ def test_condition_mixed_matches_brute_force_small():
         want = conditional_coefficients(u.matrix, dists, pattern_counts)
         assert res.unnormalized.shape == want.shape
         assert np.allclose(res.unnormalized, want, atol=1e-9)
+
+
+def test_condition_patterns_matches_brute_force_per_pattern():
+    """One multi-pattern call against the brute-force oracle, pattern by pattern:
+    mixed row lengths, a detector count above any mode's maximum, an impossible
+    pattern and a two-photon source share one table and one gather."""
+    dists = ({0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 1: 0.4}, {0: 0.7, 1: 0.3}, {0: 0.8, 1: 0.2})
+    spec = InputSpec(dists)
+    u = haar_random(4, seed=17)
+    counts = [(0, 0, 0), (1, 0, 2), (3, 0, 0), (0, 4, 1), (2, 2, 2), (4, 0, 0), (0, 1, 0)]
+    results = condition_patterns(spec, u, [DetectionPattern(c) for c in counts])
+    assert [r.unnormalized.size for r in results] == [6, 3, 3, 1, 1, 2, 5]
+    for c, res in zip(counts, results):
+        want = conditional_coefficients(u.matrix, dists, c)
+        assert res.pattern.counts == c
+        if want.size == 0:  # more photons detected than the source emits
+            assert res.zero_probability and res.unnormalized.tolist() == [0.0]
+            continue
+        assert not res.zero_probability
+        np.testing.assert_allclose(res.unnormalized, want, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(res.normalized, want / want.sum(), rtol=1e-12, atol=0)
+        assert res.pattern_probability == pytest.approx(want.sum(), rel=1e-12)
+
+
+# unnormalized chain rows (p = 0.2, D detected) as float.hex: a change to how
+# condition_mixed computes or reads them must keep them bit for bit
+CHAIN_ROWS = {
+    (4, 0.3, 2): "0x1.1bded8bdf1bdcp-8 0x1.3584fe1e56ecfp-10 0x1.ecc10b7f2e91bp-14",
+    (4, 0.3, 3): "0x1.90138214a20bbp-14 0x1.50c281f9536b5p-16",
+    (4, 0.001, 2): "0x1.b7cdea665a214p-25 0x1.2533c99163012p-26 0x1.25339e555eabcp-29",
+    (4, 0.001, 3): "0x1.cd2b0ea016c6ap-47 0x1.cd2ad8e536a14p-49",
+    (4, 1e-05, 2): "0x1.6849b869ab90ap-38 0x1.e0624b35e1944p-40 0x1.e0624b34115a1p-43",
+    (4, 1e-05, 3): "0x1.357c299a12c3ap-73 0x1.357c29992674dp-75",
+    (6, 0.3, 3): (
+        "0x1.35ee2a9b7f4bcp-14 0x1.da4a2359009a5p-16"
+        " 0x1.402dfc097e143p-18 0x1.650c8bd06b3fdp-22"
+    ),
+    (6, 0.3, 5): "0x1.fa28c4671ae44p-27 0x1.b8d1ca7362e59p-29",
+    (6, 0.001, 3): (
+        "0x1.622d5d2ae14cbp-47 0x1.3ec24a2b63dd7p-48"
+        " 0x1.fe036fef8c806p-51 0x1.5402230288f4dp-54"
+    ),
+    (6, 0.001, 5): "0x1.37899a6a3ce9ep-92 0x1.37897d03be748p-94",
+    (6, 1e-05, 3): (
+        "0x1.db5e7526124c1p-74 0x1.abd5030773baep-75"
+        " 0x1.5644026b5dc7cp-77 0x1.c85aade320975p-81"
+    ),
+    (6, 1e-05, 5): "0x1.189bba7d168b7p-145 0x1.189bba7c68fecp-147",
+    (11, 0.3, 6): (
+        "0x1.c553a8be658d1p-33 0x1.2b319ee74cea1p-33"
+        " 0x1.702c7182cb6b7p-35 0x1.0290add7eee3fp-37"
+        " 0x1.9805d9b31f4f0p-41 0x1.1dbfe50bd8c10p-45"
+    ),
+    (11, 0.3, 10): "0x1.35a1d0db9bca2p-60 0x1.13f24c1931dd6p-62",
+    (11, 0.001, 6): (
+        "0x1.949fd56668ce0p-115 0x1.2f77c56c0d4a5p-115"
+        " 0x1.a8dabbc1d418bp-117 0x1.53e211bc286e9p-119"
+        " 0x1.31e4f4c95864ep-122 0x1.e96e28ccdfa8ap-127"
+    ),
+    (11, 0.001, 10): "0x1.39101a7fffb0dp-208 0x1.391001acafd5ap-210",
+    (11, 1e-05, 6): (
+        "0x1.2a8f72e430038p-181 0x1.bfd72c55467e1p-182"
+        " 0x1.397d056e2f868p-183 0x1.f594d57bf6039p-186"
+        " 0x1.c36c59bb56976p-189 0x1.69237afb72276p-193"
+    ),
+    (11, 1e-05, 10): "0x1.a021e43c3b836p-328 0x1.a021e43b6340bp-330",
+}
+
+
+@pytest.mark.parametrize("n, eps, detected", sorted(CHAIN_ROWS))
+def test_chain_rows_are_pinned(n, eps, detected):
+    scheme = build_chain(n, eps)
+    spec = InputSpec.two_level([0.2] * n)
+    res = condition_mixed(spec, scheme.interferometer, scheme.pattern_for(detected))
+    got = " ".join(float(x).hex() for x in res.unnormalized)
+    assert got == CHAIN_ROWS[n, eps, detected]
 
 
 def test_shape_mismatch_raises():

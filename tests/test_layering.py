@@ -1,0 +1,90 @@
+"""The package's modules import each other without cycles.
+
+Imports inside functions count too: a deferred import still ties the two
+modules together, it only hides the cycle from the interpreter.
+"""
+
+import ast
+from pathlib import Path
+
+import photonpost
+
+PACKAGE = Path(photonpost.__file__).parent
+
+
+def _imports(path: Path, modules: set[str]) -> set[str]:
+    """The package modules that one source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            if node.level == 1:
+                base = node.module
+            elif node.level == 0 and (node.module or "").split(".")[0] == "photonpost":
+                base = node.module.partition(".")[2] or None
+            else:
+                continue
+            if base is None:  # from . import a, b
+                names = [a.name for a in node.names]
+                found.update(n for n in names if n in modules)
+                if not all(n in modules for n in names):
+                    found.add("__init__")
+            else:
+                found.add(base.partition(".")[0])
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "photonpost":
+                    found.add(module.partition(".")[0] or "__init__")
+    return found - {path.stem}
+
+
+def import_graph() -> dict[str, set[str]]:
+    files = {p.stem: p for p in PACKAGE.glob("*.py")}
+    return {name: _imports(path, set(files)) for name, path in files.items()}
+
+
+def find_cycle(graph: dict[str, set[str]]) -> list[str] | None:
+    """One import cycle as a list of modules (first repeated last), or None."""
+    state: dict[str, int] = {}  # 1 on the current path, 2 finished
+    path: list[str] = []
+
+    def visit(node):
+        state[node] = 1
+        path.append(node)
+        for nxt in sorted(graph.get(node, ())):
+            if state.get(nxt) == 1:
+                return path[path.index(nxt) :] + [nxt]
+            if nxt not in state:
+                cycle = visit(nxt)
+                if cycle:
+                    return cycle
+        path.pop()
+        state[node] = 2
+        return None
+
+    for node in sorted(graph):
+        if node not in state:
+            cycle = visit(node)
+            if cycle:
+                return cycle
+    return None
+
+
+def test_checker_sees_deferred_imports_and_long_cycles(tmp_path):
+    source = tmp_path / "conditioner.py"
+    source.write_text(
+        "import numpy\nfrom .engine import basis\n"
+        "def f():\n    from .search import PatternScorer\n"
+        "    from . import cli, not_a_module\n    import photonpost.merit\n"
+    )
+    modules = {"conditioner", "engine", "search", "cli", "merit"}
+    assert _imports(source, modules) == {"engine", "search", "cli", "merit", "__init__"}
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": set()}) is None
+    assert find_cycle({"a": {"b"}, "b": {"c"}, "c": {"a"}}) == ["a", "b", "c", "a"]
+
+
+def test_modules_import_without_cycles():
+    graph = import_graph()
+    assert {"conditioner", "engine", "search", "cli"} <= set(graph)
+    assert "search" not in graph["conditioner"]
+    assert find_cycle(graph) is None, find_cycle(graph)

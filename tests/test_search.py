@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_bound, search_improvement_sequential
+from oracles import check_bound, objective_value, search_improvement_sequential
 
 import photonpost.engine
 import photonpost.search
@@ -35,9 +35,7 @@ from photonpost.engine import max_stack
 from photonpost.search import (
     OBJECTIVES,
     PatternScorer,
-    _objective_value,
     chain_seed_angles,
-    evaluate_single,
     pair_order,
 )
 
@@ -255,7 +253,7 @@ def test_array_scorer_equals_per_pattern_reference(case):
     best, best_pattern, violations = -math.inf, (), 0
     for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
         violations += not check_bound(result, spec)
-        value = _objective_value(result, objective)
+        value = objective_value(result, objective)
         if value > best:
             best, best_pattern = value, pattern.counts
     got, first, bad = PatternScorer(spec, patterns).best(interf.matrix[None], objective)
@@ -362,8 +360,8 @@ def test_evaluate_candidate_reports_best_pattern():
     assert np.isclose(value, direct.normalized[1], atol=1e-12)
     # no pattern may do better
     for p in patterns:
-        res = condition_mixed(spec, chain.interferometer, p)
-        assert evaluate_single(chain.interferometer, spec, "single_photon", p) <= value + 1e-12
+        single, _, _ = evaluate_candidate(chain.interferometer, spec, "single_photon", [p])
+        assert single <= value + 1e-12
 
 
 def test_search_finds_the_chain_improvement():
@@ -411,16 +409,16 @@ def test_report_json_round_trip():
 def test_no_pairs_objective_scores_zero_on_pairy_outputs():
     chain = build_chain(4, 0.3)
     spec = InputSpec.two_level([0.3] * 4)
-    value = evaluate_single(
-        chain.interferometer, spec, "single_photon_no_pairs", chain.pattern_for(2)
+    value, _, _ = evaluate_candidate(
+        chain.interferometer, spec, "single_photon_no_pairs", [chain.pattern_for(2)]
     )
     assert value == 0.0
     # a lone beam splitter with everything detected leaves no room for pairs
     from photonpost import beam_splitter
 
     spec2 = InputSpec.two_level([0.3, 0.3])
-    value2 = evaluate_single(
-        beam_splitter(0.4), spec2, "single_photon_no_pairs", DetectionPattern((1,))
+    value2, _, _ = evaluate_candidate(
+        beam_splitter(0.4), spec2, "single_photon_no_pairs", [DetectionPattern((1,))]
     )
     assert value2 > 0.0
 
