@@ -62,7 +62,7 @@ from .merit import (
     improvement_predicate,
     improvement_threshold,
 )
-from .permanent import permanent, permanent_naive, permanent_with_multiplicity
+from .permanent import permanent, permanent_with_multiplicity
 from .schemes import (
     ChainScheme,
     PureSchemeParams,
@@ -142,7 +142,6 @@ __all__ = [
     "observe",
     "benchmark_detector_suite",
     "permanent",
-    "permanent_naive",
     "permanent_with_multiplicity",
     "propagate_pure",
     "pure_stage2_params",

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -60,13 +59,20 @@ DIMENSION_ERRORS = (
     NotUnitary,
 )
 
-EXP_SCENARIOS = (
-    "ideal",
-    "bucket",
-    "bucket+efficiency",
-    "+darkcounts",
-    "+two-photon-inputs",
-)
+
+def _inefficient_vacuum_bucket_tap(cap: int):
+    return det.DetectorModel.vacuum_inefficient(cap), det.DetectorModel.bucket(cap)
+
+
+# exp-sweep scenario -> (vacuum detector, tap detector) for counts 0..cap.
+# "ideal" reads the detected count at the tap, the others the ">=2" bucket.
+EXP_SCENARIOS = {
+    "ideal": lambda cap: (det.DetectorModel.exact(cap),) * 2,
+    "bucket": lambda cap: (det.DetectorModel.exact(cap), det.DetectorModel.bucket(cap)),
+    "bucket+efficiency": _inefficient_vacuum_bucket_tap,
+    "+darkcounts": det.benchmark_detector_suite,
+    "+two-photon-inputs": _inefficient_vacuum_bucket_tap,
+}
 
 
 def fmt(x: float) -> str:
@@ -81,6 +87,22 @@ def fmt(x: float) -> str:
 def _is_number(value) -> bool:
     """A JSON number: int or float, not bool."""
     return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_int(value) -> bool:
+    """A JSON integer, not bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# config field kind -> (accepts a JSON value, noun for the error message)
+_KINDS = {
+    float: (_is_number, "a number"),
+    int: (_is_int, "an integer"),
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    list: (lambda v: isinstance(v, list), "an array"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+}
 
 
 class _Config:
@@ -100,31 +122,10 @@ class _Config:
                 raise ConfigError(f"{self.where}: missing required field {field!r}")
             return default
         value = self.data[field]
-        if kind is float:
-            if not _is_number(value):
-                raise ConfigError(f"{self.where}: field {field!r} must be a number")
-            return float(value)
-        if kind is int:
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ConfigError(f"{self.where}: field {field!r} must be an integer")
-            return value
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"{self.where}: field {field!r} must be a boolean")
-            return value
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"{self.where}: field {field!r} must be a string")
-            return value
-        if kind is list:
-            if not isinstance(value, list):
-                raise ConfigError(f"{self.where}: field {field!r} must be an array")
-            return value
-        if kind is dict:
-            if not isinstance(value, dict):
-                raise ConfigError(f"{self.where}: field {field!r} must be an object")
-            return value
-        raise AssertionError(f"unknown kind {kind}")
+        accepts, noun = _KINDS[kind]
+        if not accepts(value):
+            raise ConfigError(f"{self.where}: field {field!r} must be {noun}")
+        return float(value) if kind is float else value
 
     def finish(self):
         extra = sorted(set(self.data) - self.seen)
@@ -169,16 +170,14 @@ def _parse_inputs(raw: list, n_modes: int) -> InputSpec:
         elif isinstance(entry, dict):
             dist = {}
             for key, prob in entry.items():
-                try:
-                    count = int(key)
-                except ValueError:
+                # int() alone would also read "1_0" as 10 and " 1" as 1
+                if not (key.isascii() and key.isdigit()):
                     raise ConfigError(
-                        f"inputs[{i}]: photon count key {key!r} is not an integer"
+                        f"inputs[{i}]: photon count key {key!r} is not a non-negative integer"
                     )
-                if count < 0 or count in dist:
-                    raise ConfigError(
-                        f"inputs[{i}]: photon count key {key!r} is negative or repeated"
-                    )
+                count = int(key)
+                if count in dist:
+                    raise ConfigError(f"inputs[{i}]: photon count key {key!r} is repeated")
                 if not _is_number(prob):
                     raise ConfigError(f"inputs[{i}][{key!r}] must be a number")
                 dist[count] = float(prob)
@@ -298,7 +297,7 @@ def _cmd_simulate(cfg: _Config, out: str, seed) -> int:
             f"field 'pattern' must list {n_modes - 1} detector counts, got {len(raw_pattern)}"
         )
     for i, c in enumerate(raw_pattern):
-        if isinstance(c, bool) or not isinstance(c, int) or c < 0:
+        if not _is_int(c) or c < 0:
             raise ConfigError(f"pattern[{i}] must be a non-negative integer")
     pattern = DetectionPattern(tuple(raw_pattern))
 
@@ -401,31 +400,16 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
 def _exp_sweep_point(
     n_modes: int, p: float, detected: int, epsilon: float, scenario: str, two_photon_prob: float
 ) -> str:
-    scheme = build_chain(n_modes, epsilon)
-    interf = scheme.interferometer
-
     if scenario == "+two-photon-inputs":
         dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
         spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
     else:
         spec = InputSpec.two_level([p] * n_modes)
-
-    if scenario == "ideal":
-        result = condition_mixed(spec, interf, scheme.pattern_for(detected))
-    else:
-        cap = spec.max_total()
-        if scenario == "bucket":
-            vacuum_model = det.DetectorModel.exact(cap)
-            tap = det.DetectorModel.bucket(cap)
-        elif scenario in ("bucket+efficiency", "+two-photon-inputs"):
-            vacuum_model = det.DetectorModel.vacuum_inefficient(cap)
-            tap = det.DetectorModel.bucket(cap)
-        else:  # +darkcounts
-            vacuum_model, tap = det.benchmark_detector_suite(cap)
-        models = [tap] + [vacuum_model] * (n_modes - 2)
-        observed = det.ObservedPattern((det.BUCKET,) + (0,) * (n_modes - 2))
-        result = det.observe(spec, interf, observed, models)
-
+    vacuum_model, tap = EXP_SCENARIOS[scenario](spec.max_total())
+    models = [tap] + [vacuum_model] * (n_modes - 2)
+    reported = detected if scenario == "ideal" else det.BUCKET
+    observed = det.ObservedPattern((reported,) + (0,) * (n_modes - 2))
+    result = det.observe(spec, build_chain(n_modes, epsilon).interferometer, observed, models)
     if result.zero_probability or result.normalized.size < 2:
         c1 = 0.0
     else:
@@ -536,32 +520,18 @@ def _build_parser() -> argparse.ArgumentParser:
             type=int,
             default=None,
             help=(
-                "accepted for compatibility and ignored (as is PHOTON_THREADS): "
-                "sweeps run serially, since the GIL serializes their points"
+                "accepted for compatibility and ignored: sweeps run serially, "
+                "since the GIL serializes their points"
             ),
         )
     return parser
 
 
-def _check_threads(flag) -> None:
-    """--threads and PHOTON_THREADS have no effect, but a bad value is an error."""
-    env = os.environ.get("PHOTON_THREADS", "")
-    if flag is None and env:
-        try:
-            int(env)
-        except ValueError:
-            raise ConfigError(f"PHOTON_THREADS must be an integer, got {env!r}")
-
-
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        _check_threads(args.threads)
         cfg = _load_config(args.config, args.command)
         return COMMANDS[args.command](cfg, args.out, args.seed)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except DIMENSION_ERRORS as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3

@@ -182,6 +182,8 @@ def observe(
     source can emit.
     """
     n = interf.n_modes
+    if spec.n_modes != n:
+        raise DimensionMismatch(f"input has {spec.n_modes} modes, interferometer has {n}")
     if len(observed) != n - 1 or len(models) != n - 1:
         raise DimensionMismatch(
             f"need {n - 1} reported outcomes and detector models, got "

@@ -8,7 +8,6 @@ with the later element on the left.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -59,13 +58,6 @@ class Interferometer:
             [[complex(z["re"], z["im"]) for z in row] for row in rows], dtype=complex
         )
         return cls(a, provenance=str(data.get("provenance", "")))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Interferometer":
-        return cls.from_json_dict(json.loads(text))
 
 
 def check_unitary(a: np.ndarray) -> None:

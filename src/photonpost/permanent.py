@@ -1,15 +1,13 @@
 """Matrix permanents.
 
-The workhorse is a Gray-code Ryser evaluation with O(2^n * n) cost.  A
-naive permutation-sum oracle is kept alongside so the fast kernel can
-always be cross-checked against an independent route.  Conditional
-outputs come from engine.py, which expands the creation operators; the
+The workhorse is a Gray-code Ryser evaluation with O(2^n * n) cost; the
+tests check it against a permutation-sum oracle.  Conditional outputs
+come from engine.py, which expands the creation operators; the
 permanents here are public API and test oracles.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -66,22 +64,6 @@ def _validated(matrix) -> np.ndarray:
 def permanent(matrix) -> complex:
     """Permanent of a square complex matrix (empty matrix gives 1)."""
     return _kernel(_validated(matrix))
-
-
-def permanent_naive(matrix) -> complex:
-    """Permutation-sum permanent, O(n! * n).
-
-    Independent oracle for testing the fast kernel; keep n small.
-    """
-    a = _validated(matrix)
-    n = a.shape[0]
-    total = 0j
-    for perm in itertools.permutations(range(n)):
-        term = 1 + 0j
-        for i, j in enumerate(perm):
-            term *= a[i, j]
-        total += term
-    return complex(total)
 
 
 def permanent_with_multiplicity(

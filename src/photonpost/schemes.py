@@ -53,6 +53,13 @@ class ChainScheme:
         return DetectionPattern((detected,) + (0,) * (self.n_modes - 2))
 
 
+def _check_chain_args(n_modes: int, epsilon: float) -> None:
+    if n_modes < 3:
+        raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
+    if not (0.0 < epsilon < 1.0):
+        raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+
+
 def _chain_rows(n_modes: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     n = n_modes
     a = math.sqrt(1.0 - epsilon * epsilon)
@@ -72,10 +79,7 @@ def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
     swaps those roles.  The remaining rows feed the vacuum detectors and
     are any deterministic orthonormal completion.
     """
-    if n_modes < 3:
-        raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
-    if not (0.0 < epsilon < 1.0):
-        raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+    _check_chain_args(n_modes, epsilon)
     row1, row2 = _chain_rows(n_modes, epsilon)
     interf = complete_rows([row1, row2], n_modes)
     interf = Interferometer(
@@ -91,10 +95,7 @@ def chain_element_angles(n_modes: int, epsilon: float) -> list[tuple[int, int, f
     equal weights (reflectivities 1/2, 1/3, ... 1/(N-1)); the last couples
     that beam to source 1 with reflectivity epsilon^2.
     """
-    if n_modes < 3:
-        raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
-    if not (0.0 < epsilon < 1.0):
-        raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+    _check_chain_args(n_modes, epsilon)
     layout = []
     for k in range(1, n_modes - 1):
         theta = math.acos(1.0 / math.sqrt(k + 1.0))

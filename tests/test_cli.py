@@ -318,6 +318,77 @@ def test_exp_sweep_bucket_requires_two_detected(tmp_path):
     assert code == 2
 
 
+# (scenario, modes, detected) -> CSV rows at p = 0.2, recorded when "ideal"
+# still ran through condition_mixed instead of observe
+EXP_SWEEP_PINS = {
+    ("ideal", 4, 2): (
+        "0.29999999999999999,0.0056297249280000024,0.2097301760033701",
+        "0.050000000000000003,0.00017542746633333341,0.2415463641602805",
+        "0.001,7.0399908266717896e-08,0.24242389164356143",
+    ),
+    ("ideal", 6, 2): (
+        "0.29999999999999999,0.0039053951112592838,0.23713811930833692",
+        "0.050000000000000003,0.00012267155819614957,0.26541989943535244",
+        "0.001,4.924204247454807e-08,0.26617836949875406",
+    ),
+    ("bucket", 4, 2): (
+        "0.29999999999999999,0.0057461264640000023,0.20897480337808313",
+        "0.050000000000000003,0.0001755271776111112,0.24152233364955547",
+        "0.001,7.0399924266699412e-08,0.24242388200169995",
+    ),
+    ("bucket", 6, 2): (
+        "0.29999999999999999,0.0040145001959565807,0.23784919188963127",
+        "0.050000000000000003,0.00012276632131804241,0.26543893105406319",
+        "0.001,4.9242057687071867e-08,0.26617837710251824",
+    ),
+    ("bucket+efficiency", 4, 2): (
+        "0.29999999999999999,0.0058168880640000024,0.2064326551909389",
+        "0.050000000000000003,0.00017768177761111123,0.23859359201336872",
+        "0.001,7.1263923402699429e-08,0.23948475074714282",
+    ),
+    ("bucket+efficiency", 6, 2): (
+        "0.29999999999999999,0.0042147966945049846,0.23311008808473754",
+        "0.050000000000000003,0.00012887732640347758,0.26056133513658225",
+        "0.001,5.1692867219431382e-08,0.26129910525404132",
+    ),
+    ("+darkcounts", 4, 2): (
+        "0.29999999999999999,0.0059475630704250923,0.20532771376844222",
+        "0.050000000000000003,0.0003162608148079556,0.21613591663421133",
+        "0.001,0.00013890588770532555,0.18827945354855818",
+    ),
+    ("+darkcounts", 6, 2): (
+        "0.29999999999999999,0.004303521600165134,0.23155221544735907",
+        "0.050000000000000003,0.00022277674320438694,0.2286517964249532",
+        "0.001,9.4120006562103034e-05,0.18569328804457871",
+    ),
+    ("+two-photon-inputs", 4, 2): (
+        "0.29999999999999999,0.0063857536041322478,0.20129593757165876",
+        "0.050000000000000003,0.00086345962526278785,0.19779866092953932",
+        "0.001,0.00068960236138130107,0.18842927430235371",
+    ),
+    ("+two-photon-inputs", 6, 2): (
+        "0.29999999999999999,0.0045843340188537586,0.22560120967240641",
+        "0.050000000000000003,0.00059189014923850098,0.20110458600328285",
+        "0.001,0.00046607617501588547,0.18586765875265618",
+    ),
+    ("ideal", 5, 3): (
+        "0.29999999999999999,0.00011660562765000005,0.23511928671480381",
+        "0.050000000000000003,1.0201634750976569e-07,0.26297531625930726",
+        "0.001,1.6379977020010507e-14,0.26373595974705649",
+    ),
+}
+
+
+@pytest.mark.parametrize("scenario, modes, detected", list(EXP_SWEEP_PINS))
+def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
+    cfg = exp_config(scenario, [0.3, 0.05, 1e-3], modes=modes, detected=detected)
+    code, out = run(tmp_path, "exp-sweep", cfg)
+    assert code == 0
+    header = "epsilon,pattern_probability,single_photon_probability"
+    rows = EXP_SWEEP_PINS[(scenario, modes, detected)]
+    assert out.read_text() == "\n".join((header,) + rows) + "\n"
+
+
 # nogo-verify and search -------------------------------------------------------
 
 
@@ -526,13 +597,13 @@ def test_threads_do_not_change_output(tmp_path):
 
 
 def test_threads_env_variable(tmp_path, monkeypatch):
-    monkeypatch.setenv("PHOTON_THREADS", "2")
     cfg = exp_config("ideal", [0.1, 0.2])
     code, out = run(tmp_path, "exp-sweep", cfg, name="env")
     assert code == 0
     monkeypatch.setenv("PHOTON_THREADS", "not-a-number")
-    code, _ = run(tmp_path, "exp-sweep", cfg, name="envbad")
-    assert code == 2
+    code, ignored = run(tmp_path, "exp-sweep", cfg, name="envbad")
+    assert code == 0
+    assert ignored.read_bytes() == out.read_bytes()
 
 
 # error handling ---------------------------------------------------------------
@@ -549,6 +620,27 @@ def simulate_config(**overrides):
     }
     cfg.update(overrides)
     return cfg
+
+
+@pytest.mark.parametrize(
+    "command, config, field, noun",
+    [
+        ("simulate", simulate_config(modes=2.0), "modes", "an integer"),
+        ("chain-sweep", {"command": "chain-sweep", "version": 1, "modes": 4, "p": True,
+                         "epsilon_grid": {"values": [0.1]}}, "p", "a number"),
+        ("search", {"command": "search", "version": 1, "modes": 3, "p_max": 0.2, "trials": 1,
+                    "include_chain_seed": 1}, "include_chain_seed", "a boolean"),
+        ("exp-sweep", exp_config(3, [0.1]), "scenario", "a string"),
+        ("simulate", simulate_config(inputs={"0": 1.0}), "inputs", "an array"),
+        ("simulate", simulate_config(interferometer=[0.5]), "interferometer", "an object"),
+    ],
+    ids=["int", "float", "bool", "str", "list", "dict"],
+)
+def test_field_of_wrong_kind_is_named(tmp_path, capsys, command, config, field, noun):
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert not out.exists()
+    assert f"field {field!r} must be {noun}" in capsys.readouterr().err
 
 
 def test_unknown_field_is_named(tmp_path, capsys):
@@ -623,8 +715,13 @@ def test_matrix_size_mismatch_is_dimension_error(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "entry, named",
-    [({"-1": 0.5, "0": 0.5}, "'-1'"), ({"1": 0.5, "01": 0.5}, "'01'")],
-    ids=["negative", "repeated"],
+    [
+        ({"-1": 0.5, "0": 0.5}, "'-1'"),
+        ({"1": 0.5, "01": 0.5}, "'01'"),
+        ({"0": 0.5, "1_0": 0.5}, "'1_0'"),
+        ({"0": 0.5, " 1": 0.5}, "' 1'"),
+    ],
+    ids=["negative", "repeated", "underscore", "space"],
 )
 def test_bad_photon_count_key_is_config_error(tmp_path, capsys, entry, named):
     code, out = run(tmp_path, "simulate", simulate_config(inputs=[entry, 0.2]))

@@ -170,6 +170,14 @@ def test_observe_rejects_wrong_arity():
         observe(spec, u, ObservedPattern((0, 0)), models[:1])
 
 
+@pytest.mark.parametrize("source_modes", [3, 5], ids=["fewer", "more"])
+def test_observe_rejects_source_of_other_mode_count(source_modes):
+    spec = InputSpec.two_level([0.2] * source_modes)
+    models = [DetectorModel.exact(5)] * 3
+    with pytest.raises(DimensionMismatch):
+        observe(spec, haar_random(4, 1), ObservedPattern((0, 0, 0)), models)
+
+
 def test_observed_pattern_validation():
     with pytest.raises(ValueError):
         ObservedPattern((0, "maybe"))

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -153,6 +154,6 @@ def test_haar_first_entry_moment():
 
 def test_json_round_trip_is_exact():
     u = haar_random(3, seed=5)
-    back = Interferometer.from_json(u.to_json())
+    back = Interferometer.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
     assert np.array_equal(u.matrix, back.matrix)
     assert back.provenance == u.provenance
