@@ -9,8 +9,8 @@ Three numbers summarize a photon-number distribution q[n]:
 
 A two-level source with single-photon probability p has ratio p/(1-p)
 and fano 1-p.  Passive optics plus detection can raise the ratio by at
-most a factor (occupied modes - detected photons); that bound is checked
-wherever results are produced.
+most a factor (occupied modes - detected photons), and not at all when
+none or all but one are detected: allowed_ratio and ratio_breaches.
 """
 
 from __future__ import annotations
@@ -26,6 +26,9 @@ from .engine import output_table
 from .errors import ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
+
+BOUND_SLACK = 1e-9
+DUST = 1e-20  # see is_dust
 
 
 @dataclass(frozen=True)
@@ -101,6 +104,33 @@ def figures_of_merit(result: ConditionalResult, spec: InputSpec) -> MeritReport:
         improves_single_photon=bool(q1 > p),
         ratio_bound=bound,
     )
+
+
+def allowed_ratio(spec: InputSpec, detected) -> np.ndarray | None:
+    """Largest q1/q0 allowed per detected total D of M occupied modes: ratio_in
+    * (M - D), ratio_in at D = 0 and D = M - 1; None for a source that is not
+    two-level or has p 0 or 1."""
+    p = spec.p_max()
+    if not spec.is_two_level() or not 0.0 < p < 1.0:
+        return None
+    r, m, d = p / (1.0 - p), spec.occupied_modes(), np.asarray(detected)
+    return np.where((d == 0) | (d == m - 1), r, r * (m - d))
+
+
+def is_dust(q0, paths0) -> np.ndarray:
+    """Where vacuum entries q0 are cancellation dust: below DUST times paths0,
+    the same entries computed from |U|, which bound every path summed into
+    them, so that roundoff decides their value."""
+    return q0 < DUST * paths0
+
+
+def ratio_breaches(q0, q1, allowed, paths0=None) -> np.ndarray:
+    """Where (q0, q1) breaches the allowed ratio by more than BOUND_SLACK, or
+    q0 <= 0 while q1 > 1e-12; never where q0 is dust, given paths0."""
+    q0, q1 = np.asarray(q0), np.asarray(q1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breach = np.where(q0 <= 0.0, q1 > 1e-12, q1 / q0 > allowed + BOUND_SLACK)
+    return breach if paths0 is None else breach & ~is_dust(q0, paths0)
 
 
 def detection_coefficients(

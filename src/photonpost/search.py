@@ -26,9 +26,9 @@ from .conditioner import DetectionPattern, PatternReader
 from .errors import BadParameters
 from .fock import InputSpec, compositions
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
+from .merit import allowed_ratio, is_dust, ratio_breaches
 from .schemes import chain_element_angles
 
-BOUND_SLACK = 1e-9
 IMPROVEMENT_SLACK = 1e-9
 
 OBJECTIVES = ("single_photon", "ratio", "single_photon_no_pairs")
@@ -137,30 +137,17 @@ def detector_patterns(n_modes: int, max_detected: int) -> list[DetectionPattern]
 class PatternScorer(PatternReader):
     """Scores stacks of interferometers over fixed detection patterns.
 
-    Reads them with PatternReader, then applies the ratio bound and the
-    objectives to the (B, patterns, n1) arrays with the float operations
-    of a per-pattern ConditionalResult.
+    Reads them with PatternReader, then applies merit's ratio bound and
+    the objectives to the (B, patterns, n1) arrays with the float
+    operations of a per-pattern ConditionalResult.
     """
 
     def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
         super().__init__(spec, patterns)
-        self.allowed = None  # no bound: other sources, or a sure photon
-        if spec.is_two_level() and spec.p_max() < 1.0:
-            p = spec.p_max()
-            ratio_in = p / (1.0 - p)
-            m = spec.occupied_modes()
-            self.allowed = np.array(
-                [ratio_in * (m - pattern.total()) + BOUND_SLACK for pattern in patterns]
-            )
-
-    def violations(self, q: np.ndarray, prob: np.ndarray) -> np.ndarray:
-        """Patterns per matrix that break the ratio bound (expected: none)."""
-        if self.allowed is None:
-            return np.zeros(len(q), dtype=int)
-        q0, q1 = q[..., 0], q[..., 1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            holds = np.where(q0 <= 0.0, q1 <= 1e-12, q1 / q0 <= self.allowed)
-        return np.count_nonzero(~holds & (prob > 0.0), axis=1)
+        totals = [pattern.total() for pattern in patterns]
+        self.allowed = allowed_ratio(spec, totals)
+        # a vacuum entry of D photons computed from |U| never exceeds D!
+        self.ceiling = np.array([math.factorial(d) for d in totals], dtype=float)
 
     @staticmethod
     def values(q: np.ndarray, prob: np.ndarray, objective: str) -> np.ndarray:
@@ -175,13 +162,27 @@ class PatternScorer(PatternReader):
                 value = np.where(q2 <= 1e-9, q1, 0.0)
         return np.where(prob > 0.0, value, 0.0)
 
+    def read(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """weights, and where each (matrix, pattern) breaches the ratio bound.
+        The rare matrices with a possible pattern that may be dust (below DUST
+        times its ceiling) are read again from |U|: their dust patterns
+        (merit.is_dust) count as probability 0, so value 0 and no breach."""
+        q, prob = self.weights(matrices)
+        odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & (prob > 0.0)).any(axis=1))
+        if odd.size:
+            paths, _ = self.weights(np.abs(matrices[odd]))
+            prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
+        if self.allowed is None:
+            return q, prob, np.zeros(prob.shape, dtype=bool)
+        return q, prob, ratio_breaches(q[..., 0], q[..., 1], self.allowed) & (prob > 0.0)
+
     def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per matrix: the best value, the first pattern reaching it, violations."""
-        q, prob = self.weights(matrices)
+        q, prob, breach = self.read(matrices)
         values = self.values(q, prob, objective)
         first = np.argmax(values, axis=1)
         best = np.take_along_axis(values, first[:, None], axis=1)[:, 0]
-        return best, first, self.violations(q, prob)
+        return best, first, np.count_nonzero(breach, axis=1)
 
 
 @functools.lru_cache(maxsize=16)
@@ -540,8 +541,8 @@ def verify_nogo_patterns(
 
     def excess(scorer, matrices):
         """Output ratio minus ratio_in per (matrix, pattern), counted."""
-        q, prob = scorer.weights(matrices)
-        tally.count(prob.size, scorer.violations(q, prob).sum())
+        q, prob, breach = scorer.read(matrices)
+        tally.count(prob.size, np.count_nonzero(breach))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
         return ratio - ratio_in

@@ -160,9 +160,10 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
     """Per-pattern ratio bound as the searches apply it: True when it holds.
 
     ratio_out <= (M - D) * ratio_in for a two-level input with M occupied
-    modes and D detected photons; other inputs, a sure photon (p = 1,
-    where ratio_in is infinite) and impossible patterns pass.  The
-    reference for search.PatternScorer.violations.
+    modes and D detected photons, and ratio_out <= ratio_in when D = 0 or
+    D = M - 1; other inputs, a sure photon (p = 1, where ratio_in is
+    infinite) and impossible patterns pass.  The reference for
+    search.PatternScorer.read, written out apart from merit's rule.
     """
     if not spec.is_two_level() or spec.p_max() >= 1.0 or result.zero_probability:
         return True
@@ -171,7 +172,8 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
     q1 = float(q[1]) if q.size > 1 else 0.0
     p = spec.p_max()
     ratio_in = p / (1.0 - p)
-    allowed = ratio_in * (spec.occupied_modes() - result.pattern.total()) + slack
+    m, d = spec.occupied_modes(), result.pattern.total()
+    allowed = (ratio_in if d in (0, m - 1) else ratio_in * (m - d)) + slack
     if q0 <= 0.0:
         return q1 <= 1e-12
     return q1 / q0 <= allowed

@@ -318,6 +318,15 @@ def test_exp_sweep_bucket_requires_two_detected(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("modes, code", [(6, 0), (7, 3)])
+def test_exp_sweep_two_photon_inputs_runs_up_to_six_modes(tmp_path, capsys, modes, code):
+    """Two-photon sources double the photon total: at 7 modes the joint
+    table would exceed the engine's MAX_CELLS, a dimension error."""
+    cfg = exp_config("+two-photon-inputs", [0.1], modes=modes)
+    assert run(tmp_path, "exp-sweep", cfg)[0] == code
+    assert ("dimension error" in capsys.readouterr().err) == (code == 3)
+
+
 # (scenario, modes, detected) -> CSV rows at p = 0.2, recorded when "ideal"
 # still ran through condition_mixed instead of observe
 EXP_SWEEP_PINS = {
@@ -490,25 +499,36 @@ def test_search_seed_flag_overrides_config(tmp_path):
     assert d2["seed"] == 99
 
 
-def test_search_with_bound_violations_exits_4_and_writes_nothing(tmp_path, capsys):
-    """At 5 modes the ratio objective reaches inf on a pattern of probability
-    ~1e-40 (cancellation dust) and the scorer counts 4 violations: the
-    report used to be written with exit 0, "best_value": Infinity and
-    "improvement found"."""
-    cfg = {
-        "command": "search",
-        "version": 1,
-        "modes": 5,
-        "p_max": 0.6,
-        "objective": "ratio",
-        "trials": 0,
-        "refine_iters": 10,
-        "seed": 1,
-    }
+def test_search_with_bound_violations_exits_4_and_writes_nothing(
+    tmp_path, capsys, monkeypatch
+):
+    real = photonpost.cli.search_improvement
+    monkeypatch.setattr(
+        photonpost.cli,
+        "search_improvement",
+        lambda task: dataclasses.replace(real(task), bound_violations=4),
+    )
+    cfg = {"command": "search", "version": 1, "modes": 3, "p_max": 0.3, "trials": 4,
+           "refine_iters": 0, "seed": 1}
     code, out = run(tmp_path, "search", cfg)
     assert code == 4
     assert not out.exists()
     assert "4 ratio-bound violation(s)" in capsys.readouterr().err
+
+
+def test_search_reads_cancellation_dust_as_an_impossible_pattern(tmp_path):
+    """At 5 modes pattern (0, 2, 1, 1) has probability ~1e-40, all of it
+    roundoff.  It used to score an infinite ratio and count 4 violations
+    (exit 4); as dust it counts as probability 0, and the best is the
+    chain's D = 3 pattern at ratio_in 1.5 times its gain 1.5."""
+    cfg = {"command": "search", "version": 1, "modes": 5, "p_max": 0.6, "objective": "ratio",
+           "trials": 0, "refine_iters": 10, "seed": 1}
+    code, out = run(tmp_path, "search", cfg)
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["bound_violations"] == 0
+    assert data["best_pattern"] == [3, 0, 0, 0]
+    assert data["best_value"] == 2.2499961250005223
 
 
 def test_nogo_verify_with_bound_violations_exits_4_and_writes_nothing(

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from oracles import check_bound, conditional_coefficients
 
+import photonpost.engine
 from photonpost import (
+    ConditionalResult,
     DetectionPattern,
     InputSpec,
     Interferometer,
@@ -17,6 +20,7 @@ from photonpost import (
     improvement_predicate,
     improvement_threshold,
 )
+from photonpost.merit import allowed_ratio, ratio_breaches
 
 
 def merits_of_distribution(dist):
@@ -65,6 +69,38 @@ def test_ratio_bound_field():
     report = figures_of_merit(res, spec)
     assert np.isclose(report.ratio_bound, 0.25 * (4 - 2))
     assert report.ratio_out <= report.ratio_bound + 1e-9
+
+
+def test_allowed_ratio_is_strict_with_none_or_all_but_one_detected():
+    spec = InputSpec.two_level([0.2, 0.2, 0.2, 0.0])  # M = 3 occupied modes
+    assert allowed_ratio(spec, [0, 1, 2, 3]).tolist() == [0.25, 0.5, 0.25, 0.0]
+    assert allowed_ratio(InputSpec.two_level([0.0, 1.0]), 0) is None
+    assert allowed_ratio(InputSpec.two_level([0.0, 0.0]), 0) is None
+    assert allowed_ratio(InputSpec(({0: 0.5, 2: 0.5},)), 0) is None
+
+
+def test_ratio_bound_flags_a_breach_of_the_strict_form_only():
+    """[[1, 1], [0, 0]] sends both sources into the kept mode.  With nothing
+    detected q1/q0 is exactly 2 ratio_in: the (M - D) form allows it, the
+    strict D = 0 form does not.  No unitary gets there."""
+    spec = InputSpec.two_level([0.5, 0.5])
+    matrix = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=complex)
+    q = conditional_coefficients(matrix, spec.distributions, (0,))
+    assert q[1] / q[0] == 2.0 == 2 * allowed_ratio(spec, 0)
+    assert ratio_breaches(q[0], q[1], allowed_ratio(spec, 0))
+    result = ConditionalResult.from_unnormalized(q, pattern=DetectionPattern((0,)))
+    assert not check_bound(result, spec)
+    with pytest.raises(AssertionError, match="ratio bound violated"):
+        photonpost.engine.output_table(spec.distributions, matrix, (2, 0), 2)  # the tripwire
+
+
+def test_ratio_bound_never_flags_cancellation_dust():
+    allowed = allowed_ratio(InputSpec.two_level([0.6] * 5), 4)
+    for q0 in (1e-40, 0.0):  # roundoff left a tiny or a clipped vacuum entry
+        assert ratio_breaches(q0, 1e-11, allowed)  # read as a ratio, it breaches
+        assert not ratio_breaches(q0, 1e-11, allowed, paths0=1e-3)
+    # a vacuum entry no path reaches is a true zero, not dust
+    assert ratio_breaches(0.0, 1e-3, allowed, paths0=0.0)
 
 
 def test_json_encoding_of_infinity():

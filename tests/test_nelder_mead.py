@@ -135,6 +135,15 @@ def test_matches_scipy_where_the_function_is_minus_infinity():
     assert values[:4].count(-math.inf) >= 2  # the first simplex already holds -inf
 
 
+def test_matches_scipy_where_part_of_the_first_simplex_is_minus_infinity():
+    """Two -inf vertices of four: the stop test compares -inf - -inf, a NaN,
+    which must not stop the run."""
+    f = lambda x: -math.inf if x.sum() > 1.0 else float(x @ x)
+    _, values = _assert_same_as_scipy(f, [0.5, 0.49, 0.0], 50)
+    assert values[:4].count(-math.inf) == 2
+    assert len(values) > 4
+
+
 @pytest.mark.parametrize("start", ["chain", "random"])
 def test_matches_scipy_on_the_four_mode_search_objective(start):
     n = 4
@@ -150,10 +159,10 @@ def test_matches_scipy_on_the_four_mode_search_objective(start):
 
 
 def test_matches_scipy_in_the_five_mode_ratio_search(monkeypatch):
-    """The 5-mode ratio objective reaches inf, so the first simplex of the
-    chain start holds -inf and the stop test compares NaN.  Each run's
-    asked points and told values are recorded inside the lockstep search,
-    then replayed through scipy."""
+    """Each run's asked points and told values are recorded inside the
+    lockstep search, then replayed through scipy.  Near the chain start some
+    patterns are cancellation dust, which the scorer reads as impossible
+    patterns, so no told value is infinite."""
     runs = []
     real = photonpost.search._nelder_mead
 
@@ -179,4 +188,4 @@ def test_matches_scipy_in_the_five_mode_ratio_search(monkeypatch):
         x, seen = _assert_same_as_scipy(lambda x: told[x.tobytes()], *args)
         assert x.tobytes() == result[0].tobytes()
         assert seen == [value for _, value in calls]
-    assert -math.inf in [value for _, value in runs[0][1][:21]]
+    assert all(np.isfinite(value) for _, calls, _ in runs for _, value in calls)

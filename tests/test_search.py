@@ -305,7 +305,7 @@ def test_haar_stacks_do_not_change_results(run, n, patterns, monkeypatch):
         SearchTask(4, 0.2, "single_photon", 10, 40, 7, include_chain_seed=False),
         SearchTask(4, 0.3, "ratio", 0, 30, 8),
         SearchTask(4, 0.35, "single_photon_no_pairs", 5, 30, 9),
-        SearchTask(5, 0.6, "ratio", 0, 10, 1),  # the chain start's simplex holds -inf
+        SearchTask(5, 0.6, "ratio", 0, 10, 1),  # dust patterns near the chain start
         SearchTask(5, 0.2, "single_photon", 3, 12, 2, include_chain_seed=False),
     ],
     ids=lambda t: f"{t.n_modes}-{t.objective}-{t.trials}-{t.include_chain_seed}",
@@ -382,6 +382,18 @@ def test_search_respects_improvement_ceiling():
     assert report.verdict == "none found"
     assert report.best_value <= 0.6 + 1e-9
     assert report.bound_violations == 0
+
+
+def test_search_reads_cancellation_dust_as_impossible_patterns():
+    """Near the 5- and 6-mode chain starts some patterns have probability
+    1e-35 to 1e-43, all of it roundoff.  They used to score single-photon
+    probabilities of 1 and 0.70 at p_max = 0.6, "improvement found" where
+    none is known (test_cli has the ratio objective's infinite case)."""
+    for n, trials, refine_iters in ((5, 5, 15), (6, 3, 8)):
+        report = search_improvement(SearchTask(n, 0.6, "single_photon", trials, refine_iters, 1))
+        assert report.verdict == "none found"
+        assert report.best_value <= 0.6 + 1e-9
+        assert report.bound_violations == 0
 
 
 def test_search_is_deterministic():
