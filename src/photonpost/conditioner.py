@@ -15,8 +15,8 @@ repeats column i of the interferometer s_i times and row j n_j times.
 Summing c~ over n1 gives exactly the probability of seeing the pattern.
 
 That formula is the definition.  engine.py computes it by expanding the
-creation operators, with no permanent and none of the cancellation of
-Ryser's sum; the permanent routines remain as public API and oracles.
+creation operators, multiplying and adding path amplitudes only, so no
+entry is a difference of large terms.
 PatternReader is the one reader of exact patterns: it gathers c~ for
 many patterns and a stack of interferometers from one engine table;
 condition_patterns and condition_mixed are its one-matrix calls.
@@ -108,11 +108,6 @@ class ConditionalResult:
         if isinstance(self.pattern, DetectionPattern):
             return self.pattern.total()
         return None
-
-    def coefficient(self, n1: int) -> float:
-        if 0 <= n1 < self.unnormalized.size:
-            return float(self.unnormalized[n1])
-        return 0.0
 
 
 class PatternReader:
@@ -251,9 +246,6 @@ class PureState:
         for config in self.amplitudes:
             return len(config)
         return 0
-
-    def norm(self) -> float:
-        return math.sqrt(sum(abs(a) ** 2 for a in self.amplitudes.values()))
 
     def amplitude(self, config) -> complex:
         if not isinstance(config, PhotonConfig):

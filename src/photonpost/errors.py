@@ -14,7 +14,7 @@ class NonSquare(PhotonPostError):
 
 
 class DimensionTooLarge(PhotonPostError):
-    """Matrix dimension exceeds the supported permanent size."""
+    """A problem exceeds the engine's basis or coefficient-array limits."""
 
 
 class MismatchedTotals(PhotonPostError):

@@ -9,6 +9,7 @@ supported through explicit per-mode distributions.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -144,34 +145,12 @@ def enumerate_inputs(
     unit factorials, so there the weight is just the plain probability.
     Configurations appear in ascending lexicographic order.
     """
-    n = spec.n_modes
-    supports = [spec.support(i) for i in range(n)]
-    caps = [s[-1] if s else 0 for s in supports]
-    # suffix_caps[i] = most photons modes i..n-1 can still absorb
-    suffix_caps = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        suffix_caps[i] = suffix_caps[i + 1] + caps[i]
-
-    prefix = [0] * n
-
-    def rec(i: int, remaining: int, weight: float):
-        if i == n:
-            if remaining == 0:
-                yield PhotonConfig(tuple(prefix)), weight
-            return
-        if remaining > suffix_caps[i]:
-            return
-        for c in supports[i]:
-            if c > remaining:
-                break
-            q = spec.prob(i, c)
-            prefix[i] = c
-            yield from rec(i + 1, remaining - c, weight * q / math.factorial(c))
-        prefix[i] = 0
-
-    if total_photons < 0:
-        return
-    yield from rec(0, total_photons, 1.0)
+    for counts in itertools.product(*map(spec.support, range(spec.n_modes))):
+        if sum(counts) == total_photons:
+            weight = 1.0
+            for i, c in enumerate(counts):
+                weight = weight * spec.prob(i, c) / math.factorial(c)
+            yield PhotonConfig(counts), weight
 
 
 def compositions(total: int, n_modes: int) -> Iterator[tuple[int, ...]]:

@@ -37,8 +37,9 @@ class MeritReport:
 
     ratio_out is math.inf when the output has no vacuum component;
     two_photon_out and fano_out are None when their defining ratios are
-    0/0.  ratio_bound is ratio_in times (occupied modes - detected), None
-    when the result does not carry an exact detection pattern.
+    0/0.  ratio_bound is allowed_ratio at the detected total, None when
+    the result does not carry an exact detection pattern or allowed_ratio
+    gives None.
     """
 
     ratio_out: float
@@ -92,9 +93,7 @@ def figures_of_merit(result: ConditionalResult, spec: InputSpec) -> MeritReport:
     p = spec.p_max()
     ratio_in = math.inf if p >= 1.0 else p / (1.0 - p)
     detected = result.detected_total()
-    bound = None
-    if detected is not None and not math.isinf(ratio_in):
-        bound = ratio_in * (spec.occupied_modes() - detected)
+    allowed = None if detected is None else allowed_ratio(spec, detected)
     return MeritReport(
         ratio_out=ratio_out,
         two_photon_out=two_photon,
@@ -102,7 +101,7 @@ def figures_of_merit(result: ConditionalResult, spec: InputSpec) -> MeritReport:
         ratio_in=ratio_in,
         fano_in=1.0 - p,
         improves_single_photon=bool(q1 > p),
-        ratio_bound=bound,
+        ratio_bound=None if allowed is None else float(allowed),
     )
 
 

@@ -95,7 +95,7 @@ def joint_output_probabilities(matrix: np.ndarray, distributions) -> dict:
 
 
 def permanent_reference(matrix: np.ndarray) -> complex:
-    """Permutation-sum permanent, O(n! * n): the reference for the Ryser kernel."""
+    """Permutation-sum permanent, O(n! * n): the reference for photonpost.permanent."""
     n = matrix.shape[0]
     total = 0.0 + 0.0j
     for perm in itertools.permutations(range(n)):

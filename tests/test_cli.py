@@ -120,6 +120,35 @@ def test_simulate_matrix_type_round_trip(tmp_path):
     assert not data["zero_probability"]
 
 
+@pytest.mark.parametrize(
+    "inputs, theta, pattern, bound",
+    [
+        # nothing detected: strict form, ratio_in rather than 2 * ratio_in
+        ([0.2, 0.2], math.pi / 4, [0], 0.25),
+        # a two-photon term: no bound applies, though ratio_in * (M - D) is 0.25
+        ([{"0": 0.7, "1": 0.2, "2": 0.1}, {"0": 0.8, "1": 0.2}], 0.3, [1], None),
+    ],
+)
+def test_simulate_reports_the_library_ratio_bound(tmp_path, inputs, theta, pattern, bound):
+    code, out = run(
+        tmp_path,
+        "simulate",
+        {
+            "command": "simulate",
+            "version": 1,
+            "modes": 2,
+            "inputs": inputs,
+            "interferometer": {"type": "beam_splitter", "theta": theta},
+            "pattern": pattern,
+        },
+    )
+    assert code == 0
+    merit = json.loads(out.read_text())["merit"]
+    assert merit["ratio_bound"] == bound
+    if bound is None:
+        assert merit["ratio_out"] > 0.25
+
+
 # pure-landscape -----------------------------------------------------------
 
 

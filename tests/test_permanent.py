@@ -1,3 +1,6 @@
+import itertools
+
+import mpmath
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ from photonpost import (
     DimensionTooLarge,
     MismatchedTotals,
     NonSquare,
+    build_chain,
     permanent,
     permanent_with_multiplicity,
 )
@@ -59,6 +63,8 @@ def test_rejects_nonsquare_and_oversize():
         permanent(np.ones((2, 3)))
     with pytest.raises(DimensionTooLarge):
         permanent(np.eye(31))
+    with pytest.raises(DimensionTooLarge):
+        permanent(np.eye(17))
 
 
 def test_multiplicity_repeated_rows():
@@ -107,3 +113,19 @@ def test_multiplicity_random_cross_checks():
 def test_multiplicity_rejects_mismatched_totals():
     with pytest.raises(MismatchedTotals):
         permanent_with_multiplicity(np.eye(2), (1, 0), (1, 1))
+
+
+def test_multiplicity_is_exact_on_the_weak_tap_chain():
+    """A small-epsilon chain permanent, where Ryser's alternating sum cancels,
+    against the permutation sum in 50-digit arithmetic."""
+    u = build_chain(11, 1e-6).interferometer.matrix
+    rows, cols = (1, 6) + (0,) * 9, (1,) * 7 + (0,) * 4
+    expanded = np.repeat(np.repeat(u, rows, axis=0), cols, axis=1)
+    with mpmath.workdps(50):
+        a = [[mpmath.mpc(complex(x)) for x in row] for row in expanded]
+        want = mpmath.fsum(
+            mpmath.fprod(a[i][j] for i, j in enumerate(perm))
+            for perm in itertools.permutations(range(7))
+        )
+        got = permanent_with_multiplicity(u, rows, cols)
+        assert abs(mpmath.mpc(got) - want) <= 1e-12 * abs(want)
