@@ -509,21 +509,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="photonpost",
         description="Conditioned photon statistics behind linear interferometers.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        cmd = sub.add_parser(name)
-        cmd.add_argument("--config", required=True, help="JSON config file")
-        cmd.add_argument("--out", required=True, help="output file (JSON or CSV)")
-        cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
-        cmd.add_argument(
-            "--threads",
-            type=int,
-            default=None,
-            help=(
-                "accepted for compatibility and ignored: sweeps run serially, "
-                "since the GIL serializes their points"
-            ),
-        )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output file (JSON or CSV)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help=(
+            "accepted for compatibility and ignored: sweeps run serially, "
+            "since the GIL serializes their points"
+        ),
+    )
     return parser
 
 

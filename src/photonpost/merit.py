@@ -21,8 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import ConditionalResult, DetectionPattern
-from .engine import output_table
+from .conditioner import ConditionalResult, DetectionPattern, PatternReader
+from .engine import basis
 from .errors import ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
@@ -162,12 +162,13 @@ def detection_coefficients(
     cap = len(active) - detected
     if cap < 0:
         return np.zeros(0)
-    # unit weights on the active modes: the table sums |c_s[n]|^2 over
-    # every subset s, and |per(L[n, s])|^2 = (n!)^2 |c_s[n]|^2
-    supports = [((0, 1.0), (1, 1.0)) if i in active else ((0, 1.0),) for i in range(n)]
-    basis, table = output_table(supports, interf.matrix, (cap,) + pattern.counts, len(active))
-    idx = basis.kept(pattern.counts)
-    return table[idx] * basis.factorials[idx]
+    # p = 1/2 on the active modes weighs every subset s by 2^-M, so the
+    # reading times 2^M n! is (n!)^2 sum_s |c_s[n]|^2 = sum_s |per(L[n, s])|^2
+    spec = InputSpec.two_level([0.5 if i in active else 0.0 for i in range(n)])
+    reader = PatternReader(spec, [pattern])
+    q, _ = reader.weights(interf.matrix[None])
+    idx = reader.gather[0, : reader.lengths[0]]
+    return q[0, 0, : idx.size] * 2.0 ** len(active) * basis(reader.caps, reader.top).factorials[idx]
 
 
 def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:

@@ -3,18 +3,19 @@
 Candidates are sampled Haar-randomly and scored over every detection
 pattern, in stacks: conditioner.PatternReader reads all patterns of a
 stack of candidates from one engine table, and PatternScorer applies the
-objectives and the ratio bound.  Nelder-Mead refinement then climbs in a
+objectives and the ratio bound.  Refinement then climbs in a
 beam-splitter-angle parameterization of the unitary group (a product of
-two-mode couplers, unitary by construction); its starts advance in
-lockstep rounds, each round one stack of the points they ask for.  A
-negative verdict always means "no counterexample found at this budget",
-nothing stronger.  Every evaluation also checks the ratio bound, so the
-search doubles as a correctness tripwire.
+two-mode couplers, unitary by construction) with Nelder-Mead or a compass
+search, ask/tell generators that one loop (_Tally.refine) advances in
+lockstep rounds, each round one stack of the points their starts ask
+for: no candidate is scored alone.  A negative verdict always means "no
+counterexample found at this budget", nothing stronger.  Every
+evaluation also checks the ratio bound, so the search doubles as a
+correctness tripwire.
 """
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -185,25 +186,17 @@ class PatternScorer(PatternReader):
         return best, first, np.count_nonzero(breach, axis=1)
 
 
-@functools.lru_cache(maxsize=16)
-def _scorer(spec: InputSpec, patterns: tuple[DetectionPattern, ...]) -> PatternScorer:
-    return PatternScorer(spec, patterns)
-
-
 def evaluate_candidate(
     interf: Interferometer,
     spec: InputSpec,
     objective: str,
     patterns: Sequence[DetectionPattern],
 ) -> tuple[float, tuple[int, ...], int]:
-    """Best objective value over the given patterns, plus bound violations.
-
-    The one-matrix call of PatternScorer, whose gather index is built
-    once per (spec, patterns) and reused.
-    """
+    """Best objective value over the given patterns, plus bound violations:
+    the one-matrix call of PatternScorer."""
     if not patterns:
         return -math.inf, (), 0
-    scorer = _scorer(spec, tuple(patterns))
+    scorer = PatternScorer(spec, patterns)
     best, first, violations = scorer.best(interf.matrix[None], objective)
     return float(best[0]), scorer.patterns[first[0]].counts, int(violations[0])
 
@@ -326,6 +319,32 @@ def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
     return sim[0]
 
 
+def _compass(x0, budget: int):
+    """Minimize by ask and tell like _nelder_mead, asking for x0, then one probe at a
+    time: +step, then -step, on each angle in turn.  A strictly lower probe is kept
+    and the sweep moves to the next angle; a sweep that keeps nothing halves the
+    step.  Ends when the budget of probes is spent or the step falls to 1e-4."""
+    x = np.asarray(x0, dtype=float)
+    current = (yield x[None])[0]
+    step = 0.4
+    while budget > 0 and step > 1e-4:
+        improved = False
+        for i in range(len(x)):
+            for delta in (step, -step):
+                y = x.copy()
+                y[i] += delta
+                value = (yield y[None])[0]
+                budget -= 1
+                if value < current:
+                    current, x, improved = value, y, True
+                    break
+            if budget <= 0:
+                break
+        if not improved:
+            step *= 0.5
+    return x
+
+
 def _trial_seeds(seed: int, count: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
@@ -335,9 +354,8 @@ def _trial_seeds(seed: int, count: int) -> list[int]:
 # searches
 
 
-def _haar_stacks(n_modes: int, seeds: Sequence[int], scorer: PatternScorer):
-    """(seeds, Haar unitaries) stacks, as large as the engine takes for scorer."""
-    size = scorer.stack()
+def _haar_stacks(n_modes: int, seeds: Sequence[int], size: int):
+    """(seeds, Haar unitaries) stacks of at most size trials."""
     for lo in range(0, len(seeds), size):
         chunk = seeds[lo : lo + size]
         yield chunk, haar_unitaries(n_modes, chunk)
@@ -346,12 +364,12 @@ def _haar_stacks(n_modes: int, seeds: Sequence[int], scorer: PatternScorer):
 class _Tally:
     """Counts one search's evaluations and bound violations; keeps the best offered one."""
 
-    def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern] = ()):
+    def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern]):
         self.task = task
         self.spec = InputSpec.two_level([task.p_max] * task.n_modes)
-        self.patterns = tuple(patterns)
-        self.evals = 0
-        self.violations = 0
+        self.scorer = PatternScorer(self.spec, patterns)
+        self.patterns, self.size = self.scorer.patterns, self.scorer.stack()
+        self.evals = self.violations = 0
         self.best_value = -math.inf
         self.best_pattern: tuple[int, ...] = ()
         self.best_interf: Interferometer | None = None
@@ -369,41 +387,37 @@ class _Tally:
             self.best_value = float(values[k])
             self.best_pattern, self.best_interf = candidate(k)
 
-    def score(self, interf: Interferometer) -> float:
-        """Score one candidate over every pattern, counted and offered."""
-        value, pattern, bad = evaluate_candidate(
-            interf, self.spec, self.task.objective, self.patterns
-        )
-        self.count(1, bad)
-        self.offer([value], lambda k: (pattern, interf))
-        return value
+    def score_matrices(self, matrices, build=None) -> np.ndarray:
+        """Best value per matrix over every pattern, scored in stacks as large
+        as the engine takes and counted; offered stack by stack too when
+        build(k) gives the k-th matrix's interferometer."""
+        values, size = np.empty(len(matrices)), self.size
+        for lo in range(0, len(matrices), size):
+            best, first, bad = self.scorer.best(matrices[lo : lo + size], self.task.objective)
+            self.count(len(best), bad.sum())
+            if build is not None:
+                self.offer(best, lambda k: (self.patterns[first[k]].counts, build(lo + k)))
+            values[lo : lo + size] = best
+        return values
 
     def score_haar(self, seeds: Sequence[int]) -> None:
-        """Score seeded Haar-random trials, in stacks as large as the engine takes."""
+        """Score seeded Haar-random trials, counted and offered."""
         n = self.task.n_modes
-        scorer = _scorer(self.spec, self.patterns)
-        for chunk, matrices in _haar_stacks(n, seeds, scorer):
-            best, first, violations = scorer.best(matrices, self.task.objective)
-            self.count(len(chunk), violations.sum())
-            self.offer(
-                best, lambda k: (self.patterns[first[k]].counts, haar_random(n, chunk[k]))
-            )
+        for chunk, matrices in _haar_stacks(n, seeds, self.size):
+            self.score_matrices(matrices, lambda k: haar_random(n, chunk[k]))
 
-    def refine(self, starts: Sequence[np.ndarray], maxiter: int) -> list[np.ndarray]:
-        """Nelder-Mead from every start in lockstep rounds, each scoring the points
-        all live runs ask for, in start order, as stacks; counted, not offered."""
-        scorer = _scorer(self.spec, self.patterns)
-        size = scorer.stack()
-        runs = [_nelder_mead(x0, maxiter, xatol=1e-10, fatol=1e-12) for x0 in starts]
+    def refine(self, runs, offered: bool = False) -> list[np.ndarray]:
+        """Drive ask/tell minimizers (_nelder_mead, _compass) in lockstep rounds
+        and return their end points.  Each round scores the angle points all
+        live runs ask for, in run order, with score_matrices, and sends each
+        run its values negated; offered only when `offered`."""
+        n = self.task.n_modes
         asked = {k: next(run) for k, run in enumerate(runs)}
         ends = [None] * len(runs)
         while asked:
-            matrices = unitary_from_angles(self.task.n_modes, np.concatenate([*asked.values()]))
-            values = np.empty(len(matrices))
-            for lo in range(0, len(matrices), size):
-                best, _, violations = scorer.best(matrices[lo : lo + size], self.task.objective)
-                self.count(len(best), violations.sum())
-                values[lo : lo + size] = -best
+            points = np.concatenate([*asked.values()])
+            build = (lambda k: unitary_from_angles(n, points[k])) if offered else None
+            values = -self.score_matrices(unitary_from_angles(n, points), build)
             told = np.split(values, np.cumsum([len(x) for x in asked.values()])[:-1])
             for k, value in zip(list(asked), told):
                 try:
@@ -454,8 +468,9 @@ def search_improvement(task: SearchTask) -> SearchReport:
     rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
     starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
     if task.refine_iters > 0:
-        for x in tally.refine(starts, task.refine_iters):
-            tally.score(unitary_from_angles(n, x))
+        runs = [_nelder_mead(x0, task.refine_iters, xatol=1e-10, fatol=1e-12) for x0 in starts]
+        x = np.array(tally.refine(runs))  # the ends: one stack, offered in start order
+        tally.score_matrices(unitary_from_angles(n, x), lambda k: unitary_from_angles(n, x[k]))
 
     benchmark = (
         task.p_max
@@ -475,7 +490,9 @@ def verify_nogo_small(
     """Hunt for single-photon improvement where theory forbids it.
 
     Meant for 2 and 3 modes: Haar-random trials scan every pattern, then
-    a coordinate-wise compass search refines from seeded angle starts.
+    compass searches (_compass) from three seeded angle starts, each with
+    refine_iters probes, advance in lockstep rounds; every point they score
+    is counted and offered.
     """
     if n_modes not in (2, 3):
         raise BadParameters(
@@ -487,30 +504,9 @@ def verify_nogo_small(
     tally.score_haar(_trial_seeds(seed, trials))
 
     if refine_iters > 0:
-        n_angles = n * (n - 1)
         rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-        for _ in range(3):
-            x = rng.uniform(0.0, math.pi, size=n_angles)
-            step = 0.4
-            current = tally.score(unitary_from_angles(n, x))
-            remaining = refine_iters
-            while remaining > 0 and step > 1e-4:
-                improved = False
-                for i in range(n_angles):
-                    for delta in (step, -step):
-                        y = x.copy()
-                        y[i] += delta
-                        value = tally.score(unitary_from_angles(n, y))
-                        remaining -= 1
-                        if value > current:
-                            current = value
-                            x = y
-                            improved = True
-                            break
-                    if remaining <= 0:
-                        break
-                if not improved:
-                    step *= 0.5
+        starts = [rng.uniform(0.0, math.pi, size=n * (n - 1)) for _ in range(3)]
+        tally.refine([_compass(x0, refine_iters) for x0 in starts], offered=True)
 
     return tally.report("nogo-small", p_max, "counterexample found")
 
@@ -529,15 +525,15 @@ def verify_nogo_patterns(
     """
     task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
     n = n_modes
-    tally = _Tally(task)
-    ratio_in = p_max / (1.0 - p_max)
-
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    single_clicks = PatternScorer(
-        tally.spec,
+    tally = _Tally(
+        task,
         [DetectionPattern(tuple(1 if j == i else 0 for j in range(n - 1))) for i in range(n - 1)]
         + [DetectionPattern((0,) * (n - 1))],
     )
+    ratio_in = p_max / (1.0 - p_max)
+
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
+    single_clicks = tally.scorer
 
     def excess(scorer, matrices):
         """Output ratio minus ratio_in per (matrix, pattern), counted."""
@@ -547,7 +543,7 @@ def verify_nogo_patterns(
             ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
         return ratio - ratio_in
 
-    for chunk, matrices in _haar_stacks(n, _trial_seeds(seed, trials), single_clicks):
+    for chunk, matrices in _haar_stacks(n, _trial_seeds(seed, trials), tally.size):
         clicks = excess(single_clicks, matrices)
         for t, trial_seed in enumerate(chunk):
             occupied = int(rng.integers(2, n + 1))

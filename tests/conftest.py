@@ -19,7 +19,6 @@ import pytest
 import photonpost
 from photonpost import cli, conditioner, detectors, engine, merit, schemes, search
 from photonpost.conditioner import DetectionPattern
-from photonpost.errors import NotNormalized
 from photonpost.fock import InputSpec
 
 _original = conditioner.condition_mixed
@@ -40,10 +39,7 @@ def _checked_condition_mixed(spec, interf, pattern, *args, **kwargs):
 
 def _checked_output_table(supports, matrix, caps, max_total):
     basis, table = _original_table(supports, matrix, caps, max_total)
-    try:
-        spec = InputSpec(tuple(supports))
-    except NotNormalized:  # detection_coefficients' unit weights: not a source
-        return basis, table
+    spec = InputSpec(tuple(supports))
     # pair each (0, pattern) entry with its (1, pattern) entry, in every
     # table of a stack
     zero = np.flatnonzero(basis.states[:, 0] == 0)

@@ -197,6 +197,20 @@ def objective_value(result: ConditionalResult, objective: str) -> float:
     return q1 if q2 <= 1e-9 else 0.0
 
 
+def _score_alone(tally, interf, offered=True):
+    """Score one candidate by its own evaluate_candidate call, counted and,
+    when offered, offered; returns its value."""
+    from photonpost.search import evaluate_candidate
+
+    value, pattern, bad = evaluate_candidate(
+        interf, tally.spec, tally.task.objective, tally.patterns
+    )
+    tally.count(1, bad)
+    if offered:
+        tally.offer([value], lambda k: (pattern, interf))
+    return value
+
+
 def search_improvement_sequential(task):
     """search_improvement with each start refined alone, one candidate per call.
 
@@ -212,7 +226,6 @@ def search_improvement_sequential(task):
         _trial_seeds,
         chain_seed_angles,
         detector_patterns,
-        evaluate_candidate,
         unitary_from_angles,
     )
 
@@ -226,19 +239,62 @@ def search_improvement_sequential(task):
     starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
 
     def f(x):
-        interf = unitary_from_angles(n, x)
-        value, _, bad = evaluate_candidate(interf, tally.spec, task.objective, tally.patterns)
-        tally.count(1, bad)
-        return -value
+        return -_score_alone(tally, unitary_from_angles(n, x), offered=False)
 
     if task.refine_iters > 0:
         for x0 in starts:
             options = {"maxiter": task.refine_iters, "xatol": 1e-10, "fatol": 1e-12}
             with np.errstate(invalid="ignore"):  # -inf objectives: NaN in the stop test
                 x = optimize.minimize(f, x0, method="Nelder-Mead", options=options).x
-            tally.score(unitary_from_angles(n, x))
+            _score_alone(tally, unitary_from_angles(n, x))
     if task.objective == "ratio":
         benchmark = task.p_max / (1.0 - task.p_max)
     else:
         benchmark = task.p_max
     return tally.report("search", benchmark, "improvement found")
+
+
+def verify_nogo_small_sequential(n_modes, p_max, trials, seed, refine_iters=80):
+    """verify_nogo_small with each compass search run alone, one candidate per
+    call: the loop the verification ran before its starts advanced in lockstep.
+
+    From each of three seeded starts in turn: sweep the angles, trying
+    +step then -step on each; keep a probe that strictly improves and move
+    to the next angle; halve the step after a sweep that keeps nothing;
+    stop when the probe budget is spent or the step reaches 1e-4.  Every
+    point is scored, counted and offered by its own evaluate_candidate call.
+    """
+    from photonpost.search import (
+        SearchTask,
+        _Tally,
+        _trial_seeds,
+        detector_patterns,
+        unitary_from_angles,
+    )
+
+    n = n_modes
+    task = SearchTask(n, p_max, "single_photon", trials, refine_iters, seed)
+    tally = _Tally(task, detector_patterns(n, n))
+    tally.score_haar(_trial_seeds(seed, trials))
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    for _ in range(3 if refine_iters > 0 else 0):
+        x = rng.uniform(0.0, math.pi, size=n * (n - 1))
+        step = 0.4
+        current = _score_alone(tally, unitary_from_angles(n, x))
+        remaining = refine_iters
+        while remaining > 0 and step > 1e-4:
+            improved = False
+            for i in range(len(x)):
+                for delta in (step, -step):
+                    y = x.copy()
+                    y[i] += delta
+                    value = _score_alone(tally, unitary_from_angles(n, y))
+                    remaining -= 1
+                    if value > current:
+                        current, x, improved = value, y, True
+                        break
+                if remaining <= 0:
+                    break
+            if not improved:
+                step *= 0.5
+    return tally.report("nogo-small", p_max, "counterexample found")

@@ -6,7 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import check_bound, objective_value, search_improvement_sequential
+from oracles import (
+    check_bound,
+    objective_value,
+    search_improvement_sequential,
+    verify_nogo_small_sequential,
+)
 
 import photonpost.engine
 import photonpost.search
@@ -346,6 +351,37 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     haar = math.ceil(200 / size)
     assert len(calls) <= max(asked) + haar + 2
     assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (2, 0.3, 0, 3, 400),  # no trials; every start ends on the step floor
+        (3, 0.2, 10, 2, 30),  # every start ends on the budget
+        (2, 0.25, 5, 1, 80),
+        (3, 0.35, 0, 4, 120),
+        (3, 0.2, 20, 7, 5),
+        (2, 0.45, 8, 11, 10),
+    ],
+    ids=lambda a: "-".join(map(str, a)),
+)
+def test_lockstep_compass_equals_the_sequential_loop(args):
+    got = json.dumps(verify_nogo_small(*args).to_json_dict())
+    assert got == json.dumps(verify_nogo_small_sequential(*args).to_json_dict())
+
+
+def test_compass_refinement_scores_its_starts_in_stacks(monkeypatch):
+    """The three compass starts share one scorer call per round."""
+    calls = []
+    best = PatternScorer.best
+
+    def counted(self, matrices, objective):
+        calls.append(len(matrices))
+        return best(self, matrices, objective)
+
+    monkeypatch.setattr(PatternScorer, "best", counted)
+    verify_nogo_small(3, 0.2, 1000, 1, 80)
+    assert len(calls) <= 83  # one call per probe, 245, before the stacks
 
 
 def test_evaluate_candidate_reports_best_pattern():
