@@ -18,11 +18,11 @@ import sys
 
 import numpy as np
 
-from . import detectors as det
 from .conditioner import DetectionPattern, condition_mixed
 from .errors import (
     BadModeIndex,
     ConfigError,
+    DegenerateTheta,
     DimensionMismatch,
     DimensionTooLarge,
     MismatchedTotals,
@@ -39,6 +39,7 @@ from .schemes import (
     build_chain_from_elements,
     chain_asymptotics,
     pure_success_probability,
+    run_chain,
 )
 from .search import (
     SearchTask,
@@ -58,21 +59,6 @@ DIMENSION_ERRORS = (
     RowsNotOrthonormal,
     NotUnitary,
 )
-
-
-def _inefficient_vacuum_bucket_tap(cap: int):
-    return det.DetectorModel.vacuum_inefficient(cap), det.DetectorModel.bucket(cap)
-
-
-# exp-sweep scenario -> (vacuum detector, tap detector) for counts 0..cap.
-# "ideal" reads the detected count at the tap, the others the ">=2" bucket.
-EXP_SCENARIOS = {
-    "ideal": lambda cap: (det.DetectorModel.exact(cap),) * 2,
-    "bucket": lambda cap: (det.DetectorModel.exact(cap), det.DetectorModel.bucket(cap)),
-    "bucket+efficiency": _inefficient_vacuum_bucket_tap,
-    "+darkcounts": det.benchmark_detector_suite,
-    "+two-photon-inputs": _inefficient_vacuum_bucket_tap,
-}
 
 
 def fmt(x: float) -> str:
@@ -329,30 +315,27 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     lines = ["theta,phi,probability"]
     for theta in theta_grid:
         for phi in phi_grid:
-            if abs(math.sin(theta) * math.cos(theta)) < 1e-12:
-                prob = 0.0
-            else:
+            try:
                 prob = pure_success_probability(theta, phi, beta_mag)
+            except DegenerateTheta:
+                prob = 0.0
             lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(prob)}")
     _write_text(out, "\n".join(lines) + "\n")
     return 0
 
 
 def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
-    """A sweep's modes, p, detected (default ceil(N/2)) and epsilon_grid, checked."""
+    """A sweep's modes, p, detected (default ceil(N/2)) and epsilon_grid.
+
+    p and detected are checked here; the chain checks modes and epsilon."""
     n_modes = cfg.take("modes", int)
     p = cfg.take("p", float)
     detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
     grid = _parse_grid(cfg.take("epsilon_grid", dict), "epsilon_grid")
-    if n_modes < 3:
-        raise ConfigError("field 'modes' must be at least 3 for a chain")
     if not (0.0 < p < 1.0):
         raise ConfigError(f"field 'p' must lie inside (0, 1), got {p}")
     if not (1 <= detected < n_modes):
         raise ConfigError(f"field 'detected' must lie in 1..{n_modes - 1}, got {detected}")
-    for eps in grid:
-        if not (0.0 < eps < 1.0):
-            raise ConfigError(f"epsilon_grid value {eps} outside (0, 1)")
     return n_modes, p, detected, grid
 
 
@@ -400,20 +383,8 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
 def _exp_sweep_point(
     n_modes: int, p: float, detected: int, epsilon: float, scenario: str, two_photon_prob: float
 ) -> str:
-    if scenario == "+two-photon-inputs":
-        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
-        spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
-    else:
-        spec = InputSpec.two_level([p] * n_modes)
-    vacuum_model, tap = EXP_SCENARIOS[scenario](spec.max_total())
-    models = [tap] + [vacuum_model] * (n_modes - 2)
-    reported = detected if scenario == "ideal" else det.BUCKET
-    observed = det.ObservedPattern((reported,) + (0,) * (n_modes - 2))
-    result = det.observe(spec, build_chain(n_modes, epsilon).interferometer, observed, models)
-    if result.zero_probability or result.normalized.size < 2:
-        c1 = 0.0
-    else:
-        c1 = float(result.normalized[1])
+    result = run_chain(n_modes, epsilon, p, detected, scenario, two_photon_prob)
+    c1 = 0.0 if result.zero_probability else float(result.normalized[1])
     return f"{fmt(epsilon)},{fmt(result.pattern_probability)},{fmt(c1)}"
 
 
@@ -422,20 +393,6 @@ def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
     scenario = cfg.take("scenario", str)
     two_photon_prob = cfg.take("two_photon_prob", float, required=False, default=0.001)
     cfg.finish()
-    if scenario not in EXP_SCENARIOS:
-        raise ConfigError(
-            f"field 'scenario' must be one of {', '.join(EXP_SCENARIOS)}; got {scenario!r}"
-        )
-    if scenario != "ideal" and detected != 2:
-        raise ConfigError(
-            "bucket-detector scenarios model a '>=2' tap click and need detected = 2"
-        )
-    if scenario == "+two-photon-inputs":
-        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
-            raise ConfigError(
-                f"field 'two_photon_prob' must be positive with p + two_photon_prob < 1"
-            )
-
     rows = [
         _exp_sweep_point(n_modes, p, detected, eps, scenario, two_photon_prob)
         for eps in grid
@@ -455,12 +412,6 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
     cfg.finish()
     if variant not in ("small", "patterns"):
         raise ConfigError(f"field 'variant' must be 'small' or 'patterns', got {variant!r}")
-    if n_modes < 2:
-        raise ConfigError("field 'modes' must be at least 2")
-    if variant == "small" and n_modes > 3:
-        raise ConfigError("variant 'small' supports 2 or 3 modes only")
-    if not (0.0 < p_max < 1.0):
-        raise ConfigError(f"field 'p_max' must lie inside (0, 1), got {p_max}")
     if refine_iters < 0:  # the patterns variant never passes it to the library
         raise ConfigError("field 'refine_iters' must be non-negative")
     use_seed = cfg_seed if seed is None else seed

@@ -24,6 +24,7 @@ condition_patterns and condition_mixed are its one-matrix calls.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -38,6 +39,14 @@ from .interferometer import Interferometer
 # c~ entries are sums of non-negative terms; anything below this is
 # floating-point dust and gets clamped to zero.
 NEGATIVE_CLAMP = -1e-14
+
+
+def _clamp(q: np.ndarray) -> None:
+    """Clip c~ dust below zero in place; an entry below NEGATIVE_CLAMP is an error."""
+    low = q.min()
+    if low < NEGATIVE_CLAMP:
+        raise ValueError(f"coefficient {low} is negative beyond roundoff")
+    np.clip(q, 0.0, None, out=q)
 
 
 @dataclass(frozen=True)
@@ -82,10 +91,7 @@ class ConditionalResult:
         arr = np.asarray(values, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise ValueError("expected a 1-D coefficient vector")
-        low = arr.min() if arr.size else 0.0
-        if low < NEGATIVE_CLAMP:
-            raise ValueError(f"coefficient {low} is negative beyond roundoff")
-        np.clip(arr, 0.0, None, out=arr)
+        _clamp(arr)
         prob = float(arr.sum())
         if prob > 0.0:
             normalized = arr / prob
@@ -118,7 +124,7 @@ class PatternReader:
     minus the fewest detected), a gather index (patterns, n1) into their
     basis, padded with a zero column, and the patterns grouped by length.
     A (B, N, N) stack then gives one stacked table, read as arrays with
-    ConditionalResult's clamp check and clip.
+    the clamp check and clip that ConditionalResult applies too (_clamp).
     """
 
     def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
@@ -159,10 +165,7 @@ class PatternReader:
             )
         _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
         q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
-        low = q.min()
-        if low < NEGATIVE_CLAMP:
-            raise ValueError(f"coefficient {low} is negative beyond roundoff")
-        np.clip(q, 0.0, None, out=q)
+        _clamp(q)
         prob = np.empty(q.shape[:2])
         for size, rows in self.groups:
             prob[:, rows] = q[:, rows, :size].sum(axis=-1)
@@ -200,12 +203,10 @@ class PureState:
     """Superposition over photon-number configurations.
 
     amplitudes maps PhotonConfig -> complex; configurations all share the
-    same mode count.  States are expected to be normalized to 1e-10; the
-    is_normalized flag records whether this one is.
+    same mode count.  States are expected to be normalized to 1e-10.
     """
 
     amplitudes: dict
-    is_normalized: bool
 
     NORM_TOL = 1e-10
 
@@ -223,17 +224,17 @@ class PureState:
             a = complex(a)
             if a != 0:
                 amps[config] = a
-        norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-        ok = abs(norm - 1.0) <= cls.NORM_TOL
-        if require_normalized and not ok:
-            raise ValueError(f"state norm {norm} is not 1 within {cls.NORM_TOL}")
-        return cls(amplitudes=dict(amps), is_normalized=ok)
+        if require_normalized:
+            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
+            if not abs(norm - 1.0) <= cls.NORM_TOL:
+                raise ValueError(f"state norm {norm} is not 1 within {cls.NORM_TOL}")
+        return cls(amplitudes=amps)
 
     @classmethod
     def two_level_product(cls, alpha: complex, beta: complex, n_modes: int) -> "PureState":
         """(alpha |0> + beta |1>) on every mode."""
         amps = {}
-        for bits in _binary_configs(n_modes):
+        for bits in itertools.product((0, 1), repeat=n_modes):
             amp = 1 + 0j
             for b in bits:
                 amp *= beta if b else alpha
@@ -251,11 +252,6 @@ class PureState:
         if not isinstance(config, PhotonConfig):
             config = PhotonConfig(tuple(config))
         return self.amplitudes.get(config, 0j)
-
-
-def _binary_configs(n_modes: int):
-    for idx in range(1 << n_modes):
-        yield tuple((idx >> (n_modes - 1 - k)) & 1 for k in range(n_modes))
 
 
 def propagate_pure(state: PureState, interf: Interferometer) -> PureState:

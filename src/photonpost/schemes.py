@@ -2,8 +2,9 @@
 
 Two families are built here.  The chain funnels N equally imperfect
 sources into one output through a weakly coupled tap and conditions on
-D photons at the tap detector; its ratio gain approaches
-D(N-D)/(N-1) as the coupling epsilon goes to zero.  The pure-state
+D photons at the tap detector; its ratio gain approaches D(N-D)/(N-1)
+as the coupling epsilon goes to zero.  run_chain heralds it with exact
+counts or under the detector models of CHAIN_SCENARIOS.  The pure-state
 scheme takes three identical superposition sources through two beam
 splitters and distills an exact one-photon state by conditioning on a
 vacuum count and a two-photon count.
@@ -25,6 +26,7 @@ from .conditioner import (
     condition_pure,
     propagate_pure,
 )
+from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite, observe
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta
 from .fock import InputSpec
 from .interferometer import (
@@ -145,15 +147,55 @@ def chain_asymptotics(n_modes: int, detected: int) -> tuple[float, float]:
     return gain, two_photon
 
 
+def _inefficient_vacuum_bucket_tap(cap: int):
+    return DetectorModel.vacuum_inefficient(cap), DetectorModel.bucket(cap)
+
+
+# run_chain scenario -> (vacuum detector, tap detector) for counts 0..cap,
+# or None for exact counting.  The detector scenarios read the ">=2" bucket.
+CHAIN_SCENARIOS = {
+    "ideal": None,
+    "bucket": lambda cap: (DetectorModel.exact(cap), DetectorModel.bucket(cap)),
+    "bucket+efficiency": _inefficient_vacuum_bucket_tap,
+    "+darkcounts": benchmark_detector_suite,
+    "+two-photon-inputs": _inefficient_vacuum_bucket_tap,
+}
+
+
 def run_chain(
-    n_modes: int, epsilon: float, p: float, detected: int
+    n_modes: int,
+    epsilon: float,
+    p: float,
+    detected: int,
+    scenario: str = "ideal",
+    two_photon_prob: float = 0.001,
 ) -> ConditionalResult:
-    """Condition a uniform two-level source on the chain's tap pattern."""
+    """Herald the chain's tap under one of the CHAIN_SCENARIOS.
+
+    Every source emits one photon with probability p, and under
+    "+two-photon-inputs" also a pair with probability two_photon_prob.
+    "ideal" conditions on exactly `detected` tap photons; the detector
+    scenarios need detected = 2 and observe the tap reading ">=2" while
+    the other detectors read 0.
+    """
+    if scenario not in CHAIN_SCENARIOS:
+        raise BadParameters(f"scenario {scenario!r} is not one of {', '.join(CHAIN_SCENARIOS)}")
+    detectors = CHAIN_SCENARIOS[scenario]
+    if detectors is not None and detected != 2:
+        raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
     scheme = build_chain(n_modes, epsilon)
-    spec = InputSpec.two_level([p] * n_modes)
-    return condition_mixed(
-        spec, scheme.interferometer, scheme.pattern_for(detected)
-    )
+    if scenario == "+two-photon-inputs":
+        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
+            raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
+        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
+        spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
+    else:
+        spec = InputSpec.two_level([p] * n_modes)
+    if detectors is None:
+        return condition_mixed(spec, scheme.interferometer, scheme.pattern_for(detected))
+    vacuum, tap = detectors(spec.max_total())
+    observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
+    return observe(spec, scheme.interferometer, observed, [tap] + [vacuum] * (n_modes - 2))
 
 
 # ---------------------------------------------------------------------------

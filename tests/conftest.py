@@ -4,8 +4,9 @@ For a two-level input with uniform best probability p and M occupied
 modes, detecting D photons can raise the one-to-zero photon ratio by at
 most a factor (M - D), and not at all when D = 0 or D = M - 1.  The
 fixture below wraps condition_mixed, and the engine's joint output table
-that every consumer builds on, in every module that calls them, so a
-violation fails the specific test that produced it, wherever it ran.
+that every consumer builds on, in every loaded photonpost module that
+binds them, so a violation fails the specific test that produced it,
+wherever it ran.
 A table is checked on every exact detector pattern it holds, in every
 matrix of a stack (the searches score candidates in stacks).  Both
 checks are calls to the library's rule (merit.allowed_ratio and
@@ -13,11 +14,13 @@ merit.ratio_breaches); the table check passes it the vacuum entries
 computed from |U|, so cancellation dust is never flagged.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
-import photonpost
-from photonpost import cli, conditioner, detectors, engine, merit, schemes, search
+import photonpost.cli  # noqa: F401  (loaded so that its names are wrapped too)
+from photonpost import conditioner, engine, merit
 from photonpost.conditioner import DetectionPattern
 from photonpost.fock import InputSpec
 
@@ -62,10 +65,20 @@ def _checked_output_table(supports, matrix, caps, max_total):
     return basis, table
 
 
+def _holders(name, original):
+    """Every loaded photonpost module whose attribute `name` is `original`."""
+    return [
+        mod
+        for key, mod in sorted(sys.modules.items())
+        if (key == "photonpost" or key.startswith("photonpost."))
+        and getattr(mod, name, None) is original
+    ]
+
+
 @pytest.fixture(autouse=True, scope="session")
 def ratio_bound_tripwire():
-    holders = [conditioner, schemes, detectors, search, cli, photonpost]
-    table_holders = [engine, conditioner, detectors, merit, search]
+    holders = _holders("condition_mixed", _original)
+    table_holders = _holders("output_table", _original_table)
     for mod in holders:
         mod.condition_mixed = _checked_condition_mixed
     for mod in table_holders:

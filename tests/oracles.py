@@ -12,7 +12,18 @@ import math
 
 import numpy as np
 
-from photonpost import ConditionalResult, DetectionPattern, InputSpec
+from photonpost import (
+    BUCKET,
+    ConditionalResult,
+    DetectionPattern,
+    DetectorModel,
+    InputSpec,
+    ObservedPattern,
+    benchmark_detector_suite,
+    build_chain,
+    condition_mixed,
+    observe,
+)
 
 
 def propagate_fock(matrix: np.ndarray, in_counts) -> dict:
@@ -154,6 +165,44 @@ def condition_mixed_bs_closed_form(dist1, dist2, element, detected: int):
                 * (amp.real * amp.real + amp.imag * amp.imag)
             )
     return ConditionalResult.from_unnormalized(coeffs, pattern=DetectionPattern((d,)))
+
+
+def chain_scenario_reference(
+    eps: float, scenario: str, two_photon_prob: float = 0.001, n: int = 4
+):
+    """(pattern probability, c1) of the p = 0.2 chain heralded on two tap
+    photons under one detector scenario, with the detector models written
+    out here apart from schemes.run_chain: "ideal" (exact counts), "bucket"
+    (a ">=2" tap), "efficiency" (that tap, and lossy vacuum detectors),
+    "dark" (benchmark_detector_suite) and "two-photon" (the efficiency
+    detectors on sources with two_photon_prob of a photon pair)."""
+    p = 0.2
+    scheme = build_chain(n, eps)
+    interf = scheme.interferometer
+    if scenario == "two-photon":
+        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
+        spec = InputSpec(tuple(dict(dist) for _ in range(n)))
+    else:
+        spec = InputSpec.two_level([p] * n)
+    if scenario == "ideal":
+        res = condition_mixed(spec, interf, scheme.pattern_for(2))
+    else:
+        cap = spec.max_total()
+        if scenario == "bucket":
+            vac, tap = DetectorModel.exact(cap), DetectorModel.bucket(cap)
+        elif scenario in ("efficiency", "two-photon"):
+            vac = DetectorModel.vacuum_inefficient(cap)
+            tap = DetectorModel.bucket(cap)
+        else:
+            vac, tap = benchmark_detector_suite(cap)
+        res = observe(
+            spec,
+            interf,
+            ObservedPattern((BUCKET,) + (0,) * (n - 2)),
+            [tap] + [vac] * (n - 2),
+        )
+    c1 = 0.0 if res.zero_probability else float(res.normalized[1])
+    return res.pattern_probability, c1
 
 
 def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9) -> bool:

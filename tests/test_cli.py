@@ -343,8 +343,9 @@ def test_exp_sweep_scenarios_all_run(tmp_path):
 
 
 def test_exp_sweep_bucket_requires_two_detected(tmp_path):
-    code, _ = run(tmp_path, "exp-sweep", exp_config("bucket", [0.1], detected=3))
+    code, out = run(tmp_path, "exp-sweep", exp_config("bucket", [0.1], detected=3))
     assert code == 2
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("modes, code", [(6, 0), (7, 3)])
@@ -453,7 +454,7 @@ def test_nogo_verify_small(tmp_path):
 
 
 def test_nogo_verify_small_rejects_four_modes(tmp_path):
-    code, _ = run(
+    code, out = run(
         tmp_path,
         "nogo-verify",
         {
@@ -466,6 +467,7 @@ def test_nogo_verify_small_rejects_four_modes(tmp_path):
         },
     )
     assert code == 2
+    assert not out.exists()
 
 
 def test_nogo_verify_patterns(tmp_path):
@@ -729,8 +731,73 @@ def test_wrong_pattern_length(tmp_path):
 
 
 def test_bad_scenario_name(tmp_path):
-    code, _ = run(tmp_path, "exp-sweep", exp_config("perfect", [0.1]))
+    code, out = run(tmp_path, "exp-sweep", exp_config("perfect", [0.1]))
     assert code == 2
+    assert not out.exists()
+
+
+def chain_config(**overrides):
+    cfg = {
+        "command": "chain-sweep",
+        "version": 1,
+        "modes": 4,
+        "p": 0.2,
+        "epsilon_grid": {"values": [0.1]},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def nogo_config(**overrides):
+    cfg = {
+        "command": "nogo-verify",
+        "version": 1,
+        "variant": "small",
+        "modes": 2,
+        "p_max": 0.3,
+        "trials": 2,
+        "refine_iters": 2,
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+@pytest.mark.parametrize(
+    "command, config",
+    [
+        ("chain-sweep", chain_config(modes=2)),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [0.0]})),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [0.1, 1.0]})),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [-0.5]})),
+        ("exp-sweep", exp_config("ideal", [0.1], modes=2, detected=1)),
+        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.0)),
+        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.9)),
+        ("exp-sweep", exp_config("ideal", [0.1, 1.0])),
+        ("nogo-verify", nogo_config(modes=1)),
+        ("nogo-verify", nogo_config(modes=1, variant="patterns")),
+        ("nogo-verify", nogo_config(p_max=0.0)),
+        ("nogo-verify", nogo_config(p_max=1.0, variant="patterns")),
+    ],
+    ids=[
+        "chain-2-modes",
+        "chain-eps-0",
+        "chain-eps-1",
+        "chain-eps-negative",
+        "exp-2-modes",
+        "exp-no-pairs",
+        "exp-pairs-too-likely",
+        "exp-eps-1",
+        "small-1-mode",
+        "patterns-1-mode",
+        "small-p-max-0",
+        "patterns-p-max-1",
+    ],
+)
+def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, config):
+    code, out = run(tmp_path, command, config)
+    assert code == 2
+    assert not out.exists()
+    assert "config error" in capsys.readouterr().err
 
 
 def test_non_unitary_matrix_is_dimension_error(tmp_path):

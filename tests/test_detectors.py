@@ -115,6 +115,23 @@ def test_exact_models_reproduce_conditioning():
         )
 
 
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_exact_models_on_the_chain_tap_are_bit_identical(n):
+    # exact counts read through observe and through condition_mixed must
+    # agree bit for bit on the chain's (D, 0, ..., 0) patterns
+    for eps, p in itertools.product((0.3, 1e-2, 1e-4), (0.1, 0.5)):
+        chain = build_chain(n, eps)
+        spec = InputSpec.two_level([p] * n)
+        models = [DetectorModel.exact(spec.max_total())] * (n - 1)
+        for d in range(n + 1):
+            direct = condition_mixed(spec, chain.interferometer, chain.pattern_for(d))
+            counts = chain.pattern_for(d).counts
+            via = observe(spec, chain.interferometer, ObservedPattern(counts), models)
+            assert np.array_equal(via.unnormalized, direct.unnormalized), (eps, p, d)
+            assert via.pattern_probability == direct.pattern_probability, (eps, p, d)
+            assert np.array_equal(via.normalized, direct.normalized), (eps, p, d)
+
+
 def test_clean_bucket_sums_exact_patterns():
     # a dark-count-free bucket reading ">=2" on the tap, vacuum elsewhere,
     # must equal the sum of the exact results for 2, 3 and 4 tap photons

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import chain_scenario_reference
 from photonpost import (
     BadDistributionShape,
     BadParameters,
@@ -109,6 +110,29 @@ def test_asymptotics_match_weak_tap_chain():
         assert np.isclose(gain, gain_limit, rtol=0.01)
         g2 = q[2] * q[0] / q[1] ** 2 if len(q) > 2 else 0.0
         assert np.isclose(g2, g2_limit, rtol=0.02)
+
+
+# run_chain's scenario name -> chain_scenario_reference's
+REFERENCE_SCENARIOS = {
+    "ideal": "ideal",
+    "bucket": "bucket",
+    "bucket+efficiency": "efficiency",
+    "+darkcounts": "dark",
+    "+two-photon-inputs": "two-photon",
+}
+
+
+@pytest.mark.parametrize("two_photon_prob", [0.001, 0.004])
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("scenario", list(REFERENCE_SCENARIOS))
+def test_run_chain_scenarios_match_the_reference(scenario, n, two_photon_prob):
+    for eps in (0.3, 0.05, 1e-3):
+        res = run_chain(n, eps, 0.2, 2, scenario, two_photon_prob)
+        c1 = 0.0 if res.zero_probability else float(res.normalized[1])
+        want = chain_scenario_reference(
+            eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n
+        )
+        assert (res.pattern_probability, c1) == want, eps
 
 
 def test_single_photon_limit_eight_over_thirtythree():
