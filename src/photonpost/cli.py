@@ -309,8 +309,6 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     phi_grid = _parse_grid(cfg.take("phi_grid", dict), "phi_grid")
     beta_mag = cfg.take("beta_mag", float)
     cfg.finish()
-    if not (0.0 <= beta_mag <= 1.0):
-        raise ConfigError(f"field 'beta_mag' must lie in [0, 1], got {beta_mag}")
 
     lines = ["theta,phi,probability"]
     for theta in theta_grid:
@@ -340,18 +338,14 @@ def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
 
 
 def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) -> str:
-    scheme = build_chain(n_modes, epsilon)
-    spec = InputSpec.two_level([p] * n_modes)
-    result = condition_mixed(spec, scheme.interferometer, scheme.pattern_for(detected))
-    report = figures_of_merit(result, spec)
+    result = run_chain(n_modes, epsilon, p, detected)
+    report = figures_of_merit(result, InputSpec.two_level([p] * n_modes))
     gain_limit, two_photon_limit = chain_asymptotics(n_modes, detected)
     gain = (
         report.ratio_out / report.ratio_in
         if math.isfinite(report.ratio_out) and report.ratio_in > 0
         else math.inf
     )
-    two_photon = report.two_photon_out
-    fano = report.fano_out
     return ",".join(
         [
             fmt(epsilon),
@@ -360,9 +354,9 @@ def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) ->
             fmt(report.ratio_in),
             fmt(gain),
             fmt(gain_limit),
-            fmt(0.0 if two_photon is None else two_photon),
+            fmt(0.0 if report.two_photon_out is None else report.two_photon_out),
             fmt(two_photon_limit),
-            fmt(math.nan if fano is None else fano),
+            fmt(math.nan if report.fano_out is None else report.fano_out),
             fmt(report.fano_in),
         ]
     )

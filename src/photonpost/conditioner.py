@@ -17,9 +17,11 @@ Summing c~ over n1 gives exactly the probability of seeing the pattern.
 That formula is the definition.  engine.py computes it by expanding the
 creation operators, multiplying and adding path amplitudes only, so no
 entry is a difference of large terms.
-PatternReader is the one reader of exact patterns: it gathers c~ for
-many patterns and a stack of interferometers from one engine table;
-condition_patterns and condition_mixed are its one-matrix calls.
+condition_on_responses is the one reader for one interferometer: it
+weights the engine table with a response column per detector, so exact
+counts (condition_mixed, one-hot columns) and imperfect detectors
+(detectors.observe) share it.  search.PatternScorer reads many exact
+patterns of a stack of interferometers.
 """
 
 from __future__ import annotations
@@ -31,8 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import basis, expand, max_stack, output_table
-from .errors import BadParameters, DimensionMismatch
+from .engine import basis, expand, output_table
+from .errors import DimensionMismatch
 from .fock import InputSpec, PhotonConfig
 from .interferometer import Interferometer
 
@@ -116,74 +118,34 @@ class ConditionalResult:
         return None
 
 
-class PatternReader:
-    """Reads exact detection patterns from stacked engine tables.
+def condition_on_responses(
+    spec: InputSpec, interf: Interferometer, columns: Sequence, pattern
+) -> ConditionalResult:
+    """Conditional output of mode 1 weighted by one response column per detector.
 
-    Built once per (spec, patterns): caps that hold every pattern (each
-    detector at its largest count, the kept mode at the source maximum
-    minus the fewest detected), a gather index (patterns, n1) into their
-    basis, padded with a zero column, and the patterns grouped by length.
-    A (B, N, N) stack then gives one stacked table, read as arrays with
-    the clamp check and clip that ConditionalResult applies too (_clamp).
+    columns[j][t] is the weight of detector j having seen t photons (a
+    one-hot column is an exact count).  One engine table, capped at the
+    column supports, is multiplied by every column in detector order and
+    summed over n1; pattern labels the result.  Without support within
+    the source maximum the result is the flagged zero one.
     """
-
-    def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
-        n = spec.n_modes
-        if not patterns:
-            raise BadParameters("reading needs at least one detection pattern")
-        for pattern in patterns:
-            if len(pattern) != n - 1:
-                raise DimensionMismatch(
-                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
-                )
-        self.spec, self.patterns = spec, tuple(patterns)
-        self.top = spec.max_total()
-        counts = [p.counts for p in patterns]
-        self.caps = (self.top - min(map(sum, counts)),) + tuple(map(max, zip(*counts)))
-        b = basis(self.caps, self.top)
-        kept = [b.kept(c) for c in counts]
-        self.lengths = [max(k.size, 1) for k in kept]
-        self.gather = np.full((len(kept), max(3, *self.lengths)), len(b.states))
-        for row, k in zip(self.gather, kept):
-            row[: k.size] = k
-        # sums run per length, so each adds the same terms as a 1-D sum
-        self.groups = [
-            (size, np.flatnonzero(np.equal(self.lengths, size)))
-            for size in sorted(set(self.lengths))
-        ]
-
-    def stack(self) -> int:
-        """Most matrices one weights call takes within the engine's cell limit."""
-        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
-
-    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
-        n = self.spec.n_modes
-        if np.shape(matrices)[1:] != (n, n):
-            raise DimensionMismatch(
-                f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
-            )
-        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
-        _clamp(q)
-        prob = np.empty(q.shape[:2])
-        for size, rows in self.groups:
-            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
-        return q, prob
-
-
-def condition_patterns(
-    spec: InputSpec, interf: Interferometer, patterns: Sequence[DetectionPattern]
-) -> list[ConditionalResult]:
-    """condition_mixed for each pattern: one PatternReader call, one table."""
-    if not patterns:
-        return []
-    reader = PatternReader(spec, patterns)
-    q, _ = reader.weights(interf.matrix[None])
-    return [
-        ConditionalResult.from_unnormalized(q[0, i, :length], pattern=pattern)
-        for i, (pattern, length) in enumerate(zip(reader.patterns, reader.lengths))
-    ]
+    n = interf.n_modes
+    if spec.n_modes != n:
+        raise DimensionMismatch(f"input has {spec.n_modes} modes, interferometer has {n}")
+    if len(columns) != n - 1:
+        raise DimensionMismatch(f"pattern covers {len(columns)} detectors, expected {n - 1}")
+    max_total = spec.max_total()
+    columns = [np.asarray(col, dtype=float)[: max_total + 1] for col in columns]
+    supports = [np.flatnonzero(col) for col in columns]
+    if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
+        return ConditionalResult.from_unnormalized([0.0], pattern=pattern)
+    cap = max_total - sum(int(t[0]) for t in supports)
+    caps = (cap,) + tuple(int(t[-1]) for t in supports)
+    basis, table = output_table(spec.distributions, interf.matrix, caps, max_total)
+    for j, col in enumerate(columns):
+        table = table * col[basis.states[:, j + 1]]
+    mixed = np.bincount(basis.states[:, 0], weights=table, minlength=cap + 1)
+    return ConditionalResult.from_unnormalized(mixed, pattern=pattern)
 
 
 def condition_mixed(
@@ -191,11 +153,11 @@ def condition_mixed(
 ) -> ConditionalResult:
     """Conditional output of mode 1 given exact detector counts.
 
-    Evaluates c~ above with engine.py; n1 runs up to the source maximum
-    minus the detected total (an impossible pattern yields the flagged
-    zero result).
+    condition_on_responses with one-hot columns; n1 runs up to the source
+    maximum minus the detected total (an impossible pattern yields the
+    flagged zero result).
     """
-    return condition_patterns(spec, interf, [pattern])[0]
+    return condition_on_responses(spec, interf, [np.eye(c + 1)[c] for c in pattern], pattern)
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,9 @@ A detector is a stochastic response matrix P(reported | true).  Reported
 outcomes are either exact counts or the bucket ">=2" for detectors that
 saturate.  Observing a pattern of reported outcomes mixes the exact
 conditional results over every true pattern the detectors could have
-seen, weighted by the product of per-detector response probabilities.
+seen, weighted by the product of per-detector response probabilities:
+observe builds the response columns and conditioner.condition_on_responses,
+the reader exact counts use too, contracts them with one engine table.
 """
 
 from __future__ import annotations
@@ -14,8 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import ConditionalResult
-from .engine import output_table
+from .conditioner import ConditionalResult, condition_on_responses
 from .errors import DimensionMismatch, NotNormalized
 from .fock import InputSpec
 from .interferometer import Interferometer
@@ -45,10 +46,10 @@ class DetectorModel:
             raise DimensionMismatch(
                 f"response shape {resp.shape} does not match {len(outcomes)} outcomes"
             )
-        if np.any(resp < 0):
+        if not np.all(resp >= 0):  # NaN fails too
             raise NotNormalized("response probabilities must be non-negative")
         sums = resp.sum(axis=1)
-        if np.any(np.abs(sums - 1.0) > ROW_SUM_TOL):
+        if not np.all(np.abs(sums - 1.0) <= ROW_SUM_TOL):
             raise NotNormalized(
                 f"response rows must sum to one within {ROW_SUM_TOL}"
             )
@@ -175,15 +176,13 @@ def observe(
 ) -> ConditionalResult:
     """Conditional output given reported (possibly misread) outcomes.
 
-    Contracts one joint output table with every detector's response
-    column; the summed weights then give the probability of the reported
-    pattern, so completeness over all reports is inherited from the
-    response rows being stochastic.  Models must cover every count the
-    source can emit.
+    Builds every detector's response column P(reported | t) and hands
+    them to conditioner.condition_on_responses; the summed weights then
+    give the probability of the reported pattern, so completeness over
+    all reports is inherited from the response rows being stochastic.
+    Models must cover every count the source can emit.
     """
     n = interf.n_modes
-    if spec.n_modes != n:
-        raise DimensionMismatch(f"input has {spec.n_modes} modes, interferometer has {n}")
     if len(observed) != n - 1 or len(models) != n - 1:
         raise DimensionMismatch(
             f"need {n - 1} reported outcomes and detector models, got "
@@ -197,14 +196,5 @@ def observe(
         col = np.zeros(model.cap + 1)
         for t, p in model.true_support(obs):
             col[t] = p
-        columns.append(col[: max_total + 1])
-    supports = [np.flatnonzero(col) for col in columns]
-    if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
-        return ConditionalResult.from_unnormalized([0.0], pattern=observed)
-    cap = max_total - sum(int(t[0]) for t in supports)
-    caps = (cap,) + tuple(int(t[-1]) for t in supports)
-    basis, table = output_table(spec.distributions, interf.matrix, caps, max_total)
-    for j, col in enumerate(columns):
-        table = table * col[basis.states[:, j + 1]]
-    mixed = np.bincount(basis.states[:, 0], weights=table, minlength=cap + 1)
-    return ConditionalResult.from_unnormalized(mixed, pattern=observed)
+        columns.append(col)
+    return condition_on_responses(spec, interf, columns, observed)

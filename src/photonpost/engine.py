@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -53,7 +53,6 @@ class Basis:
     strides: np.ndarray
     span: int
     keys: np.ndarray
-    _kept: dict = field(default_factory=dict, repr=False)
 
     def lookup(self, vectors) -> np.ndarray:
         """Indices of full-length occupation vectors, -1 outside the basis."""
@@ -61,14 +60,6 @@ class Basis:
         inside = np.all(v <= self.caps, axis=1) & (v.sum(axis=1) <= self.total)
         pos = np.searchsorted(self.keys, v @ self.strides + v.sum(axis=1) * self.span)
         return np.where(inside, np.minimum(pos, len(self.keys) - 1), -1)
-
-    def kept(self, pattern: Sequence[int]) -> np.ndarray:
-        """Indices of (n1, *pattern) for n1 = 0, 1, ... inside the basis."""
-        pattern = tuple(pattern)
-        if pattern not in self._kept:
-            top = min(int(self.caps[0]), self.total - sum(pattern))
-            self._kept[pattern] = self.lookup([(n1,) + pattern for n1 in range(top + 1)])
-        return self._kept[pattern]
 
 
 @functools.lru_cache(maxsize=128)

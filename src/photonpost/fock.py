@@ -63,13 +63,13 @@ def _as_distribution(entry) -> tuple[tuple[int, float], ...]:
         q = float(q)
         if n < 0:
             raise ValueError(f"negative photon count {n} in distribution")
-        if q < 0 or q > 1 + PROB_SUM_TOL:
+        if not 0 <= q <= 1 + PROB_SUM_TOL:  # NaN fails too
             raise NotNormalized(f"probability {q} outside [0, 1]")
         if n in seen:
             raise ValueError(f"duplicate photon count {n} in distribution")
         seen[n] = q
     total = sum(seen.values())
-    if abs(total - 1.0) > PROB_SUM_TOL:
+    if not abs(total - 1.0) <= PROB_SUM_TOL:
         raise NotNormalized(f"mode probabilities sum to {total}, expected 1")
     return tuple(sorted((n, q) for n, q in seen.items() if q > 0.0))
 
@@ -96,7 +96,7 @@ class InputSpec:
         dists = []
         for p in ps:
             p = float(p)
-            if p < 0 or p > 1:
+            if not 0 <= p <= 1:
                 raise NotNormalized(f"single-photon probability {p} outside [0, 1]")
             dists.append(((0, 1.0 - p), (1, p)))
         return cls(tuple(dists))

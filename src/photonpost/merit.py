@@ -21,8 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import ConditionalResult, DetectionPattern, PatternReader
-from .engine import basis
+from .conditioner import ConditionalResult, DetectionPattern, condition_mixed
 from .errors import ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
@@ -165,10 +164,10 @@ def detection_coefficients(
     # p = 1/2 on the active modes weighs every subset s by 2^-M, so the
     # reading times 2^M n! is (n!)^2 sum_s |c_s[n]|^2 = sum_s |per(L[n, s])|^2
     spec = InputSpec.two_level([0.5 if i in active else 0.0 for i in range(n)])
-    reader = PatternReader(spec, [pattern])
-    q, _ = reader.weights(interf.matrix[None])
-    idx = reader.gather[0, : reader.lengths[0]]
-    return q[0, 0, : idx.size] * 2.0 ** len(active) * basis(reader.caps, reader.top).factorials[idx]
+    q = condition_mixed(spec, interf, pattern).unnormalized
+    held = math.prod(math.factorial(c) for c in pattern)  # prod_j c_j!
+    factorials = np.array([math.factorial(k) * held for k in range(q.size)], dtype=float)
+    return q * 2.0 ** len(active) * factorials
 
 
 def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:

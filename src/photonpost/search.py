@@ -1,9 +1,9 @@
 """Randomized searches for improvement and no-go verification.
 
 Candidates are sampled Haar-randomly and scored over every detection
-pattern, in stacks: conditioner.PatternReader reads all patterns of a
-stack of candidates from one engine table, and PatternScorer applies the
-objectives and the ratio bound.  Refinement then climbs in a
+pattern, in stacks: PatternScorer reads all exact patterns of a stack of
+candidates from one engine table and applies the objectives and the
+ratio bound to them.  Refinement then climbs in a
 beam-splitter-angle parameterization of the unitary group (a product of
 two-mode couplers, unitary by construction) with Nelder-Mead or a compass
 search, ask/tell generators that one loop (_Tally.refine) advances in
@@ -23,8 +23,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import DetectionPattern, PatternReader
-from .errors import BadParameters
+from .conditioner import DetectionPattern, _clamp
+from .engine import basis, max_stack, output_table
+from .errors import BadParameters, DimensionMismatch
 from .fock import InputSpec, compositions
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .merit import allowed_ratio, is_dust, ratio_breaches
@@ -135,20 +136,69 @@ def detector_patterns(n_modes: int, max_detected: int) -> list[DetectionPattern]
     return pats
 
 
-class PatternScorer(PatternReader):
+class PatternScorer:
     """Scores stacks of interferometers over fixed detection patterns.
 
-    Reads them with PatternReader, then applies merit's ratio bound and
-    the objectives to the (B, patterns, n1) arrays with the float
-    operations of a per-pattern ConditionalResult.
+    Built once per (spec, patterns): caps that hold every pattern (each
+    detector at its largest count, the kept mode at the source maximum
+    minus the fewest detected), a gather index (patterns, n1) into their
+    basis, padded with a zero column, and the patterns grouped by length.
+    A (B, N, N) stack then gives one stacked table, read as arrays with
+    the clamp check and clip of ConditionalResult; merit's ratio bound
+    and the objectives are applied with the float operations of a
+    per-pattern ConditionalResult.
     """
 
     def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
-        super().__init__(spec, patterns)
-        totals = [pattern.total() for pattern in patterns]
-        self.allowed = allowed_ratio(spec, totals)
+        n = spec.n_modes
+        if not patterns:
+            raise BadParameters("reading needs at least one detection pattern")
+        for pattern in patterns:
+            if len(pattern) != n - 1:
+                raise DimensionMismatch(
+                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
+                )
+        self.spec, self.patterns = spec, tuple(patterns)
+        self.top = spec.max_total()
+        counts = np.array([p.counts for p in patterns], dtype=np.int64)
+        totals = counts.sum(axis=1)
+        self.caps = (self.top - int(totals.min()),) + tuple(counts.max(axis=0).tolist())
+        b = basis(self.caps, self.top)
+        # (n1, *pattern) for n1 up to the kept cap, and 0..2 at least for values();
+        # lookup gives -1 outside the basis
+        n1 = np.arange(max(3, self.caps[0] + 1))
+        vectors = np.zeros((len(counts), n1.size, n), dtype=np.int64)
+        vectors[..., 0], vectors[..., 1:] = n1, counts[:, None]
+        index = b.lookup(vectors).reshape(len(counts), n1.size)
+        self.lengths = np.maximum(np.count_nonzero(index >= 0, axis=1), 1).tolist()
+        self.gather = np.where(index >= 0, index, len(b.states))
+        # sums run per length, so each adds the same terms as a 1-D sum
+        self.groups = [
+            (size, np.flatnonzero(np.equal(self.lengths, size)))
+            for size in sorted(set(self.lengths))
+        ]
+        self.allowed = allowed_ratio(spec, totals.tolist())
         # a vacuum entry of D photons computed from |U| never exceeds D!
-        self.ceiling = np.array([math.factorial(d) for d in totals], dtype=float)
+        self.ceiling = np.array([math.factorial(d) for d in totals.tolist()], dtype=float)
+
+    def stack(self) -> int:
+        """Most matrices one weights call takes within the engine's cell limit."""
+        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
+
+    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
+        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
+        n = self.spec.n_modes
+        if np.shape(matrices)[1:] != (n, n):
+            raise DimensionMismatch(
+                f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
+            )
+        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
+        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
+        _clamp(q)
+        prob = np.empty(q.shape[:2])
+        for size, rows in self.groups:
+            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
+        return q, prob
 
     @staticmethod
     def values(q: np.ndarray, prob: np.ndarray, objective: str) -> np.ndarray:

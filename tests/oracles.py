@@ -246,6 +246,20 @@ def objective_value(result: ConditionalResult, objective: str) -> float:
     return q1 if q2 <= 1e-9 else 0.0
 
 
+def scorer_results(spec: InputSpec, interf, patterns) -> list:
+    """A ConditionalResult per pattern, cut from one PatternScorer.weights call:
+    every pattern is read from one table with shared caps, as the searches
+    read them."""
+    from photonpost.search import PatternScorer
+
+    scorer = PatternScorer(spec, patterns)
+    q, _ = scorer.weights(interf.matrix[None])
+    return [
+        ConditionalResult.from_unnormalized(q[0, i, :length], pattern=pattern)
+        for i, (pattern, length) in enumerate(zip(scorer.patterns, scorer.lengths))
+    ]
+
+
 def _score_alone(tally, interf, offered=True):
     """Score one candidate by its own evaluate_candidate call, counted and,
     when offered, offered; returns its value."""

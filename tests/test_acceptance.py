@@ -181,7 +181,7 @@ def test_criterion_3_ratio_bound():
         # stacked tables the searches score candidates from
         for mod in (photonpost.conditioner, photonpost.schemes, cli, photonpost):
             assert mod.condition_mixed.__name__ == "_checked_condition_mixed"
-        for mod in (photonpost.engine, photonpost.conditioner, photonpost.detectors):
+        for mod in (photonpost.engine, photonpost.conditioner, photonpost.search):
             assert mod.output_table.__name__ == "_checked_output_table"
 
         # explicit spot checks at the pattern extremes

@@ -777,6 +777,17 @@ def nogo_config(**overrides):
         ("nogo-verify", nogo_config(modes=1, variant="patterns")),
         ("nogo-verify", nogo_config(p_max=0.0)),
         ("nogo-verify", nogo_config(p_max=1.0, variant="patterns")),
+        (
+            "pure-landscape",
+            {
+                "command": "pure-landscape",
+                "version": 1,
+                "theta_grid": {"values": [math.pi / 4]},
+                "phi_grid": {"values": [math.pi]},
+                "beta_mag": 1.5,
+            },
+        ),
+        ("simulate", simulate_config(inputs=[{"0": 1.0, "1": math.nan}, 0.2])),
     ],
     ids=[
         "chain-2-modes",
@@ -791,6 +802,8 @@ def nogo_config(**overrides):
         "patterns-1-mode",
         "small-p-max-0",
         "patterns-p-max-1",
+        "landscape-beta-1.5",
+        "simulate-nan-input",
     ],
 )
 def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, config):

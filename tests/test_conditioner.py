@@ -18,11 +18,11 @@ from photonpost import (
     haar_random,
     propagate_pure,
 )
-from photonpost.conditioner import condition_patterns
 from oracles import (
     condition_mixed_bs_closed_form,
     conditional_coefficients,
     propagate_fock,
+    scorer_results,
 )
 
 
@@ -120,15 +120,16 @@ def test_condition_mixed_matches_brute_force_small():
         assert np.allclose(res.unnormalized, want, atol=1e-9)
 
 
-def test_condition_patterns_matches_brute_force_per_pattern():
-    """One multi-pattern call against the brute-force oracle, pattern by pattern:
-    mixed row lengths, a detector count above any mode's maximum, an impossible
-    pattern and a two-photon source share one table and one gather."""
+def test_scorer_weights_match_brute_force_per_pattern():
+    """One multi-pattern PatternScorer read against the brute-force oracle,
+    pattern by pattern: mixed row lengths, a detector count above any mode's
+    maximum, an impossible pattern and a two-photon source share one table
+    and one gather."""
     dists = ({0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 1: 0.4}, {0: 0.7, 1: 0.3}, {0: 0.8, 1: 0.2})
     spec = InputSpec(dists)
     u = haar_random(4, seed=17)
     counts = [(0, 0, 0), (1, 0, 2), (3, 0, 0), (0, 4, 1), (2, 2, 2), (4, 0, 0), (0, 1, 0)]
-    results = condition_patterns(spec, u, [DetectionPattern(c) for c in counts])
+    results = scorer_results(spec, u, [DetectionPattern(c) for c in counts])
     assert [r.unnormalized.size for r in results] == [6, 3, 3, 1, 1, 2, 5]
     for c, res in zip(counts, results):
         want = conditional_coefficients(u.matrix, dists, c)

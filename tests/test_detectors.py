@@ -79,6 +79,13 @@ def test_constructor_rejects_bad_rows():
         DetectorModel((0, 1, 2), np.eye(2))
 
 
+def test_constructor_rejects_nan_responses():
+    with pytest.raises(NotNormalized):
+        DetectorModel((0, 1), np.array([[1.0, math.nan], [0.0, 1.0]]))
+    with pytest.raises(NotNormalized):
+        DetectorModel((0, 1), np.array([[math.nan, math.nan], [0.0, 1.0]]))
+
+
 def test_json_round_trip():
     model = DetectorModel.bucket(5, dark_one=1e-3, dark_zero=1e-6)
     back = DetectorModel.from_json_dict(model.to_json_dict())
@@ -97,22 +104,23 @@ def test_benchmark_suite_shapes():
 
 
 def test_exact_models_reproduce_conditioning():
+    # exact models and condition_mixed share one contraction: bit for bit,
+    # two-level and multiphoton sources alike
     rng = np.random.default_rng(71)
-    for _ in range(6):
+    for draw in range(12):
         n = int(rng.integers(2, 5))
         u = haar_random(n, seed=int(rng.integers(0, 2**31)))
-        p = float(rng.uniform(0.05, 0.5))
-        spec = InputSpec.two_level([p] * n)
-        counts = tuple(int(c) for c in rng.integers(0, 2, size=n - 1))
+        if draw % 2:
+            spec = InputSpec(tuple(dict(enumerate(rng.dirichlet(np.ones(3)))) for _ in range(n)))
+        else:
+            spec = InputSpec.two_level([float(rng.uniform(0.05, 0.5))] * n)
+        counts = tuple(int(c) for c in rng.integers(0, 3, size=n - 1))
         direct = condition_mixed(spec, u, DetectionPattern(counts))
         models = [DetectorModel.exact(spec.max_total())] * (n - 1)
         via_observe = observe(spec, u, ObservedPattern(counts), models)
-        assert np.allclose(
-            via_observe.unnormalized, direct.unnormalized, atol=1e-12
-        )
-        assert np.isclose(
-            via_observe.pattern_probability, direct.pattern_probability, atol=1e-12
-        )
+        assert np.array_equal(via_observe.unnormalized, direct.unnormalized), draw
+        assert via_observe.pattern_probability == direct.pattern_probability, draw
+        assert np.array_equal(via_observe.normalized, direct.normalized), draw
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6])

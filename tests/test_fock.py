@@ -42,6 +42,15 @@ def test_spec_rejects_unnormalized_distributions():
         InputSpec.two_level([1.2])
 
 
+def test_spec_rejects_nan_probabilities():
+    with pytest.raises(NotNormalized):
+        InputSpec(({0: 1.0, 1: math.nan}, {0: 1.0}))
+    with pytest.raises(NotNormalized):
+        InputSpec(([(0, math.nan), (1, 1.0)],))
+    with pytest.raises(NotNormalized):
+        InputSpec.two_level([math.nan, 0.2])
+
+
 def test_multiphoton_spec_not_two_level():
     spec = InputSpec(({0: 0.7, 2: 0.3}, {0: 1.0}))
     assert not spec.is_two_level()

@@ -1,4 +1,5 @@
-"""The package's modules import each other without cycles.
+"""The package's modules import each other without cycles, and only the
+two conditioning readers build engine output tables.
 
 Imports inside functions count too: a deferred import still ties the two
 modules together, it only hides the cycle from the interpreter.
@@ -88,3 +89,23 @@ def test_modules_import_without_cycles():
     assert {"conditioner", "engine", "search", "cli"} <= set(graph)
     assert "search" not in graph["conditioner"]
     assert find_cycle(graph) is None, find_cycle(graph)
+
+
+def _engine_names(path: Path) -> set[str]:
+    """Names one source file takes from the engine: imported, or read as engine.<name>."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and node.module in ("engine", "photonpost.engine"):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "engine":
+            names.add(node.attr)
+    return names
+
+
+def test_one_reader_per_kind_of_work_builds_output_tables():
+    # one interferometer: conditioner.condition_on_responses (exact counts and
+    # detector responses alike); stacks of them: search.PatternScorer
+    users = {p.stem for p in PACKAGE.glob("*.py") if "output_table" in _engine_names(p)}
+    assert users == {"conditioner", "search"}
+    graph = import_graph()
+    assert "engine" not in graph["detectors"] | graph["merit"]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from oracles import (
     check_bound,
     objective_value,
+    scorer_results,
     search_improvement_sequential,
     verify_nogo_small_sequential,
 )
@@ -35,7 +36,6 @@ from photonpost import (
 )
 from photonpost import beam_splitter, compose, embed_two_mode, haar_random
 from photonpost.cli import main
-from photonpost.conditioner import condition_patterns
 from photonpost.engine import max_stack
 from photonpost.search import (
     OBJECTIVES,
@@ -256,7 +256,7 @@ _SURE_PHOTON_KEPT = (  # the kept mode never holds vacuum: ratio = inf
 def test_array_scorer_equals_per_pattern_reference(case):
     spec, interf, patterns, objective = case
     best, best_pattern, violations = -math.inf, (), 0
-    for pattern, result in zip(patterns, condition_patterns(spec, interf, patterns)):
+    for pattern, result in zip(patterns, scorer_results(spec, interf, patterns)):
         violations += not check_bound(result, spec)
         value = objective_value(result, objective)
         if value > best:
