@@ -14,7 +14,6 @@ import math
 import numpy as np
 
 from photonpost import (
-    PureSchemeParams,
     pure_stage2_params,
     pure_success_probability,
     pure_three_mode_pipeline,
@@ -50,7 +49,6 @@ print()
 # a weaker source scales the whole landscape by |beta|^6
 print("success probability at the first optimum for weaker sources:")
 for beta in (1.0, 0.9, 0.7, 0.5):
-    params = PureSchemeParams.from_first_stage(theta, phi, beta)
     print(f"  |beta| = {beta:3.1f}: {pure_success_probability(theta, phi, beta):.6f}")
 
 # exactness is not special to the optimum: any non-degenerate start works

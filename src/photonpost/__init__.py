@@ -65,7 +65,6 @@ from .merit import (
 from .permanent import permanent, permanent_with_multiplicity
 from .schemes import (
     ChainScheme,
-    PureSchemeParams,
     build_chain,
     build_chain_from_elements,
     chain_asymptotics,
@@ -113,7 +112,6 @@ __all__ = [
     "ObservedPattern",
     "PhotonConfig",
     "PhotonPostError",
-    "PureSchemeParams",
     "PureState",
     "RowsNotOrthonormal",
     "SearchReport",

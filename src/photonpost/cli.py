@@ -25,8 +25,6 @@ from .errors import (
     DegenerateTheta,
     DimensionMismatch,
     DimensionTooLarge,
-    MismatchedTotals,
-    NonSquare,
     NotUnitary,
     PhotonPostError,
     RowsNotOrthonormal,
@@ -53,8 +51,6 @@ CONFIG_VERSION = 1
 DIMENSION_ERRORS = (
     DimensionMismatch,
     DimensionTooLarge,
-    NonSquare,
-    MismatchedTotals,
     BadModeIndex,
     RowsNotOrthonormal,
     NotUnitary,

@@ -25,6 +25,9 @@ BUCKET = ">=2"
 
 ROW_SUM_TOL = 1e-12
 
+# vacuum_inefficient: probability that 1, 2, 3 photons register as none
+VACUUM_MISS = (0.10, 0.01, 0.001)
+
 
 @dataclass(frozen=True, eq=False)
 class DetectorModel:
@@ -66,18 +69,14 @@ class DetectorModel:
             raise DimensionMismatch(
                 f"true count {true_count} outside the modeled range 0..{self.cap}"
             )
-        for k, o in enumerate(self.outcomes):
-            if o == reported:
-                return float(self.response[true_count, k])
-        return 0.0
+        return float(self.column(reported)[true_count])
 
-    def true_support(self, reported) -> list[tuple[int, float]]:
-        """(true_count, probability) pairs that can produce the report."""
+    def column(self, reported) -> np.ndarray:
+        """P(reported | t) for t = 0..cap; zeros for an outcome never reported."""
         for k, o in enumerate(self.outcomes):
             if o == reported:
-                col = self.response[:, k]
-                return [(t, float(p)) for t, p in enumerate(col) if p > 0.0]
-        return []
+                return self.response[:, k]
+        return np.zeros(self.cap + 1)
 
     @classmethod
     def exact(cls, cap: int) -> "DetectorModel":
@@ -85,15 +84,13 @@ class DetectorModel:
         return cls(tuple(range(cap + 1)), np.eye(cap + 1))
 
     @classmethod
-    def vacuum_inefficient(
-        cls, cap: int, miss: Sequence[float] = (0.10, 0.01, 0.001)
-    ) -> "DetectorModel":
+    def vacuum_inefficient(cls, cap: int) -> "DetectorModel":
         """Counts reported truthfully except small counts can read as vacuum.
 
-        miss[k] is the probability that k+1 photons register as none.
+        VACUUM_MISS[k] is the probability that k+1 photons register as none.
         """
         resp = np.eye(cap + 1)
-        for k, m in enumerate(miss):
+        for k, m in enumerate(VACUUM_MISS):
             t = k + 1
             if t > cap:
                 break
@@ -119,16 +116,6 @@ class DetectorModel:
         for t in range(2, cap + 1):
             resp[t] = (0.0, 0.0, 1.0)
         return cls(outcomes, resp)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "outcomes": list(self.outcomes),
-            "response": [[float(x) for x in row] for row in self.response],
-        }
-
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "DetectorModel":
-        return cls(tuple(data["outcomes"]), np.array(data["response"], dtype=float))
 
 
 def benchmark_detector_suite(cap: int = 8) -> tuple[DetectorModel, DetectorModel]:
@@ -191,10 +178,5 @@ def observe(
     max_total = spec.max_total()
     if any(model.cap < max_total for model in models):
         raise DimensionMismatch(f"detector models must cover counts up to {max_total}")
-    columns = []
-    for obs, model in zip(observed, models):
-        col = np.zeros(model.cap + 1)
-        for t, p in model.true_support(obs):
-            col[t] = p
-        columns.append(col)
+    columns = [model.column(obs) for obs, model in zip(observed, models)]
     return condition_on_responses(spec, interf, columns, observed)

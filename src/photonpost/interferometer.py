@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadModeIndex, NotUnitary, RowsNotOrthonormal
+from .errors import BadModeIndex, BadParameters, NotUnitary, RowsNotOrthonormal
 
 UNITARITY_TOL = 1e-10
 
@@ -70,7 +70,9 @@ def check_unitary(a: np.ndarray) -> None:
 
 
 def coupler_matrix(theta: float, phi: float = 0.0) -> np.ndarray:
-    """The 2 x 2 matrix of beam_splitter(theta, phi), unvalidated."""
+    """The 2 x 2 matrix of beam_splitter(theta, phi); the angles must be finite."""
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise BadParameters(f"angles must be finite, got theta={theta}, phi={phi}")
     ct, st = math.cos(theta), math.sin(theta)
     ph = complex(math.cos(phi), math.sin(phi))
     return np.array([[ph * ct, -st], [st, ph.conjugate() * ct]], dtype=complex)
@@ -183,6 +185,8 @@ def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:
 
 def haar_random(n_modes: int, seed: int) -> Interferometer:
     """Seeded Haar-random unitary: haar_unitaries for one seed, validated."""
+    if seed < 0:
+        raise BadParameters(f"seeds must be non-negative, got {seed}")
     return Interferometer(
         haar_unitaries(n_modes, [seed])[0], provenance=f"haar_random(n={n_modes}, seed={seed})"
     )

@@ -202,24 +202,6 @@ def run_chain(
 # pure-state scheme
 
 
-@dataclass(frozen=True)
-class PureSchemeParams:
-    """Angles of both beam splitters in the pure-state scheme."""
-
-    theta: float
-    phi: float
-    theta_prime: float
-    phi_prime: float
-    beta: float
-
-    @classmethod
-    def from_first_stage(
-        cls, theta: float, phi: float, beta: float = 1.0
-    ) -> "PureSchemeParams":
-        tp, pp = pure_stage2_params(theta, phi)
-        return cls(theta=theta, phi=phi, theta_prime=tp, phi_prime=pp, beta=beta)
-
-
 DEGENERATE_TOL = 1e-12
 
 
@@ -230,8 +212,10 @@ def pure_stage2_params(theta: float, phi: float) -> tuple[float, float]:
     returned (theta', phi') cancel its vacuum-path interference so that
     detecting two photons behind the second splitter projects the kept
     mode onto |1>.  Degenerate first stages (sin or cos of theta zero)
-    leave nothing to work with.
+    leave nothing to work with; non-finite angles raise BadParameters.
     """
+    if not (math.isfinite(theta) and math.isfinite(phi)):
+        raise BadParameters(f"angles must be finite, got theta={theta}, phi={phi}")
     sc = math.sin(theta) * math.cos(theta)
     if abs(sc) < DEGENERATE_TOL:
         raise DegenerateTheta(f"sin(theta)cos(theta) vanishes at theta={theta}")
@@ -277,11 +261,9 @@ def pure_three_mode_pipeline(
     if abs(beta) > 1.0 + 1e-12:
         raise BadParameters(f"|beta| must lie in [0, 1], got {abs(beta)}")
     alpha = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
-    params = PureSchemeParams.from_first_stage(theta, phi, abs(beta))
+    theta_prime, phi_prime = pure_stage2_params(theta, phi)
     stage1 = embed_two_mode(beam_splitter(theta, phi), (0, 1), 3)
-    stage2 = embed_two_mode(
-        beam_splitter(params.theta_prime, params.phi_prime), (0, 2), 3
-    )
+    stage2 = embed_two_mode(beam_splitter(theta_prime, phi_prime), (0, 2), 3)
     state = PureState.two_level_product(alpha, beta, 3)
     state = propagate_pure(state, stage1)
     state = propagate_pure(state, stage2)

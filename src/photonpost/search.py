@@ -23,7 +23,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import DetectionPattern, _clamp
+from .conditioner import DetectionPattern
 from .engine import basis, max_stack, output_table
 from .errors import BadParameters, DimensionMismatch
 from .fock import InputSpec, compositions
@@ -65,6 +65,8 @@ class SearchTask:
             )
         if self.trials == 0 and self.refine_iters == 0:
             raise BadParameters("a budget of no trials and no refinement scores nothing")
+        if self.seed < 0:
+            raise BadParameters(f"seeds must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -143,9 +145,9 @@ class PatternScorer:
     detector at its largest count, the kept mode at the source maximum
     minus the fewest detected), a gather index (patterns, n1) into their
     basis, padded with a zero column, and the patterns grouped by length.
-    A (B, N, N) stack then gives one stacked table, read as arrays with
-    the clamp check and clip of ConditionalResult; merit's ratio bound
-    and the objectives are applied with the float operations of a
+    A (B, N, N) stack then gives one stacked table, read as arrays (sums of
+    non-negative terms, never below +0.0, need no clamp); merit's ratio
+    bound and the objectives are applied with the float operations of a
     per-pattern ConditionalResult.
     """
 
@@ -186,7 +188,7 @@ class PatternScorer:
         return max(1, max_stack(self.spec.distributions, self.caps, self.top))
 
     def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
-        """Clipped c~ per (matrix, pattern, n1) and each pattern's probability."""
+        """c~ per (matrix, pattern, n1) and each pattern's probability."""
         n = self.spec.n_modes
         if np.shape(matrices)[1:] != (n, n):
             raise DimensionMismatch(
@@ -194,7 +196,6 @@ class PatternScorer:
             )
         _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
         q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
-        _clamp(q)
         prob = np.empty(q.shape[:2])
         for size, rows in self.groups:
             prob[:, rows] = q[:, rows, :size].sum(axis=-1)

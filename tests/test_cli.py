@@ -762,32 +762,59 @@ def nogo_config(**overrides):
     return cfg
 
 
+def landscape_config(theta_values, phi_values=(math.pi,), beta_mag=1.0):
+    return {
+        "command": "pure-landscape",
+        "version": 1,
+        "theta_grid": {"values": list(theta_values)},
+        "phi_grid": {"values": list(phi_values)},
+        "beta_mag": beta_mag,
+    }
+
+
+SEARCH_CONFIG = {"command": "search", "version": 1, "modes": 3, "p_max": 0.2, "trials": 2}
+
+
 @pytest.mark.parametrize(
-    "command, config",
+    "command, config, extra_args",
     [
-        ("chain-sweep", chain_config(modes=2)),
-        ("chain-sweep", chain_config(epsilon_grid={"values": [0.0]})),
-        ("chain-sweep", chain_config(epsilon_grid={"values": [0.1, 1.0]})),
-        ("chain-sweep", chain_config(epsilon_grid={"values": [-0.5]})),
-        ("exp-sweep", exp_config("ideal", [0.1], modes=2, detected=1)),
-        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.0)),
-        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.9)),
-        ("exp-sweep", exp_config("ideal", [0.1, 1.0])),
-        ("nogo-verify", nogo_config(modes=1)),
-        ("nogo-verify", nogo_config(modes=1, variant="patterns")),
-        ("nogo-verify", nogo_config(p_max=0.0)),
-        ("nogo-verify", nogo_config(p_max=1.0, variant="patterns")),
+        ("chain-sweep", chain_config(modes=2), ()),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [0.0]}), ()),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [0.1, 1.0]}), ()),
+        ("chain-sweep", chain_config(epsilon_grid={"values": [-0.5]}), ()),
+        ("exp-sweep", exp_config("ideal", [0.1], modes=2, detected=1), ()),
+        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.0), ()),
+        ("exp-sweep", exp_config("+two-photon-inputs", [0.1], two_photon_prob=0.9), ()),
+        ("exp-sweep", exp_config("ideal", [0.1, 1.0]), ()),
+        ("nogo-verify", nogo_config(modes=1), ()),
+        ("nogo-verify", nogo_config(modes=1, variant="patterns"), ()),
+        ("nogo-verify", nogo_config(p_max=0.0), ()),
+        ("nogo-verify", nogo_config(p_max=1.0, variant="patterns"), ()),
+        ("pure-landscape", landscape_config([math.pi / 4], beta_mag=1.5), ()),
+        ("simulate", simulate_config(inputs=[{"0": 1.0, "1": math.nan}, 0.2]), ()),
         (
-            "pure-landscape",
-            {
-                "command": "pure-landscape",
-                "version": 1,
-                "theta_grid": {"values": [math.pi / 4]},
-                "phi_grid": {"values": [math.pi]},
-                "beta_mag": 1.5,
-            },
+            "simulate",
+            simulate_config(interferometer={"type": "beam_splitter", "theta": math.inf}),
+            (),
         ),
-        ("simulate", simulate_config(inputs=[{"0": 1.0, "1": math.nan}, 0.2])),
+        (
+            "simulate",
+            simulate_config(interferometer={"type": "beam_splitter", "theta": 0.5, "phi": math.nan}),
+            (),
+        ),
+        ("pure-landscape", landscape_config([0.3, math.inf]), ()),
+        ("pure-landscape", landscape_config([math.nan]), ()),
+        ("pure-landscape", landscape_config([0.3], [math.nan]), ()),
+        ("search", {**SEARCH_CONFIG, "seed": -1}, ()),
+        ("search", SEARCH_CONFIG, ("--seed", "-1")),
+        ("nogo-verify", nogo_config(seed=-1), ()),
+        ("nogo-verify", nogo_config(variant="patterns", modes=3), ("--seed", "-1")),
+        (
+            "simulate",
+            simulate_config(modes=3, inputs=[0.2] * 3, pattern=[0, 0],
+                            interferometer={"type": "haar", "seed": -3}),
+            (),
+        ),
     ],
     ids=[
         "chain-2-modes",
@@ -804,10 +831,22 @@ def nogo_config(**overrides):
         "patterns-p-max-1",
         "landscape-beta-1.5",
         "simulate-nan-input",
+        "simulate-infinite-theta",
+        "simulate-nan-phi",
+        "landscape-infinite-theta",
+        "landscape-nan-theta",
+        "landscape-nan-phi",
+        "search-negative-seed",
+        "search-negative-seed-flag",
+        "small-negative-seed",
+        "patterns-negative-seed-flag",
+        "simulate-haar-negative-seed",
     ],
 )
-def test_out_of_range_parameters_are_config_errors(tmp_path, capsys, command, config):
-    code, out = run(tmp_path, command, config)
+def test_out_of_range_parameters_are_config_errors(
+    tmp_path, capsys, command, config, extra_args
+):
+    code, out = run(tmp_path, command, config, extra_args)
     assert code == 2
     assert not out.exists()
     assert "config error" in capsys.readouterr().err

@@ -56,12 +56,11 @@ def test_exact_model_is_identity():
     assert np.array_equal(model.response, np.eye(4))
 
 
-def test_true_support():
+def test_response_column():
     model = DetectorModel.bucket(3, dark_one=1e-3)
-    support = model.true_support(BUCKET)
-    assert support == [(1, 1e-3), (2, 1.0), (3, 1.0)]
-    assert model.true_support(1) == [(1, 1.0 - 1e-3)]
-    assert model.true_support("nonsense") == []
+    assert model.column(BUCKET).tolist() == [0.0, 1e-3, 1.0, 1.0]
+    assert model.column(1).tolist() == [0.0, 1.0 - 1e-3, 0.0, 0.0]
+    assert model.column("nonsense").tolist() == [0.0] * 4
 
 
 def test_report_probability_range_check():
@@ -84,13 +83,6 @@ def test_constructor_rejects_nan_responses():
         DetectorModel((0, 1), np.array([[1.0, math.nan], [0.0, 1.0]]))
     with pytest.raises(NotNormalized):
         DetectorModel((0, 1), np.array([[math.nan, math.nan], [0.0, 1.0]]))
-
-
-def test_json_round_trip():
-    model = DetectorModel.bucket(5, dark_one=1e-3, dark_zero=1e-6)
-    back = DetectorModel.from_json_dict(model.to_json_dict())
-    assert back.outcomes == model.outcomes
-    assert np.array_equal(back.response, model.response)
 
 
 def test_benchmark_suite_shapes():

@@ -125,6 +125,22 @@ def test_output_phases_do_not_change_the_table(source, phases):
     assert np.allclose(moved, table, rtol=REL_TOL, atol=1e-16)
 
 
+@settings(max_examples=60, deadline=None)
+@given(sources(), st.data())
+def test_table_entries_are_never_negative_nor_negative_zero(source, data):
+    """Entries are n! sum_s w_s (re^2 + im^2) with w_s > 0, so readers of c~
+    need no clamp: no entry is negative or -0.0, under any caps, for Haar
+    stacks and for the |U| stacks of the roundoff bounds."""
+    interf, spec = source
+    n, top = interf.n_modes, spec.max_total()
+    caps = tuple(data.draw(st.integers(0, top)) for _ in range(n))
+    seeds = data.draw(st.lists(st.integers(0, 2**31 - 1), min_size=1, max_size=3))
+    stack = np.array([interf.matrix] + [haar_random(n, s).matrix for s in seeds])
+    for matrices in (stack, np.abs(stack)):
+        _, table = output_table(spec.distributions, matrices, caps, top)
+        assert np.all(table >= 0.0) and not np.signbit(table).any(), table
+
+
 @pytest.mark.parametrize("epsilon", [1e-4, 1e-5, 1e-6])
 def test_small_epsilon_chain_gain_reaches_its_limit(epsilon):
     n, d, p = 8, 4, 0.2

@@ -6,6 +6,7 @@ import pytest
 
 from photonpost import (
     BadModeIndex,
+    BadParameters,
     Interferometer,
     NotUnitary,
     RowsNotOrthonormal,
@@ -131,6 +132,14 @@ def test_haar_random_unitary_and_deterministic():
     again = haar_random(5, seed=77)
     assert np.array_equal(haar_random(5, seed=77).matrix, again.matrix)
     assert not np.allclose(haar_random(5, seed=78).matrix, again.matrix)
+
+
+def test_non_finite_angles_and_negative_seeds_are_rejected():
+    for theta, phi in ((math.inf, 0.0), (0.3, -math.inf), (math.nan, 0.0), (0.3, math.nan)):
+        with pytest.raises(BadParameters):
+            beam_splitter(theta, phi)
+    with pytest.raises(BadParameters):
+        haar_random(3, -3)
 
 
 def test_haar_stack_equals_haar_random_per_seed():

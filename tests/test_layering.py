@@ -1,5 +1,5 @@
-"""The package's modules import each other without cycles, and only the
-two conditioning readers build engine output tables.
+"""The package's modules import each other without cycles or private
+names, and only the two conditioning readers build engine output tables.
 
 Imports inside functions count too: a deferred import still ties the two
 modules together, it only hides the cycle from the interpreter.
@@ -109,3 +109,36 @@ def test_one_reader_per_kind_of_work_builds_output_tables():
     assert users == {"conditioner", "search"}
     graph = import_graph()
     assert "engine" not in graph["detectors"] | graph["merit"]
+
+
+def _private_names(path: Path, modules: set[str]) -> set[str]:
+    """Underscore names one source file takes from other package modules:
+    imported, or read as <module>._name."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom) and (
+            node.level == 1 or (node.module or "").split(".")[0] == "photonpost"
+        ):
+            names.update(a.name for a in node.names if a.name.startswith("_"))
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
+            if node.attr.startswith("_") and node.value.id != path.stem:
+                names.add(f"{node.value.id}.{node.attr}")
+    return names
+
+
+def test_checker_sees_private_names(tmp_path):
+    source = tmp_path / "search.py"
+    source.write_text(
+        "from __future__ import annotations\nfrom .conditioner import DetectionPattern, _clamp\n"
+        "from . import engine\ndef f(q):\n    engine._private(q)\n    return engine.basis\n"
+    )
+    assert _private_names(source, {"conditioner", "engine", "search"}) == {
+        "_clamp",
+        "engine._private",
+    }
+
+
+def test_no_module_takes_a_private_name_from_another():
+    modules = {p.stem for p in PACKAGE.glob("*.py")}
+    taken = {p.stem: _private_names(p, modules) for p in PACKAGE.glob("*.py")}
+    assert not any(taken.values()), {m: names for m, names in taken.items() if names}

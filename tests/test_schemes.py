@@ -157,6 +157,16 @@ def test_stage2_degenerate_theta():
         pure_stage2_params(0.0, 0.3)
 
 
+@pytest.mark.parametrize("theta, phi", [(math.inf, 0.3), (0.3, -math.inf), (math.nan, 0.3), (0.3, math.nan)])
+def test_pure_scheme_rejects_non_finite_angles(theta, phi):
+    with pytest.raises(BadParameters):
+        pure_stage2_params(theta, phi)
+    with pytest.raises(BadParameters):
+        pure_success_probability(theta, phi, 1.0)
+    with pytest.raises(BadParameters):
+        pure_three_mode_pipeline(theta, phi, 1.0)
+
+
 def test_success_probability_peak():
     assert np.isclose(
         pure_success_probability(math.pi / 4, math.pi, 1.0), 16 / 81, atol=1e-12

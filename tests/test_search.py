@@ -147,6 +147,12 @@ def test_task_validation():
         SearchTask(n_modes=4, p_max=0.0)
     with pytest.raises(BadParameters):
         SearchTask(n_modes=4, p_max=0.2, objective="coherence")
+    with pytest.raises(BadParameters):
+        SearchTask(n_modes=4, p_max=0.2, seed=-1)
+    with pytest.raises(BadParameters):
+        verify_nogo_small(2, 0.3, 2, -1)
+    with pytest.raises(BadParameters):
+        verify_nogo_patterns(3, 0.3, 2, -1)
 
 
 def _search_cli(**fields):
