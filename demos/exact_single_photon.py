@@ -29,8 +29,8 @@ print()
 # run the full three-mode pipeline and inspect the conditioned state
 state, prob = pure_three_mode_pipeline(theta, phi, beta=1.0)
 print(f"success probability: {prob:.12f} (16/81 = {16 / 81:.12f})")
-print(f"kept-mode amplitudes: |0>: {abs(state.amplitude((0,))):.2e}  "
-      f"|1>: {abs(state.amplitude((1,))):.10f}")
+print(f"kept-mode amplitudes: |0>: {abs(state[0]):.2e}  "
+      f"|1>: {abs(state[1]):.10f}")
 print("the one-photon amplitude carries everything: the output is pure")
 print()
 
@@ -60,6 +60,6 @@ for _ in range(200):
     state, prob = pure_three_mode_pipeline(t, f, beta=0.8)
     if state is None:
         continue
-    worst_fid = min(worst_fid, abs(state.amplitude((1,))) ** 2)
+    worst_fid = min(worst_fid, abs(state[1]) ** 2)
 print()
 print(f"200 random operating points: worst |1> fidelity = {worst_fid:.12f}")

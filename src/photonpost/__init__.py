@@ -9,14 +9,7 @@ known improvement schemes, model imperfect detectors, and search for
 better interferometers.
 """
 
-from .conditioner import (
-    ConditionalResult,
-    DetectionPattern,
-    PureState,
-    condition_mixed,
-    condition_pure,
-    propagate_pure,
-)
+from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
 from .detectors import (
     BUCKET,
     DetectorModel,
@@ -112,7 +105,6 @@ __all__ = [
     "ObservedPattern",
     "PhotonConfig",
     "PhotonPostError",
-    "PureState",
     "RowsNotOrthonormal",
     "SearchReport",
     "SearchTask",
@@ -141,7 +133,6 @@ __all__ = [
     "benchmark_detector_suite",
     "permanent",
     "permanent_with_multiplicity",
-    "propagate_pure",
     "pure_stage2_params",
     "pure_success_probability",
     "pure_three_mode_pipeline",

@@ -22,20 +22,25 @@ weights the engine table with a response column per detector, so exact
 counts (condition_mixed, one-hot columns) and imperfect detectors
 (detectors.observe) share it.  search.PatternScorer reads many exact
 patterns of a stack of interferometers.
+
+Mixed and pure sources read the same engine rows c_s[n]: a mixed source
+squares each row and then adds them (the incoherent sum of the table),
+condition_pure adds the rows weighted by the source amplitudes and then
+squares (the coherent sum).  Only the coherent sum can interfere its way
+to an exact single photon.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import basis, expand, output_table
-from .errors import DimensionMismatch
-from .fock import InputSpec, PhotonConfig
+from .engine import expand, output_table
+from .errors import DimensionMismatch, NotNormalized
+from .fock import InputSpec
 from .interferometer import Interferometer
 
 # c~ entries are sums of non-negative terms; anything below this is
@@ -160,112 +165,47 @@ def condition_mixed(
     return condition_on_responses(spec, interf, [np.eye(c + 1)[c] for c in pattern], pattern)
 
 
-@dataclass(frozen=True, eq=False)
-class PureState:
-    """Superposition over photon-number configurations.
+def condition_pure(
+    amplitudes: Sequence, interf: Interferometer, pattern: DetectionPattern
+) -> tuple[np.ndarray | None, float]:
+    """Conditional state of mode 1 for a product of pure sources.
 
-    amplitudes maps PhotonConfig -> complex; configurations all share the
-    same mode count.  States are expected to be normalized to 1e-10.
-    """
-
-    amplitudes: dict
-
-    NORM_TOL = 1e-10
-
-    @classmethod
-    def from_amplitudes(cls, amplitudes, require_normalized: bool = True) -> "PureState":
-        amps = {}
-        n_modes = None
-        for config, a in dict(amplitudes).items():
-            if not isinstance(config, PhotonConfig):
-                config = PhotonConfig(tuple(config))
-            if n_modes is None:
-                n_modes = len(config)
-            elif len(config) != n_modes:
-                raise DimensionMismatch("mixed mode counts in one pure state")
-            a = complex(a)
-            if a != 0:
-                amps[config] = a
-        if require_normalized:
-            norm = math.sqrt(sum(abs(a) ** 2 for a in amps.values()))
-            if not abs(norm - 1.0) <= cls.NORM_TOL:
-                raise ValueError(f"state norm {norm} is not 1 within {cls.NORM_TOL}")
-        return cls(amplitudes=amps)
-
-    @classmethod
-    def two_level_product(cls, alpha: complex, beta: complex, n_modes: int) -> "PureState":
-        """(alpha |0> + beta |1>) on every mode."""
-        amps = {}
-        for bits in itertools.product((0, 1), repeat=n_modes):
-            amp = 1 + 0j
-            for b in bits:
-                amp *= beta if b else alpha
-            if amp != 0:
-                amps[PhotonConfig(bits)] = amp
-        return cls.from_amplitudes(amps, require_normalized=False)
-
-    @property
-    def n_modes(self) -> int:
-        for config in self.amplitudes:
-            return len(config)
-        return 0
-
-    def amplitude(self, config) -> complex:
-        if not isinstance(config, PhotonConfig):
-            config = PhotonConfig(tuple(config))
-        return self.amplitudes.get(config, 0j)
-
-
-def propagate_pure(state: PureState, interf: Interferometer) -> PureState:
-    """Send a pure state through an interferometer.
-
-    Output amplitude of configuration n from input s is
-    per(L[n, s]) / sqrt(prod n_i! prod s_i!), computed by engine.py; the
-    norm is preserved to ~1e-10 for the photon numbers this package targets.
+    amplitudes[i] maps photon count to amplitude for input mode i, each
+    mode normalized to 1e-10.  One engine call with support weights
+    a * sqrt(c!) gives rows weighted prod_i a_i / sqrt(s_i!), whose sum
+    times sqrt(n!) is the output amplitude <n|psi>.  Returns the
+    normalized mode-1 amplitudes, indexed by n1 (read-only), and the
+    probability of the pattern; a zero-probability pattern gives
+    (None, 0.0).
     """
     n = interf.n_modes
-    if state.n_modes not in (0, n):
+    if len(amplitudes) != n or len(pattern) != n - 1:
         raise DimensionMismatch(
-            f"state has {state.n_modes} modes, interferometer has {n}"
+            f"{len(amplitudes)} sources and a pattern over {len(pattern)} detectors "
+            f"do not fit {n} modes"
         )
-    if not state.amplitudes:
-        return state
-    top = max(s.total() for s in state.amplitudes)
-    caps = (top,) * n
-    b = basis(caps, top)
+    supports = []
+    for amps in amplitudes:
+        support = sorted((int(c), complex(a)) for c, a in dict(amps).items() if a != 0)
+        norm = math.sqrt(sum(abs(a) ** 2 for _, a in support))
+        if not abs(norm - 1.0) <= 1e-10:
+            raise NotNormalized(f"source norm {norm} is not 1 within 1e-10")
+        supports.append([(c, a * math.sqrt(math.factorial(c))) for c, a in support])
+    top = sum(s[-1][0] for s in supports)
+    cap = top - pattern.total()
+    if cap < 0:
+        return None, 0.0
+    b, sectors = expand(supports, interf.matrix, (cap, *pattern), top)
     amps = np.zeros(len(b.states), dtype=complex)
-    for s, a_in in state.amplitudes.items():
-        _, sectors = expand([((c, 1.0),) for c in s.counts], interf.matrix, caps, top)
-        ((weights, coeffs),) = sectors.values()
-        lo, hi = b.offsets[s.total()], b.offsets[s.total() + 1]
-        amps[lo:hi] += a_in * math.sqrt(weights[0]) * coeffs[0]
-    amps *= np.sqrt(b.factorials)
-    out = {PhotonConfig(v): a for v, a in zip(map(tuple, b.states.tolist()), amps)}
-    return PureState.from_amplitudes(out, require_normalized=False)
-
-
-def condition_pure(
-    state: PureState, pattern: DetectionPattern
-) -> tuple[PureState | None, float]:
-    """Project the detector modes of a pure state onto exact counts.
-
-    Returns the renormalized state of mode 1 and the probability of the
-    detection; a zero-probability pattern gives (None, 0.0).
-    """
-    if state.n_modes and len(pattern) != state.n_modes - 1:
-        raise DimensionMismatch(
-            f"pattern covers {len(pattern)} detectors, state has "
-            f"{state.n_modes} modes"
-        )
-    kept: dict[PhotonConfig, complex] = {}
-    for config, a in state.amplitudes.items():
-        if tuple(config)[1:] == pattern.counts:
-            kept[PhotonConfig((config[0],))] = a
-    probability = sum(abs(a) ** 2 for a in kept.values())
+    for t, (weights, coeffs) in sectors.items():
+        amps[b.offsets[t] : b.offsets[t + 1]] = weights @ coeffs
+    index = b.lookup([(n1, *pattern) for n1 in range(cap + 1)])
+    kept = amps[index] * np.sqrt(b.factorials[index])
+    probability = float(np.sum(kept.real**2 + kept.imag**2))
     # below ~1e-30 the surviving amplitudes are cancellation dust (squared
     # float roundoff) and renormalizing them would manufacture a state
     if probability <= 1e-30:
         return None, 0.0
-    scale = 1.0 / math.sqrt(probability)
-    out = {c: a * scale for c, a in kept.items()}
-    return PureState.from_amplitudes(out, require_normalized=False), float(probability)
+    kept /= math.sqrt(probability)
+    kept.setflags(write=False)
+    return kept, probability

@@ -115,9 +115,11 @@ def expand(
     """Expansion coefficients c_s[n] for every configuration s of the supports.
 
     supports[i] lists (count, weight) pairs of input mode i, counts
-    ascending.  Returns (basis, sectors): sectors[t] = (weights, coeffs)
-    holds one row per configuration s with t photons, its weight
-    prod_i weight_i / s_i! and its coefficients on the states of sector t.
+    ascending; weights are probabilities for a mixed source or complex
+    amplitudes for a pure one, and are only ever multiplied.  Returns
+    (basis, sectors): sectors[t] = (weights, coeffs) holds one row per
+    configuration s with t photons, its weight prod_i weight_i / s_i! and
+    its coefficients on the states of sector t.
     matrix is one N x N matrix or a stack (B, N, N); a stack gives coeffs
     a leading batch axis, and each matrix gets exactly the coefficients a
     call with it alone would.

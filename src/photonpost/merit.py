@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditioner import ConditionalResult, DetectionPattern, condition_mixed
-from .errors import ZeroProbabilityPattern
+from .errors import BadModeIndex, DimensionMismatch, ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
 
@@ -149,14 +149,14 @@ def detection_coefficients(
     """
     n = interf.n_modes
     if len(pattern) != n - 1:
-        raise ZeroProbabilityPattern(
+        raise DimensionMismatch(
             f"pattern covers {len(pattern)} detectors, expected {n - 1}"
         )
     if active_modes is None:
         active_modes = range(n)
     active = sorted(set(int(i) for i in active_modes))
     if any(i < 0 or i >= n for i in active):
-        raise ValueError(f"active mode out of range in {active}")
+        raise BadModeIndex(f"active mode out of range in {active}")
     detected = pattern.total()
     cap = len(active) - detected
     if cap < 0:

@@ -18,14 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioner import (
-    ConditionalResult,
-    DetectionPattern,
-    PureState,
-    condition_mixed,
-    condition_pure,
-    propagate_pure,
-)
+from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
 from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite, observe
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta
 from .fock import InputSpec
@@ -248,26 +241,26 @@ def pure_success_probability(theta: float, phi: float, beta_mag: float) -> float
 
 def pure_three_mode_pipeline(
     theta: float, phi: float, beta: complex
-) -> tuple[PureState | None, float]:
+) -> tuple[np.ndarray | None, float]:
     """Run the full two-stage scheme on three identical sources.
 
     Each source carries alpha |0> + beta |1> with alpha real and
     non-negative.  Stage one couples modes 1 and 2, stage two couples
     modes 1 and 3; conditioning asks for zero photons on mode 2 and two
-    on mode 3.  Returns the conditioned mode-1 state (None when the
-    heralding never fires) and the joint probability.
+    on mode 3.  Returns the conditioned mode-1 amplitudes indexed by
+    photon count (None when the heralding never fires) and the joint
+    probability.
     """
     beta = complex(beta)
-    if abs(beta) > 1.0 + 1e-12:
+    if not abs(beta) <= 1.0 + 1e-12:
         raise BadParameters(f"|beta| must lie in [0, 1], got {abs(beta)}")
     alpha = math.sqrt(max(0.0, 1.0 - abs(beta) ** 2))
     theta_prime, phi_prime = pure_stage2_params(theta, phi)
-    stage1 = embed_two_mode(beam_splitter(theta, phi), (0, 1), 3)
-    stage2 = embed_two_mode(beam_splitter(theta_prime, phi_prime), (0, 2), 3)
-    state = PureState.two_level_product(alpha, beta, 3)
-    state = propagate_pure(state, stage1)
-    state = propagate_pure(state, stage2)
-    return condition_pure(state, DetectionPattern((0, 2)))
+    optics = compose(
+        embed_two_mode(beam_splitter(theta, phi), (0, 1), 3),
+        embed_two_mode(beam_splitter(theta_prime, phi_prime), (0, 2), 3),
+    )
+    return condition_pure([{0: alpha, 1: beta}] * 3, optics, DetectionPattern((0, 2)))
 
 
 # ---------------------------------------------------------------------------

@@ -67,6 +67,10 @@ class SearchTask:
             raise BadParameters("a budget of no trials and no refinement scores nothing")
         if self.seed < 0:
             raise BadParameters(f"seeds must be non-negative, got {self.seed}")
+        if not (0.0 < self.chain_epsilon < 1.0):
+            raise BadParameters(
+                f"chain_epsilon must sit strictly inside (0, 1), got {self.chain_epsilon}"
+            )
 
 
 @dataclass

@@ -77,7 +77,7 @@ def test_criterion_1_pure_scheme_exactness():
             )
             state, prob = pure_three_mode_pipeline(theta, phi, beta)
             assert state is not None
-            fidelity = abs(state.amplitude((1,))) ** 2
+            fidelity = abs(state[1]) ** 2
             assert fidelity >= 1.0 - 1e-10
             closed = pure_success_probability(theta, phi, abs(beta))
             assert abs(prob - closed) <= 1e-10

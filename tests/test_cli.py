@@ -807,6 +807,8 @@ SEARCH_CONFIG = {"command": "search", "version": 1, "modes": 3, "p_max": 0.2, "t
         ("pure-landscape", landscape_config([0.3], [math.nan]), ()),
         ("search", {**SEARCH_CONFIG, "seed": -1}, ()),
         ("search", SEARCH_CONFIG, ("--seed", "-1")),
+        ("search", {**SEARCH_CONFIG, "include_chain_seed": False, "chain_epsilon": math.nan}, ()),
+        ("search", {**SEARCH_CONFIG, "modes": 2, "chain_epsilon": 2.0}, ()),
         ("nogo-verify", nogo_config(seed=-1), ()),
         ("nogo-verify", nogo_config(variant="patterns", modes=3), ("--seed", "-1")),
         (
@@ -838,6 +840,8 @@ SEARCH_CONFIG = {"command": "search", "version": 1, "modes": 3, "p_max": 0.2, "t
         "landscape-nan-phi",
         "search-negative-seed",
         "search-negative-seed-flag",
+        "search-nan-epsilon-no-chain-seed",
+        "search-2-modes-epsilon-2",
         "small-negative-seed",
         "patterns-negative-seed-flag",
         "simulate-haar-negative-seed",

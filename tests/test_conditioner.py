@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -8,7 +9,7 @@ from photonpost import (
     DimensionMismatch,
     InputSpec,
     Interferometer,
-    PureState,
+    NotNormalized,
     beam_splitter,
     compose,
     condition_mixed,
@@ -16,7 +17,6 @@ from photonpost import (
     condition_pure,
     embed_two_mode,
     haar_random,
-    propagate_pure,
 )
 from oracles import (
     condition_mixed_bs_closed_form,
@@ -252,62 +252,62 @@ def test_closed_form_purifies_gapped_mixture():
 # pure states ---------------------------------------------------------------
 
 
+def joint_amplitudes(amplitudes, interf, pattern):
+    """<n1, pattern|U|psi> for every n1: condition_pure's state times the
+    square root of its probability (zeros for an impossible pattern)."""
+    kept, prob = condition_pure(amplitudes, interf, DetectionPattern(pattern))
+    return np.zeros(1) if kept is None else kept * math.sqrt(prob)
+
+
 def test_propagate_vacuum():
-    state = PureState.from_amplitudes({(0, 0): 1.0})
-    out = propagate_pure(state, beam_splitter(0.7, 0.1))
-    amps = {cfg.counts: amp for cfg, amp in out.amplitudes.items()}
-    assert np.isclose(amps[(0, 0)], 1.0)
+    kept, prob = condition_pure([{0: 1.0}, {0: 1.0}], beam_splitter(0.7, 0.1), DetectionPattern((0,)))
+    assert np.isclose(kept[0], 1.0)
+    assert np.isclose(prob, 1.0)
 
 
 def test_propagate_two_level_product_amplitude():
     alpha, beta = math.sqrt(0.7), math.sqrt(0.3)
     bs = beam_splitter(0.8, 2.1)
-    state = PureState.two_level_product(alpha, beta, 2)
-    out = propagate_pure(state, bs)
-    amps = {cfg.counts: amp for cfg, amp in out.amplitudes.items()}
+    sources = [{0: alpha, 1: beta}] * 2
     m = bs.matrix
-    assert np.isclose(amps[(1, 0)], alpha * beta * (m[0, 0] + m[0, 1]), atol=1e-12)
-    assert np.isclose(amps[(0, 0)], alpha * alpha, atol=1e-12)
+    vacuum_detector = joint_amplitudes(sources, bs, (0,))
+    one_detected = joint_amplitudes(sources, bs, (1,))
+    assert np.isclose(vacuum_detector[1], alpha * beta * (m[0, 0] + m[0, 1]), atol=1e-12)
+    assert np.isclose(vacuum_detector[0], alpha * alpha, atol=1e-12)
     assert np.isclose(
-        amps[(1, 1)], beta * beta * (m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]),
+        one_detected[1], beta * beta * (m[0, 0] * m[1, 1] + m[0, 1] * m[1, 0]),
         atol=1e-12,
     )
 
 
 def test_propagate_single_photon_is_matrix_column():
     bs = beam_splitter(math.pi / 4, 0.0)
-    state = PureState.from_amplitudes({(1, 0): 1.0})
-    out = propagate_pure(state, bs)
-    amps = {cfg.counts: amp for cfg, amp in out.amplitudes.items()}
-    assert np.isclose(abs(amps[(1, 0)]), 1 / math.sqrt(2))
-    assert np.isclose(abs(amps[(0, 1)]), 1 / math.sqrt(2))
+    sources = [{1: 1.0}, {0: 1.0}]
+    assert np.isclose(abs(joint_amplitudes(sources, bs, (0,))[1]), 1 / math.sqrt(2))
+    assert np.isclose(abs(joint_amplitudes(sources, bs, (1,))[0]), 1 / math.sqrt(2))
 
 
 def test_propagate_matches_fock_oracle():
-    rng = np.random.default_rng(47)
     u = haar_random(3, seed=21)
-    state = PureState.from_amplitudes({(1, 1, 0): 1.0})
-    out = propagate_pure(state, u)
     want = propagate_fock(u.matrix, (1, 1, 0))
-    for cfg, amp in out.amplitudes.items():
-        assert np.isclose(amp, want.get(cfg.counts, 0.0), atol=1e-10)
+    for n2 in range(3):
+        for n3 in range(3 - n2):
+            got = joint_amplitudes([{1: 1.0}, {1: 1.0}, {0: 1.0}], u, (n2, n3))
+            for n1, amp in enumerate(got):
+                assert np.isclose(amp, want.get((n1, n2, n3), 0.0), atol=1e-10)
 
 
 def test_condition_pure_trivial_click():
-    state = PureState.from_amplitudes({(1, 1): 1.0})
-    kept, prob = condition_pure(state, DetectionPattern((1,)))
+    kept, prob = condition_pure([{1: 1.0}, {1: 1.0}], Interferometer(np.eye(2)), DetectionPattern((1,)))
     assert prob == pytest.approx(1.0)
-    amps = {cfg.counts: amp for cfg, amp in kept.amplitudes.items()}
-    assert np.isclose(abs(amps[(1,)]), 1.0)
+    assert np.isclose(abs(kept[1]), 1.0)
 
 
 def test_condition_pure_first_stage_amplitudes():
     alpha, beta = math.sqrt(0.6), math.sqrt(0.4)
     bs = beam_splitter(0.9, 1.7)
     m = bs.matrix
-    out = propagate_pure(PureState.two_level_product(alpha, beta, 2), bs)
-    kept, prob = condition_pure(out, DetectionPattern((0,)))
-    amps = {cfg.counts: amp for cfg, amp in kept.amplitudes.items()}
+    kept, prob = condition_pure([{0: alpha, 1: beta}] * 2, bs, DetectionPattern((0,)))
     want = np.array(
         [
             alpha**2,
@@ -317,33 +317,82 @@ def test_condition_pure_first_stage_amplitudes():
         dtype=complex,
     )
     want_norm = want / np.linalg.norm(want)
-    got = np.array([amps.get((k,), 0.0) for k in range(3)])
     # states match up to the common normalization already applied
-    assert np.allclose(got, want_norm, atol=1e-10)
+    assert np.allclose(kept, want_norm, atol=1e-10)
+    assert not kept.flags.writeable
     assert np.isclose(prob, np.linalg.norm(want) ** 2, atol=1e-12)
 
 
 def test_condition_pure_hong_ou_mandel():
     bs = beam_splitter(math.pi / 4, 0.0)
-    out = propagate_pure(PureState.from_amplitudes({(1, 1): 1.0}), bs)
-    kept, prob = condition_pure(out, DetectionPattern((0,)))
-    amps = {cfg.counts: amp for cfg, amp in kept.amplitudes.items()}
+    sources = [{1: 1.0}, {1: 1.0}]
+    kept, prob = condition_pure(sources, bs, DetectionPattern((0,)))
     assert np.isclose(prob, 0.5, atol=1e-12)
-    assert np.isclose(abs(amps[(2,)]), 1.0, atol=1e-12)
+    assert np.isclose(abs(kept[2]), 1.0, atol=1e-12)
     # the balanced splitter never sends one photon each way
-    kept_one, prob_one = condition_pure(out, DetectionPattern((1,)))
+    kept_one, prob_one = condition_pure(sources, bs, DetectionPattern((1,)))
     assert prob_one == pytest.approx(0.0, abs=1e-12)
     assert kept_one is None
 
 
 def test_condition_pure_probabilities_sum_to_one():
     u = haar_random(3, seed=33)
-    out = propagate_pure(
-        PureState.two_level_product(math.sqrt(0.5), math.sqrt(0.5), 3), u
-    )
+    sources = [{0: math.sqrt(0.5), 1: math.sqrt(0.5)}] * 3
     total = 0.0
     for n2 in range(4):
         for n3 in range(4):
-            _, prob = condition_pure(out, DetectionPattern((n2, n3)))
+            _, prob = condition_pure(sources, u, DetectionPattern((n2, n3)))
             total += prob
     assert np.isclose(total, 1.0, atol=1e-10)
+
+
+def _random_pure_source(rng):
+    """Up to two photons on a random support, random complex amplitudes."""
+    counts = sorted(rng.choice(3, size=rng.integers(1, 4), replace=False).tolist())
+    amps = rng.normal(size=len(counts)) + 1j * rng.normal(size=len(counts))
+    amps /= np.linalg.norm(amps)
+    return dict(zip(counts, amps))
+
+
+def test_condition_pure_matches_fock_oracle_for_multiphoton_sources():
+    # <n|U|psi> = sum_s prod_i a_i(s_i) <n|U|s>, summed coherently
+    rng = np.random.default_rng(48)
+    checked = 0
+    for n_modes in (2, 3, 4):
+        for trial in range(3):
+            u = haar_random(n_modes, seed=100 * n_modes + trial)
+            sources = [_random_pure_source(rng) for _ in range(n_modes)]
+            if trial == 0:
+                sources[0] = {0: math.sqrt(0.3), 2: math.sqrt(0.7) * 1j}
+            want = {}
+            for config in itertools.product(*(sorted(s) for s in sources)):
+                a = math.prod(s[c] for s, c in zip(sources, config))
+                for out, amp in propagate_fock(u.matrix, config).items():
+                    want[out] = want.get(out, 0.0) + a * amp
+            top = sum(max(s) for s in sources)
+            for pattern in itertools.product(range(top + 1), repeat=n_modes - 1):
+                if sum(pattern) > top:
+                    continue
+                got = joint_amplitudes(sources, u, pattern)
+                expected = np.array(
+                    [want.get((n1, *pattern), 0.0) for n1 in range(top - sum(pattern) + 1)]
+                )
+                if np.sum(np.abs(expected) ** 2) <= 1e-30:
+                    assert got.shape == (1,) and got[0] == 0
+                    continue
+                assert np.allclose(got, expected, atol=1e-12, rtol=0)
+                checked += 1
+    assert checked > 100
+
+
+def test_condition_pure_rejects_unnormalized_sources_and_wrong_lengths():
+    bs = beam_splitter(0.4, 0.2)
+    with pytest.raises(NotNormalized):
+        condition_pure([{0: 0.6, 1: 0.6}, {0: 1.0}], bs, DetectionPattern((0,)))
+    with pytest.raises(NotNormalized):
+        condition_pure([{0: 0.0}, {0: 1.0}], bs, DetectionPattern((0,)))
+    with pytest.raises(DimensionMismatch):
+        condition_pure([{0: 1.0}] * 3, bs, DetectionPattern((0,)))
+    with pytest.raises(DimensionMismatch):
+        condition_pure([{0: 1.0}] * 2, bs, DetectionPattern((0, 0)))
+

@@ -142,3 +142,10 @@ def test_no_module_takes_a_private_name_from_another():
     modules = {p.stem for p in PACKAGE.glob("*.py")}
     taken = {p.stem: _private_names(p, modules) for p in PACKAGE.glob("*.py")}
     assert not any(taken.values()), {m: names for m, names in taken.items() if names}
+
+
+def test_every_exported_name_resolves_once():
+    names = photonpost.__all__
+    assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
+    missing = [n for n in names if not hasattr(photonpost, n)]
+    assert not missing, missing

@@ -6,10 +6,13 @@ from oracles import check_bound, conditional_coefficients
 
 import photonpost.engine
 from photonpost import (
+    BadModeIndex,
     ConditionalResult,
     DetectionPattern,
+    DimensionMismatch,
     InputSpec,
     Interferometer,
+    PhotonPostError,
     ZeroProbabilityPattern,
     beam_splitter,
     build_chain,
@@ -170,6 +173,16 @@ def test_inactive_modes_shrink_the_cap():
     partial = detection_coefficients(u, pattern, active_modes=(0, 1))
     assert len(full) == 4
     assert len(partial) == 2
+
+
+def test_detection_coefficients_reject_bad_patterns_and_modes():
+    u = haar_random(3, seed=101)
+    with pytest.raises(DimensionMismatch):
+        detection_coefficients(u, DetectionPattern((1,)))
+    for modes in ((0, 3), (-1, 1)):
+        with pytest.raises(BadModeIndex) as err:
+            detection_coefficients(u, DetectionPattern((1, 0)), active_modes=modes)
+        assert isinstance(err.value, PhotonPostError)
 
 
 # improvement predicate and threshold ----------------------------------------

@@ -22,6 +22,7 @@ from photonpost import (
     purify_super_poissonian,
     run_chain,
 )
+from photonpost import conditioner, engine
 
 
 # chain construction ----------------------------------------------------------
@@ -167,6 +168,26 @@ def test_pure_scheme_rejects_non_finite_angles(theta, phi):
         pure_three_mode_pipeline(theta, phi, 1.0)
 
 
+@pytest.mark.parametrize("beta", [math.nan, complex(math.nan, 0.0), complex(0.3, math.nan), math.inf])
+def test_pure_pipeline_rejects_non_finite_beta(beta):
+    with pytest.raises(BadParameters):
+        pure_three_mode_pipeline(0.3, 0.2, beta)
+
+
+def test_pure_pipeline_makes_one_engine_call(monkeypatch):
+    calls = []
+
+    def counting_expand(*args):
+        calls.append(args)
+        return engine.expand(*args)
+
+    monkeypatch.setattr(conditioner, "expand", counting_expand)
+    state, prob = pure_three_mode_pipeline(0.7, 1.3, 0.6 + 0.5j)
+    assert len(calls) == 1
+    assert abs(state[1]) ** 2 >= 1.0 - 1e-10
+    assert np.isclose(prob, pure_success_probability(0.7, 1.3, abs(0.6 + 0.5j)), atol=1e-10)
+
+
 def test_success_probability_peak():
     assert np.isclose(
         pure_success_probability(math.pi / 4, math.pi, 1.0), 16 / 81, atol=1e-12
@@ -209,14 +230,14 @@ def test_pipeline_yields_pure_single_photon():
         if state is None:
             assert prob < 1e-12
             continue
-        fidelity = abs(state.amplitude((1,))) ** 2
+        fidelity = abs(state[1]) ** 2
         assert fidelity >= 1.0 - 1e-10
 
 
 def test_pipeline_peak_probability():
     state, prob = pure_three_mode_pipeline(math.pi / 4, math.pi, 1.0)
     assert np.isclose(prob, 16 / 81, atol=1e-12)
-    assert abs(state.amplitude((1,))) ** 2 >= 1.0 - 1e-12
+    assert abs(state[1]) ** 2 >= 1.0 - 1e-12
 
 
 def test_pipeline_dark_source_never_fires():

@@ -149,6 +149,11 @@ def test_task_validation():
         SearchTask(n_modes=4, p_max=0.2, objective="coherence")
     with pytest.raises(BadParameters):
         SearchTask(n_modes=4, p_max=0.2, seed=-1)
+    for epsilon in (math.nan, 0.0, 1.0, 2.0, -0.1):
+        with pytest.raises(BadParameters):
+            SearchTask(n_modes=4, p_max=0.2, chain_epsilon=epsilon)
+        with pytest.raises(BadParameters):
+            SearchTask(n_modes=2, p_max=0.2, include_chain_seed=False, chain_epsilon=epsilon)
     with pytest.raises(BadParameters):
         verify_nogo_small(2, 0.3, 2, -1)
     with pytest.raises(BadParameters):
