@@ -18,6 +18,7 @@ from .detectors import (
     benchmark_detector_suite,
 )
 from .errors import (
+    BadCount,
     BadDistributionShape,
     BadModeIndex,
     BadParameters,
@@ -26,6 +27,7 @@ from .errors import (
     DimensionMismatch,
     DimensionTooLarge,
     MismatchedTotals,
+    NegativeWeight,
     NonSquare,
     NotNormalized,
     NotUnitary,
@@ -84,6 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BUCKET",
+    "BadCount",
     "BadDistributionShape",
     "BadModeIndex",
     "BadParameters",
@@ -99,6 +102,7 @@ __all__ = [
     "Interferometer",
     "MeritReport",
     "MismatchedTotals",
+    "NegativeWeight",
     "NonSquare",
     "NotNormalized",
     "NotUnitary",

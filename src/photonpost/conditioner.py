@@ -39,7 +39,13 @@ from typing import Sequence
 import numpy as np
 
 from .engine import expand, output_table
-from .errors import DimensionMismatch, NotNormalized
+from .errors import (
+    BadCount,
+    BadDistributionShape,
+    DimensionMismatch,
+    NegativeWeight,
+    NotNormalized,
+)
 from .fock import InputSpec
 from .interferometer import Interferometer
 
@@ -52,7 +58,7 @@ def _clamp(q: np.ndarray) -> None:
     """Clip c~ dust below zero in place; an entry below NEGATIVE_CLAMP is an error."""
     low = q.min()
     if low < NEGATIVE_CLAMP:
-        raise ValueError(f"coefficient {low} is negative beyond roundoff")
+        raise NegativeWeight(f"coefficient {low} is negative beyond roundoff")
     np.clip(q, 0.0, None, out=q)
 
 
@@ -65,7 +71,7 @@ class DetectionPattern:
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
         if any(c < 0 for c in counts):
-            raise ValueError(f"negative count in detection pattern {counts}")
+            raise BadCount(f"negative count in detection pattern {counts}")
         object.__setattr__(self, "counts", counts)
 
     def total(self) -> int:
@@ -97,7 +103,7 @@ class ConditionalResult:
     def from_unnormalized(cls, values, pattern=None) -> "ConditionalResult":
         arr = np.asarray(values, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("expected a 1-D coefficient vector")
+            raise BadDistributionShape("expected a 1-D coefficient vector")
         _clamp(arr)
         prob = float(arr.sum())
         if prob > 0.0:

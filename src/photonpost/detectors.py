@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditioner import ConditionalResult, condition_on_responses
-from .errors import DimensionMismatch, NotNormalized
+from .errors import BadCount, DimensionMismatch, NotNormalized
 from .fock import InputSpec
 from .interferometer import Interferometer
 
@@ -143,9 +143,9 @@ class ObservedPattern:
         )
         for o in outs:
             if isinstance(o, str) and o != BUCKET:
-                raise ValueError(f"unknown reported outcome {o!r}")
+                raise BadCount(f"unknown reported outcome {o!r}")
             if isinstance(o, int) and o < 0:
-                raise ValueError(f"negative reported count {o}")
+                raise BadCount(f"negative reported count {o}")
         object.__setattr__(self, "outcomes", outs)
 
     def __len__(self) -> int:

@@ -96,17 +96,79 @@ def basis(caps: tuple[int, ...], total: int) -> Basis:
     return Basis(limits, total, states, factorials, offsets, tuple(steps), strides, span, keys)
 
 
-def _cells(supports: Sequence[Sequence[tuple[int, float]]], b: Basis) -> int:
-    """Coefficients of the largest sector array for one matrix."""
-    return math.prod(len(s) for s in supports) * int(np.diff(b.offsets).max())
+@dataclass(frozen=True, eq=False)
+class _Plan:
+    """How expand walks one support structure over basis(caps, total).
+
+    layers[i] expands input mode i: (shapes, chains), where shapes maps
+    each sector it builds, in build order, to its (rows, states), and
+    chains[k] runs over the k-th sector it reads, one (count, step, dest)
+    per photon count c = 0, 1, ... up to the largest it keeps: step is the
+    Basis.steps entry that adds the c-th photon (None at c = 0), dest the
+    (sector, row slice) the c-photon rows go to, or None for a count the
+    mode cannot emit.  sectors lists the photon totals of the last
+    arrays built, and cells the coefficients of the largest sector array
+    for one matrix.
+    """
+
+    basis: Basis
+    cells: int
+    layers: tuple
+    sectors: tuple
+
+
+@functools.lru_cache(maxsize=128)
+def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int) -> _Plan:
+    """The (cached) plan for modes emitting counts[i] photons."""
+    b = basis(caps, total)
+    top, sizes = len(b.offsets) - 2, np.diff(b.offsets).tolist()  # top: largest photon total
+    sectors = [(0, 1)]  # (photon total, rows) of the coefficient arrays
+    layers = []
+    for mode_counts in counts:
+        rows, chains = {}, []
+        for t, n in sectors:
+            kept = [c for c in mode_counts if c <= top - t]
+            chain = []
+            for c in range(kept[-1] + 1 if kept else 0):
+                dest = None
+                if c in kept:
+                    lo = rows.get(t + c, 0)
+                    rows[t + c] = lo + n
+                    dest = (t + c, slice(lo, lo + n))
+                chain.append((c, b.steps[t + c - 1] if c else None, dest))
+            chains.append(tuple(chain))
+        layers.append(({t: (n, sizes[t]) for t, n in rows.items()}, tuple(chains)))
+        sectors = list(rows.items())
+    cells = math.prod(len(c) for c in counts) * max(sizes)
+    return _Plan(b, cells, tuple(layers), tuple(t for t, _ in sectors))
+
+
+@functools.lru_cache(maxsize=128)
+def _rows(supports: tuple, kinds: tuple, caps: tuple[int, ...], total: int) -> tuple[_Plan, list]:
+    """The plan for supports and its row weights, one (cached, read-only)
+    array per sector in build order: prod_i weight_i / s_i!, multiplied
+    mode by mode.  kinds, the weights' types, keeps a float and a complex
+    weight apart, which hash alike when equal."""
+    plan = _plan(tuple(tuple(c for c, _ in s) for s in supports), caps, total)
+    weights = [np.ones(1)]
+    for weight_of, (shapes, chains) in zip(map(dict, supports), plan.layers):
+        parts = {t: [] for t in shapes}
+        for w, chain in zip(weights, chains):
+            for c, _, dest in chain:
+                if dest is not None:
+                    parts[dest[0]].append(w * (weight_of[c] / math.factorial(c)))
+        weights = [np.concatenate(p) for p in parts.values()]
+    for w in weights:
+        w.setflags(write=False)
+    return plan, weights
 
 
 def max_stack(
     supports: Sequence[Sequence[tuple[int, float]]], caps: Sequence[int], max_total: int
 ) -> int:
     """Most matrices one expand call takes within MAX_CELLS (0: not even one)."""
-    b = basis(tuple(int(c) for c in caps), int(max_total))
-    return MAX_CELLS // _cells(supports, b)
+    counts = tuple(tuple(c for c, _ in s) for s in supports)
+    return MAX_CELLS // _plan(counts, tuple(int(c) for c in caps), int(max_total)).cells
 
 
 def expand(
@@ -118,41 +180,43 @@ def expand(
     ascending; weights are probabilities for a mixed source or complex
     amplitudes for a pure one, and are only ever multiplied.  Returns
     (basis, sectors): sectors[t] = (weights, coeffs) holds one row per
-    configuration s with t photons, its weight prod_i weight_i / s_i! and
-    its coefficients on the states of sector t.
+    configuration s with t photons, its weight prod_i weight_i / s_i!
+    (read-only) and its coefficients on the states of sector t.
     matrix is one N x N matrix or a stack (B, N, N); a stack gives coeffs
     a leading batch axis, and each matrix gets exactly the coefficients a
-    call with it alone would.
+    call with it alone would.  The walk and the weights come from the
+    cached plan of the supports.
     """
-    b = basis(tuple(int(c) for c in caps), int(max_total))
+    supports = tuple(map(tuple, supports))
+    kinds = tuple(type(w) for s in supports for _, w in s)
+    plan, weights = _rows(supports, kinds, tuple(int(c) for c in caps), int(max_total))
     matrix = np.asarray(matrix, dtype=complex)
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    if len(stack) * _cells(supports, b) > MAX_CELLS:
-        raise DimensionTooLarge(
-            f"{len(stack)} x {_cells(supports, b)} coefficients exceed {MAX_CELLS}"
-        )
-    top = len(b.offsets) - 2  # largest photon total in the basis
-    sectors = {0: (np.ones(1), np.ones((len(stack), 1, 1), dtype=complex))}
-    for i, support in enumerate(supports):
-        weight_of = dict(support)
+    if len(stack) * plan.cells > MAX_CELLS:
+        raise DimensionTooLarge(f"{len(stack)} x {plan.cells} coefficients exceed {MAX_CELLS}")
+    powers = [np.ones((len(stack), 1, 1), dtype=complex)]
+    for i, (shapes, chains) in enumerate(plan.layers):
         column = stack[:, None, :, i]
-        parts = {}
-        for t, (weights, power) in sectors.items():
-            for c in range(min(support[-1][0], top - t) + 1):
-                if c:  # multiply by sum_k U[k, i] b_k^dag
-                    sources, modes, starts = b.steps[t + c - 1]
-                    terms = power[..., sources] * column[..., modes]
-                    power = np.add.reduceat(terms, starts, axis=-1)
-                if c in weight_of:
-                    row_weights = weights * (weight_of[c] / math.factorial(c))
-                    parts.setdefault(t + c, []).append((row_weights, power))
-        sectors = {
-            t: (np.concatenate([w for w, _ in p]), np.concatenate([c for _, c in p], axis=1))
-            for t, p in parts.items()
-        }
+        built = {}
+        for power, chain in zip(powers, chains):
+            for c, step, dest in chain:
+                out = None
+                if dest is not None:
+                    t, rows = dest
+                    if t not in built:  # at its first write: fewer blocks live, fewer page faults
+                        built[t] = np.empty((len(stack), *shapes[t]), dtype=complex)
+                    out = built[t][:, rows]
+                if c:  # multiply by sum_k U[k, i] b_k^dag, in the gathered copy
+                    sources, modes, starts = step
+                    terms = power.take(sources, axis=-1)
+                    terms *= column.take(modes, axis=-1)
+                    power = np.add.reduceat(terms, starts, axis=-1, out=out)
+                elif out is not None:
+                    out[...] = power
+        powers = list(built.values())
     if matrix.ndim == 2:
-        sectors = {t: (weights, coeffs[0]) for t, (weights, coeffs) in sectors.items()}
-    return b, sectors
+        powers = [coeffs[0] for coeffs in powers]
+    return plan.basis, dict(zip(plan.sectors, zip(weights, powers)))
 
 
 def output_table(

@@ -53,5 +53,13 @@ class BadDistributionShape(PhotonPostError):
     """Photon-number distribution does not have the required support."""
 
 
+class BadCount(PhotonPostError):
+    """A photon count or a list of counts is negative, repeated, unknown or empty."""
+
+
+class NegativeWeight(PhotonPostError):
+    """A weight that is a sum of non-negative terms is negative beyond roundoff."""
+
+
 class ConfigError(PhotonPostError):
     """Command configuration failed validation."""

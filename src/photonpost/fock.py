@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import NotNormalized
+from .errors import BadCount, BadDistributionShape, NotNormalized
 
 # Per-mode probabilities must sum to one this tightly at construction.
 PROB_SUM_TOL = 1e-12
@@ -29,9 +29,9 @@ class PhotonConfig:
     def __post_init__(self):
         counts = tuple(int(c) for c in self.counts)
         if len(counts) < 1:
-            raise ValueError("a photon configuration needs at least one mode")
+            raise BadCount("a photon configuration needs at least one mode")
         if any(c < 0 for c in counts):
-            raise ValueError(f"negative photon count in {counts}")
+            raise BadCount(f"negative photon count in {counts}")
         object.__setattr__(self, "counts", counts)
 
     def total(self) -> int:
@@ -62,11 +62,11 @@ def _as_distribution(entry) -> tuple[tuple[int, float], ...]:
         n = int(n)
         q = float(q)
         if n < 0:
-            raise ValueError(f"negative photon count {n} in distribution")
+            raise BadCount(f"negative photon count {n} in distribution")
         if not 0 <= q <= 1 + PROB_SUM_TOL:  # NaN fails too
             raise NotNormalized(f"probability {q} outside [0, 1]")
         if n in seen:
-            raise ValueError(f"duplicate photon count {n} in distribution")
+            raise BadCount(f"duplicate photon count {n} in distribution")
         seen[n] = q
     total = sum(seen.values())
     if not abs(total - 1.0) <= PROB_SUM_TOL:
@@ -87,7 +87,7 @@ class InputSpec:
     def __post_init__(self):
         dists = tuple(_as_distribution(d) for d in self.distributions)
         if len(dists) < 1:
-            raise ValueError("an input needs at least one mode")
+            raise BadDistributionShape("an input needs at least one mode")
         object.__setattr__(self, "distributions", dists)
 
     @classmethod

@@ -110,7 +110,7 @@ def embed_two_mode(
 def compose(*elements: Interferometer) -> Interferometer:
     """Apply elements in the order given (earliest first)."""
     if not elements:
-        raise ValueError("compose needs at least one element")
+        raise BadParameters("compose needs at least one element")
     n = elements[0].n_modes
     total = np.eye(n, dtype=complex)
     for el in elements:

@@ -16,6 +16,7 @@ correctness tripwire.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -170,7 +171,7 @@ class PatternScorer:
         totals = counts.sum(axis=1)
         self.caps = (self.top - int(totals.min()),) + tuple(counts.max(axis=0).tolist())
         b = basis(self.caps, self.top)
-        # (n1, *pattern) for n1 up to the kept cap, and 0..2 at least for values();
+        # (n1, *pattern) for n1 up to the kept cap, and 0..2 at least for best();
         # lookup gives -1 outside the basis
         n1 = np.arange(max(3, self.caps[0] + 1))
         vectors = np.zeros((len(counts), n1.size, n), dtype=np.int64)
@@ -199,24 +200,11 @@ class PatternScorer:
                 f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
             )
         _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1)[:, self.gather]
+        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1).take(self.gather, axis=1)
         prob = np.empty(q.shape[:2])
         for size, rows in self.groups:
             prob[:, rows] = q[:, rows, :size].sum(axis=-1)
         return q, prob
-
-    @staticmethod
-    def values(q: np.ndarray, prob: np.ndarray, objective: str) -> np.ndarray:
-        """Objective value per (matrix, pattern); 0 where a pattern cannot occur."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            q0, q1, q2 = np.moveaxis(q[..., :3] / prob[..., None], -1, 0)
-            if objective == "single_photon":
-                value = q1
-            elif objective == "ratio":
-                value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
-            else:
-                value = np.where(q2 <= 1e-9, q1, 0.0)
-        return np.where(prob > 0.0, value, 0.0)
 
     def read(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """weights, and where each (matrix, pattern) breaches the ratio bound.
@@ -224,21 +212,32 @@ class PatternScorer:
         times its ceiling) are read again from |U|: their dust patterns
         (merit.is_dust) count as probability 0, so value 0 and no breach."""
         q, prob = self.weights(matrices)
-        odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & (prob > 0.0)).any(axis=1))
+        possible = prob > 0.0
+        odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & possible).any(axis=1))
         if odd.size:
             paths, _ = self.weights(np.abs(matrices[odd]))
             prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
+            possible = prob > 0.0
         if self.allowed is None:
             return q, prob, np.zeros(prob.shape, dtype=bool)
-        return q, prob, ratio_breaches(q[..., 0], q[..., 1], self.allowed) & (prob > 0.0)
+        return q, prob, ratio_breaches(q[..., 0], q[..., 1], self.allowed) & possible
 
     def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per matrix: the best value, the first pattern reaching it, violations."""
+        """Per matrix: the best objective value over the patterns (0 for one
+        that cannot occur), the first pattern reaching it, violations."""
         q, prob, breach = self.read(matrices)
-        values = self.values(q, prob, objective)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            normalized = q[..., :3] / prob[..., None]
+            q0, q1, q2 = normalized[..., 0], normalized[..., 1], normalized[..., 2]
+            if objective == "single_photon":
+                value = q1
+            elif objective == "ratio":
+                value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
+            else:
+                value = np.where(q2 <= 1e-9, q1, 0.0)
+        values = np.where(prob > 0.0, value, 0.0)
         first = np.argmax(values, axis=1)
-        best = np.take_along_axis(values, first[:, None], axis=1)[:, 0]
-        return best, first, np.count_nonzero(breach, axis=1)
+        return values[np.arange(len(first)), first], first, np.count_nonzero(breach, axis=1)
 
 
 def evaluate_candidate(
@@ -277,6 +276,18 @@ def pair_order(n_modes: int) -> list[tuple[int, int]]:
     return line + rest
 
 
+@functools.lru_cache(maxsize=16)
+def _coupler_layout(n_modes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(slots, rows, cols, identity) of unitary_from_angles, read-only: coupler
+    k of pair_order writes its 2 x 2 entries at [k, rows[k], cols[k]]."""
+    pairs = pair_order(n_modes)
+    rows, cols = np.array([[(i, i, j, j), (i, j, i, j)] for i, j in pairs]).transpose(1, 0, 2)
+    layout = (np.arange(len(pairs))[:, None], rows, cols, np.eye(n_modes, dtype=complex))
+    for a in layout:
+        a.setflags(write=False)
+    return layout
+
+
 def unitary_from_angles(n_modes: int, angles) -> Interferometer | np.ndarray:
     """Compose a unitary from (theta, phi) couplers along pair_order.
 
@@ -285,25 +296,26 @@ def unitary_from_angles(n_modes: int, angles) -> Interferometer | np.ndarray:
     array of angle vectors gives the (B, N, N) stack of products, each
     validated and equal bit for bit to its one-vector call.
     """
-    pairs = pair_order(n_modes)
+    slots, rows, cols, identity = _coupler_layout(n_modes)
+    count = len(slots)
     angles = np.asarray(angles, dtype=float)
-    if angles.ndim not in (1, 2) or angles.shape[-1] != 2 * len(pairs):
+    if angles.ndim not in (1, 2) or angles.shape[-1] != 2 * count:
         raise BadParameters(
-            f"expected {2 * len(pairs)} angles for {n_modes} modes, got shape {angles.shape}"
+            f"expected {2 * count} angles for {n_modes} modes, got shape {angles.shape}"
         )
-    theta, phi = angles.reshape(-1, len(pairs), 2).transpose(2, 0, 1)
+    theta, phi = angles.reshape(-1, count, 2).transpose(2, 0, 1)
     ph = np.empty(phi.shape, dtype=complex)
     ph.real, ph.imag = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
-    m = np.tile(np.eye(n_modes, dtype=complex), theta.shape + (1, 1))  # (B, P) couplers
-    rows, cols = np.array([[(i, i, j, j), (i, j, i, j)] for i, j in pairs]).transpose(1, 0, 2)
+    m = np.empty(theta.shape + identity.shape, dtype=complex)  # (B, P) couplers
+    m[...] = identity
     entries = np.stack([ph * ct, -st, st, ph.conj() * ct], axis=-1)  # coupler_matrix's
-    m[:, np.arange(len(pairs))[:, None], rows, cols] = entries
-    total = np.eye(n_modes, dtype=complex)
-    for k in range(len(pairs)):
+    m[:, slots, rows, cols] = entries
+    total = identity
+    for k in range(count):
         total = m[:, k] @ total
     if angles.ndim == 1:
-        return Interferometer(total[0], provenance=f"compose({len(pairs)} elements)")
+        return Interferometer(total[0], provenance=f"compose({count} elements)")
     check_unitary(total)
     return total
 

@@ -6,6 +6,7 @@ import pytest
 
 from photonpost import (
     BUCKET,
+    BadCount,
     DetectionPattern,
     DetectorModel,
     DimensionMismatch,
@@ -196,9 +197,9 @@ def test_observe_rejects_source_of_other_mode_count(source_modes):
 
 
 def test_observed_pattern_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCount):
         ObservedPattern((0, "maybe"))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCount):
         ObservedPattern((-1,))
     assert tuple(ObservedPattern((1, BUCKET))) == (1, BUCKET)
 

@@ -1,6 +1,9 @@
 """The creation-operator engine against brute force and high precision."""
 
 import math
+import os
+import subprocess
+import sys
 
 import mpmath
 import numpy as np
@@ -18,7 +21,8 @@ from photonpost import (
     condition_mixed,
     haar_random,
 )
-from photonpost.engine import max_stack, output_table
+from photonpost import engine
+from photonpost.engine import expand, max_stack, output_table
 
 REL_TOL = 1e-12
 
@@ -224,3 +228,66 @@ def test_stacks_beyond_the_size_guard_raise():
     assert fits >= 1
     with pytest.raises(DimensionTooLarge):
         output_table(spec.distributions, np.broadcast_to(np.eye(4), (fits + 1, 4, 4)), caps, top)
+
+
+ENGINE_CACHES = (engine.basis, engine._plan, engine._rows)
+
+
+def test_cached_plans_never_mix_up_row_weights():
+    """Sources with the same counts at other weights share a plan; each table,
+    interleaved with the other's on warm caches, equals a cold-cache call."""
+    stack = np.array([build_chain(4, 0.3).interferometer.matrix, haar_random(4, 5).matrix])
+    caps, top = (4, 3, 3, 3), 4
+    three_level = [{0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 1: 0.4}, {0: 0.1, 1: 0.9}, {1: 1.0}]
+    reweighted = [dict(zip(d, reversed(d.values()))) for d in three_level]
+    pairs = [
+        [InputSpec.two_level([p] * 4).distributions for p in (0.2, 0.6)],
+        [InputSpec(tuple(d)).distributions for d in (three_level, reweighted)],
+    ]
+    for supports in pairs:
+        assert [[c for c, _ in s] for s in supports[0]] == [[c for c, _ in s] for s in supports[1]]
+        cold = []
+        for support in supports:
+            for cache in ENGINE_CACHES:
+                cache.cache_clear()
+            cold.append(output_table(support, stack, caps, top)[1].tobytes())
+        assert cold[0] != cold[1]
+        for support, want in zip(supports * 2, cold * 2):
+            assert output_table(support, stack, caps, top)[1].tobytes() == want
+        assert engine._plan.cache_info().misses == 1
+    # equal float and complex weights hash alike, yet keep their own row weights
+    fock = InputSpec(({1: 1.0},) * 4).distributions
+    pure = [[(1, 1 + 0j)]] * 4
+    for supports, kind in ((fock, float), (pure, complex), (fock, float)):
+        weights, _ = expand(supports, stack, caps, top)[1][4]
+        assert weights.dtype == kind
+
+
+def test_repeated_call_builds_no_new_plan():
+    spec = InputSpec.two_level([0.3] * 4)
+    caps, top = (4, 3, 3, 3), 4
+    output_table(spec.distributions, np.eye(4), caps, top)
+    built = [cache.cache_info().misses for cache in ENGINE_CACHES]
+    output_table(spec.distributions, haar_random(4, 2).matrix, list(caps), top)
+    expand(spec.distributions, np.eye(4)[None], caps, top)
+    max_stack(spec.distributions, caps, top)
+    assert [cache.cache_info().misses for cache in ENGINE_CACHES] == built
+
+
+def test_importing_the_cli_builds_no_basis_or_plan():
+    """Import does no engine work, so a job's set-up time holds none of it."""
+    script = (
+        "import photonpost.cli\n"
+        "from photonpost import engine, search\n"
+        "caches = (engine.basis, engine._plan, engine._rows, search._coupler_layout)\n"
+        "print([cache.cache_info().currsize for cache in caches])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout.split() == ["[0,", "0,", "0,", "0]"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from photonpost import (
+    BadCount,
     InputSpec,
     NotNormalized,
     PhotonConfig,
@@ -18,9 +19,9 @@ def test_photon_config_total_and_validation():
     assert cfg.total() == 3
     assert len(cfg) == 3
     assert tuple(cfg) == (1, 0, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCount):
         PhotonConfig((1, -1))
-    with pytest.raises(ValueError):
+    with pytest.raises(BadCount):
         PhotonConfig(())
 
 

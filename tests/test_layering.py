@@ -1,5 +1,6 @@
 """The package's modules import each other without cycles or private
-names, and only the two conditioning readers build engine output tables.
+names, only the two conditioning readers build engine output tables, and
+every bad value they reject raises a PhotonPostError.
 
 Imports inside functions count too: a deferred import still ties the two
 modules together, it only hides the cycle from the interpreter.
@@ -8,7 +9,22 @@ modules together, it only hides the cycle from the interpreter.
 import ast
 from pathlib import Path
 
+import pytest
+
 import photonpost
+from photonpost import (
+    BadCount,
+    BadDistributionShape,
+    BadParameters,
+    ConditionalResult,
+    DetectionPattern,
+    InputSpec,
+    NegativeWeight,
+    ObservedPattern,
+    PhotonConfig,
+    PhotonPostError,
+    compose,
+)
 
 PACKAGE = Path(photonpost.__file__).parent
 
@@ -149,3 +165,31 @@ def test_every_exported_name_resolves_once():
     assert len(names) == len(set(names)), sorted(n for n in set(names) if names.count(n) > 1)
     missing = [n for n in names if not hasattr(photonpost, n)]
     assert not missing, missing
+
+
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        (lambda: ConditionalResult.from_unnormalized([0.5, -1e-3]), NegativeWeight),
+        (lambda: ConditionalResult.from_unnormalized([[0.5]]), BadDistributionShape),
+        (lambda: DetectionPattern((1, -1)), BadCount),
+        (lambda: ObservedPattern((0, "maybe")), BadCount),
+        (lambda: ObservedPattern((-1,)), BadCount),
+        (lambda: PhotonConfig(()), BadCount),
+        (lambda: PhotonConfig((1, -1)), BadCount),
+        (lambda: InputSpec(({-1: 1.0},)), BadCount),
+        (lambda: InputSpec(([(0, 0.5), (0, 0.5)],)), BadCount),
+        (lambda: InputSpec(()), BadDistributionShape),
+        (lambda: compose(), BadParameters),
+    ],
+    ids=[
+        "negative-weight", "2-d-weights", "negative-detected", "unknown-outcome",
+        "negative-outcome", "no-modes-config", "negative-config", "negative-count",
+        "repeated-count", "no-modes-input", "compose-nothing",
+    ],
+)
+def test_bad_values_raise_photonpost_errors(make, error):
+    with pytest.raises(error) as raised:
+        make()
+    assert isinstance(raised.value, PhotonPostError)
+    assert not isinstance(raised.value, ValueError)

@@ -546,10 +546,14 @@ def test_nogo_patterns_deterministic():
             lambda: search_improvement(SearchTask(4, 0.2, "single_photon_no_pairs", 25, 30, 9)),
             165, (3, 0, 0), 0.19999971555548618, "none found",
         ),
+        (  # the benchmark's search-4mode config at seed 101
+            lambda: search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101)),
+            907, (0, 3, 0), 0.5999999998844824, "none found",
+        ),
     ],
     ids=[
         "search-4", "search-3-ratio", "nogo-small-3", "nogo-patterns-4",
-        "search-4-ratio", "search-4-no-pairs",
+        "search-4-ratio", "search-4-no-pairs", "search-4-benchmark",
     ],
 )
 def test_searches_reproduce_recorded_results(run, trials_run, best_pattern, best_value, verdict):
