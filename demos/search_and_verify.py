@@ -52,4 +52,5 @@ task = SearchTask(n_modes=4, p_max=0.6, trials=300, refine_iters=150, seed=1)
 report = search_improvement(task)
 print("improvement search, 4 modes, p = 0.6:")
 print(f"  verdict: {report.verdict}, best c1 = {report.best_value:.6f}")
-print("  (whether any network helps at p >= 1/2 is open; searches keep losing)")
+print("  (no network helps at p >= 1/2: uniform loss commutes with the network and the")
+print("   detectors, so q1 <= max_m m p (1-p)^(m-1) = p; Berry & Lvovsky, PRL 105, 203601)")

@@ -39,14 +39,8 @@ from typing import Sequence
 import numpy as np
 
 from .engine import expand, output_table
-from .errors import (
-    BadCount,
-    BadDistributionShape,
-    DimensionMismatch,
-    NegativeWeight,
-    NotNormalized,
-)
-from .fock import InputSpec
+from .errors import BadDistributionShape, DimensionMismatch, NegativeWeight, NotNormalized
+from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
 
 # c~ entries are sums of non-negative terms; anything below this is
@@ -69,9 +63,7 @@ class DetectionPattern:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
-        if any(c < 0 for c in counts):
-            raise BadCount(f"negative count in detection pattern {counts}")
+        counts = tuple(photon_count(c) for c in self.counts)
         object.__setattr__(self, "counts", counts)
 
     def total(self) -> int:
@@ -104,6 +96,8 @@ class ConditionalResult:
         arr = np.asarray(values, dtype=float).copy()
         if arr.ndim != 1 or arr.size < 1:
             raise BadDistributionShape("expected a 1-D coefficient vector")
+        if not np.all(np.isfinite(arr)):
+            raise NotNormalized(f"coefficients are not all finite: {arr}")
         _clamp(arr)
         prob = float(arr.sum())
         if prob > 0.0:
@@ -134,10 +128,10 @@ def condition_on_responses(
 ) -> ConditionalResult:
     """Conditional output of mode 1 weighted by one response column per detector.
 
-    columns[j][t] is the weight of detector j having seen t photons (a
-    one-hot column is an exact count).  One engine table, capped at the
-    column supports, is multiplied by every column in detector order and
-    summed over n1; pattern labels the result.  Without support within
+    columns[j][t], finite and non-negative, is the weight of detector j
+    having seen t photons (a one-hot column is an exact count).  One
+    engine table, capped at the column supports, is multiplied by every
+    column in detector order and summed over n1; pattern labels the result.  Without support within
     the source maximum the result is the flagged zero one.
     """
     n = interf.n_modes
@@ -146,8 +140,10 @@ def condition_on_responses(
     if len(columns) != n - 1:
         raise DimensionMismatch(f"pattern covers {len(columns)} detectors, expected {n - 1}")
     max_total = spec.max_total()
-    columns = [np.asarray(col, dtype=float)[: max_total + 1] for col in columns]
-    supports = [np.flatnonzero(col) for col in columns]
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if not all(np.all((col >= 0.0) & (col < math.inf)) for col in columns):  # NaN fails too
+        raise NotNormalized("response columns must be finite and non-negative")
+    supports = [np.flatnonzero(col[: max_total + 1]) for col in columns]
     if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
         return ConditionalResult.from_unnormalized([0.0], pattern=pattern)
     cap = max_total - sum(int(t[0]) for t in supports)
@@ -192,7 +188,7 @@ def condition_pure(
         )
     supports = []
     for amps in amplitudes:
-        support = sorted((int(c), complex(a)) for c, a in dict(amps).items() if a != 0)
+        support = sorted((photon_count(c), complex(a)) for c, a in dict(amps).items() if a != 0)
         norm = math.sqrt(sum(abs(a) ** 2 for _, a in support))
         if not abs(norm - 1.0) <= 1e-10:
             raise NotNormalized(f"source norm {norm} is not 1 within 1e-10")

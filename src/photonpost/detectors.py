@@ -18,7 +18,7 @@ import numpy as np
 
 from .conditioner import ConditionalResult, condition_on_responses
 from .errors import BadCount, DimensionMismatch, NotNormalized
-from .fock import InputSpec
+from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
 
 BUCKET = ">=2"
@@ -42,7 +42,7 @@ class DetectorModel:
 
     def __post_init__(self):
         outcomes = tuple(
-            o if isinstance(o, str) else int(o) for o in self.outcomes
+            o if isinstance(o, str) else photon_count(o) for o in self.outcomes
         )
         resp = np.array(self.response, dtype=float)
         if resp.ndim != 2 or resp.shape[1] != len(outcomes):
@@ -139,13 +139,11 @@ class ObservedPattern:
 
     def __post_init__(self):
         outs = tuple(
-            o if isinstance(o, str) else int(o) for o in self.outcomes
+            o if isinstance(o, str) else photon_count(o) for o in self.outcomes
         )
         for o in outs:
             if isinstance(o, str) and o != BUCKET:
                 raise BadCount(f"unknown reported outcome {o!r}")
-            if isinstance(o, int) and o < 0:
-                raise BadCount(f"negative reported count {o}")
         object.__setattr__(self, "outcomes", outs)
 
     def __len__(self) -> int:

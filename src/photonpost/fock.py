@@ -20,6 +20,19 @@ from .errors import BadCount, BadDistributionShape, NotNormalized
 PROB_SUM_TOL = 1e-12
 
 
+def photon_count(value) -> int:
+    """value as a photon count: a non-negative whole number, so 2 and 2.0 read
+    as 2; 1.5, NaN, infinity, a string or a negative number raise BadCount."""
+    try:
+        count = int(value)
+        whole = count == value
+    except (TypeError, ValueError, OverflowError):
+        whole = False
+    if not whole or count < 0:
+        raise BadCount(f"photon count {value!r} is not a non-negative integer")
+    return count
+
+
 @dataclass(frozen=True)
 class PhotonConfig:
     """Occupation-number vector; counts[i] photons sit in mode i."""
@@ -27,11 +40,9 @@ class PhotonConfig:
     counts: tuple[int, ...]
 
     def __post_init__(self):
-        counts = tuple(int(c) for c in self.counts)
+        counts = tuple(photon_count(c) for c in self.counts)
         if len(counts) < 1:
             raise BadCount("a photon configuration needs at least one mode")
-        if any(c < 0 for c in counts):
-            raise BadCount(f"negative photon count in {counts}")
         object.__setattr__(self, "counts", counts)
 
     def total(self) -> int:
@@ -53,16 +64,9 @@ def _as_distribution(entry) -> tuple[tuple[int, float], ...]:
     Accepts a mapping {count: prob} or an iterable of (count, prob) pairs.
     Zero-probability entries are dropped; they carry no support.
     """
-    if isinstance(entry, Mapping):
-        pairs = list(entry.items())
-    else:
-        pairs = [(int(n), float(q)) for n, q in entry]
     seen = {}
-    for n, q in pairs:
-        n = int(n)
-        q = float(q)
-        if n < 0:
-            raise BadCount(f"negative photon count {n} in distribution")
+    for n, q in entry.items() if isinstance(entry, Mapping) else entry:
+        n, q = photon_count(n), float(q)
         if not 0 <= q <= 1 + PROB_SUM_TOL:  # NaN fails too
             raise NotNormalized(f"probability {q} outside [0, 1]")
         if n in seen:

@@ -21,7 +21,7 @@ import numpy as np
 from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
 from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite, observe
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta
-from .fock import InputSpec
+from .fock import InputSpec, photon_count
 from .interferometer import (
     Interferometer,
     beam_splitter,
@@ -275,7 +275,7 @@ def purify_super_poissonian(q, element: Interferometer) -> ConditionalResult:
     on any beam splitter that actually couples the modes and detecting D
     photons then leaves exactly one photon, whatever sits below D.
     """
-    dist = {int(n): float(p) for n, p in dict(q).items()}
+    dist = {photon_count(n): float(p) for n, p in dict(q).items()}
     support = sorted(n for n, p in dist.items() if p > 0)
     if not support or support[-1] < 1:
         raise BadDistributionShape(

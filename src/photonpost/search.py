@@ -1,17 +1,17 @@
 """Randomized searches for improvement and no-go verification.
 
 Candidates are sampled Haar-randomly and scored over every detection
-pattern, in stacks: PatternScorer reads all exact patterns of a stack of
-candidates from one engine table and applies the objectives and the
-ratio bound to them.  Refinement then climbs in a
-beam-splitter-angle parameterization of the unitary group (a product of
-two-mode couplers, unitary by construction) with Nelder-Mead or a compass
-search, ask/tell generators that one loop (_Tally.refine) advances in
-lockstep rounds, each round one stack of the points their starts ask
-for: no candidate is scored alone.  A negative verdict always means "no
-counterexample found at this budget", nothing stronger.  Every
-evaluation also checks the ratio bound, so the search doubles as a
-correctness tripwire.
+pattern, in stacks: PatternScorer.best, the one reader of all three
+searches, reads all exact patterns of a stack of candidates from one
+engine table and applies the objectives and the ratio bound to them.
+Refinement then climbs in a beam-splitter-angle parameterization of the
+unitary group (a product of two-mode couplers, unitary by construction)
+with Nelder-Mead or a compass search, ask/tell generators that one loop
+(_Tally.refine) advances in lockstep rounds, each round one stack of the
+points their starts ask for: no candidate is scored alone.  A negative
+verdict always means "no counterexample found at this budget", nothing
+stronger.  Every evaluation also checks the ratio bound, so the search
+doubles as a correctness tripwire.
 """
 
 from __future__ import annotations
@@ -148,8 +148,9 @@ class PatternScorer:
 
     Built once per (spec, patterns): caps that hold every pattern (each
     detector at its largest count, the kept mode at the source maximum
-    minus the fewest detected), a gather index (patterns, n1) into their
-    basis, padded with a zero column, and the patterns grouped by length.
+    minus the fewest detected), a gather index (patterns, n1) clipped into
+    their basis, the mask of entries outside it (set to +0.0 after the
+    gather), and the patterns grouped by length.
     A (B, N, N) stack then gives one stacked table, read as arrays (sums of
     non-negative terms, never below +0.0, need no clamp); merit's ratio
     bound and the objectives are applied with the float operations of a
@@ -177,8 +178,9 @@ class PatternScorer:
         vectors = np.zeros((len(counts), n1.size, n), dtype=np.int64)
         vectors[..., 0], vectors[..., 1:] = n1, counts[:, None]
         index = b.lookup(vectors).reshape(len(counts), n1.size)
-        self.lengths = np.maximum(np.count_nonzero(index >= 0, axis=1), 1).tolist()
-        self.gather = np.where(index >= 0, index, len(b.states))
+        self.outside = index < 0
+        self.lengths = np.maximum(np.count_nonzero(~self.outside, axis=1), 1).tolist()
+        self.gather = np.maximum(index, 0)
         # sums run per length, so each adds the same terms as a 1-D sum
         self.groups = [
             (size, np.flatnonzero(np.equal(self.lengths, size)))
@@ -200,17 +202,20 @@ class PatternScorer:
                 f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
             )
         _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1).take(self.gather, axis=1)
+        q = table.take(self.gather, axis=1)
+        np.copyto(q, 0.0, where=self.outside)
         prob = np.empty(q.shape[:2])
         for size, rows in self.groups:
             prob[:, rows] = q[:, rows, :size].sum(axis=-1)
         return q, prob
 
-    def read(self, matrices) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """weights, and where each (matrix, pattern) breaches the ratio bound.
-        The rare matrices with a possible pattern that may be dust (below DUST
-        times its ceiling) are read again from |U|: their dust patterns
-        (merit.is_dust) count as probability 0, so value 0 and no breach."""
+    def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per matrix: the best objective value over the patterns (0 for one
+        that cannot occur), the first pattern reaching it, and how many
+        patterns breach the ratio bound.  The rare matrices with a possible
+        pattern that may be dust (below DUST times its ceiling) are read
+        again from |U|: their dust patterns (merit.is_dust) count as
+        probability 0, so value 0 and no breach."""
         q, prob = self.weights(matrices)
         possible = prob > 0.0
         odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & possible).any(axis=1))
@@ -219,13 +224,9 @@ class PatternScorer:
             prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
             possible = prob > 0.0
         if self.allowed is None:
-            return q, prob, np.zeros(prob.shape, dtype=bool)
-        return q, prob, ratio_breaches(q[..., 0], q[..., 1], self.allowed) & possible
-
-    def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per matrix: the best objective value over the patterns (0 for one
-        that cannot occur), the first pattern reaching it, violations."""
-        q, prob, breach = self.read(matrices)
+            breach = np.zeros_like(possible)
+        else:
+            breach = ratio_breaches(q[..., 0], q[..., 1], self.allowed) & possible
         with np.errstate(divide="ignore", invalid="ignore"):
             normalized = q[..., :3] / prob[..., None]
             q0, q1, q2 = normalized[..., 0], normalized[..., 1], normalized[..., 2]
@@ -235,7 +236,7 @@ class PatternScorer:
                 value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
             else:
                 value = np.where(q2 <= 1e-9, q1, 0.0)
-        values = np.where(prob > 0.0, value, 0.0)
+        values = np.where(possible, value, 0.0)
         first = np.argmax(values, axis=1)
         return values[np.arange(len(first)), first], first, np.count_nonzero(breach, axis=1)
 
@@ -248,8 +249,6 @@ def evaluate_candidate(
 ) -> tuple[float, tuple[int, ...], int]:
     """Best objective value over the given patterns, plus bound violations:
     the one-matrix call of PatternScorer."""
-    if not patterns:
-        return -math.inf, (), 0
     scorer = PatternScorer(spec, patterns)
     best, first, violations = scorer.best(interf.matrix[None], objective)
     return float(best[0]), scorer.patterns[first[0]].counts, int(violations[0])
@@ -494,9 +493,7 @@ class _Tally:
                     del asked[k]
         return ends
 
-    def report(
-        self, kind: str, benchmark: float, found: str, best_value: float | None = None
-    ) -> SearchReport:
+    def report(self, kind: str, benchmark: float, found: str) -> SearchReport:
         """The verdict is `found` when the best value clears the benchmark."""
         task = self.task
         beaten = self.best_value > benchmark + IMPROVEMENT_SLACK
@@ -509,7 +506,7 @@ class _Tally:
             trials=task.trials,
             refine_iters=task.refine_iters,
             trials_run=self.evals,
-            best_value=float(self.best_value if best_value is None else best_value),
+            best_value=float(self.best_value),
             best_pattern=self.best_pattern,
             best_interferometer=self.best_interf,
             verdict=found if beaten else "none found",
@@ -586,51 +583,43 @@ def verify_nogo_patterns(
     Per trial: a Haar-random interferometer faces (a) a random two-level
     source, patterns detecting one photon fewer than the occupied modes,
     and (b) a uniform source with every single-click pattern and the
-    empty pattern.  The output ratio must never beat the input ratio;
-    the tally keeps the largest excess over it.  Half (b) is scored for a
-    stack of trials at once; the offers still go in trial order.
+    empty pattern.  The output ratio (PatternScorer.best) must never beat
+    the input ratio; the tally keeps the largest, and every (trial,
+    pattern) counts as one evaluation.  Half (b) is scored for a stack of
+    trials at once; the offers still go in trial order.
     """
     task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
     n = n_modes
-    tally = _Tally(
-        task,
-        [DetectionPattern(tuple(1 if j == i else 0 for j in range(n - 1))) for i in range(n - 1)]
-        + [DetectionPattern((0,) * (n - 1))],
-    )
-    ratio_in = p_max / (1.0 - p_max)
+    patterns = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
+    tally = _Tally(task, patterns)  # every single click, then the empty pattern (i = n - 1)
+    single_clicks = tally.scorer
+    left_patterns = {
+        k: [DetectionPattern(c) for c in compositions(k - 1, n - 1)] for k in range(2, n + 1)
+    }
+
+    def score(scorer, matrices):
+        best, first, bad = scorer.best(matrices, "ratio")
+        tally.count(best.size * len(scorer.patterns), bad.sum())
+        return best, first
 
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    single_clicks = tally.scorer
-
-    def excess(scorer, matrices):
-        """Output ratio minus ratio_in per (matrix, pattern), counted."""
-        q, prob, breach = scorer.read(matrices)
-        tally.count(prob.size, np.count_nonzero(breach))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where((prob > 0.0) & (q[..., 0] > 0.0), q[..., 1] / q[..., 0], 0.0)
-        return ratio - ratio_in
-
     for chunk, matrices in _haar_stacks(n, _trial_seeds(seed, trials), tally.size):
-        clicks = excess(single_clicks, matrices)
+        clicks = score(single_clicks, matrices)
         for t, trial_seed in enumerate(chunk):
             occupied = int(rng.integers(2, n + 1))
             modes = rng.permutation(n)[:occupied]
             ps = np.zeros(n)
             ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
             ps[modes[0]] = p_max
-            one_left = PatternScorer(
-                InputSpec.two_level(ps.tolist()),
-                [DetectionPattern(c) for c in compositions(occupied - 1, n - 1)],
-            )
+            one_left = PatternScorer(InputSpec.two_level(ps.tolist()), left_patterns[occupied])
             # offers keep trial order: one_left first, then the single clicks
-            for scorer, values in (
-                (one_left, excess(one_left, matrices[t : t + 1])[0]),
-                (single_clicks, clicks[t]),
+            for scorer, (best, first), k in (
+                (one_left, score(one_left, matrices[t : t + 1]), 0),
+                (single_clicks, clicks, t),
             ):
                 tally.offer(
-                    values, lambda k: (scorer.patterns[k].counts, haar_random(n, trial_seed))
+                    best[k : k + 1],
+                    lambda _: (scorer.patterns[first[k]].counts, haar_random(n, trial_seed)),
                 )
 
-    return tally.report(
-        "nogo-patterns", 0.0, "counterexample found", ratio_in + tally.best_value
-    )
+    return tally.report("nogo-patterns", p_max / (1.0 - p_max), "counterexample found")

@@ -22,6 +22,7 @@ from photonpost import (
     benchmark_detector_suite,
     build_chain,
     condition_mixed,
+    haar_random,
     observe,
 )
 
@@ -212,7 +213,7 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
     modes and D detected photons, and ratio_out <= ratio_in when D = 0 or
     D = M - 1; other inputs, a sure photon (p = 1, where ratio_in is
     infinite) and impossible patterns pass.  The reference for
-    search.PatternScorer.read, written out apart from merit's rule.
+    search.PatternScorer.best, written out apart from merit's rule.
     """
     if not spec.is_two_level() or spec.p_max() >= 1.0 or result.zero_probability:
         return True
@@ -230,7 +231,7 @@ def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9)
 
 def objective_value(result: ConditionalResult, objective: str) -> float:
     """A search objective of one conditional result, 0 for an impossible
-    pattern.  The per-pattern reference for search.PatternScorer.values."""
+    pattern.  The per-pattern reference for search.PatternScorer.best."""
     if result.zero_probability:
         return 0.0
     q = result.normalized
@@ -361,3 +362,51 @@ def verify_nogo_small_sequential(n_modes, p_max, trials, seed, refine_iters=80):
             if not improved:
                 step *= 0.5
     return tally.report("nogo-small", p_max, "counterexample found")
+
+
+def verify_nogo_patterns_sequential(n_modes, p_max, trials, seed) -> dict:
+    """verify_nogo_patterns trial by trial, every pattern read by its own
+    condition_mixed call.
+
+    Each trial takes its Haar unitary from the trial seed and its
+    one-mode-left source from the search's generator: an occupied count
+    in 2..n_modes, that many modes, their probabilities (the first set to
+    p_max).  The source's patterns detect one photon fewer than the
+    occupied count, listed here by filtering every count vector; then the
+    uniform p_max source faces each single click and the empty pattern.
+    Every pattern is one evaluation, check_bound counts the violations and
+    objective_value gives the ratio.  Returns the report's trials_run,
+    bound_violations, best_value and verdict.
+    """
+    n = n_modes
+    ratio_in = p_max / (1.0 - p_max)
+    uniform = InputSpec.two_level([p_max] * n)
+    clicks = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
+    trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
+    evals = violations = 0
+    best = -math.inf
+    for trial_seed in trial_seeds:
+        interf = haar_random(n, int(trial_seed))
+        occupied = int(rng.integers(2, n + 1))
+        modes = rng.permutation(n)[:occupied]
+        ps = np.zeros(n)
+        ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
+        ps[modes[0]] = p_max
+        left = [
+            DetectionPattern(c)
+            for c in itertools.product(range(occupied), repeat=n - 1)
+            if sum(c) == occupied - 1
+        ]
+        for spec, patterns in ((InputSpec.two_level(ps.tolist()), left), (uniform, clicks)):
+            for pattern in patterns:
+                result = condition_mixed(spec, interf, pattern)
+                evals += 1
+                violations += not check_bound(result, spec)
+                best = max(best, objective_value(result, "ratio"))
+    return {
+        "trials_run": evals,
+        "bound_violations": violations,
+        "best_value": best,
+        "verdict": "counterexample found" if best > ratio_in + 1e-9 else "none found",
+    }

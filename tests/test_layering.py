@@ -7,6 +7,7 @@ modules together, it only hides the cycle from the interpreter.
 """
 
 import ast
+import math
 from pathlib import Path
 
 import pytest
@@ -20,11 +21,15 @@ from photonpost import (
     DetectionPattern,
     InputSpec,
     NegativeWeight,
+    NotNormalized,
     ObservedPattern,
     PhotonConfig,
     PhotonPostError,
+    beam_splitter,
     compose,
+    purify_super_poissonian,
 )
+from photonpost.conditioner import condition_on_responses
 
 PACKAGE = Path(photonpost.__file__).parent
 
@@ -181,11 +186,27 @@ def test_every_exported_name_resolves_once():
         (lambda: InputSpec(([(0, 0.5), (0, 0.5)],)), BadCount),
         (lambda: InputSpec(()), BadDistributionShape),
         (lambda: compose(), BadParameters),
+        (lambda: DetectionPattern((1.5, 0.9)), BadCount),
+        (lambda: DetectionPattern((math.nan,)), BadCount),
+        (lambda: ObservedPattern((2.7, ">=2")), BadCount),
+        (lambda: PhotonConfig((1, math.inf)), BadCount),
+        (lambda: PhotonConfig(("2",)), BadCount),
+        (lambda: InputSpec(({0: 0.5, 1.7: 0.5},)), BadCount),
+        (lambda: InputSpec(([(math.nan, 1.0)],)), BadCount),
+        (lambda: purify_super_poissonian({0: 0.5, 2.5: 0.5}, beam_splitter(0.4)), BadCount),
+        (lambda: ConditionalResult.from_unnormalized([math.nan, 0.5]), NotNormalized),
+        (lambda: ConditionalResult.from_unnormalized([0.5, math.inf]), NotNormalized),
+        (lambda: _respond([[1.0, math.nan]]), NotNormalized),
+        (lambda: _respond([[1.0, -0.5]]), NotNormalized),
+        (lambda: _respond([[math.inf, 1.0]]), NotNormalized),
     ],
     ids=[
         "negative-weight", "2-d-weights", "negative-detected", "unknown-outcome",
         "negative-outcome", "no-modes-config", "negative-config", "negative-count",
-        "repeated-count", "no-modes-input", "compose-nothing",
+        "repeated-count", "no-modes-input", "compose-nothing", "fractional-detected",
+        "nan-detected", "fractional-outcome", "infinite-config", "string-config",
+        "fractional-count", "nan-count", "fractional-purify-count", "nan-weight",
+        "infinite-weight", "nan-response", "negative-response", "infinite-response",
     ],
 )
 def test_bad_values_raise_photonpost_errors(make, error):
@@ -193,3 +214,19 @@ def test_bad_values_raise_photonpost_errors(make, error):
         make()
     assert isinstance(raised.value, PhotonPostError)
     assert not isinstance(raised.value, ValueError)
+
+
+def _respond(columns):
+    """condition_on_responses of a beam splitter fed one photon, one column per detector."""
+    return condition_on_responses(
+        InputSpec.two_level([1.0, 0.0]), beam_splitter(0.4), columns, pattern=None
+    )
+
+
+def test_whole_number_counts_read_as_ints():
+    """2.0 is the count 2 wherever a count is read; only fractions are refused."""
+    assert DetectionPattern((2.0, 1)).counts == (2, 1)
+    assert ObservedPattern((1.0, ">=2")).outcomes == (1, ">=2")
+    assert PhotonConfig((0.0, 3.0)).counts == (0, 3)
+    assert InputSpec(({0.0: 0.5, 2.0: 0.5},)).distributions == (((0, 0.5), (2, 0.5)),)
+    assert _respond([[1.0, 0.0]]).pattern_probability > 0.0

@@ -11,6 +11,7 @@ from oracles import (
     objective_value,
     scorer_results,
     search_improvement_sequential,
+    verify_nogo_patterns_sequential,
     verify_nogo_small_sequential,
 )
 
@@ -509,6 +510,18 @@ def test_nogo_patterns_finds_nothing():
     # the recorded best ratio can touch but not beat the input ratio
     ratio_in = 0.25 / 0.75
     assert report.best_value <= ratio_in + 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("p_max, seed", [(0.25, 1), (0.4, 5), (0.6, 12)])
+def test_nogo_patterns_matches_the_per_pattern_reference(n, p_max, seed):
+    """The stacked search against one condition_mixed call per pattern."""
+    report = verify_nogo_patterns(n, p_max, 20, seed)
+    ref = verify_nogo_patterns_sequential(n, p_max, 20, seed)
+    assert (report.trials_run, report.bound_violations, report.verdict) == (
+        ref["trials_run"], ref["bound_violations"], ref["verdict"],
+    )
+    assert report.best_value == pytest.approx(ref["best_value"], rel=1e-12)
 
 
 def test_nogo_patterns_deterministic():
