@@ -54,7 +54,7 @@ class BadDistributionShape(PhotonPostError):
 
 
 class BadCount(PhotonPostError):
-    """A photon count or a list of counts is negative, repeated, unknown or empty."""
+    """A photon or mode count, or a list of counts, is negative, repeated, unknown or empty."""
 
 
 class NegativeWeight(PhotonPostError):

@@ -21,15 +21,15 @@ PROB_SUM_TOL = 1e-12
 
 
 def photon_count(value) -> int:
-    """value as a photon count: a non-negative whole number, so 2 and 2.0 read
-    as 2; 1.5, NaN, infinity, a string or a negative number raise BadCount."""
+    """value as a photon or mode count: a non-negative whole number, so 2 and
+    2.0 read as 2; 1.5, NaN, infinity, a string or a negative number raise BadCount."""
     try:
         count = int(value)
         whole = count == value
     except (TypeError, ValueError, OverflowError):
         whole = False
     if not whole or count < 0:
-        raise BadCount(f"photon count {value!r} is not a non-negative integer")
+        raise BadCount(f"count {value!r} is not a non-negative integer")
     return count
 
 

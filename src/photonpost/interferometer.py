@@ -15,6 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import BadModeIndex, BadParameters, NotUnitary, RowsNotOrthonormal
+from .fock import photon_count
 
 UNITARITY_TOL = 1e-10
 
@@ -170,6 +171,7 @@ def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:
     makes the distribution exactly Haar.  A seed gives the bit-identical
     matrix wherever it stands in the stack.
     """
+    n_modes = photon_count(n_modes)
     if n_modes < 1:
         raise BadModeIndex("need at least one mode")
     z = np.empty((len(seeds), n_modes, n_modes), dtype=complex)

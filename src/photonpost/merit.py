@@ -79,7 +79,7 @@ def figures_of_merit(result: ConditionalResult, spec: InputSpec) -> MeritReport:
     q1 = float(q[1]) if q.size > 1 else 0.0
     q2 = float(q[2]) if q.size > 2 else 0.0
 
-    ratio_out = math.inf if q0 == 0.0 else q1 / q0
+    ratio_out = (math.inf if q1 > 0.0 else 0.0) if q0 == 0.0 else q1 / q0
     if q2 == 0.0:
         two_photon = 0.0
     elif q1 == 0.0 or q0 == 0.0:

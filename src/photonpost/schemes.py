@@ -48,11 +48,14 @@ class ChainScheme:
         return DetectionPattern((detected,) + (0,) * (self.n_modes - 2))
 
 
-def _check_chain_args(n_modes: int, epsilon: float) -> None:
+def _check_chain_args(n_modes: int, epsilon: float) -> int:
+    """The mode count as an int, once it and epsilon are checked."""
+    n_modes = photon_count(n_modes)
     if n_modes < 3:
         raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
     if not (0.0 < epsilon < 1.0):
         raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+    return n_modes
 
 
 def _chain_rows(n_modes: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -74,7 +77,7 @@ def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
     swaps those roles.  The remaining rows feed the vacuum detectors and
     are any deterministic orthonormal completion.
     """
-    _check_chain_args(n_modes, epsilon)
+    n_modes = _check_chain_args(n_modes, epsilon)
     row1, row2 = _chain_rows(n_modes, epsilon)
     interf = complete_rows([row1, row2], n_modes)
     interf = Interferometer(
@@ -90,7 +93,7 @@ def chain_element_angles(n_modes: int, epsilon: float) -> list[tuple[int, int, f
     equal weights (reflectivities 1/2, 1/3, ... 1/(N-1)); the last couples
     that beam to source 1 with reflectivity epsilon^2.
     """
-    _check_chain_args(n_modes, epsilon)
+    n_modes = _check_chain_args(n_modes, epsilon)
     layout = []
     for k in range(1, n_modes - 1):
         theta = math.acos(1.0 / math.sqrt(k + 1.0))
@@ -132,7 +135,7 @@ def chain_asymptotics(n_modes: int, detected: int) -> tuple[float, float]:
     detected photons; the gain peaks at D = ceil(N/2) where it reaches
     floor(N^2/4)/(N-1), above one from N = 4 on.
     """
-    n, d = int(n_modes), int(detected)
+    n, d = photon_count(n_modes), photon_count(detected)
     if n < 3 or d < 1 or d >= n:
         raise BadParameters(f"need 3 <= N and 1 <= D < N, got N={n}, D={d}")
     gain = d * (n - d) / (n - 1.0)

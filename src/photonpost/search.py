@@ -6,9 +6,9 @@ searches, reads all exact patterns of a stack of candidates from one
 engine table and applies the objectives and the ratio bound to them.
 Refinement then climbs in a beam-splitter-angle parameterization of the
 unitary group (a product of two-mode couplers, unitary by construction)
-with Nelder-Mead or a compass search, ask/tell generators that one loop
-(_Tally.refine) advances in lockstep rounds, each round one stack of the
-points their starts ask for: no candidate is scored alone.  A negative
+with Nelder-Mead, an ask/tell generator; one loop (_Tally.refine) advances
+the runs from all starts in lockstep rounds, each round one stack of the
+points they ask for: no candidate is scored alone.  A negative
 verdict always means "no counterexample found at this budget", nothing
 stronger.  Every evaluation also checks the ratio bound, so the search
 doubles as a correctness tripwire.
@@ -27,7 +27,7 @@ import numpy as np
 from .conditioner import DetectionPattern
 from .engine import basis, max_stack, output_table
 from .errors import BadParameters, DimensionMismatch
-from .fock import InputSpec, compositions
+from .fock import InputSpec, compositions, photon_count
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .merit import allowed_ratio, is_dust, ratio_breaches
 from .schemes import chain_element_angles
@@ -51,6 +51,7 @@ class SearchTask:
     chain_epsilon: float = 1e-3
 
     def __post_init__(self):
+        object.__setattr__(self, "n_modes", photon_count(self.n_modes))
         if self.n_modes < 2:
             raise BadParameters("searches need at least two modes")
         if not (0.0 < self.p_max < 1.0):
@@ -258,6 +259,8 @@ def reevaluate(report: SearchReport) -> float:
     """Recompute the reported best value from the stored record."""
     if report.best_interferometer is None:
         raise BadParameters("report carries no interferometer to re-evaluate")
+    if report.kind == "nogo-patterns":  # its best may come from a one-mode-left source
+        raise BadParameters("a nogo-patterns report does not record the source it read")
     spec = InputSpec.two_level([report.p_max] * report.n_modes)
     pattern = DetectionPattern(report.best_pattern)
     return evaluate_candidate(report.best_interferometer, spec, report.objective, [pattern])[0]
@@ -385,32 +388,6 @@ def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
     return sim[0]
 
 
-def _compass(x0, budget: int):
-    """Minimize by ask and tell like _nelder_mead, asking for x0, then one probe at a
-    time: +step, then -step, on each angle in turn.  A strictly lower probe is kept
-    and the sweep moves to the next angle; a sweep that keeps nothing halves the
-    step.  Ends when the budget of probes is spent or the step falls to 1e-4."""
-    x = np.asarray(x0, dtype=float)
-    current = (yield x[None])[0]
-    step = 0.4
-    while budget > 0 and step > 1e-4:
-        improved = False
-        for i in range(len(x)):
-            for delta in (step, -step):
-                y = x.copy()
-                y[i] += delta
-                value = (yield y[None])[0]
-                budget -= 1
-                if value < current:
-                    current, x, improved = value, y, True
-                    break
-            if budget <= 0:
-                break
-        if not improved:
-            step *= 0.5
-    return x
-
-
 def _trial_seeds(seed: int, count: int) -> list[int]:
     state = np.random.SeedSequence(seed).generate_state(count, dtype=np.uint64)
     return [int(s) for s in state]
@@ -472,18 +449,20 @@ class _Tally:
         for chunk, matrices in _haar_stacks(n, seeds, self.size):
             self.score_matrices(matrices, lambda k: haar_random(n, chunk[k]))
 
-    def refine(self, runs, offered: bool = False) -> list[np.ndarray]:
-        """Drive ask/tell minimizers (_nelder_mead, _compass) in lockstep rounds
-        and return their end points.  Each round scores the angle points all
-        live runs ask for, in run order, with score_matrices, and sends each
-        run its values negated; offered only when `offered`."""
-        n = self.task.n_modes
+    def refine(self, starts: Sequence[np.ndarray]) -> None:
+        """Polish angle starts with _nelder_mead, task.refine_iters iterations
+        each, run in lockstep rounds: each round scores the points all live
+        runs ask for, in start order, as one counted stack, offered nowhere,
+        and sends each run its values negated.  The ends are then scored as
+        one more stack, offered in start order."""
+        n, iters = self.task.n_modes, self.task.refine_iters
+        if iters == 0:
+            return
+        runs = [_nelder_mead(x0, iters, xatol=1e-10, fatol=1e-12) for x0 in starts]
         asked = {k: next(run) for k, run in enumerate(runs)}
         ends = [None] * len(runs)
         while asked:
-            points = np.concatenate([*asked.values()])
-            build = (lambda k: unitary_from_angles(n, points[k])) if offered else None
-            values = -self.score_matrices(unitary_from_angles(n, points), build)
+            values = -self.score_matrices(unitary_from_angles(n, np.concatenate([*asked.values()])))
             told = np.split(values, np.cumsum([len(x) for x in asked.values()])[:-1])
             for k, value in zip(list(asked), told):
                 try:
@@ -491,7 +470,8 @@ class _Tally:
                 except StopIteration as stop:
                     ends[k] = stop.value
                     del asked[k]
-        return ends
+        x = np.array(ends)
+        self.score_matrices(unitary_from_angles(n, x), lambda k: unitary_from_angles(n, x[k]))
 
     def report(self, kind: str, benchmark: float, found: str) -> SearchReport:
         """The verdict is `found` when the best value clears the benchmark."""
@@ -531,10 +511,7 @@ def search_improvement(task: SearchTask) -> SearchReport:
         starts.append(chain_seed_angles(n, task.chain_epsilon))
     rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
     starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
-    if task.refine_iters > 0:
-        runs = [_nelder_mead(x0, task.refine_iters, xatol=1e-10, fatol=1e-12) for x0 in starts]
-        x = np.array(tally.refine(runs))  # the ends: one stack, offered in start order
-        tally.score_matrices(unitary_from_angles(n, x), lambda k: unitary_from_angles(n, x[k]))
+    tally.refine(starts)
 
     benchmark = (
         task.p_max
@@ -554,23 +531,20 @@ def verify_nogo_small(
     """Hunt for single-photon improvement where theory forbids it.
 
     Meant for 2 and 3 modes: Haar-random trials scan every pattern, then
-    compass searches (_compass) from three seeded angle starts, each with
-    refine_iters probes, advance in lockstep rounds; every point they score
-    is counted and offered.
+    three seeded angle starts are refined as search_improvement refines
+    its starts (_Tally.refine), refine_iters Nelder-Mead iterations each.
     """
     if n_modes not in (2, 3):
         raise BadParameters(
             f"exhaustive verification is limited to 2 or 3 modes, got {n_modes}"
         )
     task = SearchTask(n_modes, p_max, "single_photon", trials, refine_iters, seed)
-    n = n_modes
+    n = task.n_modes
     tally = _Tally(task, detector_patterns(n, n))
     tally.score_haar(_trial_seeds(seed, trials))
 
-    if refine_iters > 0:
-        rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-        starts = [rng.uniform(0.0, math.pi, size=n * (n - 1)) for _ in range(3)]
-        tally.refine([_compass(x0, refine_iters) for x0 in starts], offered=True)
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    tally.refine([rng.uniform(0.0, math.pi, size=n * (n - 1)) for _ in range(3)])
 
     return tally.report("nogo-small", p_max, "counterexample found")
 
@@ -582,16 +556,17 @@ def verify_nogo_patterns(
 
     Per trial: a Haar-random interferometer faces (a) a random two-level
     source, patterns detecting one photon fewer than the occupied modes,
-    and (b) a uniform source with every single-click pattern and the
-    empty pattern.  The output ratio (PatternScorer.best) must never beat
-    the input ratio; the tally keeps the largest, and every (trial,
-    pattern) counts as one evaluation.  Half (b) is scored for a stack of
-    trials at once; the offers still go in trial order.
+    and (b) a uniform source with every single-click pattern (not the
+    empty one: there q1/q0 equals the input ratio for every unitary).
+    The output ratio (PatternScorer.best) must never beat the input
+    ratio; the tally keeps the largest, and every (trial, pattern) counts
+    as one evaluation.  Half (b) is scored for a stack of trials at once;
+    the offers still go in trial order.
     """
     task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
-    n = n_modes
-    patterns = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
-    tally = _Tally(task, patterns)  # every single click, then the empty pattern (i = n - 1)
+    n = task.n_modes
+    patterns = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n - 1)]
+    tally = _Tally(task, patterns)
     single_clicks = tally.scorer
     left_patterns = {
         k: [DetectionPattern(c) for c in compositions(k - 1, n - 1)] for k in range(2, n + 1)

@@ -275,32 +275,16 @@ def _score_alone(tally, interf, offered=True):
     return value
 
 
-def search_improvement_sequential(task):
-    """search_improvement with each start refined alone, one candidate per call.
-
-    The loop the search ran before its starts advanced in lockstep:
-    scipy's Nelder-Mead (which search._nelder_mead follows bit for bit)
-    from each start in turn, every point scored by its own
-    evaluate_candidate call.
-    """
+def _refine_alone(tally, starts):
+    """The refinement both searches ran before their starts advanced in
+    lockstep: scipy's Nelder-Mead (which search._nelder_mead follows bit
+    for bit) from each start in turn, every point scored, counted and not
+    offered by its own evaluate_candidate call; then the end, offered."""
     from scipy import optimize
 
-    from photonpost.search import (
-        _Tally,
-        _trial_seeds,
-        chain_seed_angles,
-        detector_patterns,
-        unitary_from_angles,
-    )
+    from photonpost.search import unitary_from_angles
 
-    n = task.n_modes
-    tally = _Tally(task, detector_patterns(n, n - 1))
-    tally.score_haar(_trial_seeds(task.seed, task.trials))
-    starts = []
-    if task.include_chain_seed and n >= 3:
-        starts.append(chain_seed_angles(n, task.chain_epsilon))
-    rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
-    starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
+    task, n = tally.task, tally.task.n_modes
 
     def f(x):
         return -_score_alone(tally, unitary_from_angles(n, x), offered=False)
@@ -311,6 +295,22 @@ def search_improvement_sequential(task):
             with np.errstate(invalid="ignore"):  # -inf objectives: NaN in the stop test
                 x = optimize.minimize(f, x0, method="Nelder-Mead", options=options).x
             _score_alone(tally, unitary_from_angles(n, x))
+
+
+def search_improvement_sequential(task):
+    """search_improvement with each start refined alone, one candidate per
+    call (_refine_alone)."""
+    from photonpost.search import _Tally, _trial_seeds, chain_seed_angles, detector_patterns
+
+    n = task.n_modes
+    tally = _Tally(task, detector_patterns(n, n - 1))
+    tally.score_haar(_trial_seeds(task.seed, task.trials))
+    starts = []
+    if task.include_chain_seed and n >= 3:
+        starts.append(chain_seed_angles(n, task.chain_epsilon))
+    rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0x5EED)))
+    starts.append(rng.uniform(0.0, math.pi, size=n * (n - 1)))
+    _refine_alone(tally, starts)
     if task.objective == "ratio":
         benchmark = task.p_max / (1.0 - task.p_max)
     else:
@@ -319,48 +319,16 @@ def search_improvement_sequential(task):
 
 
 def verify_nogo_small_sequential(n_modes, p_max, trials, seed, refine_iters=80):
-    """verify_nogo_small with each compass search run alone, one candidate per
-    call: the loop the verification ran before its starts advanced in lockstep.
-
-    From each of three seeded starts in turn: sweep the angles, trying
-    +step then -step on each; keep a probe that strictly improves and move
-    to the next angle; halve the step after a sweep that keeps nothing;
-    stop when the probe budget is spent or the step reaches 1e-4.  Every
-    point is scored, counted and offered by its own evaluate_candidate call.
-    """
-    from photonpost.search import (
-        SearchTask,
-        _Tally,
-        _trial_seeds,
-        detector_patterns,
-        unitary_from_angles,
-    )
+    """verify_nogo_small with each of its three seeded starts refined alone,
+    one candidate per call (_refine_alone)."""
+    from photonpost.search import SearchTask, _Tally, _trial_seeds, detector_patterns
 
     n = n_modes
     task = SearchTask(n, p_max, "single_photon", trials, refine_iters, seed)
     tally = _Tally(task, detector_patterns(n, n))
     tally.score_haar(_trial_seeds(seed, trials))
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
-    for _ in range(3 if refine_iters > 0 else 0):
-        x = rng.uniform(0.0, math.pi, size=n * (n - 1))
-        step = 0.4
-        current = _score_alone(tally, unitary_from_angles(n, x))
-        remaining = refine_iters
-        while remaining > 0 and step > 1e-4:
-            improved = False
-            for i in range(len(x)):
-                for delta in (step, -step):
-                    y = x.copy()
-                    y[i] += delta
-                    value = _score_alone(tally, unitary_from_angles(n, y))
-                    remaining -= 1
-                    if value > current:
-                        current, x, improved = value, y, True
-                        break
-                if remaining <= 0:
-                    break
-            if not improved:
-                step *= 0.5
+    _refine_alone(tally, [rng.uniform(0.0, math.pi, size=n * (n - 1)) for _ in range(3)])
     return tally.report("nogo-small", p_max, "counterexample found")
 
 
@@ -373,7 +341,7 @@ def verify_nogo_patterns_sequential(n_modes, p_max, trials, seed) -> dict:
     in 2..n_modes, that many modes, their probabilities (the first set to
     p_max).  The source's patterns detect one photon fewer than the
     occupied count, listed here by filtering every count vector; then the
-    uniform p_max source faces each single click and the empty pattern.
+    uniform p_max source faces each single click.
     Every pattern is one evaluation, check_bound counts the violations and
     objective_value gives the ratio.  Returns the report's trials_run,
     bound_violations, best_value and verdict.
@@ -381,7 +349,7 @@ def verify_nogo_patterns_sequential(n_modes, p_max, trials, seed) -> dict:
     n = n_modes
     ratio_in = p_max / (1.0 - p_max)
     uniform = InputSpec.two_level([p_max] * n)
-    clicks = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
+    clicks = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n - 1)]
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
     evals = violations = 0

@@ -590,25 +590,33 @@ _SCIPY_MODULES = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith(
 
 def test_package_and_cli_search_do_not_load_scipy(tmp_path):
     """The package runs on numpy alone: neither importing it nor a CLI
-    search (which refines with the built-in Nelder-Mead) loads scipy."""
-    cfg = write_config(
-        tmp_path / "search.json",
-        {"command": "search", "version": 1, "modes": 3, "p_max": 0.3, "trials": 4,
-         "refine_iters": 5, "seed": 1},
-    )
-    script = (
-        "import sys\n"
-        "import photonpost, photonpost.cli\n"
-        f"print({_SCIPY_MODULES})\n"
-        f"code = photonpost.cli.main(['search', '--config', {cfg!r}, '--out', {str(tmp_path / 'out.json')!r}])\n"
-        f"print(code, {_SCIPY_MODULES})\n"
-    )
+    search or small no-go check (both refine with the built-in
+    Nelder-Mead) loads scipy."""
+    configs = [
+        write_config(
+            tmp_path / "search.json",
+            {"command": "search", "version": 1, "modes": 3, "p_max": 0.3, "trials": 4,
+             "refine_iters": 5, "seed": 1},
+        ),
+        write_config(
+            tmp_path / "nogo.json",
+            {"command": "nogo-verify", "version": 1, "variant": "small", "modes": 3,
+             "p_max": 0.2, "trials": 4, "refine_iters": 5, "seed": 1},
+        ),
+    ]
+    script = "import sys\nimport photonpost, photonpost.cli\n" f"print({_SCIPY_MODULES})\n"
+    for command, cfg in zip(("search", "nogo-verify"), configs):
+        out = str(tmp_path / f"{command}.out.json")
+        script += (
+            f"code = photonpost.cli.main([{command!r}, '--config', {cfg!r}, '--out', {out!r}])\n"
+            f"print(code, {_SCIPY_MODULES})\n"
+        )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.splitlines() == ["[]", "0 []"]
+    assert done.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
 # determinism and threading ------------------------------------------------------

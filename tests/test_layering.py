@@ -10,6 +10,7 @@ import ast
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import photonpost
@@ -25,9 +26,14 @@ from photonpost import (
     ObservedPattern,
     PhotonConfig,
     PhotonPostError,
+    SearchTask,
     beam_splitter,
+    build_chain,
+    chain_asymptotics,
     compose,
+    haar_random,
     purify_super_poissonian,
+    verify_nogo_small,
 )
 from photonpost.conditioner import condition_on_responses
 
@@ -199,6 +205,10 @@ def test_every_exported_name_resolves_once():
         (lambda: _respond([[1.0, math.nan]]), NotNormalized),
         (lambda: _respond([[1.0, -0.5]]), NotNormalized),
         (lambda: _respond([[math.inf, 1.0]]), NotNormalized),
+        (lambda: chain_asymptotics(4.7, 2), BadCount),
+        (lambda: build_chain(4.5, 0.1), BadCount),
+        (lambda: haar_random(2.5, 1), BadCount),
+        (lambda: SearchTask(3.5, 0.2), BadCount),
     ],
     ids=[
         "negative-weight", "2-d-weights", "negative-detected", "unknown-outcome",
@@ -207,6 +217,8 @@ def test_every_exported_name_resolves_once():
         "nan-detected", "fractional-outcome", "infinite-config", "string-config",
         "fractional-count", "nan-count", "fractional-purify-count", "nan-weight",
         "infinite-weight", "nan-response", "negative-response", "infinite-response",
+        "fractional-asymptotics-modes", "fractional-chain-modes", "fractional-haar-modes",
+        "fractional-search-modes",
     ],
 )
 def test_bad_values_raise_photonpost_errors(make, error):
@@ -230,3 +242,9 @@ def test_whole_number_counts_read_as_ints():
     assert PhotonConfig((0.0, 3.0)).counts == (0, 3)
     assert InputSpec(({0.0: 0.5, 2.0: 0.5},)).distributions == (((0, 0.5), (2, 0.5)),)
     assert _respond([[1.0, 0.0]]).pattern_probability > 0.0
+    assert chain_asymptotics(4.0, 2.0) == chain_asymptotics(4, 2)
+    assert build_chain(4.0, 0.1).n_modes == 4
+    assert np.array_equal(haar_random(2.0, 1).matrix, haar_random(2, 1).matrix)
+    assert SearchTask(4.0, 0.2).n_modes == 4
+    small = verify_nogo_small(2.0, 0.3, 5, 1, 5).to_json_dict()
+    assert small == verify_nogo_small(2, 0.3, 5, 1, 5).to_json_dict()

@@ -58,6 +58,14 @@ def test_single_photon_distribution_figures():
     assert np.isclose(report.fano_out, 0.0)
 
 
+def test_ratio_is_zero_without_a_single_photon_even_without_vacuum():
+    """q1/q0 reads as PatternScorer reads it: infinite only when q1 > 0 = q0."""
+    spec = InputSpec(({2: 1.0}, {0: 1.0}))
+    res = condition_mixed(spec, beam_splitter(0.0), DetectionPattern((0,)))
+    assert list(res.normalized) == [0.0, 0.0, 1.0]
+    assert figures_of_merit(res, spec).ratio_out == 0.0
+
+
 def test_zero_probability_pattern_rejected():
     spec = InputSpec.two_level([0.2, 0.2])
     res = condition_mixed(spec, beam_splitter(0.4), DetectionPattern((3,)))

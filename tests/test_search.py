@@ -210,7 +210,7 @@ def test_empty_or_negative_budgets_are_rejected(case, tmp_path):
 
 
 def test_nogo_verify_small_accepts_refinement_without_trials(tmp_path):
-    # the CLI takes the budgets the library takes: three compass starts
+    # the CLI takes the budgets the library takes: three Nelder-Mead starts
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(
         {"command": "nogo-verify", "version": 1, **_nogo_cli(trials=0, refine_iters=5, seed=1)[1]}
@@ -218,7 +218,7 @@ def test_nogo_verify_small_accepts_refinement_without_trials(tmp_path):
     out = tmp_path / "out.json"
     assert main(["nogo-verify", "--config", str(cfg), "--out", str(out)]) == 0
     report = json.loads(out.read_text())
-    assert report["trials_run"] == 19
+    assert report["trials_run"] == 32
     assert report == verify_nogo_small(2, 0.3, 0, 1, 5).to_json_dict()
 
 
@@ -283,8 +283,8 @@ def test_array_scorer_equals_per_pattern_reference(case):
 
 
 def _single_clicks(n):
-    """verify_nogo_patterns' uniform-source patterns: one click or none."""
-    return [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n)]
+    """verify_nogo_patterns' uniform-source patterns: one click."""
+    return [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n - 1)]
 
 
 @pytest.mark.parametrize(
@@ -332,8 +332,9 @@ def test_lockstep_refinement_equals_the_sequential_loop(task):
     assert got == json.dumps(search_improvement_sequential(task).to_json_dict())
 
 
-def test_refinement_scores_its_starts_in_stacks(monkeypatch):
-    """Every round of refinement is one scorer call, not one per point."""
+def _count_rounds(monkeypatch):
+    """Record every scorer call's stack size, and per Nelder-Mead run the
+    size of each batch of points it asks for."""
     calls, asked = [], []
     best = PatternScorer.best
     nelder_mead = photonpost.search._nelder_mead
@@ -343,33 +344,43 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
         return best(self, matrices, objective)
 
     def counting(*args, **kwargs):
-        asked.append(0)
-        run, values, k = nelder_mead(*args, **kwargs), None, len(asked) - 1
+        asked.append([])
+        run, values, batches = nelder_mead(*args, **kwargs), None, asked[-1]
         while True:
             try:
                 points = run.send(values)
             except StopIteration as stop:
                 return stop.value
-            asked[k] += len(points)
+            batches.append(len(points))
             values = yield points
 
     monkeypatch.setattr(PatternScorer, "best", counted)
     monkeypatch.setattr(photonpost.search, "_nelder_mead", counting)
+    return calls, asked
+
+
+def _haar_calls(n, p_max, patterns, trials):
+    """Scorer calls that the Haar trials of a uniform-source search take."""
+    spec = InputSpec.two_level([p_max] * n)
+    return math.ceil(trials / max_stack(spec.distributions, PatternScorer(spec, patterns).caps, n))
+
+
+def test_refinement_scores_its_starts_in_stacks(monkeypatch):
+    """Every round of refinement is one scorer call, not one per point."""
+    calls, asked = _count_rounds(monkeypatch)
     report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
     assert report.trials_run == 907
-    assert len(asked) == 2 and 200 + sum(asked) + 2 == 907
-    spec = InputSpec.two_level([0.6] * 4)
-    size = max_stack(spec.distributions, PatternScorer(spec, detector_patterns(4, 3)).caps, 4)
-    haar = math.ceil(200 / size)
-    assert len(calls) <= max(asked) + haar + 2
+    assert len(asked) == 2 and 200 + sum(map(sum, asked)) + 2 == 907
+    haar = _haar_calls(4, 0.6, detector_patterns(4, 3), 200)
+    assert len(calls) == haar + max(map(len, asked)) + 1
     assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
 
 
 @pytest.mark.parametrize(
     "args",
     [
-        (2, 0.3, 0, 3, 400),  # no trials; every start ends on the step floor
-        (3, 0.2, 10, 2, 30),  # every start ends on the budget
+        (2, 0.3, 0, 3, 400),  # no trials; every start converges before the cap
+        (3, 0.2, 10, 2, 30),  # every start ends on the iteration cap
         (2, 0.25, 5, 1, 80),
         (3, 0.35, 0, 4, 120),
         (3, 0.2, 20, 7, 5),
@@ -378,22 +389,21 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     ids=lambda a: "-".join(map(str, a)),
 )
 def test_lockstep_compass_equals_the_sequential_loop(args):
+    """verify_nogo_small's lockstep Nelder-Mead refinement (the test is named
+    for the compass search it replaced) against its starts refined alone."""
     got = json.dumps(verify_nogo_small(*args).to_json_dict())
     assert got == json.dumps(verify_nogo_small_sequential(*args).to_json_dict())
 
 
 def test_compass_refinement_scores_its_starts_in_stacks(monkeypatch):
-    """The three compass starts share one scorer call per round."""
-    calls = []
-    best = PatternScorer.best
-
-    def counted(self, matrices, objective):
-        calls.append(len(matrices))
-        return best(self, matrices, objective)
-
-    monkeypatch.setattr(PatternScorer, "best", counted)
-    verify_nogo_small(3, 0.2, 1000, 1, 80)
-    assert len(calls) <= 83  # one call per probe, 245, before the stacks
+    """verify_nogo_small's three starts share one scorer call per round (the
+    test is named for the compass search they used to run)."""
+    calls, asked = _count_rounds(monkeypatch)
+    report = verify_nogo_small(3, 0.2, 1000, 1, 80)
+    assert len(asked) == 3 and 1000 + sum(map(sum, asked)) + 3 == report.trials_run
+    haar = _haar_calls(3, 0.2, detector_patterns(3, 3), 1000)
+    assert len(calls) == haar + max(map(len, asked)) + 1
+    assert max(calls[haar:]) == 21  # the three initial simplices of 7 points
 
 
 def test_evaluate_candidate_reports_best_pattern():
@@ -455,6 +465,10 @@ def test_reevaluate_matches_report():
     task = SearchTask(n_modes=4, p_max=0.2, trials=10, refine_iters=25, seed=3)
     report = search_improvement(task)
     assert np.isclose(reevaluate(report), report.best_value, atol=1e-10)
+    report = verify_nogo_small(3, 0.2, 10, 3, 10)
+    assert np.isclose(reevaluate(report), report.best_value, atol=1e-10)
+    with pytest.raises(BadParameters):  # its best may come from a one-mode-left source
+        reevaluate(verify_nogo_patterns(3, 0.3, 10, 2))
 
 
 def test_report_json_round_trip():
@@ -545,11 +559,11 @@ def test_nogo_patterns_deterministic():
         ),
         (
             lambda: verify_nogo_small(3, 0.2, 25, 6, 10),
-            59, (0, 0), 0.1999590525547066, "none found",
+            86, (0, 0), 0.19996321192758512, "none found",
         ),
         (
             lambda: verify_nogo_patterns(4, 0.25, 25, 12),
-            263, (0, 0, 0), 0.3333333333333336, "none found",
+            238, (1, 0, 0), 0.3160338517450523, "none found",
         ),
         (
             lambda: search_improvement(SearchTask(4, 0.3, "ratio", 25, 30, 8)),
