@@ -6,11 +6,11 @@ searches, reads all exact patterns of a stack of candidates from one
 engine table and applies the objectives and the ratio bound to them.
 Refinement then climbs in a beam-splitter-angle parameterization of the
 unitary group (a product of two-mode couplers, unitary by construction)
-with Nelder-Mead, an ask/tell generator; one loop (_Tally.refine) advances
-the runs from all starts in lockstep rounds, each round one stack of the
-points they ask for: no candidate is scored alone.  A negative
-verdict always means "no counterexample found at this budget", nothing
-stronger.  Every evaluation also checks the ratio bound, so the search
+with Nelder-Mead, an ask/tell generator that asks for all four trial points
+of a step at once and reads scipy's; one loop (_Tally.refine) advances the
+runs from all starts in lockstep, one stack per round.  A negative verdict
+means "no counterexample found at this budget", nothing stronger.  Every
+scored candidate, read or not, checks the ratio bound, so the search
 doubles as a correctness tripwire.
 """
 
@@ -69,6 +69,8 @@ class SearchTask:
             raise BadParameters("a budget of no trials and no refinement scores nothing")
         if self.seed < 0:
             raise BadParameters(f"seeds must be non-negative, got {self.seed}")
+        for name in ("trials", "refine_iters", "seed"):  # 4.0 reads as 4, 2.5 raises
+            object.__setattr__(self, name, photon_count(getattr(self, name)))
         if not (0.0 < self.chain_epsilon < 1.0):
             raise BadParameters(
                 f"chain_epsilon must sit strictly inside (0, 1), got {self.chain_epsilon}"
@@ -335,20 +337,24 @@ def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
 
 
 def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
-    """Minimize by ask and tell: yields (k, n) arrays of points, is sent their
-    k values and returns the point scipy.optimize.minimize would from x0.
+    """Minimize by ask and tell: yields (used, points), is sent the values of
+    the (k, n) points and returns (used, x), x the point scipy.optimize.minimize
+    would from x0; used indexes the points of the batch before that it read.
 
     A port of scipy's `_minimize_neldermead` on the search's path (no bounds,
-    standard coefficients, an iteration cap, no evaluation cap).  It asks for
-    the same points in the same order (the initial simplex and a shrink as
-    one batch each), as copies, with the same arithmetic and sorts.
+    standard coefficients, an iteration cap, no evaluation cap).  Each step asks
+    for the reflection, expansion and both contractions as one batch (Lee and
+    Wiswall's parallel variant), then takes scipy's branch; the first simplex
+    and a shrink are a batch each.  So it asks for a superset of scipy's points
+    and reads scipy's, in order, with the same arithmetic and sorts.
     """
     x0 = np.asarray(x0, dtype=float)
     n = len(x0)
     sim = np.tile(x0, (n + 1, 1))
     for k in range(n):
         sim[k + 1, k] = (1 + 0.05) * x0[k] if x0[k] != 0 else 0.00025
-    fsim = np.array((yield np.copy(sim)), dtype=float)
+    fsim = np.array((yield (), np.copy(sim)), dtype=float)
+    used = tuple(range(n + 1))
     for _ in range(2):  # scipy sorts twice before the first step
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
@@ -359,33 +365,28 @@ def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
             spread = np.max(np.abs(fsim[0] - fsim[1:]))
         if np.max(np.abs(sim[1:] - sim[0])) <= xatol and spread <= fatol:
             break
-        xbar = np.add.reduce(sim[:-1], 0) / n
-        xr = 2 * xbar - 1 * sim[-1]
-        fxr = (yield np.copy(xr)[None])[0]
-        if fxr < fsim[0]:
-            xe = 3 * xbar - 2 * sim[-1]
-            fxe = (yield np.copy(xe)[None])[0]
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
+        c, w = np.add.reduce(sim[:-1], 0) / n, sim[-1]  # centroid, worst vertex
+        # reflection, expansion, outside and inside contraction (1 * w is w)
+        trial = np.array([2 * c - w, 3 * c - 2 * w, 1.5 * c - 0.5 * w, 0.5 * c + 0.5 * w])
+        f = yield used, trial
+        if f[0] < fsim[0]:
+            used, k = (0, 1), 1 if f[1] < f[0] else 0
+        elif f[0] < fsim[-2]:
+            used, k = (0,), 0
+        elif f[0] < fsim[-1]:
+            used, k = (0, 2), 2 if f[2] <= f[0] else None
         else:
-            if fxr < fsim[-1]:  # outside contraction
-                xc = 1.5 * xbar - 0.5 * sim[-1]
-                fxc = (yield np.copy(xc)[None])[0]
-                keep = fxc <= fxr
-            else:  # inside contraction
-                xc = 0.5 * xbar + 0.5 * sim[-1]
-                fxc = (yield np.copy(xc)[None])[0]
-                keep = fxc < fsim[-1]
-            if keep:
-                sim[-1], fsim[-1] = xc, fxc
-            else:  # shrink toward the best vertex
-                sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
-                fsim[1:] = yield np.copy(sim[1:])
+            used, k = (0, 3), 3 if f[3] < fsim[-1] else None
+        if k is not None:
+            sim[-1], fsim[-1] = trial[k], f[k]
+        else:  # shrink toward the best vertex
+            sim[1:] = sim[0] + 0.5 * (sim[1:] - sim[0])
+            fsim[1:] = yield used, np.copy(sim[1:])
+            used = tuple(range(n))
         iterations += 1
         ind = np.argsort(fsim)
         sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
-    return sim[0]
+    return used, sim[0]
 
 
 def _trial_seeds(seed: int, count: int) -> list[int]:
@@ -432,12 +433,13 @@ class _Tally:
 
     def score_matrices(self, matrices, build=None) -> np.ndarray:
         """Best value per matrix over every pattern, scored in stacks as large
-        as the engine takes and counted; offered stack by stack too when
-        build(k) gives the k-th matrix's interferometer."""
+        as the engine takes, bound violations counted; when build(k) gives
+        the k-th matrix's interferometer, also counted as evaluations and
+        offered stack by stack."""
         values, size = np.empty(len(matrices)), self.size
         for lo in range(0, len(matrices), size):
             best, first, bad = self.scorer.best(matrices[lo : lo + size], self.task.objective)
-            self.count(len(best), bad.sum())
+            self.count(0 if build is None else len(best), bad.sum())
             if build is not None:
                 self.offer(best, lambda k: (self.patterns[first[k]].counts, build(lo + k)))
             values[lo : lo + size] = best
@@ -452,24 +454,26 @@ class _Tally:
     def refine(self, starts: Sequence[np.ndarray]) -> None:
         """Polish angle starts with _nelder_mead, task.refine_iters iterations
         each, run in lockstep rounds: each round scores the points all live
-        runs ask for, in start order, as one counted stack, offered nowhere,
-        and sends each run its values negated.  The ends are then scored as
-        one more stack, offered in start order."""
+        runs ask for, in start order, as one stack, offered nowhere, and
+        sends each run its values negated; every point scored is checked
+        against the bound, those read count as evaluations.  The ends are
+        then scored as one more stack, counted and offered in start order."""
         n, iters = self.task.n_modes, self.task.refine_iters
         if iters == 0:
             return
         runs = [_nelder_mead(x0, iters, xatol=1e-10, fatol=1e-12) for x0 in starts]
-        asked = {k: next(run) for k, run in enumerate(runs)}
+        asked = {k: next(run)[1] for k, run in enumerate(runs)}
         ends = [None] * len(runs)
         while asked:
             values = -self.score_matrices(unitary_from_angles(n, np.concatenate([*asked.values()])))
             told = np.split(values, np.cumsum([len(x) for x in asked.values()])[:-1])
             for k, value in zip(list(asked), told):
                 try:
-                    asked[k] = runs[k].send(value)
+                    used, asked[k] = runs[k].send(value)
                 except StopIteration as stop:
-                    ends[k] = stop.value
+                    used, ends[k] = stop.value
                     del asked[k]
+                self.count(len(used), 0)
         x = np.array(ends)
         self.score_matrices(unitary_from_angles(n, x), lambda k: unitary_from_angles(n, x[k]))
 
@@ -541,9 +545,9 @@ def verify_nogo_small(
     task = SearchTask(n_modes, p_max, "single_photon", trials, refine_iters, seed)
     n = task.n_modes
     tally = _Tally(task, detector_patterns(n, n))
-    tally.score_haar(_trial_seeds(seed, trials))
+    tally.score_haar(_trial_seeds(task.seed, task.trials))
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xC0FFEE)))
+    rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0xC0FFEE)))
     tally.refine([rng.uniform(0.0, math.pi, size=n * (n - 1)) for _ in range(3)])
 
     return tally.report("nogo-small", p_max, "counterexample found")
@@ -577,8 +581,8 @@ def verify_nogo_patterns(
         tally.count(best.size * len(scorer.patterns), bad.sum())
         return best, first
 
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0xA11CE)))
-    for chunk, matrices in _haar_stacks(n, _trial_seeds(seed, trials), tally.size):
+    rng = np.random.default_rng(np.random.SeedSequence((task.seed, 0xA11CE)))
+    for chunk, matrices in _haar_stacks(n, _trial_seeds(task.seed, task.trials), tally.size):
         clicks = score(single_clicks, matrices)
         for t, trial_seed in enumerate(chunk):
             occupied = int(rng.integers(2, n + 1))

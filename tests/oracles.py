@@ -106,6 +106,65 @@ def joint_output_probabilities(matrix: np.ndarray, distributions) -> dict:
     return joint
 
 
+def expand_by_chains(supports, matrix, caps, max_total):
+    """engine.expand as a walk of one chain per (input mode, sector): the
+    engine's earlier walk, kept as its bit-level oracle.
+
+    Input mode i raises each sector array of rows one photon at a time,
+    c = 0 up to the largest count it may still emit; each step gathers
+    the rows, multiplies by U[k, i] and sums per target state, and the
+    rows of a count in the support are copied into the sector array they
+    land in.  Rows sit in the order the sectors are raised, and each
+    row's weight is multiplied mode by mode, as the engine's are.
+    """
+    from photonpost.engine import basis
+
+    b = basis(tuple(int(c) for c in caps), int(max_total))
+    top, sizes = len(b.offsets) - 2, np.diff(b.offsets).tolist()
+    steps = []  # steps[t] adds a photon to total t, with states indexed within their totals
+    for t in range(top):
+        lo, hi = b.offsets[t], b.offsets[t + 1]
+        sources, modes = np.nonzero(b.states[lo:hi] < b.caps)
+        targets = np.searchsorted(b.keys, b.keys[lo + sources] + b.strides[modes] + b.span) - hi
+        order = np.argsort(targets, kind="stable")
+        starts = np.flatnonzero(np.diff(targets[order], prepend=-1))
+        steps.append((sources[order], modes[order], starts))
+    matrix = np.asarray(matrix, dtype=complex)
+    stack = matrix.reshape((-1,) + matrix.shape[-2:])
+    sectors = [(0, np.ones(1), np.ones((len(stack), 1, 1), dtype=complex))]
+    for i, support in enumerate(supports):
+        weight_of = dict(support)
+        column = stack[:, None, :, i]
+        grown = {}
+        for t, weights, power in sectors:
+            kept = [c for c in weight_of if c <= top - t]
+            for c in range(kept[-1] + 1 if kept else 0):
+                if c:
+                    sources, modes, starts = steps[t + c - 1]
+                    terms = power.take(sources, axis=-1) * column.take(modes, axis=-1)
+                    power = np.add.reduceat(terms, starts, axis=-1)
+                if c in kept:
+                    parts = grown.setdefault(t + c, ([], []))
+                    parts[0].append(weights * (weight_of[c] / math.factorial(c)))
+                    parts[1].append(power)
+        sectors = [
+            (t, np.concatenate(w), np.concatenate(p, axis=1)) for t, (w, p) in grown.items()
+        ]
+    if matrix.ndim == 2:
+        sectors = [(t, w, p[0]) for t, w, p in sectors]
+    assert all(p.shape[-1] == sizes[t] for t, _, p in sectors)
+    return b, {t: (w, p) for t, w, p in sectors}
+
+
+def output_table_by_chains(supports, matrix, caps, max_total):
+    """engine.output_table read from expand_by_chains, with its float operations."""
+    b, sectors = expand_by_chains(supports, matrix, caps, max_total)
+    table = np.zeros(np.shape(matrix)[:-2] + (len(b.states),))
+    for t, (weights, coeffs) in sectors.items():
+        table[..., b.offsets[t] : b.offsets[t + 1]] = weights @ (coeffs.real**2 + coeffs.imag**2)
+    return b, table * b.factorials
+
+
 def permanent_reference(matrix: np.ndarray) -> complex:
     """Permutation-sum permanent, O(n! * n): the reference for photonpost.permanent."""
     n = matrix.shape[0]

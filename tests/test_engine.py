@@ -11,7 +11,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import conditional_coefficients, joint_output_probabilities
+from oracles import (
+    conditional_coefficients,
+    expand_by_chains,
+    joint_output_probabilities,
+    output_table_by_chains,
+)
 from photonpost import (
     DetectionPattern,
     DimensionTooLarge,
@@ -205,7 +210,8 @@ def test_size_guard_raises_instead_of_allocating():
 
 
 def test_stacked_table_equals_per_matrix_calls():
-    """A (B, N, N) stack gives, row by row, exactly the one-matrix tables."""
+    """A (B, N, N) stack gives, row by row, exactly the one-matrix tables;
+    an empty stack gives an empty table."""
     cases = []
     for n, d in ((4, 2), (6, 3), (11, 6)):
         chain = build_chain(n, 0.3)
@@ -214,11 +220,17 @@ def test_stacked_table_equals_per_matrix_calls():
         cases.append((InputSpec.two_level([0.2] * n), stack, caps, n))
     mixed = InputSpec(({0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 2: 0.4}, {1: 1.0}))
     cases.append((mixed, [haar_random(3, s).matrix for s in range(5)], (5, 5, 5), 5))
+    # a vacuum detector: one-edge steps from a lone row, whose products
+    # numpy rounds apart when taken in place
+    lone = InputSpec(({1: 1.0}, {0: 0.4, 1: 0.6}))
+    cases.append((lone, [haar_random(2, s).matrix for s in range(12)], (2, 0), 2))
     for spec, stack, caps, top in cases:
         basis, stacked = output_table(spec.distributions, np.array(stack), caps, top)
         assert stacked.shape == (len(stack), len(basis.states))
         for row, matrix in zip(stacked, stack):
             assert np.array_equal(row, output_table(spec.distributions, matrix, caps, top)[1])
+        empty = output_table(spec.distributions, np.array(stack)[:0], caps, top)[1]
+        assert empty.shape == (0, len(basis.states))
 
 
 def test_stacks_beyond_the_size_guard_raise():
@@ -228,6 +240,68 @@ def test_stacks_beyond_the_size_guard_raise():
     assert fits >= 1
     with pytest.raises(DimensionTooLarge):
         output_table(spec.distributions, np.broadcast_to(np.eye(4), (fits + 1, 4, 4)), caps, top)
+
+
+WALK_SUPPORTS = ((0, 1), (0, 1, 2), (1,), (0, 2))  # (1,): no vacuum, (0, 2): a gap
+
+
+@st.composite
+def walks(draw):
+    """2-4 modes with supports from WALK_SUPPORTS, probabilities or complex
+    amplitudes as weights, caps and total down to 0, and a stack of 1 or 3
+    Haar matrices."""
+    n = draw(st.integers(2, 4))
+    pure = draw(st.booleans())
+    supports = []
+    for _ in range(n):
+        counts = draw(st.sampled_from(WALK_SUPPORTS))
+        size = len(counts)
+        weights = draw(st.lists(st.floats(0.05, 1.0), min_size=size, max_size=size))
+        if pure:
+            phases = draw(st.lists(st.floats(0.0, 2 * math.pi), min_size=size, max_size=size))
+            weights = [w * complex(math.cos(a), math.sin(a)) for w, a in zip(weights, phases)]
+        supports.append(tuple(zip(counts, weights)))
+    top = sum(s[-1][0] for s in supports)
+    caps = tuple(draw(st.integers(0, top)) for _ in range(n))
+    total = draw(st.integers(0, top))
+    b = draw(st.sampled_from([1, 3]))
+    seeds = draw(st.lists(st.integers(0, 2**31 - 1), min_size=b, max_size=b))
+    stack = np.array([haar_random(n, s).matrix for s in seeds])
+    return supports, caps, total, stack, pure
+
+
+@settings(max_examples=150, deadline=None)
+@given(walks())
+@example(((((0, 0.5), (1, 0.5)), ((1, 1.0),)), (2, 0), 2, haar_random(2, 5).matrix[None], False))
+def test_walk_equals_the_chain_oracle_bit_for_bit(walk):
+    """expand and output_table against the engine's earlier walk
+    (oracles.expand_by_chains), by their bytes: the flat walk multiplies and
+    sums the same terms in the same order.  The example has steps with a
+    single edge and row, whose products numpy rounds apart when taken in
+    place."""
+    supports, caps, total, stack, pure = walk
+    for matrix in (stack, stack[0]):
+        basis, got = expand(supports, matrix, caps, total)
+        _, want = expand_by_chains(supports, matrix, caps, total)
+        assert list(got) == list(want)
+        for t, (weights, coeffs) in want.items():
+            assert got[t][0].dtype == weights.dtype and got[t][0].tobytes() == weights.tobytes()
+            assert got[t][1].shape == coeffs.shape and got[t][1].tobytes() == coeffs.tobytes()
+        if not pure:
+            _, table = output_table(supports, matrix, caps, total)
+            _, reference = output_table_by_chains(supports, matrix, caps, total)
+            assert table.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n, caps", [(4, (4, 3, 3, 3)), (6, (4, 2, 2, 2, 2, 2)), (11, (5, 6) + (0,) * 9)]
+)
+def test_a_two_level_plan_takes_one_op_per_input_mode(n, caps):
+    """One gather, multiply and sum per input mode, where the earlier walk took
+    one per (input mode, sector) and copied every row that emits nothing."""
+    plan = engine._plan(((0, 1),) * n, caps, n)
+    assert len(plan.ops) == n
+    assert [op[0] for op in plan.ops] == list(range(n))
 
 
 ENGINE_CACHES = (engine.basis, engine._plan, engine._rows)

@@ -2,10 +2,11 @@
 
 `search._nelder_mead` ports scipy.optimize.minimize(method="Nelder-Mead")
 on the path the search uses (no bounds, maxiter set, maxfev unset) as an
-ask/tell generator.  Each test drives it with `_minimize`, which evaluates
-every asked batch point by point in order, runs scipy on the same
-function, and compares the returned point and every evaluated point, in
-order, by their bytes.
+ask/tell generator that asks for more points than scipy evaluates and
+reports the ones it read.  Each test drives it with `_minimize`, which
+evaluates every asked point in order, runs scipy on the same function,
+and compares the returned point and every point read, in order, with
+scipy's evaluated points by their bytes.
 """
 
 import math
@@ -39,16 +40,25 @@ def _recorded(f):
     return wrapped, calls
 
 
+def _read(points, values, used):
+    """The (point, value) pairs of a batch that _nelder_mead read, in order."""
+    return [(points[j], values[j]) for j in used]
+
+
 def _minimize(f, x0, maxiter, xatol, fatol):
-    """Run _nelder_mead to its end, telling it f of each asked point in order."""
+    """Run _nelder_mead to its end, telling it f of each asked point in order;
+    returns its end and the (point, value) pairs it read."""
     run = _nelder_mead(x0, maxiter, xatol, fatol)
-    values = None
+    points = values = None
+    read = []
     while True:
         try:
-            points = run.send(values)
+            used, asked = run.send(values)
         except StopIteration as stop:
-            return stop.value
-        values = [f(x) for x in points]
+            used, x = stop.value
+            return x, read + _read(points, values, used)
+        read += _read(points, values, used)
+        points, values = asked, [f(x) for x in asked]
 
 
 def _scipy(f, x0, maxiter, xatol, fatol):
@@ -77,9 +87,8 @@ def _memoized(f):
 
 def _assert_same_as_scipy(f, x0, maxiter, xatol=1e-10, fatol=1e-12):
     f = _memoized(f)
-    ours, our_calls = _recorded(f)
     theirs, their_calls = _recorded(f)
-    x = _minimize(ours, np.array(x0, dtype=float), maxiter, xatol, fatol)
+    x, our_calls = _minimize(f, np.array(x0, dtype=float), maxiter, xatol, fatol)
     expected = _scipy(theirs, np.array(x0, dtype=float), maxiter, xatol, fatol)
     assert len(our_calls) == len(their_calls)
     for k, ((a, _), (b, _)) in enumerate(zip(our_calls, their_calls)):
@@ -159,33 +168,36 @@ def test_matches_scipy_on_the_four_mode_search_objective(start):
 
 
 def test_matches_scipy_in_the_five_mode_ratio_search(monkeypatch):
-    """Each run's asked points and told values are recorded inside the
-    lockstep search, then replayed through scipy.  Near the chain start some
-    patterns are cancellation dust, which the scorer reads as impossible
-    patterns, so no told value is infinite."""
+    """Each run's asked points, their told values and the points it read
+    are recorded inside the lockstep search, then replayed through scipy.
+    Near the chain start some patterns are cancellation dust, which the
+    scorer reads as impossible patterns, so no told value is infinite."""
     runs = []
     real = photonpost.search._nelder_mead
 
     def recorded(x0, maxiter, xatol, fatol):
-        calls, result = [], []
-        runs.append(((x0, maxiter, xatol, fatol), calls, result))  # in start order
+        told, calls, result = {}, [], []
+        runs.append(((x0, maxiter, xatol, fatol), told, calls, result))  # in start order
         run = real(x0, maxiter, xatol, fatol)
-        values = None
+        points = values = None
         while True:
             try:
-                points = run.send(values)
+                used, asked = run.send(values)
             except StopIteration as stop:
-                result.append(stop.value)
+                used, x = stop.value
+                calls.extend(_read(points, values, used))
+                result.append(x)
                 return stop.value
-            values = yield points
-            calls.extend(zip(points, values))
+            calls.extend(_read(points, values, used))
+            points = asked
+            values = yield used, asked
+            told.update((x.tobytes(), value) for x, value in zip(asked, values))
 
     monkeypatch.setattr(photonpost.search, "_nelder_mead", recorded)
     search_improvement(SearchTask(5, 0.6, "ratio", trials=0, refine_iters=100, seed=1))
     assert len(runs) == 2  # the chain start and the random start
-    for args, calls, result in runs:
-        told = {x.tobytes(): value for x, value in calls}
+    for args, told, calls, result in runs:
         x, seen = _assert_same_as_scipy(lambda x: told[x.tobytes()], *args)
         assert x.tobytes() == result[0].tobytes()
         assert seen == [value for _, value in calls]
-    assert all(np.isfinite(value) for _, calls, _ in runs for _, value in calls)
+    assert all(np.isfinite(value) for _, told, _, _ in runs for value in told.values())

@@ -18,6 +18,7 @@ from oracles import (
 import photonpost.engine
 import photonpost.search
 from photonpost import (
+    BadCount,
     BadParameters,
     DetectionPattern,
     InputSpec,
@@ -159,6 +160,26 @@ def test_task_validation():
         verify_nogo_small(2, 0.3, 2, -1)
     with pytest.raises(BadParameters):
         verify_nogo_patterns(3, 0.3, 2, -1)
+    # budgets and seeds are whole numbers: 4.0 reads as 4, 2.5 raises
+    for field in ("trials", "refine_iters", "seed"):
+        with pytest.raises(BadCount):
+            SearchTask(n_modes=3, p_max=0.2, **{field: 2.5})
+    task = SearchTask(n_modes=3, p_max=0.2, trials=4.0, refine_iters=2.0, seed=1.0)
+    assert task == SearchTask(n_modes=3, p_max=0.2, trials=4, refine_iters=2, seed=1)
+    assert [type(v) for v in (task.trials, task.refine_iters, task.seed)] == [int] * 3
+    with pytest.raises(BadCount):
+        verify_nogo_patterns(3, 0.2, 2.5, 1)
+    with pytest.raises(BadCount):
+        verify_nogo_patterns(3, 0.2, 2, 1.5)
+    with pytest.raises(BadCount):
+        verify_nogo_small(3, 0.2, 2.5, 1)
+    with pytest.raises(BadCount):
+        verify_nogo_small(3, 0.2, 2, 1, 2.5)
+    for run, whole, floats in (
+        (verify_nogo_patterns, (3, 0.2, 2, 1), (3, 0.2, 2.0, 1.0)),
+        (verify_nogo_small, (2, 0.3, 2, 1, 3), (2, 0.3, 2.0, 1.0, 3.0)),
+    ):
+        assert run(*floats).to_json_dict() == run(*whole).to_json_dict()
 
 
 def _search_cli(**fields):
@@ -333,9 +354,9 @@ def test_lockstep_refinement_equals_the_sequential_loop(task):
 
 
 def _count_rounds(monkeypatch):
-    """Record every scorer call's stack size, and per Nelder-Mead run the
-    size of each batch of points it asks for."""
-    calls, asked = [], []
+    """Record every scorer call's stack size, and per Nelder-Mead run its
+    number of batches and of points it read."""
+    calls, runs = [], []
     best = PatternScorer.best
     nelder_mead = photonpost.search._nelder_mead
 
@@ -344,19 +365,21 @@ def _count_rounds(monkeypatch):
         return best(self, matrices, objective)
 
     def counting(*args, **kwargs):
-        asked.append([])
-        run, values, batches = nelder_mead(*args, **kwargs), None, asked[-1]
+        runs.append([0, 0])
+        run, values, tally = nelder_mead(*args, **kwargs), None, runs[-1]
         while True:
             try:
-                points = run.send(values)
+                used, points = run.send(values)
             except StopIteration as stop:
+                tally[1] += len(stop.value[0])
                 return stop.value
-            batches.append(len(points))
-            values = yield points
+            tally[0] += 1
+            tally[1] += len(used)
+            values = yield used, points
 
     monkeypatch.setattr(PatternScorer, "best", counted)
     monkeypatch.setattr(photonpost.search, "_nelder_mead", counting)
-    return calls, asked
+    return calls, runs
 
 
 def _haar_calls(n, p_max, patterns, trials):
@@ -366,13 +389,14 @@ def _haar_calls(n, p_max, patterns, trials):
 
 
 def test_refinement_scores_its_starts_in_stacks(monkeypatch):
-    """Every round of refinement is one scorer call, not one per point."""
-    calls, asked = _count_rounds(monkeypatch)
+    """Every round of refinement is one scorer call, not one per point, and
+    only the points a run reads count as evaluations."""
+    calls, runs = _count_rounds(monkeypatch)
     report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
     assert report.trials_run == 907
-    assert len(asked) == 2 and 200 + sum(map(sum, asked)) + 2 == 907
+    assert len(runs) == 2 and 200 + sum(read for _, read in runs) + 2 == 907
     haar = _haar_calls(4, 0.6, detector_patterns(4, 3), 200)
-    assert len(calls) == haar + max(map(len, asked)) + 1
+    assert len(calls) == haar + max(batches for batches, _ in runs) + 1
     assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
 
 
@@ -388,21 +412,20 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     ],
     ids=lambda a: "-".join(map(str, a)),
 )
-def test_lockstep_compass_equals_the_sequential_loop(args):
-    """verify_nogo_small's lockstep Nelder-Mead refinement (the test is named
-    for the compass search it replaced) against its starts refined alone."""
+def test_lockstep_nogo_small_refinement_equals_the_sequential_loop(args):
+    """verify_nogo_small's lockstep Nelder-Mead refinement against its starts
+    refined alone."""
     got = json.dumps(verify_nogo_small(*args).to_json_dict())
     assert got == json.dumps(verify_nogo_small_sequential(*args).to_json_dict())
 
 
-def test_compass_refinement_scores_its_starts_in_stacks(monkeypatch):
-    """verify_nogo_small's three starts share one scorer call per round (the
-    test is named for the compass search they used to run)."""
-    calls, asked = _count_rounds(monkeypatch)
+def test_nogo_small_refinement_scores_its_starts_in_stacks(monkeypatch):
+    """verify_nogo_small's three starts share one scorer call per round."""
+    calls, runs = _count_rounds(monkeypatch)
     report = verify_nogo_small(3, 0.2, 1000, 1, 80)
-    assert len(asked) == 3 and 1000 + sum(map(sum, asked)) + 3 == report.trials_run
+    assert len(runs) == 3 and 1000 + sum(read for _, read in runs) + 3 == report.trials_run
     haar = _haar_calls(3, 0.2, detector_patterns(3, 3), 1000)
-    assert len(calls) == haar + max(map(len, asked)) + 1
+    assert len(calls) == haar + max(batches for batches, _ in runs) + 1
     assert max(calls[haar:]) == 21  # the three initial simplices of 7 points
 
 
