@@ -38,7 +38,6 @@ from .errors import (
 from .fock import (
     InputSpec,
     PhotonConfig,
-    compositions,
     distribution_moments,
     enumerate_inputs,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "chain_element_angles",
     "complete_rows",
     "compose",
-    "compositions",
     "condition_mixed",
     "condition_pure",
     "detection_coefficients",

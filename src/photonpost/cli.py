@@ -192,16 +192,6 @@ def _parse_interferometer(raw: dict, n_modes: int, where: str) -> Interferometer
     if kind == "matrix":
         rows = cfg.take("matrix", list)
         cfg.finish()
-        for i, row in enumerate(rows):
-            if not isinstance(row, list):
-                raise ConfigError(f"{where}: matrix[{i}] must be an array")
-            for j, z in enumerate(row):
-                if not (
-                    isinstance(z, dict) and _is_number(z.get("re")) and _is_number(z.get("im"))
-                ):
-                    raise ConfigError(
-                        f"{where}: matrix[{i}][{j}] must be an object with numbers 're' and 'im'"
-                    )
         return Interferometer.from_json_dict({"n_modes": len(rows), "matrix": rows})
     raise ConfigError(
         f"{where}: unknown interferometer type {kind!r}; expected one of "

@@ -43,19 +43,6 @@ from .errors import BadDistributionShape, DimensionMismatch, NegativeWeight, Not
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
 
-# c~ entries are sums of non-negative terms; anything below this is
-# floating-point dust and gets clamped to zero.
-NEGATIVE_CLAMP = -1e-14
-
-
-def _clamp(q: np.ndarray) -> None:
-    """Clip c~ dust below zero in place; an entry below NEGATIVE_CLAMP is an error."""
-    low = q.min()
-    if low < NEGATIVE_CLAMP:
-        raise NegativeWeight(f"coefficient {low} is negative beyond roundoff")
-    np.clip(q, 0.0, None, out=q)
-
-
 @dataclass(frozen=True)
 class DetectionPattern:
     """Exact photon counts on the detector modes 2..N (index 0 is mode 2)."""
@@ -98,7 +85,8 @@ class ConditionalResult:
             raise BadDistributionShape("expected a 1-D coefficient vector")
         if not np.all(np.isfinite(arr)):
             raise NotNormalized(f"coefficients are not all finite: {arr}")
-        _clamp(arr)
+        if arr.min() < 0.0:  # c~ entries are sums of non-negative terms
+            raise NegativeWeight(f"coefficient {arr.min()} is negative")
         prob = float(arr.sum())
         if prob > 0.0:
             normalized = arr / prob

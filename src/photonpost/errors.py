@@ -42,7 +42,7 @@ class ZeroProbabilityPattern(PhotonPostError):
 
 
 class BadParameters(PhotonPostError):
-    """Scheme parameters outside their valid range."""
+    """Parameters outside their valid range, or serialized values of the wrong form."""
 
 
 class DegenerateTheta(PhotonPostError):
@@ -58,7 +58,7 @@ class BadCount(PhotonPostError):
 
 
 class NegativeWeight(PhotonPostError):
-    """A weight that is a sum of non-negative terms is negative beyond roundoff."""
+    """A weight that is a sum of non-negative terms is negative."""
 
 
 class ConfigError(PhotonPostError):

@@ -1,10 +1,11 @@
-"""Photon-number configurations and per-mode input distributions.
+"""Photon counts, per-mode input distributions and emission configurations.
 
 A source is described mode by mode: each mode carries a diagonal
 photon-number distribution (no coherences between number states).  The
 two-level case, vacuum with probability 1-p and one photon with
 probability p, is the common one; small multiphoton admixtures are
-supported through explicit per-mode distributions.
+supported through explicit per-mode distributions.  Output and detection
+patterns are not listed here: they are the states of an engine basis.
 """
 
 from __future__ import annotations
@@ -155,18 +156,6 @@ def enumerate_inputs(
             for i, c in enumerate(counts):
                 weight = weight * spec.prob(i, c) / math.factorial(c)
             yield PhotonConfig(counts), weight
-
-
-def compositions(total: int, n_modes: int) -> Iterator[tuple[int, ...]]:
-    """All ways to place `total` photons into `n_modes` modes, lexicographic."""
-    if n_modes < 1:
-        return
-    if n_modes == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in compositions(total - first, n_modes - 1):
-            yield (first,) + rest
 
 
 def distribution_moments(coeffs: Iterable[tuple[int, float]]) -> tuple[float, float]:

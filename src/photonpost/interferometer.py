@@ -9,6 +9,7 @@ with the later element on the left.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -51,14 +52,29 @@ class Interferometer:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Interferometer":
+        """The inverse of to_json_dict; a malformed row or entry raises
+        BadParameters naming it (matrix[i] or matrix[i][j])."""
         n = int(data["n_modes"])
         rows = data["matrix"]
+        for i, row in enumerate(rows):
+            if not isinstance(row, (list, tuple)):
+                raise BadParameters(f"matrix[{i}] must be an array")
+            for j, z in enumerate(row):
+                if not (isinstance(z, dict) and all(_is_number(z.get(k)) for k in ("re", "im"))):
+                    raise BadParameters(
+                        f"matrix[{i}][{j}] must be an object with numbers 're' and 'im'"
+                    )
         if len(rows) != n or any(len(r) != n for r in rows):
             raise NotUnitary("serialized matrix shape disagrees with n_modes")
         a = np.array(
             [[complex(z["re"], z["im"]) for z in row] for row in rows], dtype=complex
         )
         return cls(a, provenance=str(data.get("provenance", "")))
+
+
+def _is_number(value) -> bool:
+    """A real number that is not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_unitary(a: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .conditioner import ConditionalResult, DetectionPattern, condition_mixed
-from .errors import BadModeIndex, DimensionMismatch, ZeroProbabilityPattern
+from .errors import DimensionMismatch, ZeroProbabilityPattern
 from .fock import InputSpec, distribution_moments
 from .interferometer import Interferometer
 
@@ -122,52 +122,37 @@ def is_dust(q0, paths0) -> np.ndarray:
     return q0 < DUST * paths0
 
 
-def ratio_breaches(q0, q1, allowed, paths0=None) -> np.ndarray:
+def ratio_breaches(q0, q1, allowed) -> np.ndarray:
     """Where (q0, q1) breaches the allowed ratio by more than BOUND_SLACK, or
-    q0 <= 0 while q1 > 1e-12; never where q0 is dust, given paths0."""
+    q0 <= 0 while q1 > 1e-12.  Callers that may hold dust drop it with is_dust."""
     q0, q1 = np.asarray(q0), np.asarray(q1)
     with np.errstate(divide="ignore", invalid="ignore"):
-        breach = np.where(q0 <= 0.0, q1 > 1e-12, q1 / q0 > allowed + BOUND_SLACK)
-    return breach if paths0 is None else breach & ~is_dust(q0, paths0)
+        return np.where(q0 <= 0.0, q1 > 1e-12, q1 / q0 > allowed + BOUND_SLACK)
 
 
-def detection_coefficients(
-    interf: Interferometer,
-    pattern: DetectionPattern,
-    active_modes: Sequence[int] | None = None,
-) -> np.ndarray:
+def detection_coefficients(interf: Interferometer, pattern: DetectionPattern) -> np.ndarray:
     """Source-independent weights of the conditional output.
 
-    With every active mode firing at the same single-photon probability p
-    and r = p/(1-p), the conditional output obeys
+    With every mode firing at the same single-photon probability p and
+    r = p/(1-p), the conditional output obeys
 
         normalized[n1]  proportional to  coeffs[n1] * r**n1 / n1!
 
     coeffs[n1] sums |per(L[n, s])|^2 over the ways to pick n1 + detected
-    of the active modes.  They depend only on the interferometer and the
+    of the modes.  They depend only on the interferometer and the
     pattern, which makes improvement questions a property of the optics.
     """
     n = interf.n_modes
     if len(pattern) != n - 1:
-        raise DimensionMismatch(
-            f"pattern covers {len(pattern)} detectors, expected {n - 1}"
-        )
-    if active_modes is None:
-        active_modes = range(n)
-    active = sorted(set(int(i) for i in active_modes))
-    if any(i < 0 or i >= n for i in active):
-        raise BadModeIndex(f"active mode out of range in {active}")
-    detected = pattern.total()
-    cap = len(active) - detected
-    if cap < 0:
+        raise DimensionMismatch(f"pattern covers {len(pattern)} detectors, expected {n - 1}")
+    if pattern.total() > n:
         return np.zeros(0)
-    # p = 1/2 on the active modes weighs every subset s by 2^-M, so the
-    # reading times 2^M n! is (n!)^2 sum_s |c_s[n]|^2 = sum_s |per(L[n, s])|^2
-    spec = InputSpec.two_level([0.5 if i in active else 0.0 for i in range(n)])
-    q = condition_mixed(spec, interf, pattern).unnormalized
+    # p = 1/2 weighs every subset s by 2^-N, so the reading times
+    # 2^N n! is (n!)^2 sum_s |c_s[n]|^2 = sum_s |per(L[n, s])|^2
+    q = condition_mixed(InputSpec.two_level([0.5] * n), interf, pattern).unnormalized
     held = math.prod(math.factorial(c) for c in pattern)  # prod_j c_j!
     factorials = np.array([math.factorial(k) * held for k in range(q.size)], dtype=float)
-    return q * 2.0 ** len(active) * factorials
+    return q * 2.0**n * factorials
 
 
 def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:

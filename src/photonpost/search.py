@@ -4,6 +4,9 @@ Candidates are sampled Haar-randomly and scored over every detection
 pattern, in stacks: PatternScorer.best, the one reader of all three
 searches, reads all exact patterns of a stack of candidates from one
 engine table and applies the objectives and the ratio bound to them.
+The patterns are count arrays, the states of an engine basis over the
+detectors (detector_patterns), so a problem too large for the engine
+fails at the basis size guard before any pattern is listed.
 Refinement then climbs in a beam-splitter-angle parameterization of the
 unitary group (a product of two-mode couplers, unitary by construction)
 with Nelder-Mead, an ask/tell generator that asks for all four trial points
@@ -24,10 +27,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import DetectionPattern
 from .engine import basis, max_stack, output_table
-from .errors import BadParameters, DimensionMismatch
-from .fock import InputSpec, compositions, photon_count
+from .errors import BadCount, BadParameters, DimensionMismatch
+from .fock import InputSpec, photon_count
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .merit import allowed_ratio, is_dust, ratio_breaches
 from .schemes import chain_element_angles
@@ -137,13 +139,11 @@ class SearchReport:
         )
 
 
-def detector_patterns(n_modes: int, max_detected: int) -> list[DetectionPattern]:
-    """Every detection pattern with at most max_detected photons."""
-    pats = []
-    for d in range(max_detected + 1):
-        for counts in compositions(d, n_modes - 1):
-            pats.append(DetectionPattern(counts))
-    return pats
+def detector_patterns(n_modes: int, max_detected: int) -> np.ndarray:
+    """Every detection pattern with at most max_detected photons: the states
+    of engine.basis over the detectors, a read-only (patterns, n_modes - 1)
+    count array ordered by total, then lexicographically."""
+    return basis((max_detected,) * (n_modes - 1), max_detected).states
 
 
 class PatternScorer:
@@ -155,23 +155,27 @@ class PatternScorer:
     their basis, the mask of entries outside it (set to +0.0 after the
     gather), and the patterns grouped by length.
     A (B, N, N) stack then gives one stacked table, read as arrays (sums of
-    non-negative terms, never below +0.0, need no clamp); merit's ratio
+    non-negative terms, never below +0.0, need no sign check); merit's ratio
     bound and the objectives are applied with the float operations of a
     per-pattern ConditionalResult.
     """
 
-    def __init__(self, spec: InputSpec, patterns: Sequence[DetectionPattern]):
+    def __init__(self, spec: InputSpec, patterns):
         n = spec.n_modes
-        if not patterns:
+        if not isinstance(patterns, np.ndarray):  # DetectionPatterns or count tuples
+            patterns = [tuple(p) for p in patterns]
+            if len({len(p) for p in patterns}) > 1:
+                raise DimensionMismatch("patterns cover different numbers of detectors")
+        counts = np.asarray(patterns)
+        if len(counts) == 0:
             raise BadParameters("reading needs at least one detection pattern")
-        for pattern in patterns:
-            if len(pattern) != n - 1:
-                raise DimensionMismatch(
-                    f"pattern covers {len(pattern)} detectors, expected {n - 1}"
-                )
-        self.spec, self.patterns = spec, tuple(patterns)
-        self.top = spec.max_total()
-        counts = np.array([p.counts for p in patterns], dtype=np.int64)
+        if counts.shape[1:] != (n - 1,):
+            raise DimensionMismatch(f"patterns have shape {counts.shape}, not (P, {n - 1})")
+        with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not whole
+            if counts.dtype.kind not in "iuf" or not np.all((counts >= 0) & (counts % 1 == 0)):
+                raise BadCount("detector counts must be non-negative integers")
+        counts = counts.astype(np.int64, copy=False)
+        self.spec, self.patterns, self.top = spec, counts, spec.max_total()
         totals = counts.sum(axis=1)
         self.caps = (self.top - int(totals.min()),) + tuple(counts.max(axis=0).tolist())
         b = basis(self.caps, self.top)
@@ -245,16 +249,14 @@ class PatternScorer:
 
 
 def evaluate_candidate(
-    interf: Interferometer,
-    spec: InputSpec,
-    objective: str,
-    patterns: Sequence[DetectionPattern],
+    interf: Interferometer, spec: InputSpec, objective: str, patterns
 ) -> tuple[float, tuple[int, ...], int]:
-    """Best objective value over the given patterns, plus bound violations:
-    the one-matrix call of PatternScorer."""
+    """Best objective value over the given patterns (DetectionPatterns, count
+    tuples or a count array), plus bound violations: the one-matrix call of
+    PatternScorer."""
     scorer = PatternScorer(spec, patterns)
     best, first, violations = scorer.best(interf.matrix[None], objective)
-    return float(best[0]), scorer.patterns[first[0]].counts, int(violations[0])
+    return float(best[0]), tuple(scorer.patterns[first[0]].tolist()), int(violations[0])
 
 
 def reevaluate(report: SearchReport) -> float:
@@ -264,8 +266,8 @@ def reevaluate(report: SearchReport) -> float:
     if report.kind == "nogo-patterns":  # its best may come from a one-mode-left source
         raise BadParameters("a nogo-patterns report does not record the source it read")
     spec = InputSpec.two_level([report.p_max] * report.n_modes)
-    pattern = DetectionPattern(report.best_pattern)
-    return evaluate_candidate(report.best_interferometer, spec, report.objective, [pattern])[0]
+    interf, pattern = report.best_interferometer, report.best_pattern
+    return evaluate_candidate(interf, spec, report.objective, [pattern])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -408,7 +410,7 @@ def _haar_stacks(n_modes: int, seeds: Sequence[int], size: int):
 class _Tally:
     """Counts one search's evaluations and bound violations; keeps the best offered one."""
 
-    def __init__(self, task: SearchTask, patterns: Sequence[DetectionPattern]):
+    def __init__(self, task: SearchTask, patterns: np.ndarray):
         self.task = task
         self.spec = InputSpec.two_level([task.p_max] * task.n_modes)
         self.scorer = PatternScorer(self.spec, patterns)
@@ -424,12 +426,13 @@ class _Tally:
 
     def offer(self, values, candidate) -> None:
         """Keep the first best of values if it beats the best so far;
-        candidate(k) gives the k-th (pattern, interferometer) and is only
-        called for the one kept."""
+        candidate(k) gives the k-th (pattern counts, interferometer) and is
+        only called for the one kept."""
         k = int(np.argmax(values))
         if values[k] > self.best_value:
             self.best_value = float(values[k])
-            self.best_pattern, self.best_interf = candidate(k)
+            pattern, self.best_interf = candidate(k)
+            self.best_pattern = tuple(map(int, pattern))
 
     def score_matrices(self, matrices, build=None) -> np.ndarray:
         """Best value per matrix over every pattern, scored in stacks as large
@@ -441,7 +444,7 @@ class _Tally:
             best, first, bad = self.scorer.best(matrices[lo : lo + size], self.task.objective)
             self.count(0 if build is None else len(best), bad.sum())
             if build is not None:
-                self.offer(best, lambda k: (self.patterns[first[k]].counts, build(lo + k)))
+                self.offer(best, lambda k: (self.patterns[first[k]], build(lo + k)))
             values[lo : lo + size] = best
         return values
 
@@ -569,12 +572,8 @@ def verify_nogo_patterns(
     """
     task = SearchTask(n_modes, p_max, "ratio", trials, refine_iters=0, seed=seed)
     n = task.n_modes
-    patterns = [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n - 1)]
-    tally = _Tally(task, patterns)
+    tally = _Tally(task, np.eye(n - 1, dtype=np.int64))
     single_clicks = tally.scorer
-    left_patterns = {
-        k: [DetectionPattern(c) for c in compositions(k - 1, n - 1)] for k in range(2, n + 1)
-    }
 
     def score(scorer, matrices):
         best, first, bad = scorer.best(matrices, "ratio")
@@ -590,7 +589,9 @@ def verify_nogo_patterns(
             ps = np.zeros(n)
             ps[modes] = rng.uniform(0.1 * p_max, p_max, size=occupied)
             ps[modes[0]] = p_max
-            one_left = PatternScorer(InputSpec.two_level(ps.tolist()), left_patterns[occupied])
+            d = occupied - 1  # one mode left: the patterns detecting d photons
+            left = detector_patterns(n, d)
+            one_left = PatternScorer(InputSpec.two_level(ps.tolist()), left[left.sum(axis=1) == d])
             # offers keep trial order: one_left first, then the single clicks
             for scorer, (best, first), k in (
                 (one_left, score(one_left, matrices[t : t + 1]), 0),
@@ -598,7 +599,7 @@ def verify_nogo_patterns(
             ):
                 tally.offer(
                     best[k : k + 1],
-                    lambda _: (scorer.patterns[first[k]].counts, haar_random(n, trial_seed)),
+                    lambda _: (scorer.patterns[first[k]], haar_random(n, trial_seed)),
                 )
 
     return tally.report("nogo-patterns", p_max / (1.0 - p_max), "counterexample found")

@@ -10,8 +10,9 @@ wherever it ran.
 A table is checked on every exact detector pattern it holds, in every
 matrix of a stack (the searches score candidates in stacks).  Both
 checks are calls to the library's rule (merit.allowed_ratio and
-merit.ratio_breaches); the table check passes it the vacuum entries
-computed from |U|, so cancellation dust is never flagged.
+merit.ratio_breaches); where a table shows a breach, the table check
+reads the vacuum entries from |U| and drops those merit.is_dust calls
+cancellation dust, so dust is never flagged.
 """
 
 import sys
@@ -53,9 +54,12 @@ def _checked_output_table(supports, matrix, caps, max_total):
     allowed = merit.allowed_ratio(spec, basis.states[zero, 1:].sum(axis=1))
     if allowed is None:
         return basis, table
-    _, paths = _original_table(supports, np.abs(matrix), caps, max_total)
     q0, q1 = table[..., zero], table[..., one]
-    bad = np.argwhere(merit.ratio_breaches(q0, q1, allowed, paths[..., zero]))
+    bad = merit.ratio_breaches(q0, q1, allowed)
+    if bad.any():  # a raw breach: drop the dust entries, read from |U|
+        _, paths = _original_table(supports, np.abs(matrix), caps, max_total)
+        bad &= ~merit.is_dust(q0, paths[..., zero])
+    bad = np.argwhere(bad)
     assert bad.size == 0, (
         f"ratio bound violated in a joint output table at pattern "
         f"{basis.states[zero[bad[0][-1]], 1:].tolist()} (stack index "

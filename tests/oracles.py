@@ -306,6 +306,19 @@ def objective_value(result: ConditionalResult, objective: str) -> float:
     return q1 if q2 <= 1e-9 else 0.0
 
 
+def detector_patterns_reference(n_modes: int, max_detected: int) -> list:
+    """Every count tuple over n_modes - 1 detectors with at most max_detected
+    photons, by total, then lexicographically: for each total d, stars and
+    bars, the bar positions from itertools.combinations in lexicographic
+    order (which orders the counts lexicographically too)."""
+    m, rows = n_modes - 1, []
+    for d in range(max_detected + 1):
+        for bars in itertools.combinations(range(d + m - 1), m - 1):
+            edges = (-1, *bars, d + m - 1)
+            rows.append(tuple(b - a - 1 for a, b in zip(edges, edges[1:])))
+    return rows
+
+
 def scorer_results(spec: InputSpec, interf, patterns) -> list:
     """A ConditionalResult per pattern, cut from one PatternScorer.weights call:
     every pattern is read from one table with shared caps, as the searches
@@ -315,8 +328,8 @@ def scorer_results(spec: InputSpec, interf, patterns) -> list:
     scorer = PatternScorer(spec, patterns)
     q, _ = scorer.weights(interf.matrix[None])
     return [
-        ConditionalResult.from_unnormalized(q[0, i, :length], pattern=pattern)
-        for i, (pattern, length) in enumerate(zip(scorer.patterns, scorer.lengths))
+        ConditionalResult.from_unnormalized(q[0, i, :length], pattern=DetectionPattern(row))
+        for i, (row, length) in enumerate(zip(scorer.patterns, scorer.lengths))
     ]
 
 

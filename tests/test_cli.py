@@ -864,6 +864,24 @@ def test_out_of_range_parameters_are_config_errors(
     assert "config error" in capsys.readouterr().err
 
 
+def test_search_at_forty_modes_is_a_prompt_dimension_error(tmp_path):
+    """The engine basis refuses 40 modes before any pattern is enumerated."""
+    cfg = write_config(
+        tmp_path / "search.json",
+        {"command": "search", "version": 1, "modes": 40, "p_max": 0.3,
+         "trials": 10, "refine_iters": 5, "seed": 1},
+    )
+    out = tmp_path / "search.out"
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    done = subprocess.run(
+        [sys.executable, "-m", "photonpost.cli", "search", "--config", cfg, "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=5,
+    )
+    assert done.returncode == 3
+    assert "dimension error" in done.stderr
+    assert not out.exists()
+
+
 def test_non_unitary_matrix_is_dimension_error(tmp_path):
     rows = [
         [{"re": 1.0, "im": 0.0}, {"re": 0.5, "im": 0.0}],

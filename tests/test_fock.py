@@ -8,7 +8,6 @@ from photonpost import (
     InputSpec,
     NotNormalized,
     PhotonConfig,
-    compositions,
     distribution_moments,
     enumerate_inputs,
 )
@@ -105,13 +104,6 @@ def test_enumerate_weights_recover_total_probability():
             for cfg, weight in enumerate_inputs(spec, total):
                 total_prob += weight * math.prod(math.factorial(c) for c in cfg)
         assert np.isclose(total_prob, 1.0, atol=1e-12)
-
-
-def test_compositions_cover_and_order():
-    combos = list(compositions(3, 2))
-    assert combos == [(0, 3), (1, 2), (2, 1), (3, 0)]
-    assert list(compositions(0, 3)) == [(0, 0, 0)]
-    assert len(list(compositions(4, 3))) == 15
 
 
 def test_moments_point_mass():

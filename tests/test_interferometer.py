@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,11 +11,13 @@ from photonpost import (
     Interferometer,
     NotUnitary,
     RowsNotOrthonormal,
+    SearchReport,
     beam_splitter,
     complete_rows,
     compose,
     embed_two_mode,
     haar_random,
+    verify_nogo_small,
 )
 from photonpost.interferometer import haar_unitaries
 
@@ -166,3 +169,25 @@ def test_json_round_trip_is_exact():
     back = Interferometer.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
     assert np.array_equal(u.matrix, back.matrix)
     assert back.provenance == u.provenance
+
+
+@pytest.mark.parametrize(
+    "rows, named",
+    [
+        ([[1, 0], [0, 1]], "matrix[0][0]"),
+        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0}], [1, 0]], "matrix[0][1]"),
+        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}], 7], "matrix[1]"),
+        ([[{"re": True, "im": 0.0}]], "matrix[0][0]"),
+    ],
+    ids=["plain-numbers", "missing-im", "row-not-array", "bool-entry"],
+)
+def test_malformed_serialized_entries_raise_bad_parameters(rows, named):
+    """Each malformed entry is named, in Interferometer.from_json_dict and
+    in the reports that embed one."""
+    data = {"n_modes": len(rows), "matrix": rows}
+    with pytest.raises(BadParameters, match=re.escape(named)):
+        Interferometer.from_json_dict(data)
+    report = verify_nogo_small(2, 0.3, 2, 1, 2).to_json_dict()
+    report["best_interferometer"] = data
+    with pytest.raises(BadParameters, match=re.escape(named)):
+        SearchReport.from_json_dict(report)

@@ -182,6 +182,7 @@ def test_every_exported_name_resolves_once():
     "make, error",
     [
         (lambda: ConditionalResult.from_unnormalized([0.5, -1e-3]), NegativeWeight),
+        (lambda: ConditionalResult.from_unnormalized([0.5, -1e-16]), NegativeWeight),
         (lambda: ConditionalResult.from_unnormalized([[0.5]]), BadDistributionShape),
         (lambda: DetectionPattern((1, -1)), BadCount),
         (lambda: ObservedPattern((0, "maybe")), BadCount),
@@ -211,8 +212,9 @@ def test_every_exported_name_resolves_once():
         (lambda: SearchTask(3.5, 0.2), BadCount),
     ],
     ids=[
-        "negative-weight", "2-d-weights", "negative-detected", "unknown-outcome",
-        "negative-outcome", "no-modes-config", "negative-config", "negative-count",
+        "negative-weight", "negative-dust-weight", "2-d-weights", "negative-detected",
+        "unknown-outcome", "negative-outcome", "no-modes-config", "negative-config",
+        "negative-count",
         "repeated-count", "no-modes-input", "compose-nothing", "fractional-detected",
         "nan-detected", "fractional-outcome", "infinite-config", "string-config",
         "fractional-count", "nan-count", "fractional-purify-count", "nan-weight",

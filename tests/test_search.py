@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import (
     check_bound,
+    detector_patterns_reference,
     objective_value,
     scorer_results,
     search_improvement_sequential,
@@ -21,6 +23,8 @@ from photonpost import (
     BadCount,
     BadParameters,
     DetectionPattern,
+    DimensionMismatch,
+    DimensionTooLarge,
     InputSpec,
     Interferometer,
     NotUnitary,
@@ -53,13 +57,59 @@ def test_pair_order_starts_with_chain_layout():
 
 
 def test_detector_patterns_enumeration():
-    pats = detector_patterns(4, 3)
-    counts = [p.counts for p in pats]
-    assert len(counts) == 20
-    assert (0, 0, 0) in counts
-    assert (3, 0, 0) in counts
-    assert (1, 1, 1) in counts
-    assert all(sum(c) <= 3 for c in counts)
+    """The basis states list every pattern once, in the reference's order:
+    by total, then lexicographically."""
+    for n in range(2, 10):
+        for limit in range(n + 1):
+            pats = detector_patterns(n, limit)
+            assert pats.dtype == np.int64 and not pats.flags.writeable
+            assert pats.tolist() == [list(c) for c in detector_patterns_reference(n, limit)]
+    three = detector_patterns(3, 3)
+    assert three[three.sum(axis=1) == 3].tolist() == [[0, 3], [1, 2], [2, 1], [3, 0]]
+    assert len(detector_patterns(4, 3)) == 20
+
+
+def test_oversize_searches_fail_before_enumerating_patterns():
+    """Patterns come from the engine basis, whose size guard refuses 40
+    modes at once; nothing is enumerated first."""
+    for run in (
+        lambda: detector_patterns(40, 39),
+        lambda: search_improvement(SearchTask(40, 0.3, trials=10, refine_iters=5)),
+        lambda: verify_nogo_patterns(40, 0.3, 10, 1),
+    ):
+        start = time.perf_counter()
+        with pytest.raises(DimensionTooLarge):
+            run()
+        assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "patterns, error",
+    [
+        ([(1, 0.5)], BadCount),
+        ([(1, -1)], BadCount),
+        ([(math.nan, 0)], BadCount),
+        ([(math.inf, 0)], BadCount),
+        ([("1", 0)], BadCount),
+        ([], BadParameters),
+        ([(1,)], DimensionMismatch),
+        ([(1, 0), (1,)], DimensionMismatch),
+        (np.zeros((2, 3), dtype=np.int64), DimensionMismatch),
+    ],
+    ids=[
+        "fractional", "negative", "nan", "infinite", "string", "none",
+        "short", "ragged", "wide-array",
+    ],
+)
+def test_pattern_scorer_rejects_bad_patterns(patterns, error):
+    with pytest.raises(error):
+        PatternScorer(InputSpec.two_level([0.3] * 3), patterns)
+
+
+def test_pattern_scorer_reads_whole_counts_as_ints():
+    scorer = PatternScorer(InputSpec.two_level([0.3] * 3), [(1.0, 0), DetectionPattern((0, 2))])
+    assert scorer.patterns.dtype == np.int64
+    assert scorer.patterns.tolist() == [[1, 0], [0, 2]]
 
 
 def test_unitary_from_angles_is_unitary():
@@ -270,7 +320,7 @@ def scoring_cases(draw):
         order = draw(st.permutations(range(n)))
         interf = Interferometer(np.eye(n)[list(order)])
     limit = spec.max_total() + 1
-    pool = detector_patterns(n, limit)
+    pool = [tuple(row) for row in detector_patterns(n, limit).tolist()]
     patterns = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=len(pool)))
     return spec, interf, patterns, draw(st.sampled_from(OBJECTIVES))
 
@@ -278,7 +328,7 @@ def scoring_cases(draw):
 _SURE_PHOTON_KEPT = (  # the kept mode never holds vacuum: ratio = inf
     InputSpec(({1: 0.5, 2: 0.5}, {0: 0.5, 1: 0.5})),
     Interferometer(np.eye(2)),
-    detector_patterns(2, 4),
+    [tuple(row) for row in detector_patterns(2, 4).tolist()],
     "ratio",
 )
 
@@ -293,19 +343,21 @@ def test_array_scorer_equals_per_pattern_reference(case):
         violations += not check_bound(result, spec)
         value = objective_value(result, objective)
         if value > best:
-            best, best_pattern = value, pattern.counts
-    got, first, bad = PatternScorer(spec, patterns).best(interf.matrix[None], objective)
+            best, best_pattern = value, pattern
+    got, first, bad = PatternScorer(spec, np.array(patterns)).best(interf.matrix[None], objective)
     assert got[0] == best  # bit for bit, inf included
-    assert patterns[first[0]].counts == best_pattern
+    assert patterns[first[0]] == best_pattern
     assert bad[0] == violations
-    assert evaluate_candidate(interf, spec, objective, patterns) == (best, best_pattern, violations)
+    for given_as in (patterns, [DetectionPattern(p) for p in patterns]):
+        got = evaluate_candidate(interf, spec, objective, given_as)
+        assert got == (best, best_pattern, violations)
     if case is _SURE_PHOTON_KEPT:
         assert best == math.inf
 
 
 def _single_clicks(n):
     """verify_nogo_patterns' uniform-source patterns: one click."""
-    return [DetectionPattern(tuple(int(j == i) for j in range(n - 1))) for i in range(n - 1)]
+    return np.eye(n - 1, dtype=np.int64)
 
 
 @pytest.mark.parametrize(
