@@ -11,6 +11,7 @@ from photonpost import (
     distribution_moments,
     enumerate_inputs,
 )
+from photonpost.engine import basis
 
 
 def test_photon_config_total_and_validation():
@@ -104,6 +105,19 @@ def test_enumerate_weights_recover_total_probability():
             for cfg, weight in enumerate_inputs(spec, total):
                 total_prob += weight * math.prod(math.factorial(c) for c in cfg)
         assert np.isclose(total_prob, 1.0, atol=1e-12)
+
+
+def test_compositions_cover_and_order():
+    """The placements of a fixed photon count over modes are the sectors of
+    an engine basis, covered once each and ordered lexicographically."""
+
+    def sector(total, n_modes):
+        b = basis((total,) * n_modes, total)
+        return [tuple(s) for s in b.states[b.offsets[total] : b.offsets[total + 1]]]
+
+    assert sector(3, 2) == [(0, 3), (1, 2), (2, 1), (3, 0)]
+    assert sector(0, 3) == [(0, 0, 0)]
+    assert len(sector(4, 3)) == 15
 
 
 def test_moments_point_mass():
