@@ -53,7 +53,6 @@ from .merit import (
     MeritReport,
     detection_coefficients,
     figures_of_merit,
-    improvement_predicate,
     improvement_threshold,
 )
 from .permanent import permanent, permanent_with_multiplicity
@@ -129,7 +128,6 @@ __all__ = [
     "evaluate_candidate",
     "figures_of_merit",
     "haar_random",
-    "improvement_predicate",
     "improvement_threshold",
     "observe",
     "benchmark_detector_suite",

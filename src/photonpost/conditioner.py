@@ -16,12 +16,10 @@ Summing c~ over n1 gives exactly the probability of seeing the pattern.
 
 That formula is the definition.  engine.py computes it by expanding the
 creation operators, multiplying and adding path amplitudes only, so no
-entry is a difference of large terms.
-condition_on_responses is the one reader for one interferometer: it
-weights the engine table with a response column per detector, so exact
-counts (condition_mixed, one-hot columns) and imperfect detectors
-(detectors.observe) share it.  search.PatternScorer reads many exact
-patterns of a stack of interferometers.
+entry is a difference of large terms.  Readout is the one reader of its
+tables: it weights them with a response column per detector, one-hot for
+exact counts (condition_mixed, search.PatternScorer) or a detector's
+response (detectors.observe), for one interferometer or a stack.
 
 Mixed and pure sources read the same engine rows c_s[n]: a mixed source
 squares each row and then adds them (the incoherent sum of the table),
@@ -32,13 +30,14 @@ to an exact single photon.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .engine import expand, output_table
+from .engine import basis, expand, max_stack, output_table
 from .errors import BadDistributionShape, DimensionMismatch, NegativeWeight, NotNormalized
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
@@ -88,21 +87,11 @@ class ConditionalResult:
         if arr.min() < 0.0:  # c~ entries are sums of non-negative terms
             raise NegativeWeight(f"coefficient {arr.min()} is negative")
         prob = float(arr.sum())
-        if prob > 0.0:
-            normalized = arr / prob
-            zero = False
-        else:
-            normalized = np.zeros_like(arr)
-            zero = True
+        zero = not prob > 0.0
+        normalized = np.zeros_like(arr) if zero else arr / prob
         arr.setflags(write=False)
         normalized.setflags(write=False)
-        return cls(
-            unnormalized=arr,
-            pattern=pattern,
-            pattern_probability=prob,
-            normalized=normalized,
-            zero_probability=zero,
-        )
+        return cls(arr, pattern, prob, normalized, zero)
 
     def detected_total(self):
         """Total detected photons when the pattern is exact, else None."""
@@ -111,48 +100,108 @@ class ConditionalResult:
         return None
 
 
-def condition_on_responses(
-    spec: InputSpec, interf: Interferometer, columns: Sequence, pattern
-) -> ConditionalResult:
-    """Conditional output of mode 1 weighted by one response column per detector.
+@functools.lru_cache(maxsize=128)
+def _layout(shape: tuple, weights: bytes) -> tuple:
+    """(caps, lengths, gather, factors, length groups) of a Readout of cut
+    columns (a float array of this shape as bytes), read-only; nothing else
+    shapes them, so sources with the same maximum share them."""
+    readings, detectors, top = shape[0], shape[1], shape[2] - 1
+    cut = np.frombuffer(weights).reshape(shape)
+    held = cut > 0.0
+    # each reading holds at least its smallest count per detector
+    fewest = np.where(held.any(axis=2).all(axis=1), held.argmax(axis=2).sum(axis=1), top + 1)
+    largest = tuple(np.max(held * np.arange(top + 1), axis=(0, 2)).tolist())
+    caps = (max(0, top - int(fewest.min())),) + largest
+    lengths = np.maximum(top - fewest + 1, 1)
+    b = basis(caps, top)
+    true = b.states[b.states[:, 0] == 0, 1:]  # by total, then lexicographically: table order
+    holds = np.ones((readings, len(true)), dtype=bool)
+    for j in range(detectors):
+        holds &= held[:, j, true[:, j]]
+    owner, t = np.nonzero(holds)  # a row per (reading, true pattern it holds)
+    t, rows = true[t], np.bincount(owner, minlength=readings)
+    first = np.cumsum(rows) - rows
+    n1 = np.arange(max(3, caps[0] + 1))  # the objectives read n1 = 0..2
+    vectors = np.zeros((len(t), n1.size, detectors + 1), dtype=np.int64)
+    vectors[..., 0], vectors[..., 1:] = n1, t[:, None]
+    index = b.lookup(vectors).reshape(len(t), n1.size)
+    k = np.arange(len(t)) - first[owner]
+    gather = np.full((readings, n1.size, max(1, rows.max())), len(b.states))
+    gather[owner, :, k] = np.where(index < 0, len(b.states), index)
+    factors = np.ones((detectors, readings, 1, gather.shape[-1]))
+    factors[:, owner, 0, k] = cut[owner[:, None], np.arange(detectors), t].T
+    factors = tuple(f for f in factors if np.any(f != 1.0))
+    # sums run per length, so each adds the same terms as a 1-D sum
+    groups = tuple((m, np.flatnonzero(lengths == m)) for m in set(lengths.tolist()))
+    for a in (gather, *factors, *(g for _, g in groups)):
+        a.setflags(write=False)
+    return caps, tuple(lengths.tolist()), gather, factors, groups
 
-    columns[j][t], finite and non-negative, is the weight of detector j
-    having seen t photons (a one-hot column is an exact count).  One
-    engine table, capped at the column supports, is multiplied by every
-    column in detector order and summed over n1; pattern labels the result.  Without support within
-    the source maximum the result is the flagged zero one.
+
+class Readout:
+    """Reads kept-mode weights from engine tables for fixed response columns.
+
+    columns[p, j, t], finite and non-negative, weighs detector j seeing t
+    photons in reading p (one-hot: an exact count); counts above the
+    source maximum cannot occur and are cut.  The layout is cached per
+    (source maximum, columns), as engine plans are: caps holding every
+    reading (the kept mode at the source maximum minus the fewest photons
+    a reading holds, each detector at its largest support), each reading's
+    length (the n1 it holds, 1 if none), gather[p, n1, k], the table cell
+    of n1 with reading p's k-th true detector pattern in table order (else
+    an appended zero cell), and a factor array per detector not all 1.
     """
-    n = interf.n_modes
-    if spec.n_modes != n:
-        raise DimensionMismatch(f"input has {spec.n_modes} modes, interferometer has {n}")
-    if len(columns) != n - 1:
-        raise DimensionMismatch(f"pattern covers {len(columns)} detectors, expected {n - 1}")
-    max_total = spec.max_total()
-    columns = [np.asarray(col, dtype=float) for col in columns]
-    if not all(np.all((col >= 0.0) & (col < math.inf)) for col in columns):  # NaN fails too
-        raise NotNormalized("response columns must be finite and non-negative")
-    supports = [np.flatnonzero(col[: max_total + 1]) for col in columns]
-    if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
-        return ConditionalResult.from_unnormalized([0.0], pattern=pattern)
-    cap = max_total - sum(int(t[0]) for t in supports)
-    caps = (cap,) + tuple(int(t[-1]) for t in supports)
-    basis, table = output_table(spec.distributions, interf.matrix, caps, max_total)
-    for j, col in enumerate(columns):
-        table = table * col[basis.states[:, j + 1]]
-    mixed = np.bincount(basis.states[:, 0], weights=table, minlength=cap + 1)
-    return ConditionalResult.from_unnormalized(mixed, pattern=pattern)
+
+    def __init__(self, spec: InputSpec, columns):
+        n, top = spec.n_modes, spec.max_total()
+        columns = np.asarray(columns, dtype=float)
+        if columns.ndim != 3 or columns.shape[1] != n - 1 or not len(columns):
+            raise DimensionMismatch(f"columns have shape {columns.shape}, not (P, {n - 1}, counts)")
+        if not np.all((columns >= 0.0) & (columns < math.inf)):  # NaN fails too
+            raise NotNormalized("response columns must be finite and non-negative")
+        cut = np.zeros(columns.shape[:2] + (top + 1,))
+        cut[..., : columns.shape[2]] = columns[..., : top + 1]
+        self.spec, self.top, layout = spec, top, _layout(cut.shape, cut.tobytes())
+        self.caps, self.lengths, self.gather, self.factors, self.groups = layout
+
+    def stack(self) -> int:
+        """Most matrices one read takes within the engine's cell limit."""
+        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
+
+    def read(self, matrices) -> tuple[np.ndarray, np.ndarray]:
+        """c~ per (matrix, reading, n1) and each reading's probability for a
+        (B, N, N) stack: one table, one gather, the factors in detector order
+        and a sequential sum over true patterns, the products and sums, in
+        order, of weighting the whole table column by column, summed per n1."""
+        n = self.spec.n_modes
+        if np.shape(matrices)[1:] != (n, n):
+            raise DimensionMismatch(f"input has {n} modes, matrices {np.shape(matrices)}")
+        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
+        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1).take(self.gather, axis=1)
+        for factor in self.factors:
+            q *= factor
+        q = np.add.accumulate(q, axis=-1)[..., -1]  # not sum: it adds 8 or more pairwise
+        prob = np.empty(q.shape[:2])
+        for size, rows in self.groups:
+            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
+        return q, prob
+
+    def condition(self, interf: Interferometer, label) -> ConditionalResult:
+        """The first reading of interf alone, as a ConditionalResult labelled label."""
+        q, _ = self.read(interf.matrix[None])
+        return ConditionalResult.from_unnormalized(q[0, 0, : self.lengths[0]], pattern=label)
 
 
 def condition_mixed(
     spec: InputSpec, interf: Interferometer, pattern: DetectionPattern
 ) -> ConditionalResult:
-    """Conditional output of mode 1 given exact detector counts.
-
-    condition_on_responses with one-hot columns; n1 runs up to the source
-    maximum minus the detected total (an impossible pattern yields the
-    flagged zero result).
-    """
-    return condition_on_responses(spec, interf, [np.eye(c + 1)[c] for c in pattern], pattern)
+    """Conditional output of mode 1 given exact detector counts: the
+    Readout of one-hot columns.  n1 runs up to the source maximum minus the
+    detected total; an impossible pattern (a count above the source maximum
+    too) yields the flagged zero result."""
+    top = spec.max_total()
+    hot = np.array([min(c, top + 1) for c in pattern])[:, None] == np.arange(top + 1)
+    return Readout(spec, [hot]).condition(interf, pattern)
 
 
 def condition_pure(

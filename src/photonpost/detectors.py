@@ -5,8 +5,8 @@ outcomes are either exact counts or the bucket ">=2" for detectors that
 saturate.  Observing a pattern of reported outcomes mixes the exact
 conditional results over every true pattern the detectors could have
 seen, weighted by the product of per-detector response probabilities:
-observe builds the response columns and conditioner.condition_on_responses,
-the reader exact counts use too, contracts them with one engine table.
+observe builds the response columns and reads them with a
+conditioner.Readout, the reader exact counts and the searches use too.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .conditioner import ConditionalResult, condition_on_responses
+from .conditioner import ConditionalResult, Readout
 from .errors import BadCount, DimensionMismatch, NotNormalized
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
@@ -161,8 +161,9 @@ def observe(
 ) -> ConditionalResult:
     """Conditional output given reported (possibly misread) outcomes.
 
-    Builds every detector's response column P(reported | t) and hands
-    them to conditioner.condition_on_responses; the summed weights then
+    Builds every detector's response column P(reported | t), cut at the
+    source maximum, and reads them with a Readout, one engine table
+    weighted column by column; the summed weights then
     give the probability of the reported pattern, so completeness over
     all reports is inherited from the response rows being stochastic.
     Models must cover every count the source can emit.
@@ -176,5 +177,5 @@ def observe(
     max_total = spec.max_total()
     if any(model.cap < max_total for model in models):
         raise DimensionMismatch(f"detector models must cover counts up to {max_total}")
-    columns = [model.column(obs) for obs, model in zip(observed, models)]
-    return condition_on_responses(spec, interf, columns, observed)
+    columns = [model.column(obs)[: max_total + 1] for obs, model in zip(observed, models)]
+    return Readout(spec, [columns]).condition(interf, observed)

@@ -155,19 +155,6 @@ def detection_coefficients(interf: Interferometer, pattern: DetectionPattern) ->
     return q * 2.0**n * factorials
 
 
-def improvement_predicate(coeffs: Sequence[float], ratio_in: float) -> bool:
-    """Whether the output one-photon probability exceeds the input's.
-
-    Equivalent to normalized[1] > p for a uniform two-level source with
-    p = ratio_in / (1 + ratio_in): d[1] must beat the vacuum and
-    multiphoton terms, which grow with ratio_in and close the window.
-    """
-    d = np.asarray(coeffs, dtype=float)
-    if d.size < 2:
-        return False
-    return bool(_excess(d, ratio_in) > 0)
-
-
 def _excess(d: np.ndarray, r: float) -> float:
     """d[1] minus the vacuum and multiphoton terms at input ratio r; the
     output beats the input exactly where this is positive."""
@@ -178,7 +165,7 @@ def _excess(d: np.ndarray, r: float) -> float:
 
 
 def improvement_threshold(coeffs: Sequence[float]) -> float:
-    """Largest input ratio below which the predicate holds.
+    """Largest input ratio r below which normalized[1] > p = r / (1 + r).
 
     Returns 0.0 when no improvement exists even for a faint source and
     math.inf when the improvement never closes (no multiphoton terms).

@@ -1,9 +1,9 @@
 """Randomized searches for improvement and no-go verification.
 
 Candidates are sampled Haar-randomly and scored over every detection
-pattern, in stacks: PatternScorer.best, the one reader of all three
-searches, reads all exact patterns of a stack of candidates from one
-engine table and applies the objectives and the ratio bound to them.
+pattern, in stacks: PatternScorer.best, shared by all three searches,
+reads all exact patterns of a stack of candidates with one
+conditioner.Readout and applies the objectives and the ratio bound.
 The patterns are count arrays, the states of an engine basis over the
 detectors (detector_patterns), so a problem too large for the engine
 fails at the basis size guard before any pattern is listed.
@@ -27,7 +27,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import basis, max_stack, output_table
+from .conditioner import Readout
+from .engine import basis
 from .errors import BadCount, BadParameters, DimensionMismatch
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
@@ -149,15 +150,12 @@ def detector_patterns(n_modes: int, max_detected: int) -> np.ndarray:
 class PatternScorer:
     """Scores stacks of interferometers over fixed detection patterns.
 
-    Built once per (spec, patterns): caps that hold every pattern (each
-    detector at its largest count, the kept mode at the source maximum
-    minus the fewest detected), a gather index (patterns, n1) clipped into
-    their basis, the mask of entries outside it (set to +0.0 after the
-    gather), and the patterns grouped by length.
-    A (B, N, N) stack then gives one stacked table, read as arrays (sums of
-    non-negative terms, never below +0.0, need no sign check); merit's ratio
-    bound and the objectives are applied with the float operations of a
-    per-pattern ConditionalResult.
+    Built once per (spec, patterns): a conditioner.Readout of the patterns'
+    one-hot columns (counts clipped to one above the source maximum, all
+    impossible alike), and each pattern's ratio bound and |U| ceiling.  A
+    (B, N, N) stack gives one read, whose sums of non-negative terms need
+    no sign check; merit's ratio bound and the objectives are applied with
+    the float operations of a per-pattern ConditionalResult.
     """
 
     def __init__(self, spec: InputSpec, patterns):
@@ -174,47 +172,13 @@ class PatternScorer:
         with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not whole
             if counts.dtype.kind not in "iuf" or not np.all((counts >= 0) & (counts % 1 == 0)):
                 raise BadCount("detector counts must be non-negative integers")
-        counts = counts.astype(np.int64, copy=False)
-        self.spec, self.patterns, self.top = spec, counts, spec.max_total()
-        totals = counts.sum(axis=1)
-        self.caps = (self.top - int(totals.min()),) + tuple(counts.max(axis=0).tolist())
-        b = basis(self.caps, self.top)
-        # (n1, *pattern) for n1 up to the kept cap, and 0..2 at least for best();
-        # lookup gives -1 outside the basis
-        n1 = np.arange(max(3, self.caps[0] + 1))
-        vectors = np.zeros((len(counts), n1.size, n), dtype=np.int64)
-        vectors[..., 0], vectors[..., 1:] = n1, counts[:, None]
-        index = b.lookup(vectors).reshape(len(counts), n1.size)
-        self.outside = index < 0
-        self.lengths = np.maximum(np.count_nonzero(~self.outside, axis=1), 1).tolist()
-        self.gather = np.maximum(index, 0)
-        # sums run per length, so each adds the same terms as a 1-D sum
-        self.groups = [
-            (size, np.flatnonzero(np.equal(self.lengths, size)))
-            for size in sorted(set(self.lengths))
-        ]
-        self.allowed = allowed_ratio(spec, totals.tolist())
+        top = spec.max_total()
+        self.patterns = counts = np.minimum(counts, top + 1).astype(np.int64)
+        self.readout = Readout(spec, counts[..., None] == np.arange(top + 1))
+        totals = counts.sum(axis=1).tolist()
+        self.allowed = allowed_ratio(spec, totals)
         # a vacuum entry of D photons computed from |U| never exceeds D!
-        self.ceiling = np.array([math.factorial(d) for d in totals.tolist()], dtype=float)
-
-    def stack(self) -> int:
-        """Most matrices one weights call takes within the engine's cell limit."""
-        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
-
-    def weights(self, matrices) -> tuple[np.ndarray, np.ndarray]:
-        """c~ per (matrix, pattern, n1) and each pattern's probability."""
-        n = self.spec.n_modes
-        if np.shape(matrices)[1:] != (n, n):
-            raise DimensionMismatch(
-                f"input has {n} modes, interferometer has {np.shape(matrices)[-1]}"
-            )
-        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = table.take(self.gather, axis=1)
-        np.copyto(q, 0.0, where=self.outside)
-        prob = np.empty(q.shape[:2])
-        for size, rows in self.groups:
-            prob[:, rows] = q[:, rows, :size].sum(axis=-1)
-        return q, prob
+        self.ceiling = np.array([math.factorial(d) for d in totals], dtype=float)
 
     def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per matrix: the best objective value over the patterns (0 for one
@@ -223,11 +187,11 @@ class PatternScorer:
         pattern that may be dust (below DUST times its ceiling) are read
         again from |U|: their dust patterns (merit.is_dust) count as
         probability 0, so value 0 and no breach."""
-        q, prob = self.weights(matrices)
+        q, prob = self.readout.read(matrices)
         possible = prob > 0.0
         odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & possible).any(axis=1))
         if odd.size:
-            paths, _ = self.weights(np.abs(matrices[odd]))
+            paths, _ = self.readout.read(np.abs(matrices[odd]))
             prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
             possible = prob > 0.0
         if self.allowed is None:
@@ -414,7 +378,7 @@ class _Tally:
         self.task = task
         self.spec = InputSpec.two_level([task.p_max] * task.n_modes)
         self.scorer = PatternScorer(self.spec, patterns)
-        self.patterns, self.size = self.scorer.patterns, self.scorer.stack()
+        self.patterns, self.size = self.scorer.patterns, self.scorer.readout.stack()
         self.evals = self.violations = 0
         self.best_value = -math.inf
         self.best_pattern: tuple[int, ...] = ()

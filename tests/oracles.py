@@ -25,6 +25,9 @@ from photonpost import (
     haar_random,
     observe,
 )
+from photonpost.engine import output_table
+from photonpost.errors import DimensionMismatch, NotNormalized
+from photonpost.merit import _excess
 
 
 def propagate_fock(matrix: np.ndarray, in_counts) -> dict:
@@ -319,17 +322,63 @@ def detector_patterns_reference(n_modes: int, max_detected: int) -> list:
     return rows
 
 
+def condition_on_responses(spec: InputSpec, interf, columns, pattern) -> ConditionalResult:
+    """Conditional output of mode 1 weighted by one response column per detector.
+
+    columns[j][t], finite and non-negative, is the weight of detector j
+    having seen t photons (a one-hot column is an exact count).  One
+    engine table, capped at the column supports, is multiplied by every
+    column in detector order and summed over n1; pattern labels the result.  Without support within
+    the source maximum the result is the flagged zero one.  The bit-level
+    reference for conditioner.Readout, which reads the same products in
+    the same order.
+    """
+    n = interf.n_modes
+    if spec.n_modes != n:
+        raise DimensionMismatch(f"input has {spec.n_modes} modes, interferometer has {n}")
+    if len(columns) != n - 1:
+        raise DimensionMismatch(f"pattern covers {len(columns)} detectors, expected {n - 1}")
+    max_total = spec.max_total()
+    columns = [np.asarray(col, dtype=float) for col in columns]
+    if not all(np.all((col >= 0.0) & (col < math.inf)) for col in columns):  # NaN fails too
+        raise NotNormalized("response columns must be finite and non-negative")
+    supports = [np.flatnonzero(col[: max_total + 1]) for col in columns]
+    if any(t.size == 0 for t in supports) or sum(t[0] for t in supports) > max_total:
+        return ConditionalResult.from_unnormalized([0.0], pattern=pattern)
+    cap = max_total - sum(int(t[0]) for t in supports)
+    caps = (cap,) + tuple(int(t[-1]) for t in supports)
+    basis, table = output_table(spec.distributions, interf.matrix, caps, max_total)
+    for j, col in enumerate(columns):
+        table = table * col[basis.states[:, j + 1]]
+    mixed = np.bincount(basis.states[:, 0], weights=table, minlength=cap + 1)
+    return ConditionalResult.from_unnormalized(mixed, pattern=pattern)
+
+
+def improvement_predicate(coeffs, ratio_in: float) -> bool:
+    """Whether the output one-photon probability exceeds the input's.
+
+    Equivalent to normalized[1] > p for a uniform two-level source with
+    p = ratio_in / (1 + ratio_in): d[1] must beat the vacuum and
+    multiphoton terms, which grow with ratio_in and close the window.
+    The pointwise reference for merit.improvement_threshold.
+    """
+    d = np.asarray(coeffs, dtype=float)
+    if d.size < 2:
+        return False
+    return bool(_excess(d, ratio_in) > 0)
+
+
 def scorer_results(spec: InputSpec, interf, patterns) -> list:
-    """A ConditionalResult per pattern, cut from one PatternScorer.weights call:
+    """A ConditionalResult per pattern, cut from one read of a PatternScorer:
     every pattern is read from one table with shared caps, as the searches
     read them."""
     from photonpost.search import PatternScorer
 
     scorer = PatternScorer(spec, patterns)
-    q, _ = scorer.weights(interf.matrix[None])
+    q, _ = scorer.readout.read(interf.matrix[None])
     return [
         ConditionalResult.from_unnormalized(q[0, i, :length], pattern=DetectionPattern(row))
-        for i, (row, length) in enumerate(zip(scorer.patterns, scorer.lengths))
+        for i, (row, length) in enumerate(zip(scorer.patterns, scorer.readout.lengths))
     ]
 
 

@@ -20,6 +20,7 @@ from oracles import (
     chain_scenario_reference,
     condition_mixed_bs_closed_form,
     conditional_coefficients,
+    improvement_predicate,
 )
 from photonpost import (
     DegenerateTheta,
@@ -33,7 +34,6 @@ from photonpost import (
     detection_coefficients,
     figures_of_merit,
     haar_random,
-    improvement_predicate,
     pure_success_probability,
     pure_three_mode_pipeline,
     purify_super_poissonian,
@@ -177,11 +177,11 @@ def test_criterion_3_ratio_bound():
                 for name, wrapper in wrappers.items():
                     if hasattr(mod, name):
                         assert getattr(mod, name).__name__ == wrapper, (key, name)
-        # ... and the callers hold the wrappers, including the engine whose
-        # stacked tables the searches score candidates from
+        # ... and the callers hold the wrappers, including the conditioner
+        # whose Readout reads the stacked tables the searches score
         for mod in (photonpost.conditioner, photonpost.schemes, cli, photonpost):
             assert mod.condition_mixed.__name__ == "_checked_condition_mixed"
-        for mod in (photonpost.engine, photonpost.conditioner, photonpost.search):
+        for mod in (photonpost.engine, photonpost.conditioner):
             assert mod.output_table.__name__ == "_checked_output_table"
 
         # explicit spot checks at the pattern extremes

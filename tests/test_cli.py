@@ -96,6 +96,27 @@ def test_simulate_chain_reaches_asymptotic_single_photon(tmp_path):
     assert np.isclose(data["normalized"][1], 8 / 33, atol=1e-3)
 
 
+def test_simulate_huge_count_is_an_impossible_pattern(tmp_path):
+    """A count far beyond the source maximum (and int64) reads as impossible."""
+    code, out = run(
+        tmp_path,
+        "simulate",
+        {
+            "command": "simulate",
+            "version": 1,
+            "modes": 3,
+            "inputs": [0.2, 0.2, 0.2],
+            "interferometer": {"type": "haar", "seed": 3},
+            "pattern": [10**30, 0],
+        },
+    )
+    assert code == 0
+    data = json.loads(out.read_text())
+    assert data["zero_probability"] is True
+    assert data["pattern"] == [10**30, 0]
+    assert data["unnormalized"] == [0.0]
+
+
 def test_simulate_matrix_type_round_trip(tmp_path):
     theta = 0.6
     c, s = math.cos(theta), math.sin(theta)

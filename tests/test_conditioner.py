@@ -1,8 +1,11 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonpost import (
     DetectionPattern,
@@ -16,10 +19,14 @@ from photonpost import (
     build_chain,
     condition_pure,
     embed_two_mode,
+    evaluate_candidate,
     haar_random,
 )
+from photonpost.conditioner import Readout
+from photonpost.interferometer import haar_unitaries
 from oracles import (
     condition_mixed_bs_closed_form,
+    condition_on_responses,
     conditional_coefficients,
     propagate_fock,
     scorer_results,
@@ -83,10 +90,23 @@ def test_pattern_probability_sums_unnormalized():
 
 
 def test_impossible_pattern_is_flagged():
+    """Counts above the source maximum, however large, read as impossible in
+    condition_mixed and in the searches' scorer alike, without a count-sized
+    allocation."""
     spec = InputSpec.two_level([0.2, 0.2])
-    res = condition_mixed(spec, beam_splitter(0.4), DetectionPattern((3,)))
-    assert res.zero_probability
-    assert res.pattern_probability == 0.0
+    for count in (3, 2000, 10**30):
+        tracemalloc.start()
+        res = condition_mixed(spec, beam_splitter(0.4), DetectionPattern((count,)))
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        assert res.zero_probability
+        assert res.pattern_probability == 0.0
+        assert res.unnormalized.tolist() == [0.0]
+        assert peak < 1 << 20
+        best, _, violations = evaluate_candidate(
+            beam_splitter(0.4), spec, "single_photon", [(float(count),)]
+        )
+        assert (best, violations) == (0.0, 0)
 
 
 def test_pattern_probabilities_cover_all_outcomes():
@@ -141,6 +161,59 @@ def test_scorer_weights_match_brute_force_per_pattern():
         np.testing.assert_allclose(res.unnormalized, want, rtol=1e-12, atol=0)
         np.testing.assert_allclose(res.normalized, want / want.sum(), rtol=1e-12, atol=0)
         assert res.pattern_probability == pytest.approx(want.sum(), rel=1e-12)
+
+
+@st.composite
+def response_readings(draw):
+    """A 2-4 mode two-level or two-photon source, 1-3 readings of response
+    columns and a stack of 1 or 3 Haar seeds.  Column entries are 0, 1 or
+    a positive weight; columns run past the source maximum or stop short,
+    and some are all zero."""
+    n = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        spec = InputSpec.two_level(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+    else:
+        pair = draw(st.floats(0.01, 0.3))
+        spec = InputSpec(({0: 0.6 - pair, 1: 0.4, 2: pair},) * n)
+    length = draw(st.integers(1, spec.max_total() + 3))
+    entry = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-3, 2.0))
+    column = st.one_of(
+        st.lists(entry, min_size=length, max_size=length), st.just([0.0] * length)
+    )
+    readings = draw(st.lists(
+        st.lists(column, min_size=n - 1, max_size=n - 1), min_size=1, max_size=3
+    ))
+    stack = draw(st.sampled_from([1, 3]))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=stack, max_size=stack))
+    return spec, np.array(readings), seeds
+
+
+@settings(max_examples=120, deadline=None)
+@given(response_readings())
+def test_readout_equals_the_response_column_oracle_bit_for_bit(case):
+    """A one-reading Readout against weighting the whole table column by
+    column and adding it up per n1 (oracles.condition_on_responses), and
+    each stacked row against its one-matrix read.  Readings read together
+    share caps, so they agree with the oracle only to roundoff: the engine's
+    per-sector product w @ squares can round a state's entry differently
+    when its sector holds more states."""
+    spec, columns, seeds = case
+    stack = haar_unitaries(spec.n_modes, seeds)
+    together, _ = Readout(spec, columns).read(stack)
+    for p, reading in enumerate(columns):
+        readout = Readout(spec, [reading])
+        q, prob = readout.read(stack)
+        length = readout.lengths[0]
+        assert not q[:, 0, length:].any()
+        for b, seed in enumerate(seeds):
+            interf = haar_random(spec.n_modes, seed)
+            alone, alone_prob = readout.read(interf.matrix[None])
+            assert q[b].tobytes() == alone[0].tobytes()
+            assert prob[b].tobytes() == alone_prob[0].tobytes()
+            want = condition_on_responses(spec, interf, reading, None)
+            assert q[b, 0, :length].tobytes() == want.unnormalized.tobytes()
+            assert prob[b, 0] == want.pattern_probability
+        np.testing.assert_allclose(together[:, p, :length], q[:, 0, :length], rtol=1e-13, atol=0)
 
 
 # unnormalized chain rows (p = 0.2, D detected) as float.hex: a change to how

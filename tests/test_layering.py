@@ -1,5 +1,5 @@
 """The package's modules import each other without cycles or private
-names, only the two conditioning readers build engine output tables, and
+names, only the conditioner's Readout builds engine output tables, and
 every bad value they reject raises a PhotonPostError.
 
 Imports inside functions count too: a deferred import still ties the two
@@ -35,7 +35,7 @@ from photonpost import (
     purify_super_poissonian,
     verify_nogo_small,
 )
-from photonpost.conditioner import condition_on_responses
+from photonpost.conditioner import Readout
 
 PACKAGE = Path(photonpost.__file__).parent
 
@@ -130,10 +130,11 @@ def _engine_names(path: Path) -> set[str]:
 
 
 def test_one_reader_per_kind_of_work_builds_output_tables():
-    # one interferometer: conditioner.condition_on_responses (exact counts and
-    # detector responses alike); stacks of them: search.PatternScorer
+    # conditioner.Readout reads one interferometer or a stack of them, for
+    # exact counts (condition_mixed, search.PatternScorer) and detector
+    # responses (detectors.observe) alike
     users = {p.stem for p in PACKAGE.glob("*.py") if "output_table" in _engine_names(p)}
-    assert users == {"conditioner", "search"}
+    assert users == {"conditioner"}
     graph = import_graph()
     assert "engine" not in graph["detectors"] | graph["merit"]
 
@@ -231,10 +232,8 @@ def test_bad_values_raise_photonpost_errors(make, error):
 
 
 def _respond(columns):
-    """condition_on_responses of a beam splitter fed one photon, one column per detector."""
-    return condition_on_responses(
-        InputSpec.two_level([1.0, 0.0]), beam_splitter(0.4), columns, pattern=None
-    )
+    """The Readout of a beam splitter fed one photon, one column per detector."""
+    return Readout(InputSpec.two_level([1.0, 0.0]), [columns]).condition(beam_splitter(0.4), None)
 
 
 def test_whole_number_counts_read_as_ints():

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from oracles import check_bound, conditional_coefficients
+from oracles import check_bound, conditional_coefficients, improvement_predicate
 
 import photonpost.engine
 from photonpost import (
@@ -18,7 +18,6 @@ from photonpost import (
     detection_coefficients,
     figures_of_merit,
     haar_random,
-    improvement_predicate,
     improvement_threshold,
 )
 from photonpost.merit import allowed_ratio, is_dust, ratio_breaches

@@ -376,7 +376,7 @@ def test_haar_stacks_do_not_change_results(run, n, patterns, monkeypatch):
     """Seeded searches report the same whatever stack size the engine allows."""
     whole = run().to_json_dict()
     supports = InputSpec.two_level([0.5] * n).distributions
-    caps = PatternScorer(InputSpec.two_level([0.5] * n), patterns).caps
+    caps = PatternScorer(InputSpec.two_level([0.5] * n), patterns).readout.caps
     cells = photonpost.engine.MAX_CELLS // max_stack(supports, caps, n)
     monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * cells + 1)
     assert max_stack(supports, caps, n) == 7  # 30 trials: four stacks of 7, one of 2
@@ -437,7 +437,8 @@ def _count_rounds(monkeypatch):
 def _haar_calls(n, p_max, patterns, trials):
     """Scorer calls that the Haar trials of a uniform-source search take."""
     spec = InputSpec.two_level([p_max] * n)
-    return math.ceil(trials / max_stack(spec.distributions, PatternScorer(spec, patterns).caps, n))
+    caps = PatternScorer(spec, patterns).readout.caps
+    return math.ceil(trials / max_stack(spec.distributions, caps, n))
 
 
 def test_refinement_scores_its_starts_in_stacks(monkeypatch):
