@@ -323,8 +323,7 @@ def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
     return n_modes, p, detected, grid
 
 
-def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) -> str:
-    result = run_chain(n_modes, epsilon, p, detected)
+def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float, result) -> str:
     report = figures_of_merit(result, InputSpec.two_level([p] * n_modes))
     gain_limit, two_photon_limit = chain_asymptotics(n_modes, detected)
     gain = (
@@ -332,26 +331,19 @@ def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float) ->
         if math.isfinite(report.ratio_out) and report.ratio_in > 0
         else math.inf
     )
-    return ",".join(
-        [
-            fmt(epsilon),
-            fmt(result.pattern_probability),
-            fmt(report.ratio_out),
-            fmt(report.ratio_in),
-            fmt(gain),
-            fmt(gain_limit),
-            fmt(0.0 if report.two_photon_out is None else report.two_photon_out),
-            fmt(two_photon_limit),
-            fmt(math.nan if report.fano_out is None else report.fano_out),
-            fmt(report.fano_in),
-        ]
-    )
+    two_photon = 0.0 if report.two_photon_out is None else report.two_photon_out
+    fano = math.nan if report.fano_out is None else report.fano_out
+    row = [epsilon, result.pattern_probability, report.ratio_out, report.ratio_in, gain]
+    row += [gain_limit, two_photon, two_photon_limit, fano, report.fano_in]
+    return ",".join(map(fmt, row))
 
 
 def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
+    """One run_chain call for the grid, then a row per epsilon."""
     n_modes, p, detected, grid = _take_chain_fields(cfg)
     cfg.finish()
-    rows = [_chain_sweep_point(n_modes, p, detected, eps) for eps in grid]
+    results = run_chain(n_modes, grid, p, detected)
+    rows = [_chain_sweep_point(n_modes, p, detected, e, r) for e, r in zip(grid, results)]
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
         "ratio_gain_limit,two_photon_out,two_photon_limit,fano_out,fano_in"
@@ -360,23 +352,19 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
     return 0
 
 
-def _exp_sweep_point(
-    n_modes: int, p: float, detected: int, epsilon: float, scenario: str, two_photon_prob: float
-) -> str:
-    result = run_chain(n_modes, epsilon, p, detected, scenario, two_photon_prob)
+def _exp_sweep_point(epsilon: float, result) -> str:
     c1 = 0.0 if result.zero_probability else float(result.normalized[1])
     return f"{fmt(epsilon)},{fmt(result.pattern_probability)},{fmt(c1)}"
 
 
 def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
+    """One run_chain call for the grid, then a row per epsilon."""
     n_modes, p, detected, grid = _take_chain_fields(cfg)
     scenario = cfg.take("scenario", str)
     two_photon_prob = cfg.take("two_photon_prob", float, required=False, default=0.001)
     cfg.finish()
-    rows = [
-        _exp_sweep_point(n_modes, p, detected, eps, scenario, two_photon_prob)
-        for eps in grid
-    ]
+    results = run_chain(n_modes, grid, p, detected, scenario, two_photon_prob)
+    rows = [_exp_sweep_point(e, r) for e, r in zip(grid, results)]
     header = "epsilon,pattern_probability,single_photon_probability"
     _write_text(out, "\n".join([header] + rows) + "\n")
     return 0

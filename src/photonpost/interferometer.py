@@ -137,46 +137,50 @@ def compose(*elements: Interferometer) -> Interferometer:
     return Interferometer(total, provenance=f"compose({len(elements)} elements)")
 
 
-def complete_rows(partial_rows, n_modes: int) -> Interferometer:
-    """Extend given orthonormal rows to a full unitary.
+def complete_rows(partial_rows, n_modes: int):
+    """Extend given orthonormal rows to full unitaries, a stack at a time.
 
-    The given rows are kept exactly as rows 0..k-1; the remaining rows
-    come from Gram-Schmidt on the canonical basis vectors taken in index
-    order, which makes the completion deterministic.
+    A (G, k, N) stack of given rows gives the checked (G, N, N) stack of
+    unitaries; the k rows of one matrix give its Interferometer, the
+    one-element call.  The given rows are kept bit for bit as rows 0..k-1;
+    the rest come from Gram-Schmidt on the canonical basis vectors in index
+    order, which makes the completion deterministic.  The G matrices
+    advance together, each with the products and sums of completing it
+    alone: one whose residual dies skips that vector and keeps a zero slot,
+    whose projection is an exact no-op.
     """
-    rows = [np.asarray(r, dtype=complex) for r in partial_rows]
-    k = len(rows)
-    if k > n_modes or any(r.shape != (n_modes,) for r in rows):
+    given = np.asarray(partial_rows, dtype=complex)
+    if given.ndim < 3:  # the rows of one matrix: its Interferometer
+        m = complete_rows(given.reshape(1, len(given), -1 if given.size else n_modes), n_modes)
+        return Interferometer(m[0], provenance=f"complete_rows({len(given)} given)")
+    g, k, n = given.shape
+    if k > n_modes or n != n_modes:
+        raise RowsNotOrthonormal(f"expected at most {n_modes} rows of length {n_modes}")
+    deviation = np.abs(given @ np.swapaxes(given, 1, 2).conj() - np.eye(k)).max(initial=0.0)
+    if not deviation <= UNITARITY_TOL:  # NaN fails too
         raise RowsNotOrthonormal(
-            f"expected at most {n_modes} rows of length {n_modes}"
+            f"given rows are not orthonormal within tolerance (max deviation {deviation:.3e})"
         )
-    if k:
-        stack = np.vstack(rows)
-        gram = stack @ stack.conj().T
-        if not np.allclose(gram, np.eye(k), atol=UNITARITY_TOL, rtol=0.0):
-            raise RowsNotOrthonormal(
-                "given rows are not orthonormal within tolerance "
-                f"(max deviation {np.max(np.abs(gram - np.eye(k))):.3e})"
-            )
-    basis = list(rows)
-    for idx in range(n_modes):
-        if len(basis) == n_modes:
+    basis = np.zeros((g, n, n), dtype=complex)
+    basis[:, :k] = given
+    filled, stack = np.full(g, k), np.arange(g)
+    for idx in range(n):
+        if (filled == n).all():
             break
-        v = np.zeros(n_modes, dtype=complex)
-        v[idx] = 1.0
+        v = np.zeros((g, n), dtype=complex)
+        v[:, idx] = 1.0
         # two Gram-Schmidt passes keep the result orthonormal to ~1e-15
         for _ in range(2):
-            for b in basis:
-                v = v - (b.conj() @ v) * b
-        norm = np.linalg.norm(v)
-        if norm > 1e-6:
-            basis.append(v / norm)
-    if len(basis) != n_modes:
+            for b in np.swapaxes(basis[:, : filled.max()], 0, 1):
+                v = v - np.vecdot(b, v)[:, None] * b  # vecdot conjugates b
+        norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
+        grow = (norm > 1e-6) & (filled < n)
+        basis[stack[grow], filled[grow]] = v[grow] / norm[grow, None]
+        filled += grow
+    if not (filled == n).all():
         raise RowsNotOrthonormal("could not complete the rows to a unitary")
-    m = np.vstack(basis)
-    if k:
-        m[:k] = np.vstack(rows)  # keep callers' rows bit-for-bit
-    return Interferometer(m, provenance=f"complete_rows({k} given)")
+    check_unitary(basis)
+    return basis
 
 
 def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:

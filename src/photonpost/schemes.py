@@ -48,25 +48,36 @@ class ChainScheme:
         return DetectionPattern((detected,) + (0,) * (self.n_modes - 2))
 
 
-def _check_chain_args(n_modes: int, epsilon: float) -> int:
-    """The mode count as an int, once it and epsilon are checked."""
+def _check_chain_args(n_modes: int, *epsilons: float) -> int:
+    """The mode count as an int, once it and then each epsilon are checked."""
     n_modes = photon_count(n_modes)
     if n_modes < 3:
         raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
-    if not (0.0 < epsilon < 1.0):
-        raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+    for epsilon in epsilons:
+        if not (0.0 < epsilon < 1.0):
+            raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
     return n_modes
 
 
-def _chain_rows(n_modes: int, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    n = n_modes
-    a = math.sqrt(1.0 - epsilon * epsilon)
-    root = math.sqrt(n - 1.0)
-    row1 = np.full(n, a / root, dtype=complex)
-    row1[0] = -epsilon
-    row2 = np.full(n, epsilon / root, dtype=complex)
-    row2[0] = a
-    return row1, row2
+def _chain_rows(n_modes: int, epsilon: float) -> np.ndarray:
+    """The chain's defining rows 1 and 2, a (2, N) array."""
+    a, root = math.sqrt(1.0 - epsilon * epsilon), math.sqrt(n_modes - 1.0)
+    rows = np.empty((2, n_modes), dtype=complex)
+    rows[0], rows[1] = a / root, epsilon / root
+    rows[:, 0] = -epsilon, a
+    return rows
+
+
+def _chains(n_modes: int, epsilons) -> list[ChainScheme]:
+    """A ChainScheme per epsilon, checked in order, from one complete_rows stack."""
+    n_modes = _check_chain_args(n_modes, *epsilons)
+    if not epsilons:
+        raise BadParameters("the epsilon grid is empty")
+    stack = complete_rows(np.array([_chain_rows(n_modes, eps) for eps in epsilons]), n_modes)
+    return [
+        ChainScheme(n_modes, e, Interferometer(m, provenance=f"chain(n={n_modes}, epsilon={e!r})"))
+        for e, m in zip(epsilons, stack)
+    ]
 
 
 def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
@@ -74,16 +85,10 @@ def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
 
     Row 1 (the kept output) couples -epsilon to the first source and
     sqrt((1-eps^2)/(N-1)) to each of the others; row 2 (the tap detector)
-    swaps those roles.  The remaining rows feed the vacuum detectors and
-    are any deterministic orthonormal completion.
+    swaps those roles.  The remaining rows feed the vacuum detectors: the
+    deterministic completion of complete_rows, as run_chain's grids get it.
     """
-    n_modes = _check_chain_args(n_modes, epsilon)
-    row1, row2 = _chain_rows(n_modes, epsilon)
-    interf = complete_rows([row1, row2], n_modes)
-    interf = Interferometer(
-        interf.matrix, provenance=f"chain(n={n_modes}, epsilon={epsilon!r})"
-    )
-    return ChainScheme(n_modes=n_modes, epsilon=epsilon, interferometer=interf)
+    return _chains(n_modes, [epsilon])[0]
 
 
 def chain_element_angles(n_modes: int, epsilon: float) -> list[tuple[int, int, float, float]]:
@@ -115,7 +120,7 @@ def build_chain_from_elements(n_modes: int, epsilon: float) -> ChainScheme:
         for i, j, theta, phi in layout
     ]
     product = compose(*elements)
-    row1, _ = _chain_rows(n_modes, epsilon)
+    row1 = _chain_rows(n_modes, epsilon)[0]
     phases = np.ones(n_modes, dtype=complex)
     for col in range(1, n_modes):
         z = product.matrix[0, col]
@@ -159,27 +164,27 @@ CHAIN_SCENARIOS = {
 
 
 def run_chain(
-    n_modes: int,
-    epsilon: float,
-    p: float,
-    detected: int,
-    scenario: str = "ideal",
-    two_photon_prob: float = 0.001,
-) -> ConditionalResult:
+    n_modes: int, epsilon, p: float, detected: int, scenario: str = "ideal", two_photon_prob=0.001
+) -> ConditionalResult | list[ConditionalResult]:
     """Herald the chain's tap under one of the CHAIN_SCENARIOS.
 
     Every source emits one photon with probability p, and under
     "+two-photon-inputs" also a pair with probability two_photon_prob.
     "ideal" conditions on exactly `detected` tap photons; the detector
     scenarios need detected = 2 and observe the tap reading ">=2" while
-    the other detectors read 0.
+    the other detectors read 0.  An epsilon grid gives a result per
+    epsilon, a float the one result of its one-element grid: the spec and
+    detectors are built once, the chains by one complete_rows call, and
+    each point is one condition_mixed or observe call, one engine read.
     """
+    grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
         raise BadParameters(f"scenario {scenario!r} is not one of {', '.join(CHAIN_SCENARIOS)}")
     detectors = CHAIN_SCENARIOS[scenario]
     if detectors is not None and detected != 2:
         raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
-    scheme = build_chain(n_modes, epsilon)
+    schemes = _chains(n_modes, grid)
+    n_modes = schemes[0].n_modes
     if scenario == "+two-photon-inputs":
         if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
             raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
@@ -188,10 +193,14 @@ def run_chain(
     else:
         spec = InputSpec.two_level([p] * n_modes)
     if detectors is None:
-        return condition_mixed(spec, scheme.interferometer, scheme.pattern_for(detected))
-    vacuum, tap = detectors(spec.max_total())
-    observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
-    return observe(spec, scheme.interferometer, observed, [tap] + [vacuum] * (n_modes - 2))
+        pattern = schemes[0].pattern_for(detected)
+        results = [condition_mixed(spec, s.interferometer, pattern) for s in schemes]
+    else:
+        vacuum, tap = detectors(spec.max_total())
+        observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
+        models = [tap] + [vacuum] * (n_modes - 2)
+        results = [observe(spec, s.interferometer, observed, models) for s in schemes]
+    return results[0] if np.ndim(epsilon) == 0 else results
 
 
 # ---------------------------------------------------------------------------

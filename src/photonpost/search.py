@@ -150,8 +150,8 @@ def detector_patterns(n_modes: int, max_detected: int) -> np.ndarray:
 class PatternScorer:
     """Scores stacks of interferometers over fixed detection patterns.
 
-    Built once per (spec, patterns): a conditioner.Readout of the patterns'
-    one-hot columns (counts clipped to one above the source maximum, all
+    Built once per (spec, patterns), kept as given: a conditioner.Readout of
+    the one-hot columns (counts clipped to one above the source maximum, all
     impossible alike), and each pattern's ratio bound and |U| ceiling.  A
     (B, N, N) stack gives one read, whose sums of non-negative terms need
     no sign check; merit's ratio bound and the objectives are applied with
@@ -160,20 +160,21 @@ class PatternScorer:
 
     def __init__(self, spec: InputSpec, patterns):
         n = spec.n_modes
-        if not isinstance(patterns, np.ndarray):  # DetectionPatterns or count tuples
-            patterns = [tuple(p) for p in patterns]
+        if not isinstance(patterns, np.ndarray) or patterns.dtype.kind == "O":
+            # DetectionPatterns or count tuples: whole counts of any size
+            patterns = [tuple(map(photon_count, p)) for p in patterns]
             if len({len(p) for p in patterns}) > 1:
                 raise DimensionMismatch("patterns cover different numbers of detectors")
-        counts = np.asarray(patterns)
+        self.patterns = counts = np.asarray(patterns)  # reported as asked
         if len(counts) == 0:
             raise BadParameters("reading needs at least one detection pattern")
         if counts.shape[1:] != (n - 1,):
             raise DimensionMismatch(f"patterns have shape {counts.shape}, not (P, {n - 1})")
         with np.errstate(invalid="ignore"):  # inf % 1 is NaN: not whole
-            if counts.dtype.kind not in "iuf" or not np.all((counts >= 0) & (counts % 1 == 0)):
+            if counts.dtype.kind not in "iufO" or not np.all((counts >= 0) & (counts % 1 == 0)):
                 raise BadCount("detector counts must be non-negative integers")
         top = spec.max_total()
-        self.patterns = counts = np.minimum(counts, top + 1).astype(np.int64)
+        counts = np.minimum(counts, top + 1).astype(np.int64)
         self.readout = Readout(spec, counts[..., None] == np.arange(top + 1))
         totals = counts.sum(axis=1).tolist()
         self.allowed = allowed_ratio(spec, totals)
@@ -220,7 +221,7 @@ def evaluate_candidate(
     PatternScorer."""
     scorer = PatternScorer(spec, patterns)
     best, first, violations = scorer.best(interf.matrix[None], objective)
-    return float(best[0]), tuple(scorer.patterns[first[0]].tolist()), int(violations[0])
+    return float(best[0]), tuple(map(int, scorer.patterns[first[0]])), int(violations[0])
 
 
 def reevaluate(report: SearchReport) -> float:

@@ -230,6 +230,27 @@ def condition_mixed_bs_closed_form(dist1, dist2, element, detected: int):
     return ConditionalResult.from_unnormalized(coeffs, pattern=DetectionPattern((d,)))
 
 
+def complete_rows_by_loop(partial_rows, n_modes: int) -> np.ndarray:
+    """The Gram-Schmidt completion one matrix at a time, a row vector per
+    product: the loop interferometer.complete_rows stacks, kept as its
+    bit-level reference.  Canonical vectors in index order, two passes,
+    a vector skipped when its residual norm is at most 1e-6."""
+    basis = [np.asarray(r, dtype=complex) for r in partial_rows]
+    for idx in range(n_modes):
+        if len(basis) == n_modes:
+            break
+        v = np.zeros(n_modes, dtype=complex)
+        v[idx] = 1.0
+        for _ in range(2):
+            for b in basis:
+                v = v - (b.conj() @ v) * b
+        norm = np.linalg.norm(v)
+        if norm > 1e-6:
+            basis.append(v / norm)
+    assert len(basis) == n_modes, "the rows do not complete"
+    return np.vstack(basis)
+
+
 def chain_scenario_reference(
     eps: float, scenario: str, two_photon_prob: float = 0.001, n: int = 4
 ):

@@ -449,6 +449,53 @@ def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
     assert out.read_text() == "\n".join((header,) + rows) + "\n"
 
 
+def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monkeypatch):
+    """Each sweep completes all its chains in one complete_rows call and
+    reads every grid point with its own one-matrix engine table, never the
+    grid as one stack: that keeps a sweep's peak memory at one point's."""
+    from photonpost import conditioner, schemes
+
+    shapes = {"complete_rows": [], "output_table": []}
+
+    def counted(name, fn, arg):
+        def wrapper(*args, **kwargs):
+            shapes[name].append(np.shape(args[arg]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(
+        schemes, "complete_rows", counted("complete_rows", schemes.complete_rows, 0)
+    )
+    monkeypatch.setattr(
+        conditioner, "output_table", counted("output_table", conditioner.output_table, 1)
+    )
+    grid = [0.4, 0.2, 0.1, 0.05, 0.01]
+    chain = chain_config(modes=6, detected=3, epsilon_grid={"values": grid})
+    for command, cfg in (("chain-sweep", chain), ("exp-sweep", exp_config("+darkcounts", grid))):
+        for calls in shapes.values():
+            calls.clear()
+        code, out = run(tmp_path, command, cfg, name=command)
+        assert code == 0
+        n = cfg["modes"]
+        assert shapes["complete_rows"] == [(len(grid), 2, n)], command
+        assert shapes["output_table"] == [(1, n, n)] * len(grid), command
+        assert len(out.read_text().splitlines()) == len(grid) + 1
+
+
+def test_sweep_reports_the_first_bad_epsilon(tmp_path, capsys):
+    grid = [0.3, 1.5, -0.2]
+    for command, cfg in (
+        ("chain-sweep", chain_config(epsilon_grid={"values": grid})),
+        ("exp-sweep", exp_config("+darkcounts", grid)),
+    ):
+        code, out = run(tmp_path, command, cfg, name=command)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err == "config error: epsilon must sit strictly inside (0, 1), got 1.5\n"
+
+
 # nogo-verify and search -------------------------------------------------------
 
 

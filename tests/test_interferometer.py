@@ -4,7 +4,10 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import complete_rows_by_loop
 from photonpost import (
     BadModeIndex,
     BadParameters,
@@ -126,6 +129,62 @@ def test_complete_rows_rejects_non_orthonormal():
         complete_rows(
             [np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])], 3
         )
+
+
+@st.composite
+def row_stacks(draw):
+    """(G, k, N) stacks of orthonormal rows.  Each matrix holds the
+    canonical rows of a drawn set of modes and Haar rows on the others,
+    shuffled, so the matrices of one stack skip different canonical
+    vectors."""
+    n = draw(st.integers(2, 8))
+    k = draw(st.integers(0, n))
+    stack = []
+    for _ in range(draw(st.sampled_from([1, 3, 6]))):
+        canonical = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        fixed, rest = np.flatnonzero(canonical), np.flatnonzero(~canonical)
+        u = np.zeros((n, n), dtype=complex)
+        u[np.arange(len(fixed)), fixed] = 1.0
+        if len(rest):
+            seed = draw(st.integers(0, 2**32 - 1))
+            u[len(fixed) :, rest] = haar_unitaries(len(rest), [seed])[0]
+        stack.append(u[draw(st.permutations(range(n)))][:k])
+    return np.array(stack), n
+
+
+@settings(max_examples=150, deadline=None)
+@given(row_stacks())
+def test_stacked_completion_equals_one_matrix_at_a_time(case):
+    stack, n = case
+    got = complete_rows(stack, n)
+    assert got.shape == (len(stack), n, n)
+    for rows, m in zip(stack, got):
+        assert m.tobytes() == complete_rows(rows, n).matrix.tobytes()
+        assert m.tobytes() == complete_rows_by_loop(rows, n).tobytes()
+
+
+def test_stacked_matrices_skip_different_canonical_vectors():
+    rows = np.zeros((3, 1, 4), dtype=complex)
+    rows[0, 0, 0] = rows[1, 0, 2] = 1.0
+    rows[2, 0] = 0.5
+    got = complete_rows(rows, 4)
+    assert np.array_equal(got[0], np.eye(4))
+    assert np.array_equal(got[1], np.eye(4)[[2, 0, 1, 3]])
+    for r, m in zip(rows, got):
+        assert m.tobytes() == complete_rows_by_loop(r, 4).tobytes()
+
+
+def test_complete_rows_checks_orthonormality_to_1e_10():
+    row = np.array([1.0, 0.0, 0.0])
+    complete_rows([row * (1 + 2e-11)], 3)
+    for bad in (row * (1 + 2e-10), np.array([math.nan, 0.0, 0.0])):
+        with pytest.raises(RowsNotOrthonormal, match="not orthonormal within tolerance"):
+            complete_rows([bad], 3)
+    stack = np.array([[row], [row * (1 + 2e-10)]])
+    with pytest.raises(RowsNotOrthonormal, match="max deviation 4.000e-10"):
+        complete_rows(stack, 3)
+    with pytest.raises(RowsNotOrthonormal, match="expected at most 3 rows of length 3"):
+        complete_rows(np.zeros((2, 1, 4)), 3)
 
 
 def test_haar_random_unitary_and_deterministic():

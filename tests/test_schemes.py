@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from photonpost import (
     run_chain,
 )
 from photonpost import conditioner, engine
+from photonpost.schemes import CHAIN_SCENARIOS
 
 
 # chain construction ----------------------------------------------------------
@@ -134,6 +136,37 @@ def test_run_chain_scenarios_match_the_reference(scenario, n, two_photon_prob):
             eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n
         )
         assert (res.pattern_probability, c1) == want, eps
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
+def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
+    """A grid builds its chains in one stacked completion, bit for bit the
+    chain of each epsilon alone, so every point reads the same weights."""
+    grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
+    results = run_chain(n, grid, 0.2, 2, scenario)
+    assert len(results) == len(grid)
+    for eps, res in zip(grid, results):
+        alone = run_chain(n, eps, 0.2, 2, scenario)
+        assert res.unnormalized.tobytes() == alone.unnormalized.tobytes(), eps
+        c1 = 0.0 if res.zero_probability else float(res.normalized[1])
+        want = chain_scenario_reference(eps, REFERENCE_SCENARIOS[scenario], n=n)
+        assert (res.pattern_probability, c1) == want, eps
+
+
+def test_run_chain_grid_raises_for_the_first_bad_epsilon():
+    first = re.escape("epsilon must sit strictly inside (0, 1), got 1.5")
+    with pytest.raises(BadParameters, match=first + "$"):
+        run_chain(4, [0.1, 1.5, 0.0], 0.2, 2)
+    with pytest.raises(BadParameters, match=r"got 0\.0$"):
+        run_chain(4, [0.1, 0.0, 1.5], 0.2, 2, "+darkcounts")
+    with pytest.raises(BadParameters, match="empty"):
+        run_chain(4, [], 0.2, 2)
+    # the scenario and mode count are checked before any epsilon, as before
+    with pytest.raises(BadParameters, match="scenario"):
+        run_chain(4, [1.5], 0.2, 2, "nope")
+    with pytest.raises(BadParameters, match="at least 3 modes"):
+        run_chain(2, [1.5], 0.2, 2)
 
 
 def test_single_photon_limit_eight_over_thirtythree():

@@ -112,6 +112,24 @@ def test_pattern_scorer_reads_whole_counts_as_ints():
     assert scorer.patterns.tolist() == [[1, 0], [0, 2]]
 
 
+def test_evaluate_candidate_reports_the_pattern_asked_for():
+    """A count above the source maximum is impossible, and the pattern is
+    reported as given, not clipped to one above the maximum."""
+    spec = InputSpec.two_level([0.3] * 3)
+    got = evaluate_candidate(haar_random(3, 1), spec, "single_photon", [(7, 0)])
+    assert got == (0.0, (7, 0), 0)
+
+
+def test_pattern_scorer_reads_counts_beyond_int64_as_impossible():
+    spec, u = InputSpec.two_level([0.3] * 3), haar_random(3, 1)
+    pattern = DetectionPattern((10**30, 0))
+    assert condition_mixed(spec, u, pattern).zero_probability
+    scorer = PatternScorer(spec, [pattern, (1e30, 1)])
+    best, first, violations = scorer.best(u.matrix[None], "single_photon")
+    assert (best.tolist(), first.tolist(), violations.tolist()) == ([0.0], [0], [0])
+    assert scorer.patterns.tolist() == [[10**30, 0], [int(1e30), 1]]
+
+
 def test_unitary_from_angles_is_unitary():
     rng = np.random.default_rng(81)
     for n in (2, 3, 4):
