@@ -32,7 +32,6 @@ from .errors import (
     NotNormalized,
     NotUnitary,
     PhotonPostError,
-    RowsNotOrthonormal,
     ZeroProbabilityPattern,
 )
 from .fock import (
@@ -44,7 +43,6 @@ from .fock import (
 from .interferometer import (
     Interferometer,
     beam_splitter,
-    complete_rows,
     compose,
     embed_two_mode,
     haar_random,
@@ -107,7 +105,6 @@ __all__ = [
     "ObservedPattern",
     "PhotonConfig",
     "PhotonPostError",
-    "RowsNotOrthonormal",
     "SearchReport",
     "SearchTask",
     "ZeroProbabilityPattern",
@@ -116,7 +113,6 @@ __all__ = [
     "build_chain_from_elements",
     "chain_asymptotics",
     "chain_element_angles",
-    "complete_rows",
     "compose",
     "condition_mixed",
     "condition_pure",

@@ -27,7 +27,6 @@ from .errors import (
     DimensionTooLarge,
     NotUnitary,
     PhotonPostError,
-    RowsNotOrthonormal,
 )
 from .fock import InputSpec
 from .interferometer import Interferometer, beam_splitter, haar_random
@@ -52,7 +51,6 @@ DIMENSION_ERRORS = (
     DimensionMismatch,
     DimensionTooLarge,
     BadModeIndex,
-    RowsNotOrthonormal,
     NotUnitary,
 )
 
@@ -376,12 +374,11 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
     p_max = cfg.take("p_max", float)
     trials = cfg.take("trials", int)
     cfg_seed = cfg.take("seed", int, required=False, default=0)
-    refine_iters = cfg.take("refine_iters", int, required=False, default=80)
-    cfg.finish()
     if variant not in ("small", "patterns"):
         raise ConfigError(f"field 'variant' must be 'small' or 'patterns', got {variant!r}")
-    if refine_iters < 0:  # the patterns variant never passes it to the library
-        raise ConfigError("field 'refine_iters' must be non-negative")
+    if variant == "small":  # the patterns variant does not refine
+        refine_iters = cfg.take("refine_iters", int, required=False, default=80)
+    cfg.finish()
     use_seed = cfg_seed if seed is None else seed
     if variant == "small":
         report = verify_nogo_small(n_modes, p_max, trials, use_seed, refine_iters)

@@ -25,10 +25,6 @@ class BadModeIndex(PhotonPostError):
     """Mode index out of range or repeated."""
 
 
-class RowsNotOrthonormal(PhotonPostError):
-    """Supplied rows are not orthonormal within tolerance."""
-
-
 class NotUnitary(PhotonPostError):
     """Matrix is not unitary within tolerance."""
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import BadModeIndex, BadParameters, NotUnitary, RowsNotOrthonormal
+from .errors import BadModeIndex, BadParameters, NotUnitary
 from .fock import photon_count
 
 UNITARITY_TOL = 1e-10
@@ -52,10 +52,13 @@ class Interferometer:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "Interferometer":
-        """The inverse of to_json_dict; a malformed row or entry raises
-        BadParameters naming it (matrix[i] or matrix[i][j])."""
-        n = int(data["n_modes"])
-        rows = data["matrix"]
+        """The inverse of to_json_dict; a malformed n_modes, matrix, row or
+        entry raises BadParameters naming it (matrix[i] or matrix[i][j])."""
+        n, rows = data.get("n_modes"), data.get("matrix")
+        if not (_is_number(n) and (isinstance(n, numbers.Integral) or float(n).is_integer())):
+            raise BadParameters(f"n_modes must be a whole number, got {n!r}")
+        if not isinstance(rows, (list, tuple)):
+            raise BadParameters("matrix must be an array of rows")
         for i, row in enumerate(rows):
             if not isinstance(row, (list, tuple)):
                 raise BadParameters(f"matrix[{i}] must be an array")
@@ -135,52 +138,6 @@ def compose(*elements: Interferometer) -> Interferometer:
             raise BadModeIndex("composed elements must share the mode count")
         total = el.matrix @ total
     return Interferometer(total, provenance=f"compose({len(elements)} elements)")
-
-
-def complete_rows(partial_rows, n_modes: int):
-    """Extend given orthonormal rows to full unitaries, a stack at a time.
-
-    A (G, k, N) stack of given rows gives the checked (G, N, N) stack of
-    unitaries; the k rows of one matrix give its Interferometer, the
-    one-element call.  The given rows are kept bit for bit as rows 0..k-1;
-    the rest come from Gram-Schmidt on the canonical basis vectors in index
-    order, which makes the completion deterministic.  The G matrices
-    advance together, each with the products and sums of completing it
-    alone: one whose residual dies skips that vector and keeps a zero slot,
-    whose projection is an exact no-op.
-    """
-    given = np.asarray(partial_rows, dtype=complex)
-    if given.ndim < 3:  # the rows of one matrix: its Interferometer
-        m = complete_rows(given.reshape(1, len(given), -1 if given.size else n_modes), n_modes)
-        return Interferometer(m[0], provenance=f"complete_rows({len(given)} given)")
-    g, k, n = given.shape
-    if k > n_modes or n != n_modes:
-        raise RowsNotOrthonormal(f"expected at most {n_modes} rows of length {n_modes}")
-    deviation = np.abs(given @ np.swapaxes(given, 1, 2).conj() - np.eye(k)).max(initial=0.0)
-    if not deviation <= UNITARITY_TOL:  # NaN fails too
-        raise RowsNotOrthonormal(
-            f"given rows are not orthonormal within tolerance (max deviation {deviation:.3e})"
-        )
-    basis = np.zeros((g, n, n), dtype=complex)
-    basis[:, :k] = given
-    filled, stack = np.full(g, k), np.arange(g)
-    for idx in range(n):
-        if (filled == n).all():
-            break
-        v = np.zeros((g, n), dtype=complex)
-        v[:, idx] = 1.0
-        # two Gram-Schmidt passes keep the result orthonormal to ~1e-15
-        for _ in range(2):
-            for b in np.swapaxes(basis[:, : filled.max()], 0, 1):
-                v = v - np.vecdot(b, v)[:, None] * b  # vecdot conjugates b
-        norm = np.sqrt(np.vecdot(v.real, v.real) + np.vecdot(v.imag, v.imag))
-        grow = (norm > 1e-6) & (filled < n)
-        basis[stack[grow], filled[grow]] = v[grow] / norm[grow, None]
-        filled += grow
-    if not (filled == n).all():
-        raise RowsNotOrthonormal("could not complete the rows to a unitary")
-    check_unitary(basis)
-    return basis
 
 
 def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:

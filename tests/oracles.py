@@ -231,10 +231,10 @@ def condition_mixed_bs_closed_form(dist1, dist2, element, detected: int):
 
 
 def complete_rows_by_loop(partial_rows, n_modes: int) -> np.ndarray:
-    """The Gram-Schmidt completion one matrix at a time, a row vector per
-    product: the loop interferometer.complete_rows stacks, kept as its
-    bit-level reference.  Canonical vectors in index order, two passes,
-    a vector skipped when its residual norm is at most 1e-6."""
+    """The Gram-Schmidt completion of given orthonormal rows, a row vector
+    per product: the reference for the chain's closed-form vacuum rows.
+    Canonical vectors in index order, two passes, a vector skipped when
+    its residual norm is at most 1e-6."""
     basis = [np.asarray(r, dtype=complex) for r in partial_rows]
     for idx in range(n_modes):
         if len(basis) == n_modes:

@@ -407,7 +407,7 @@ EXP_SWEEP_PINS = {
         "0.001,7.1263923402699429e-08,0.23948475074714282",
     ),
     ("bucket+efficiency", 6, 2): (
-        "0.29999999999999999,0.0042147966945049846,0.23311008808473754",
+        "0.29999999999999999,0.0042147966945049855,0.23311008808473749",
         "0.050000000000000003,0.00012887732640347758,0.26056133513658225",
         "0.001,5.1692867219431382e-08,0.26129910525404132",
     ),
@@ -423,7 +423,7 @@ EXP_SWEEP_PINS = {
     ),
     ("+two-photon-inputs", 4, 2): (
         "0.29999999999999999,0.0063857536041322478,0.20129593757165876",
-        "0.050000000000000003,0.00086345962526278785,0.19779866092953932",
+        "0.050000000000000003,0.00086345962526278774,0.19779866092953935",
         "0.001,0.00068960236138130107,0.18842927430235371",
     ),
     ("+two-photon-inputs", 6, 2): (
@@ -450,12 +450,12 @@ def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
 
 
 def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monkeypatch):
-    """Each sweep completes all its chains in one complete_rows call and
-    reads every grid point with its own one-matrix engine table, never the
-    grid as one stack: that keeps a sweep's peak memory at one point's."""
-    from photonpost import conditioner, schemes
+    """Each sweep checks every closed-form chain for unitarity exactly once
+    and reads every grid point with its own one-matrix engine table, never
+    the grid as one stack: that keeps a sweep's peak memory at one point's."""
+    from photonpost import conditioner, interferometer
 
-    shapes = {"complete_rows": [], "output_table": []}
+    shapes = {"check_unitary": [], "output_table": []}
 
     def counted(name, fn, arg):
         def wrapper(*args, **kwargs):
@@ -465,7 +465,7 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
         return wrapper
 
     monkeypatch.setattr(
-        schemes, "complete_rows", counted("complete_rows", schemes.complete_rows, 0)
+        interferometer, "check_unitary", counted("check_unitary", interferometer.check_unitary, 0)
     )
     monkeypatch.setattr(
         conditioner, "output_table", counted("output_table", conditioner.output_table, 1)
@@ -478,7 +478,7 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
         code, out = run(tmp_path, command, cfg, name=command)
         assert code == 0
         n = cfg["modes"]
-        assert shapes["complete_rows"] == [(len(grid), 2, n)], command
+        assert shapes["check_unitary"] == [(n, n)] * len(grid), command
         assert shapes["output_table"] == [(1, n, n)] * len(grid), command
         assert len(out.read_text().splitlines()) == len(grid) + 1
 
@@ -771,11 +771,20 @@ def test_field_of_wrong_kind_is_named(tmp_path, capsys, command, config, field, 
 
 
 def test_unknown_field_is_named(tmp_path, capsys):
-    code, _ = run(tmp_path, "simulate", simulate_config(typo_field=1))
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "config error" in err
-    assert "typo_field" in err
+    """Also refine_iters under nogo-verify's patterns variant, which does
+    not refine."""
+    patterns = {"command": "nogo-verify", "version": 1, "variant": "patterns", "modes": 3,
+                "p_max": 0.3, "trials": 2, "refine_iters": 5}
+    for command, cfg, field in (
+        ("simulate", simulate_config(typo_field=1), "typo_field"),
+        ("nogo-verify", patterns, "refine_iters"),
+    ):
+        code, out = run(tmp_path, command, cfg)
+        assert code == 2
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert f"unknown field(s) {field!r}" in err
 
 
 def test_command_mismatch(tmp_path):

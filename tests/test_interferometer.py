@@ -4,19 +4,13 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-
-from oracles import complete_rows_by_loop
 from photonpost import (
     BadModeIndex,
     BadParameters,
     Interferometer,
     NotUnitary,
-    RowsNotOrthonormal,
     SearchReport,
     beam_splitter,
-    complete_rows,
     compose,
     embed_two_mode,
     haar_random,
@@ -100,93 +94,6 @@ def test_compose_chain_stays_unitary():
         assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-10)
 
 
-def test_complete_rows_from_first_basis_vector():
-    interf = complete_rows([np.array([1.0, 0.0, 0.0], dtype=complex)], 3)
-    assert np.allclose(interf.matrix, np.eye(3))
-
-
-def test_complete_rows_no_rows_gives_identity():
-    assert np.allclose(complete_rows([], 2).matrix, np.eye(2))
-
-
-def test_complete_rows_keeps_given_rows_bitwise():
-    eps = 0.1
-    a = math.sqrt(1 - eps * eps)
-    row1 = np.array([-eps, a / math.sqrt(3), a / math.sqrt(3), a / math.sqrt(3)])
-    row2 = np.array([a, eps / math.sqrt(3), eps / math.sqrt(3), eps / math.sqrt(3)])
-    interf = complete_rows([row1, row2], 4)
-    m = interf.matrix
-    assert m.shape == (4, 4)
-    assert np.array_equal(m[0], row1.astype(complex))
-    assert np.array_equal(m[1], row2.astype(complex))
-    assert np.allclose(m.conj().T @ m, np.eye(4), atol=1e-10)
-
-
-def test_complete_rows_rejects_non_orthonormal():
-    with pytest.raises(RowsNotOrthonormal):
-        complete_rows([np.array([1.0, 1.0]) / 1.0], 2)
-    with pytest.raises(RowsNotOrthonormal):
-        complete_rows(
-            [np.array([1.0, 0.0, 0.0]), np.array([1.0, 0.0, 0.0])], 3
-        )
-
-
-@st.composite
-def row_stacks(draw):
-    """(G, k, N) stacks of orthonormal rows.  Each matrix holds the
-    canonical rows of a drawn set of modes and Haar rows on the others,
-    shuffled, so the matrices of one stack skip different canonical
-    vectors."""
-    n = draw(st.integers(2, 8))
-    k = draw(st.integers(0, n))
-    stack = []
-    for _ in range(draw(st.sampled_from([1, 3, 6]))):
-        canonical = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
-        fixed, rest = np.flatnonzero(canonical), np.flatnonzero(~canonical)
-        u = np.zeros((n, n), dtype=complex)
-        u[np.arange(len(fixed)), fixed] = 1.0
-        if len(rest):
-            seed = draw(st.integers(0, 2**32 - 1))
-            u[len(fixed) :, rest] = haar_unitaries(len(rest), [seed])[0]
-        stack.append(u[draw(st.permutations(range(n)))][:k])
-    return np.array(stack), n
-
-
-@settings(max_examples=150, deadline=None)
-@given(row_stacks())
-def test_stacked_completion_equals_one_matrix_at_a_time(case):
-    stack, n = case
-    got = complete_rows(stack, n)
-    assert got.shape == (len(stack), n, n)
-    for rows, m in zip(stack, got):
-        assert m.tobytes() == complete_rows(rows, n).matrix.tobytes()
-        assert m.tobytes() == complete_rows_by_loop(rows, n).tobytes()
-
-
-def test_stacked_matrices_skip_different_canonical_vectors():
-    rows = np.zeros((3, 1, 4), dtype=complex)
-    rows[0, 0, 0] = rows[1, 0, 2] = 1.0
-    rows[2, 0] = 0.5
-    got = complete_rows(rows, 4)
-    assert np.array_equal(got[0], np.eye(4))
-    assert np.array_equal(got[1], np.eye(4)[[2, 0, 1, 3]])
-    for r, m in zip(rows, got):
-        assert m.tobytes() == complete_rows_by_loop(r, 4).tobytes()
-
-
-def test_complete_rows_checks_orthonormality_to_1e_10():
-    row = np.array([1.0, 0.0, 0.0])
-    complete_rows([row * (1 + 2e-11)], 3)
-    for bad in (row * (1 + 2e-10), np.array([math.nan, 0.0, 0.0])):
-        with pytest.raises(RowsNotOrthonormal, match="not orthonormal within tolerance"):
-            complete_rows([bad], 3)
-    stack = np.array([[row], [row * (1 + 2e-10)]])
-    with pytest.raises(RowsNotOrthonormal, match="max deviation 4.000e-10"):
-        complete_rows(stack, 3)
-    with pytest.raises(RowsNotOrthonormal, match="expected at most 3 rows of length 3"):
-        complete_rows(np.zeros((2, 1, 4)), 3)
-
-
 def test_haar_random_unitary_and_deterministic():
     for n in (2, 3, 5):
         u = haar_random(n, seed=77)
@@ -228,22 +135,37 @@ def test_json_round_trip_is_exact():
     back = Interferometer.from_json_dict(json.loads(json.dumps(u.to_json_dict())))
     assert np.array_equal(u.matrix, back.matrix)
     assert back.provenance == u.provenance
+    whole_float = dict(u.to_json_dict(), n_modes=3.0)  # a whole number, as a float
+    assert np.array_equal(Interferometer.from_json_dict(whole_float).matrix, u.matrix)
+
+
+ONE, ZERO = {"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}
+
+
+def _serialized(rows, **fields):
+    return {"n_modes": len(rows), "matrix": rows, **fields}
 
 
 @pytest.mark.parametrize(
-    "rows, named",
+    "data, named",
     [
-        ([[1, 0], [0, 1]], "matrix[0][0]"),
-        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0}], [1, 0]], "matrix[0][1]"),
-        ([[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}], 7], "matrix[1]"),
-        ([[{"re": True, "im": 0.0}]], "matrix[0][0]"),
+        (_serialized([[1, 0], [0, 1]]), "matrix[0][0]"),
+        (_serialized([[{"re": 1.0, "im": 0.0}, {"re": 0.0}], [1, 0]]), "matrix[0][1]"),
+        (_serialized([[{"re": 1.0, "im": 0.0}, {"re": 0.0, "im": 0.0}], 7]), "matrix[1]"),
+        (_serialized([[{"re": True, "im": 0.0}]]), "matrix[0][0]"),
+        (_serialized([[ONE, ZERO], [ZERO, ONE]], n_modes="two"), "n_modes"),
+        (_serialized([[ONE, ZERO], [ZERO, ONE]], n_modes=2.5), "n_modes"),
+        (_serialized([[ONE]], n_modes=True), "n_modes"),
+        ({"n_modes": 2}, "matrix must be an array"),
     ],
-    ids=["plain-numbers", "missing-im", "row-not-array", "bool-entry"],
+    ids=[
+        "plain-numbers", "missing-im", "row-not-array", "bool-entry",
+        "n-modes-string", "n-modes-fraction", "n-modes-bool", "no-matrix",
+    ],
 )
-def test_malformed_serialized_entries_raise_bad_parameters(rows, named):
-    """Each malformed entry is named, in Interferometer.from_json_dict and
-    in the reports that embed one."""
-    data = {"n_modes": len(rows), "matrix": rows}
+def test_malformed_serialized_entries_raise_bad_parameters(data, named):
+    """Each malformed field or entry is named, in Interferometer.from_json_dict
+    and in the reports that embed one."""
     with pytest.raises(BadParameters, match=re.escape(named)):
         Interferometer.from_json_dict(data)
     report = verify_nogo_small(2, 0.3, 2, 1, 2).to_json_dict()

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from oracles import chain_scenario_reference
+from oracles import chain_scenario_reference, complete_rows_by_loop
 from photonpost import (
     BadDistributionShape,
     BadParameters,
@@ -23,7 +23,7 @@ from photonpost import (
     purify_super_poissonian,
     run_chain,
 )
-from photonpost import conditioner, engine
+from photonpost import conditioner, engine, schemes
 from photonpost.schemes import CHAIN_SCENARIOS
 
 
@@ -40,6 +40,70 @@ def test_chain_rows_closed_form():
     assert np.allclose(u[0], row_kept, atol=1e-12)
     assert np.allclose(u[1], row_tap, atol=1e-12)
     assert np.allclose(u @ u.conj().T, np.eye(4), atol=1e-12)
+
+
+CLOSED_FORM_EPSILONS = (0.8, 0.3, 1e-2, 1e-4, 1e-6)
+
+
+def _defining_rows(n, eps):
+    """The chain's rows 1 and 2, the kept output and the tap, a (2, N) array."""
+    a, root = math.sqrt(1.0 - eps * eps), math.sqrt(n - 1.0)
+    rows = np.empty((2, n), dtype=complex)
+    rows[0], rows[1] = a / root, eps / root
+    rows[:, 0] = -eps, a
+    return rows
+
+
+def _loop_completed_chain(n, eps):
+    """The defining rows completed by Gram-Schmidt over the canonical vectors."""
+    return complete_rows_by_loop(_defining_rows(n, eps), n)
+
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_vacuum_rows_are_the_closed_form_completion(n):
+    """Rows 1-2 are the defining rows bit for bit; rows 3..N do not depend
+    on epsilon and are the Gram-Schmidt completion to roundoff."""
+    vacuum_rows = None
+    for eps in CLOSED_FORM_EPSILONS:
+        u = build_chain(n, eps).interferometer.matrix
+        assert np.abs(u.conj().T @ u - np.eye(n)).max() <= 1e-14, eps
+        assert u[:2].tobytes() == _defining_rows(n, eps).tobytes(), eps
+        vacuum_rows = u[2:].tobytes() if vacuum_rows is None else vacuum_rows
+        assert u[2:].tobytes() == vacuum_rows, eps
+        assert np.abs(u[2:] - _loop_completed_chain(n, eps)[2:]).max() <= 1e-15, eps
+    # row 3 compares source 2 with the N - 2 sources after it, the last
+    # row source N - 1 with source N
+    assert np.allclose(u[2], np.array([0, n - 2] + [-1] * (n - 2)) / math.sqrt((n - 2) * (n - 1)))
+    assert np.allclose(u[-1], np.array([0] * (n - 2) + [1, -1]) / math.sqrt(2))
+
+
+def _run_both(monkeypatch, n, scenario, detected):
+    """run_chain over the closed-form epsilons, then with each chain
+    completed by the loop oracle instead."""
+    closed = run_chain(n, list(CLOSED_FORM_EPSILONS), 0.2, detected, scenario)
+    with monkeypatch.context() as patched:
+        patched.setattr(schemes, "_chain_matrix", _loop_completed_chain)
+        looped = run_chain(n, list(CLOSED_FORM_EPSILONS), 0.2, detected, scenario)
+    return zip(CLOSED_FORM_EPSILONS, closed, looped)
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_exact_counts_never_read_the_vacuum_rows(monkeypatch, n):
+    """Detectors that read 0 exactly hold no photons, so "ideal" and
+    "bucket" give the oracle completion's weights bit for bit."""
+    for scenario, detected in (("ideal", 2), ("ideal", (n + 1) // 2), ("bucket", 2)):
+        for eps, got, want in _run_both(monkeypatch, n, scenario, detected):
+            assert got.unnormalized.tobytes() == want.unnormalized.tobytes(), (scenario, eps)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("scenario", ["bucket+efficiency", "+darkcounts", "+two-photon-inputs"])
+def test_lossy_vacuum_detectors_read_the_closed_form_to_roundoff(monkeypatch, scenario, n):
+    for eps, got, want in _run_both(monkeypatch, n, scenario, 2):
+        assert got.unnormalized.shape == want.unnormalized.shape
+        assert np.all(
+            np.abs(got.unnormalized - want.unnormalized) <= 1e-15 * np.abs(want.unnormalized)
+        ), eps
 
 
 def test_chain_matches_element_product():
@@ -141,8 +205,8 @@ def test_run_chain_scenarios_match_the_reference(scenario, n, two_photon_prob):
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
-    """A grid builds its chains in one stacked completion, bit for bit the
-    chain of each epsilon alone, so every point reads the same weights."""
+    """A grid builds the chain of each epsilon as that epsilon alone does,
+    so every point reads the same weights."""
     grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
     results = run_chain(n, grid, 0.2, 2, scenario)
     assert len(results) == len(grid)
