@@ -33,6 +33,7 @@ from .errors import DimensionTooLarge
 # Largest rows * states coefficient array the engine allocates (32 MiB of
 # complex128); bigger problems raise instead of exhausting memory.
 MAX_CELLS = 1 << 21
+MAX_TOTAL = 170  # the largest n with n! below the float maximum
 SLICE_CELLS = 1 << 12  # walk stacks in slices this wide: temporaries stay in cache
 
 
@@ -68,6 +69,8 @@ class Basis:
 @functools.lru_cache(maxsize=128)
 def basis(caps: tuple[int, ...], total: int) -> Basis:
     """The (cached, read-only) basis for per-mode caps and a total limit."""
+    if total > MAX_TOTAL:
+        raise DimensionTooLarge(f"{total} photons overflow float factorials past {MAX_TOTAL}")
     limits = np.minimum(np.maximum(np.array(caps, dtype=np.int64), 0), total)
     radix = [int(c) + 1 for c in limits]
     span = math.prod(radix)
@@ -133,7 +136,9 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
     """The (cached) plan for modes emitting counts[i] photons: mode by mode,
     live holds the kept rows' ids (creation order) in (total, start, rows)
     blocks, and each op builds rows block by block; then the rows built
-    (runs of source ids and total) get their cells and edges."""
+    (runs of source ids and total) get their cells and edges.  A plan whose
+    rows or cells exceed MAX_CELLS raises before its edges are allocated:
+    not even one matrix could walk it."""
     b = basis(caps, total)
     top, sizes = len(b.offsets) - 2, np.diff(b.offsets)  # top: largest photon total
     reach = {c: [max((k for k in c if k <= top - t), default=0) for t in range(top + 1)]
@@ -148,6 +153,8 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
                     runs.append((rows[-1], t + c))
                     rows.append(np.arange(built, built + n))
                     built += n
+            if built > MAX_CELLS:
+                raise DimensionTooLarge(f"{built} walked rows exceed {MAX_CELLS}")
         grown = {}  # new total: its rows' (ids, start in live, count index), in order
         for (t, lo, _), rows in zip(blocks, made):
             for k, c in enumerate(counts[i]):
@@ -164,6 +171,8 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
     totals = np.repeat([t for _, t in runs], [len(ids) for ids, _ in runs]).astype(np.int64)
     size, fan, first = sizes[totals], np.diff(first)[totals - 1], first[totals - 1]
     cells_at, edges_at = np.append(0, size.cumsum()) + 1, np.append(0, fan.cumsum())
+    if cells_at[-1] > MAX_CELLS:
+        raise DimensionTooLarge(f"{cells_at[-1]} walked cells exceed {MAX_CELLS}")
     cell = np.append(0, cells_at[:-1])  # first cell by id
     edges = _spans(first, fan)
     grown_from = cell[np.concatenate([live[:0]] + [ids for ids, _ in runs])]

@@ -6,10 +6,21 @@ D photons at the tap detector; its ratio gain approaches D(N-D)/(N-1)
 as the coupling epsilon goes to zero.  run_chain heralds it with exact
 counts or under the detector models of CHAIN_SCENARIOS.  Its kept and
 tap rows define it; the other N-2 outputs only read vacuum and have a
-closed form that does not depend on epsilon.  The pure-state
-scheme takes three identical superposition sources through two beam
-splitters and distills an exact one-photon state by conditioning on a
-vacuum count and a two-photon count.
+closed form that does not depend on epsilon.
+
+Those N-2 rows are orthogonal to source 1 and to the uniform mode S of
+sources 2..N.  A photon of source i >= 2 is S/sqrt(N-1) plus a part on
+the vacuum rows, so k photons of sources 2..N all miss an exactly
+counting vacuum detector with probability k!/(N-1)^k, and then sit in S
+as the Fock state |k>.  Under exact vacuum counts the chain is therefore
+a two-mode problem: source 1 at p and S with weights
+W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k through the 2 x 2 matrix
+[[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads it that
+way at any N.
+
+The pure-state scheme takes three identical superposition sources
+through two beam splitters and distills an exact one-photon state by
+conditioning on a vacuum count and a two-photon count.
 """
 
 from __future__ import annotations
@@ -20,11 +31,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
+from .conditioner import (
+    ConditionalResult,
+    DetectionPattern,
+    Readout,
+    condition_mixed,
+    condition_pure,
+)
 from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite, observe
-from .errors import BadDistributionShape, BadParameters, DegenerateTheta
+from .engine import MAX_TOTAL
+from .errors import BadDistributionShape, BadParameters, DegenerateTheta, DimensionTooLarge
 from .fock import InputSpec, photon_count
-from .interferometer import Interferometer, beam_splitter, compose, embed_two_mode
+from .interferometer import Interferometer, beam_splitter, check_unitary, compose, embed_two_mode
 
 
 @dataclass(frozen=True)
@@ -37,21 +55,26 @@ class ChainScheme:
 
     def pattern_for(self, detected: int) -> DetectionPattern:
         """D photons at the tap detector (mode 2), vacuum elsewhere."""
-        if detected < 0 or detected > self.n_modes:
-            raise BadParameters(
-                f"detected count {detected} outside 0..{self.n_modes}"
-            )
-        return DetectionPattern((detected,) + (0,) * (self.n_modes - 2))
+        return _tap_pattern(self.n_modes, detected)
+
+
+def _tap_pattern(n_modes: int, detected: int) -> DetectionPattern:
+    if detected < 0 or detected > n_modes:
+        raise BadParameters(f"detected count {detected} outside 0..{n_modes}")
+    return DetectionPattern((detected,) + (0,) * (n_modes - 2))
 
 
 def _check_chain_args(n_modes: int, *epsilons: float) -> int:
-    """The mode count as an int, once it and then each epsilon are checked."""
+    """The mode count as an int, once it and then each of the (at least
+    one) epsilons are checked."""
     n_modes = photon_count(n_modes)
     if n_modes < 3:
         raise BadParameters(f"the chain needs at least 3 modes, got {n_modes}")
     for epsilon in epsilons:
         if not (0.0 < epsilon < 1.0):
             raise BadParameters(f"epsilon must sit strictly inside (0, 1), got {epsilon}")
+    if not epsilons:
+        raise BadParameters("the epsilon grid is empty")
     return n_modes
 
 
@@ -71,10 +94,8 @@ def _chains(n_modes: int, epsilons) -> list[ChainScheme]:
     """A ChainScheme per epsilon, checked in order; its Interferometer
     makes the one unitarity check of each closed-form chain."""
     n_modes = _check_chain_args(n_modes, *epsilons)
-    if not epsilons:
-        raise BadParameters("the epsilon grid is empty")
-    # one (G, N, N) block: a separate array per chain raised the 11-mode
-    # chain sweep's peak RSS by 0.1 MB (heap layout; 2-vCPU Xeon, perfbench)
+    # one (G, N, N) block: the lossy sweeps keep the heap layout they were
+    # measured with, which alone moves their peak RSS by about 0.1 MB
     stack = np.array([_chain_matrix(n_modes, e) for e in epsilons])
     return [
         ChainScheme(n_modes, e, Interferometer(m, f"chain(n={n_modes}, epsilon={e!r})"))
@@ -159,6 +180,8 @@ def _inefficient_vacuum_bucket_tap(cap: int):
 
 # run_chain scenario -> (vacuum detector, tap detector) for counts 0..cap,
 # or None for exact counting.  The detector scenarios read the ">=2" bucket.
+# "ideal" and "bucket" count vacuum exactly, so run_chain reads them from
+# the chain's two-mode reduction, which needs only the tap.
 CHAIN_SCENARIOS = {
     "ideal": None,
     "bucket": lambda cap: (DetectorModel.exact(cap), DetectorModel.bucket(cap)),
@@ -166,6 +189,72 @@ CHAIN_SCENARIOS = {
     "+darkcounts": benchmark_detector_suite,
     "+two-photon-inputs": _inefficient_vacuum_bucket_tap,
 }
+
+
+def _reduced_source(n_modes: int, p: float) -> tuple[InputSpec, float]:
+    """The chain's sources as the two-mode spec that exact vacuum readings
+    leave (module docstring): source 1 at p and S with the weights W_k
+    normalised, and their sum Z, the probability of those readings."""
+    one = InputSpec.two_level([p]).distributions[0]
+    if n_modes > MAX_TOTAL:
+        raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
+    m = n_modes - 1
+    # C(N-1, k) k!/(N-1)^k = (N-1)!/((N-1-k)! (N-1)^k), rounded once
+    weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+    z = math.fsum(weights)
+    return InputSpec((one, {k: w / z for k, w in enumerate(weights)})), z
+
+
+def _herald_reduced(
+    n_modes: int, grid: list, p: float, detected: int, scenario: str
+) -> list[ConditionalResult]:
+    """run_chain for the scenarios whose vacuum detectors count exactly,
+    from the two-mode reduction: one unitarity check and one Readout of
+    the (G, 2, 2) stack [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), the
+    chain's kept and tap rows on source 1 and S, read in as few engine
+    calls as its size limit allows (one for any grid of sweep size)."""
+    spec, z = _reduced_source(n_modes, p)
+    top = spec.max_total()
+    if scenario == "ideal":
+        label, fewest = _tap_pattern(n_modes, detected), detected
+        tap = np.arange(top + 1) == detected
+    else:
+        label, fewest = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2)), 2
+        tap = CHAIN_SCENARIOS[scenario](top)[1].column(BUCKET)
+    eps = np.array(grid, dtype=float)
+    a = np.sqrt(1.0 - eps * eps)
+    matrices = np.moveaxis(np.array([[-eps, a], [a, eps]], dtype=complex), -1, 0)
+    check_unitary(matrices)
+    readout = Readout(spec, [[tap]])
+    # n1 runs to the N-mode source maximum less the tap's fewest photons,
+    # also where a weight underflows to 0 and shortens the reduced source
+    length = readout.lengths[0]
+    kept = np.zeros((len(grid), max((n_modes if p > 0 else 0) - fewest + 1, length)))
+    size = readout.stack()
+    for lo in range(0, len(grid), size):
+        q, _ = readout.read(matrices[lo : lo + size])
+        kept[lo : lo + len(q), :length] = q[:, 0, :length] * z
+    return [ConditionalResult.from_unnormalized(row, pattern=label) for row in kept]
+
+
+def _herald_lossy(
+    n_modes: int, grid: list, p: float, scenario: str, two_photon_prob: float
+) -> list[ConditionalResult]:
+    """run_chain for the lossy-vacuum scenarios: each chain's N-mode table,
+    one observe call per point."""
+    schemes = _chains(n_modes, grid)
+    n_modes = schemes[0].n_modes
+    if scenario == "+two-photon-inputs":
+        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
+            raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
+        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
+        spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
+    else:
+        spec = InputSpec.two_level([p] * n_modes)
+    vacuum, tap = CHAIN_SCENARIOS[scenario](spec.max_total())
+    observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
+    models = [tap] + [vacuum] * (n_modes - 2)
+    return [observe(spec, s.interferometer, observed, models) for s in schemes]
 
 
 def run_chain(
@@ -178,35 +267,26 @@ def run_chain(
     "ideal" conditions on exactly `detected` tap photons; the detector
     scenarios need detected = 2 and observe the tap reading ">=2" while
     the other detectors read 0.  An epsilon grid gives a result per
-    epsilon, a float the one result of its one-element grid: the spec and
-    detectors are built once, each chain from _chain_matrix with one
-    unitarity check, and each point is one condition_mixed or observe
-    call, one engine read.  Rows 3..N of the chain reach that read only
-    under the lossy vacuum detectors of the last three scenarios.
+    epsilon, a float the one result of its one-element grid, and every
+    grid point reads the weights it reads alone.
+
+    Exact vacuum counts ("ideal", "bucket") see only source 1 and the
+    uniform mode S of sources 2..N, since the chain's other N-2 rows are
+    orthogonal to both: the grid is one read of the chain's exact
+    two-mode reduction (_reduced_source), whatever N.  The lossy vacuum
+    detectors of the other scenarios also report photons that reached
+    their rows as 0, so those read each chain's N-mode table, one
+    observe call per point.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
         raise BadParameters(f"scenario {scenario!r} is not one of {', '.join(CHAIN_SCENARIOS)}")
-    detectors = CHAIN_SCENARIOS[scenario]
-    if detectors is not None and detected != 2:
+    if CHAIN_SCENARIOS[scenario] is not None and detected != 2:
         raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
-    schemes = _chains(n_modes, grid)
-    n_modes = schemes[0].n_modes
-    if scenario == "+two-photon-inputs":
-        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
-            raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
-        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
-        spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
+    if scenario in ("ideal", "bucket"):
+        results = _herald_reduced(_check_chain_args(n_modes, *grid), grid, p, detected, scenario)
     else:
-        spec = InputSpec.two_level([p] * n_modes)
-    if detectors is None:
-        pattern = schemes[0].pattern_for(detected)
-        results = [condition_mixed(spec, s.interferometer, pattern) for s in schemes]
-    else:
-        vacuum, tap = detectors(spec.max_total())
-        observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
-        models = [tap] + [vacuum] * (n_modes - 2)
-        results = [observe(spec, s.interferometer, observed, models) for s in schemes]
+        results = _herald_lossy(n_modes, grid, p, scenario, two_photon_prob)
     return results[0] if np.ndim(epsilon) == 0 else results
 
 

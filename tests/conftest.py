@@ -3,10 +3,13 @@
 For a two-level input with uniform best probability p and M occupied
 modes, detecting D photons can raise the one-to-zero photon ratio by at
 most a factor (M - D), and not at all when D = 0 or D = M - 1.  The
-fixture below wraps condition_mixed, and the engine's joint output table
-that every consumer builds on, in every loaded photonpost module that
-binds them, so a violation fails the specific test that produced it,
-wherever it ran.
+fixture below wraps condition_mixed, the engine's joint output table
+that every consumer builds on, and schemes.run_chain in every loaded
+photonpost module that binds them, so a violation fails the specific
+test that produced it, wherever it ran.  run_chain reads its exact-count
+scenarios from a two-mode source that is not two-level, which the table
+check passes over, so its "ideal" results are checked against the bound
+of the N two-level sources they herald.
 A table is checked on every exact detector pattern it holds, in every
 matrix of a stack (the searches score candidates in stacks).  Both
 checks are calls to the library's rule (merit.allowed_ratio and
@@ -21,12 +24,13 @@ import numpy as np
 import pytest
 
 import photonpost.cli  # noqa: F401  (loaded so that its names are wrapped too)
-from photonpost import conditioner, engine, merit
+from photonpost import conditioner, engine, merit, schemes
 from photonpost.conditioner import DetectionPattern
 from photonpost.fock import InputSpec
 
 _original = conditioner.condition_mixed
 _original_table = engine.output_table
+_original_chain = schemes.run_chain
 
 
 def _checked_condition_mixed(spec, interf, pattern, *args, **kwargs):
@@ -69,6 +73,19 @@ def _checked_output_table(supports, matrix, caps, max_total):
     return basis, table
 
 
+def _checked_run_chain(n_modes, epsilon, p, detected, scenario="ideal", *args, **kwargs):
+    results = _original_chain(n_modes, epsilon, p, detected, scenario, *args, **kwargs)
+    if scenario == "ideal":
+        allowed = merit.allowed_ratio(InputSpec.two_level([p] * n_modes), detected)
+        for result in [results] if np.ndim(epsilon) == 0 else results:
+            q0, q1 = np.append(result.unnormalized, 0.0)[:2]
+            assert allowed is None or not merit.ratio_breaches(q0, q1, allowed), (
+                f"ratio bound violated by the {n_modes}-mode chain at D = {detected}: "
+                f"q1/q0 = {q1}/{q0} > {allowed}"
+            )
+    return results
+
+
 def _holders(name, original):
     """Every loaded photonpost module whose attribute `name` is `original`."""
     return [
@@ -81,14 +98,18 @@ def _holders(name, original):
 
 @pytest.fixture(autouse=True, scope="session")
 def ratio_bound_tripwire():
-    holders = _holders("condition_mixed", _original)
-    table_holders = _holders("output_table", _original_table)
-    for mod in holders:
-        mod.condition_mixed = _checked_condition_mixed
-    for mod in table_holders:
-        mod.output_table = _checked_output_table
+    wrapped = [
+        (name, original, checked, _holders(name, original))
+        for name, original, checked in (
+            ("condition_mixed", _original, _checked_condition_mixed),
+            ("output_table", _original_table, _checked_output_table),
+            ("run_chain", _original_chain, _checked_run_chain),
+        )
+    ]
+    for name, _, checked, holders in wrapped:
+        for mod in holders:
+            setattr(mod, name, checked)
     yield
-    for mod in holders:
-        mod.condition_mixed = _original
-    for mod in table_holders:
-        mod.output_table = _original_table
+    for name, original, _, holders in wrapped:
+        for mod in holders:
+            setattr(mod, name, original)

@@ -18,6 +18,7 @@ from photonpost import (
     DetectionPattern,
     DetectorModel,
     InputSpec,
+    Interferometer,
     ObservedPattern,
     benchmark_detector_suite,
     build_chain,
@@ -287,6 +288,33 @@ def chain_scenario_reference(
         )
     c1 = 0.0 if res.zero_probability else float(res.normalized[1])
     return res.pattern_probability, c1
+
+
+def chain_two_mode(n: int, eps: float, p: float, detected: int, scenario: str = "ideal"):
+    """The n-mode chain heralded with exact vacuum counts ("ideal" on
+    `detected` tap photons, or "bucket" on a ">=2" tap), read one matrix at
+    a time from its two-mode reduction: source 1 at p and the uniform mode
+    of sources 2..n, which keeps k of their photons past the vacuum
+    detectors with weight C(n-1, k) p^k (1-p)^(n-1-k) k!/(n-1)^k, through
+    [[-eps, a], [a, eps]] with a = sqrt(1 - eps^2); condition_mixed or
+    observe reads the normalized source and the weights are scaled back.
+    The weights repeat schemes.run_chain's expression, so the two agree
+    bit for bit; the reduction itself is checked against the n-mode chain
+    and against mpmath."""
+    m = n - 1
+    weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+    z = math.fsum(weights)
+    spec = InputSpec(({0: 1.0 - p, 1: p}, {k: w / z for k, w in enumerate(weights)}))
+    a = math.sqrt(1.0 - eps * eps)
+    interf = Interferometer(np.array([[-eps, a], [a, eps]]))
+    if scenario == "ideal":
+        res = condition_mixed(spec, interf, DetectionPattern((detected,)))
+        label = DetectionPattern((detected,) + (0,) * (n - 2))
+    else:
+        tap = DetectorModel.bucket(spec.max_total())
+        res = observe(spec, interf, ObservedPattern((BUCKET,)), [tap])
+        label = ObservedPattern((BUCKET,) + (0,) * (n - 2))
+    return ConditionalResult.from_unnormalized(res.unnormalized * z, pattern=label)
 
 
 def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9) -> bool:

@@ -324,18 +324,24 @@ def exp_config(scenario, eps_values, **overrides):
 
 
 def test_exp_sweep_ideal_matches_simulate(tmp_path):
+    """"ideal" rows are the chain's two-mode reduction bit for bit, and the
+    N-mode chain's condition_mixed to 2e-13."""
     code, out = run(tmp_path, "exp-sweep", exp_config("ideal", [0.05, 0.2]))
     assert code == 0
     header, rows = read_csv(out)
     assert header == ["epsilon", "pattern_probability", "single_photon_probability"]
+    from oracles import chain_two_mode
     from photonpost import InputSpec, build_chain, condition_mixed
 
-    chain = build_chain(4, 0.05)
-    res = condition_mixed(
-        InputSpec.two_level([0.2] * 4), chain.interferometer, chain.pattern_for(2)
-    )
-    assert rows[0][1] == res.pattern_probability
-    assert rows[0][2] == float(res.normalized[1])
+    for row, eps in zip(rows, (0.05, 0.2)):
+        reduced = chain_two_mode(4, eps, 0.2, 2)
+        assert row[1:] == [reduced.pattern_probability, float(reduced.normalized[1])]
+        chain = build_chain(4, eps)
+        res = condition_mixed(
+            InputSpec.two_level([0.2] * 4), chain.interferometer, chain.pattern_for(2)
+        )
+        want = [res.pattern_probability, float(res.normalized[1])]
+        assert np.allclose(row[1:], want, rtol=2e-13, atol=0.0)
 
 
 def test_exp_sweep_bucket_shifts_little(tmp_path):
@@ -378,27 +384,30 @@ def test_exp_sweep_two_photon_inputs_runs_up_to_six_modes(tmp_path, capsys, mode
     assert ("dimension error" in capsys.readouterr().err) == (code == 3)
 
 
-# (scenario, modes, detected) -> CSV rows at p = 0.2, recorded when "ideal"
-# still ran through condition_mixed instead of observe
+# (scenario, modes, detected) -> CSV rows at p = 0.2.  The lossy scenarios
+# were recorded when "ideal" still ran through condition_mixed instead of
+# observe; "ideal" and "bucket" when they moved to the chain's two-mode
+# reduction, which shifted them by roundoff (at most 5.3e-16 relative from
+# 50-digit values, before and after).
 EXP_SWEEP_PINS = {
     ("ideal", 4, 2): (
-        "0.29999999999999999,0.0056297249280000024,0.2097301760033701",
-        "0.050000000000000003,0.00017542746633333341,0.2415463641602805",
-        "0.001,7.0399908266717896e-08,0.24242389164356143",
+        "0.29999999999999999,0.0056297249280000015,0.20973017600337013",
+        "0.050000000000000003,0.00017542746633333344,0.24154636416028044",
+        "0.001,7.0399908266717896e-08,0.24242389164356123",
     ),
     ("ideal", 6, 2): (
-        "0.29999999999999999,0.0039053951112592838,0.23713811930833692",
-        "0.050000000000000003,0.00012267155819614957,0.26541989943535244",
-        "0.001,4.924204247454807e-08,0.26617836949875406",
+        "0.29999999999999999,0.0039053951112592851,0.23713811930833703",
+        "0.050000000000000003,0.0001226715581961496,0.2654198994353526",
+        "0.001,4.9242042474548063e-08,0.26617836949875412",
     ),
     ("bucket", 4, 2): (
-        "0.29999999999999999,0.0057461264640000023,0.20897480337808313",
+        "0.29999999999999999,0.0057461264640000015,0.20897480337808313",
         "0.050000000000000003,0.0001755271776111112,0.24152233364955547",
-        "0.001,7.0399924266699412e-08,0.24242388200169995",
+        "0.001,7.0399924266699398e-08,0.24242388200169979",
     ),
     ("bucket", 6, 2): (
-        "0.29999999999999999,0.0040145001959565807,0.23784919188963127",
-        "0.050000000000000003,0.00012276632131804241,0.26543893105406319",
+        "0.29999999999999999,0.0040145001959565824,0.23784919188963138",
+        "0.050000000000000003,0.00012276632131804244,0.26543893105406335",
         "0.001,4.9242057687071867e-08,0.26617837710251824",
     ),
     ("bucket+efficiency", 4, 2): (
@@ -432,9 +441,9 @@ EXP_SWEEP_PINS = {
         "0.001,0.00046607617501588547,0.18586765875265618",
     ),
     ("ideal", 5, 3): (
-        "0.29999999999999999,0.00011660562765000005,0.23511928671480381",
-        "0.050000000000000003,1.0201634750976569e-07,0.26297531625930726",
-        "0.001,1.6379977020010507e-14,0.26373595974705649",
+        "0.29999999999999999,0.00011660562765000005,0.23511928671480384",
+        "0.050000000000000003,1.0201634750976572e-07,0.26297531625930726",
+        "0.001,1.6379977020010511e-14,0.26373595974705649",
     ),
 }
 
@@ -450,10 +459,12 @@ def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
 
 
 def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monkeypatch):
-    """Each sweep checks every closed-form chain for unitarity exactly once
-    and reads every grid point with its own one-matrix engine table, never
-    the grid as one stack: that keeps a sweep's peak memory at one point's."""
-    from photonpost import conditioner, interferometer
+    """chain-sweep ("ideal") checks the grid's two-mode reductions for
+    unitarity in one (G, 2, 2) call and reads them in one (G, 2, 2) engine
+    table, building no N x N chain; exp-sweep under "+darkcounts" checks
+    each closed-form chain once and reads every point with its own
+    one-matrix table, which keeps its peak memory at one point's."""
+    from photonpost import conditioner, interferometer, schemes
 
     shapes = {"check_unitary": [], "output_table": []}
 
@@ -464,23 +475,26 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
 
         return wrapper
 
-    monkeypatch.setattr(
-        interferometer, "check_unitary", counted("check_unitary", interferometer.check_unitary, 0)
-    )
+    checked = counted("check_unitary", interferometer.check_unitary, 0)
+    monkeypatch.setattr(interferometer, "check_unitary", checked)
+    monkeypatch.setattr(schemes, "check_unitary", checked)
     monkeypatch.setattr(
         conditioner, "output_table", counted("output_table", conditioner.output_table, 1)
     )
     grid = [0.4, 0.2, 0.1, 0.05, 0.01]
-    chain = chain_config(modes=6, detected=3, epsilon_grid={"values": grid})
-    for command, cfg in (("chain-sweep", chain), ("exp-sweep", exp_config("+darkcounts", grid))):
+    g, n = len(grid), 6
+    chain = chain_config(modes=n, detected=3, epsilon_grid={"values": grid})
+    for command, cfg, checks, reads in (
+        ("chain-sweep", chain, [(g, 2, 2)], [(g, 2, 2)]),
+        ("exp-sweep", exp_config("+darkcounts", grid, modes=n), [(n, n)] * g, [(1, n, n)] * g),
+    ):
         for calls in shapes.values():
             calls.clear()
         code, out = run(tmp_path, command, cfg, name=command)
         assert code == 0
-        n = cfg["modes"]
-        assert shapes["check_unitary"] == [(n, n)] * len(grid), command
-        assert shapes["output_table"] == [(1, n, n)] * len(grid), command
-        assert len(out.read_text().splitlines()) == len(grid) + 1
+        assert shapes["check_unitary"] == checks, command
+        assert shapes["output_table"] == reads, command
+        assert len(out.read_text().splitlines()) == g + 1
 
 
 def test_sweep_reports_the_first_bad_epsilon(tmp_path, capsys):
@@ -494,6 +508,49 @@ def test_sweep_reports_the_first_bad_epsilon(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == "config error: epsilon must sit strictly inside (0, 1), got 1.5\n"
+
+
+def test_chain_sweep_heralds_a_48_mode_chain(tmp_path):
+    """The exact-vacuum chain is read from its two-mode reduction, so a
+    48-mode sweep runs where the N-mode table never fit the engine."""
+    grid = [0.3, 0.1, 1e-2]
+    cfg = chain_config(modes=48, p=0.1, detected=24, epsilon_grid={"values": grid})
+    code, out = run(tmp_path, "chain-sweep", cfg)
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [row[0] for row in rows] == grid
+    # far past the 24-photon limit of the gain, and at a vanishing herald rate
+    assert all(1.0 < row[4] < row[5] and 0.0 < row[1] < 1e-40 for row in rows)
+
+
+def test_oversize_plan_is_a_prompt_dimension_error_under_a_memory_cap(tmp_path):
+    """A 24-mode chain pattern needs 2^24 walked rows: the engine refuses
+    the plan before it allocates them, so the run exits 3 within 1 GiB of
+    address space instead of dying of memory."""
+    inputs = [0.2] * 24
+    cfg = {
+        "command": "simulate",
+        "version": 1,
+        "modes": 24,
+        "inputs": inputs,
+        "interferometer": {"type": "chain", "epsilon": 0.1},
+        "pattern": [12] + [0] * 22,
+    }
+    config = write_config(tmp_path / "big.json", cfg)
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from photonpost.cli import main\n"
+        f"sys.exit(main(['simulate', '--config', {config!r}, '--out', {str(tmp_path / 'o')!r}]))\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 3, done.stderr
+    assert done.stderr.startswith("dimension error:")
+    assert not (tmp_path / "o").exists()
 
 
 # nogo-verify and search -------------------------------------------------------

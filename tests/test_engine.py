@@ -209,6 +209,21 @@ def test_size_guard_raises_instead_of_allocating():
         output_table(spec.distributions, np.eye(14), (14,) * 14, 14)
 
 
+def test_oversize_plans_and_totals_raise_before_allocating():
+    """A plan that no single matrix could walk raises while its rows are
+    built (24 two-level modes: 2^24 rows) or before its edges are (16
+    one-photon-capped modes: 2^16 rows but C(32, 16) cells); a total past
+    170 photons, whose factorials overflow a float, raises too."""
+    spec = InputSpec.two_level([0.5] * 24)
+    with pytest.raises(DimensionTooLarge, match="walked rows"):
+        max_stack(spec.distributions, (12, 12) + (0,) * 22, 24)
+    spec = InputSpec.two_level([0.5] * 16)
+    with pytest.raises(DimensionTooLarge, match="walked cells"):
+        max_stack(spec.distributions, (1,) * 16, 16)
+    with pytest.raises(DimensionTooLarge, match="factorials"):
+        output_table([((171, 1.0),), ((0, 1.0),)], np.eye(2), (171, 171), 171)
+
+
 def test_stacked_table_equals_per_matrix_calls():
     """A (B, N, N) stack gives, row by row, exactly the one-matrix tables;
     an empty stack gives an empty table."""

@@ -1,22 +1,28 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
-from oracles import chain_scenario_reference, complete_rows_by_loop
+from oracles import chain_scenario_reference, chain_two_mode, complete_rows_by_loop
 from photonpost import (
+    BUCKET,
     BadDistributionShape,
     BadParameters,
     DegenerateTheta,
     DetectionPattern,
+    DetectorModel,
     InputSpec,
+    Interferometer,
+    ObservedPattern,
     beam_splitter,
     build_chain,
     build_chain_from_elements,
     chain_asymptotics,
     chain_element_angles,
     condition_mixed,
+    observe,
     pure_stage2_params,
     pure_success_probability,
     pure_three_mode_pipeline,
@@ -87,13 +93,103 @@ def _run_both(monkeypatch, n, scenario, detected):
     return zip(CLOSED_FORM_EPSILONS, closed, looped)
 
 
+def _exact_vacuum_read(spec, interf, scenario, detected):
+    """The N-mode chain heralded with exact vacuum counts: condition_mixed
+    on `detected` tap photons ("ideal"), or observe with a ">=2" tap."""
+    n = interf.n_modes
+    if scenario == "ideal":
+        return condition_mixed(spec, interf, DetectionPattern((detected,) + (0,) * (n - 2)))
+    cap = spec.max_total()
+    models = [DetectorModel.bucket(cap)] + [DetectorModel.exact(cap)] * (n - 2)
+    return observe(spec, interf, ObservedPattern((BUCKET,) + (0,) * (n - 2)), models)
+
+
 @pytest.mark.parametrize("n", range(3, 10))
-def test_exact_counts_never_read_the_vacuum_rows(monkeypatch, n):
-    """Detectors that read 0 exactly hold no photons, so "ideal" and
-    "bucket" give the oracle completion's weights bit for bit."""
+def test_exact_counts_never_read_the_vacuum_rows(n):
+    """Detectors that read 0 exactly hold no photons, so the N-mode chain
+    gives the oracle completion's weights bit for bit under "ideal" and
+    "bucket": rows 3..N never enter, which is why run_chain reads these
+    scenarios from source 1 and the uniform mode of the others alone."""
+    spec = InputSpec.two_level([0.2] * n)
     for scenario, detected in (("ideal", 2), ("ideal", (n + 1) // 2), ("bucket", 2)):
-        for eps, got, want in _run_both(monkeypatch, n, scenario, detected):
+        for eps in CLOSED_FORM_EPSILONS:
+            got = _exact_vacuum_read(spec, build_chain(n, eps).interferometer, scenario, detected)
+            looped = Interferometer(_loop_completed_chain(n, eps))
+            want = _exact_vacuum_read(spec, looped, scenario, detected)
             assert got.unnormalized.tobytes() == want.unnormalized.tobytes(), (scenario, eps)
+            reduced = run_chain(n, eps, 0.2, detected, scenario)
+            assert reduced.unnormalized.shape == got.unnormalized.shape, (scenario, eps)
+            assert reduced.pattern == got.pattern, (scenario, eps)
+
+
+REDUCTION_EPSILONS = (0.8, 0.3, 0.1, 1e-2, 1e-4, 1e-6)
+
+
+@pytest.mark.parametrize("n", range(3, 12))
+def test_reduction_matches_the_n_mode_chain(n):
+    """Every weight of the two-mode reduction matches the N-mode chain's
+    within 2e-13 relative, for every D under "ideal" and under "bucket".
+    The largest gap, 7.3e-14 at N = 11, D = 1, p = 0.1, eps = 0.3, is the
+    N-mode read's own error: the reduction is closer to 50 digits."""
+    for p in (0.1, 0.3, 0.6):
+        spec = InputSpec.two_level([p] * n)
+        chains = [build_chain(n, eps).interferometer for eps in REDUCTION_EPSILONS]
+        for scenario, detected in [("ideal", d) for d in range(n + 1)] + [("bucket", 2)]:
+            reduced = run_chain(n, list(REDUCTION_EPSILONS), p, detected, scenario)
+            for eps, interf, got in zip(REDUCTION_EPSILONS, chains, reduced):
+                want = _exact_vacuum_read(spec, interf, scenario, detected).unnormalized
+                assert got.unnormalized.shape == want.shape, (p, scenario, detected, eps)
+                err = np.abs(got.unnormalized - want)
+                assert np.all(err <= 2e-13 * want), (p, scenario, detected, eps, err / want)
+
+
+def _mp_two_mode_chain(n, eps, p, taps):
+    """c~[n1] of the chain's two-mode reduction for tap counts in `taps`,
+    in mpmath at its working precision: source 1 (j photons) and the
+    uniform mode (k photons, weight C(n-1, k) p^k (1-p)^(n-1-k) k!/(n-1)^k)
+    through [[-eps, a], [a, eps]], expanded by hand."""
+    eps, p, m = mpmath.mpf(eps), mpmath.mpf(p), n - 1
+    a, fac = mpmath.sqrt(1 - eps**2), mpmath.factorial
+    out = [mpmath.mpf(0)] * (n - min(taps) + 1)
+    for j, pj in ((0, 1 - p), (1, p)):
+        for k in range(m + 1):
+            w = pj * mpmath.binomial(m, k) * p**k * (1 - p) ** (m - k)
+            w *= fac(k) / mpmath.mpf(m) ** k
+            for tap in taps:
+                n1 = j + k - tap
+                if n1 < 0:
+                    continue
+                # i of source 1's j photons and l = n1 - i of the k reach the kept mode
+                amp = sum(
+                    mpmath.binomial(j, i) * (-eps) ** i * a ** (j - i)
+                    * mpmath.binomial(k, n1 - i) * a ** (n1 - i) * eps ** (k - n1 + i)
+                    for i in range(min(j, n1) + 1)
+                    if n1 - i <= k
+                )
+                out[n1] += w * amp**2 * fac(n1) * fac(tap) / (fac(j) * fac(k))
+    return out
+
+
+@pytest.mark.parametrize(
+    "n, eps, p, detected, scenario",
+    [
+        (11, 0.3, 0.1, 1, "ideal"),
+        (11, 1e-6, 0.6, 6, "ideal"),
+        (11, 1e-2, 0.2, 11, "ideal"),
+        (11, 0.05, 0.3, 2, "bucket"),
+        (48, 1e-2, 0.1, 24, "ideal"),
+        (48, 0.3, 0.3, 30, "ideal"),
+        (48, 1e-4, 0.2, 2, "bucket"),
+    ],
+)
+def test_reduction_matches_50_digits(n, eps, p, detected, scenario):
+    got = run_chain(n, eps, p, detected, scenario).unnormalized
+    taps = [detected] if scenario == "ideal" else range(2, n + 1)
+    with mpmath.workdps(50):
+        want = _mp_two_mode_chain(n, eps, p, taps)
+        assert got.size == len(want)
+        for g, w in zip(got, want):
+            assert abs(mpmath.mpf(float(g)) - w) <= 1e-14 * w
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -179,27 +275,37 @@ def test_asymptotics_match_weak_tap_chain():
         assert np.isclose(g2, g2_limit, rtol=0.02)
 
 
-# run_chain's scenario name -> chain_scenario_reference's
+# run_chain's lossy scenario names -> chain_scenario_reference's
 REFERENCE_SCENARIOS = {
-    "ideal": "ideal",
-    "bucket": "bucket",
     "bucket+efficiency": "efficiency",
     "+darkcounts": "dark",
     "+two-photon-inputs": "two-photon",
 }
 
 
+def _reference(eps, scenario, n, two_photon_prob=0.001):
+    """(pattern probability, c1) of the p = 0.2 chain on two tap photons:
+    the exact-vacuum scenarios from the two-mode oracle, the others from
+    the N-mode one."""
+    if scenario in ("ideal", "bucket"):
+        res = chain_two_mode(n, eps, 0.2, 2, scenario)
+        return res.pattern_probability, float(res.normalized[1])
+    return chain_scenario_reference(eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n)
+
+
 @pytest.mark.parametrize("two_photon_prob", [0.001, 0.004])
 @pytest.mark.parametrize("n", [4, 6])
-@pytest.mark.parametrize("scenario", list(REFERENCE_SCENARIOS))
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_scenarios_match_the_reference(scenario, n, two_photon_prob):
     for eps in (0.3, 0.05, 1e-3):
         res = run_chain(n, eps, 0.2, 2, scenario, two_photon_prob)
         c1 = 0.0 if res.zero_probability else float(res.normalized[1])
-        want = chain_scenario_reference(
-            eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n
-        )
+        want = _reference(eps, scenario, n, two_photon_prob)
         assert (res.pattern_probability, c1) == want, eps
+        if scenario in ("ideal", "bucket"):
+            want = chain_two_mode(n, eps, 0.2, 2, scenario)
+            assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+            assert res.pattern == want.pattern, eps
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
@@ -214,8 +320,40 @@ def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
         alone = run_chain(n, eps, 0.2, 2, scenario)
         assert res.unnormalized.tobytes() == alone.unnormalized.tobytes(), eps
         c1 = 0.0 if res.zero_probability else float(res.normalized[1])
-        want = chain_scenario_reference(eps, REFERENCE_SCENARIOS[scenario], n=n)
-        assert (res.pattern_probability, c1) == want, eps
+        assert (res.pattern_probability, c1) == _reference(eps, scenario, n), eps
+
+
+@pytest.mark.parametrize("scenario", ["ideal", "bucket"])
+def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch, scenario):
+    """A grid longer than one read's stack is read stack by stack, each
+    point still with the weights it reads alone."""
+    grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
+    alone = [run_chain(7, eps, 0.3, 2, scenario) for eps in grid]
+    reads = []
+    original = conditioner.Readout.read
+
+    def read(self, matrices):
+        reads.append(len(matrices))
+        return original(self, matrices)
+
+    monkeypatch.setattr(conditioner.Readout, "stack", lambda self: 2)
+    monkeypatch.setattr(conditioner.Readout, "read", read)
+    results = run_chain(7, grid, 0.3, 2, scenario)
+    assert reads == [2, 2, 1]
+    for eps, res, want in zip(grid, results, alone):
+        assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+
+
+def test_exact_vacuum_chain_reaches_48_modes():
+    """The two-mode reduction heralds a 48-mode chain, whose N-mode table
+    is far beyond the engine's size limit; a weight underflowing to 0
+    keeps n1 = 0..N-D."""
+    res = run_chain(48, [1e-2, 0.3], 0.1, 24)
+    assert [r.unnormalized.size for r in res] == [25, 25]
+    assert all(0.0 < r.pattern_probability < 1e-40 for r in res)
+    faint = run_chain(11, 0.3, 1e-40, 6)
+    assert faint.unnormalized.size == 6 and faint.unnormalized[-1] == 0.0
+    assert faint.pattern == DetectionPattern((6,) + (0,) * 9)
 
 
 def test_run_chain_grid_raises_for_the_first_bad_epsilon():
