@@ -9,14 +9,18 @@ tap rows define it; the other N-2 outputs only read vacuum and have a
 closed form that does not depend on epsilon.
 
 Those N-2 rows are orthogonal to source 1 and to the uniform mode S of
-sources 2..N.  A photon of source i >= 2 is S/sqrt(N-1) plus a part on
-the vacuum rows, so k photons of sources 2..N all miss an exactly
-counting vacuum detector with probability k!/(N-1)^k, and then sit in S
-as the Fock state |k>.  Under exact vacuum counts the chain is therefore
-a two-mode problem: source 1 at p and S with weights
-W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k through the 2 x 2 matrix
-[[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads it that
-way at any N.
+sources 2..N, so their reading acts on sources 2..N alone.  The sources
+are diagonal in photon number and so is every vacuum response, so the
+state the reading leaves on S is diagonal again: a phase rotation of S
+alone leaves it unchanged.  The chain is therefore a two-mode problem,
+source 1 and S with weights sigma_k through the 2 x 2 matrix
+[[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads every
+scenario that way.  Under exact vacuum counts a photon of source i >= 2
+is S/sqrt(N-1) plus a part on the vacuum rows, so k two-level photons
+all miss them with probability k!/(N-1)^k and
+sigma_k = W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k, at any N.  Lossy
+vacuum detectors and multiphoton sources take sigma_k from one read of
+the N-1 sources through S and the vacuum rows, the same at every epsilon.
 
 The pure-state scheme takes three identical superposition sources
 through two beam splitters and distills an exact one-photon state by
@@ -38,7 +42,7 @@ from .conditioner import (
     condition_mixed,
     condition_pure,
 )
-from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite, observe
+from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite
 from .engine import MAX_TOTAL
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta, DimensionTooLarge
 from .fock import InputSpec, photon_count
@@ -90,19 +94,6 @@ def _chain_matrix(n_modes: int, epsilon: float) -> np.ndarray:
     return m
 
 
-def _chains(n_modes: int, epsilons) -> list[ChainScheme]:
-    """A ChainScheme per epsilon, checked in order; its Interferometer
-    makes the one unitarity check of each closed-form chain."""
-    n_modes = _check_chain_args(n_modes, *epsilons)
-    # one (G, N, N) block: the lossy sweeps keep the heap layout they were
-    # measured with, which alone moves their peak RSS by about 0.1 MB
-    stack = np.array([_chain_matrix(n_modes, e) for e in epsilons])
-    return [
-        ChainScheme(n_modes, e, Interferometer(m, f"chain(n={n_modes}, epsilon={e!r})"))
-        for e, m in zip(epsilons, stack)
-    ]
-
-
 def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
     """Chain scheme in closed form.
 
@@ -114,7 +105,10 @@ def build_chain(n_modes: int, epsilon: float) -> ChainScheme:
     (N-1-k, -1, ..., -1) / sqrt((N-1-k)(N-k)) on sources k+1..N, the
     completion Gram-Schmidt reaches from the canonical vectors.
     """
-    return _chains(n_modes, [epsilon])[0]
+    n_modes = _check_chain_args(n_modes, epsilon)
+    matrix = _chain_matrix(n_modes, epsilon)
+    interf = Interferometer(matrix, f"chain(n={n_modes}, epsilon={epsilon!r})")
+    return ChainScheme(n_modes, epsilon, interf)
 
 
 def chain_element_angles(n_modes: int, epsilon: float) -> list[tuple[int, int, float, float]]:
@@ -180,8 +174,9 @@ def _inefficient_vacuum_bucket_tap(cap: int):
 
 # run_chain scenario -> (vacuum detector, tap detector) for counts 0..cap,
 # or None for exact counting.  The detector scenarios read the ">=2" bucket.
-# "ideal" and "bucket" count vacuum exactly, so run_chain reads them from
-# the chain's two-mode reduction, which needs only the tap.
+# Every vacuum response here is diagonal in photon number, VACUUM_MISS with
+# its cut-off too, so run_chain reads each scenario from the chain's
+# two-mode reduction (module docstring).
 CHAIN_SCENARIOS = {
     "ideal": None,
     "bucket": lambda cap: (DetectorModel.exact(cap), DetectorModel.bucket(cap)),
@@ -191,36 +186,44 @@ CHAIN_SCENARIOS = {
 }
 
 
-def _reduced_source(n_modes: int, p: float) -> tuple[InputSpec, float]:
-    """The chain's sources as the two-mode spec that exact vacuum readings
-    leave (module docstring): source 1 at p and S with the weights W_k
-    normalised, and their sum Z, the probability of those readings."""
-    one = InputSpec.two_level([p]).distributions[0]
+def _reduced_source(n_modes: int, one: dict, vacuum) -> tuple[InputSpec, float]:
+    """The chain's sources as the two-mode spec its vacuum rows leave when
+    each reads 0, with probability vacuum[t] for t photons (module
+    docstring): source 1 emitting `one` and S with the weights sigma_k
+    normalised, and their sum z, the probability of those readings."""
     if n_modes > MAX_TOTAL:
         raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
     m = n_modes - 1
-    # C(N-1, k) k!/(N-1)^k = (N-1)!/((N-1-k)! (N-1)^k), rounded once
-    weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
-    z = math.fsum(weights)
-    return InputSpec((one, {k: w / z for k, w in enumerate(weights)})), z
+    if max(one) <= 1 and not np.any(vacuum[1:]):
+        p = one.get(1, 0.0)
+        # C(N-1, k) k!/(N-1)^k = (N-1)!/((N-1-k)! (N-1)^k), rounded once
+        weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+        z = math.fsum(weights)
+        return InputSpec((one, {k: w / z for k, w in enumerate(weights)})), z
+    # at epsilon = 0 the kept row is S and the tap row is source 1 alone
+    rows = Interferometer(np.delete(_chain_matrix(n_modes, 0.0)[:, 1:], 1, axis=0))
+    read = Readout(InputSpec((one,) * m), [[vacuum] * (m - 1)]).condition(rows, None)
+    return InputSpec((one, dict(enumerate(read.normalized)))), read.pattern_probability
 
 
 def _herald_reduced(
-    n_modes: int, grid: list, p: float, detected: int, scenario: str
+    n_modes: int, grid: list, one: dict, detected: int, scenario: str
 ) -> list[ConditionalResult]:
-    """run_chain for the scenarios whose vacuum detectors count exactly,
-    from the two-mode reduction: one unitarity check and one Readout of
-    the (G, 2, 2) stack [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), the
+    """run_chain from the two-mode reduction: S's weights for the
+    scenario's vacuum detectors, then one unitarity check and one Readout
+    of the (G, 2, 2) stack [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), the
     chain's kept and tap rows on source 1 and S, read in as few engine
     calls as its size limit allows (one for any grid of sweep size)."""
-    spec, z = _reduced_source(n_modes, p)
-    top = spec.max_total()
+    top = n_modes * max(one)  # the N-mode source maximum
     if scenario == "ideal":
         label, fewest = _tap_pattern(n_modes, detected), detected
-        tap = np.arange(top + 1) == detected
+        vacuum, tap = np.arange(top + 1) == 0, np.arange(top + 1) == detected
     else:
-        label, fewest = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2)), 2
-        tap = CHAIN_SCENARIOS[scenario](top)[1].column(BUCKET)
+        label = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
+        vacuum, tap = CHAIN_SCENARIOS[scenario](top)
+        vacuum, tap = vacuum.column(0), tap.column(BUCKET)
+        fewest = int(np.argmax(tap > 0.0))
+    spec, z = _reduced_source(n_modes, one, vacuum)
     eps = np.array(grid, dtype=float)
     a = np.sqrt(1.0 - eps * eps)
     matrices = np.moveaxis(np.array([[-eps, a], [a, eps]], dtype=complex), -1, 0)
@@ -229,32 +232,18 @@ def _herald_reduced(
     # n1 runs to the N-mode source maximum less the tap's fewest photons,
     # also where a weight underflows to 0 and shortens the reduced source
     length = readout.lengths[0]
-    kept = np.zeros((len(grid), max((n_modes if p > 0 else 0) - fewest + 1, length)))
+    kept = np.zeros((len(grid), max(top - fewest + 1, length)))
     size = readout.stack()
     for lo in range(0, len(grid), size):
         q, _ = readout.read(matrices[lo : lo + size])
         kept[lo : lo + len(q), :length] = q[:, 0, :length] * z
+    for e, row in zip(grid, kept):
+        if top and not row.any():  # a source that emits makes every row possible
+            raise DimensionTooLarge(
+                f"the {n_modes}-mode chain heralded on D = {detected} at epsilon = {e!r}: "
+                "every weight underflows to 0"
+            )
     return [ConditionalResult.from_unnormalized(row, pattern=label) for row in kept]
-
-
-def _herald_lossy(
-    n_modes: int, grid: list, p: float, scenario: str, two_photon_prob: float
-) -> list[ConditionalResult]:
-    """run_chain for the lossy-vacuum scenarios: each chain's N-mode table,
-    one observe call per point."""
-    schemes = _chains(n_modes, grid)
-    n_modes = schemes[0].n_modes
-    if scenario == "+two-photon-inputs":
-        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
-            raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
-        dist = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
-        spec = InputSpec(tuple(dist.copy() for _ in range(n_modes)))
-    else:
-        spec = InputSpec.two_level([p] * n_modes)
-    vacuum, tap = CHAIN_SCENARIOS[scenario](spec.max_total())
-    observed = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
-    models = [tap] + [vacuum] * (n_modes - 2)
-    return [observe(spec, s.interferometer, observed, models) for s in schemes]
 
 
 def run_chain(
@@ -270,23 +259,27 @@ def run_chain(
     epsilon, a float the one result of its one-element grid, and every
     grid point reads the weights it reads alone.
 
-    Exact vacuum counts ("ideal", "bucket") see only source 1 and the
-    uniform mode S of sources 2..N, since the chain's other N-2 rows are
-    orthogonal to both: the grid is one read of the chain's exact
-    two-mode reduction (_reduced_source), whatever N.  The lossy vacuum
-    detectors of the other scenarios also report photons that reached
-    their rows as 0, so those read each chain's N-mode table, one
-    observe call per point.
+    The chain's other N-2 rows are orthogonal to source 1 and to the
+    uniform mode S of sources 2..N, and every vacuum response is diagonal
+    in photon number, so each scenario is a read of the chain's two-mode
+    reduction (_reduced_source): exact vacuum counts on two-level sources
+    in closed form at any N, the lossy vacuum detectors and two-photon
+    sources from one (N-1)-mode read per grid.  A herald whose every
+    weight underflows to 0 raises DimensionTooLarge.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
         raise BadParameters(f"scenario {scenario!r} is not one of {', '.join(CHAIN_SCENARIOS)}")
     if CHAIN_SCENARIOS[scenario] is not None and detected != 2:
         raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
-    if scenario in ("ideal", "bucket"):
-        results = _herald_reduced(_check_chain_args(n_modes, *grid), grid, p, detected, scenario)
+    n_modes = _check_chain_args(n_modes, *grid)
+    if scenario == "+two-photon-inputs":
+        if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
+            raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
+        one = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
     else:
-        results = _herald_lossy(n_modes, grid, p, scenario, two_photon_prob)
+        one = dict(InputSpec.two_level([p]).distributions[0])
+    results = _herald_reduced(n_modes, grid, one, detected, scenario)
     return results[0] if np.ndim(epsilon) == 0 else results
 
 

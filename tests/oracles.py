@@ -290,29 +290,47 @@ def chain_scenario_reference(
     return res.pattern_probability, c1
 
 
-def chain_two_mode(n: int, eps: float, p: float, detected: int, scenario: str = "ideal"):
-    """The n-mode chain heralded with exact vacuum counts ("ideal" on
-    `detected` tap photons, or "bucket" on a ">=2" tap), read one matrix at
-    a time from its two-mode reduction: source 1 at p and the uniform mode
-    of sources 2..n, which keeps k of their photons past the vacuum
-    detectors with weight C(n-1, k) p^k (1-p)^(n-1-k) k!/(n-1)^k, through
-    [[-eps, a], [a, eps]] with a = sqrt(1 - eps^2); condition_mixed or
-    observe reads the normalized source and the weights are scaled back.
-    The weights repeat schemes.run_chain's expression, so the two agree
-    bit for bit; the reduction itself is checked against the n-mode chain
-    and against mpmath."""
+def chain_two_mode(
+    n: int, eps: float, p: float, detected: int, scenario: str = "ideal", two_photon_prob=0.001
+):
+    """The n-mode chain heralded under a schemes.run_chain scenario, read
+    one matrix at a time from its two-mode reduction: source 1 and the
+    uniform mode S of sources 2..n through [[-eps, a], [a, eps]] with
+    a = sqrt(1 - eps^2), where condition_mixed ("ideal", `detected` tap
+    photons) or observe (a ">=2" tap) reads the normalized source and the
+    weights are scaled back.  Under exact vacuum counts S keeps k photons
+    of two-level sources with weight
+    C(n-1, k) p^k (1-p)^(n-1-k) k!/(n-1)^k; under the lossy vacuum
+    detectors, written out here as in chain_scenario_reference, observe
+    reads S's weights from the n-1 sources through S's row and
+    build_chain's vacuum rows, every one read 0.  The weights repeat
+    schemes.run_chain's expressions, so the two agree bit for bit; the
+    reduction itself is checked against the n-mode chain and against
+    mpmath."""
     m = n - 1
-    weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
-    z = math.fsum(weights)
-    spec = InputSpec(({0: 1.0 - p, 1: p}, {k: w / z for k, w in enumerate(weights)}))
+    one = {0: 1.0 - p, 1: p}
+    if scenario in ("ideal", "bucket"):
+        weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
+        z = math.fsum(weights)
+        spec = InputSpec((one, {k: w / z for k, w in enumerate(weights)}))
+    else:
+        if scenario == "+two-photon-inputs":
+            one = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
+        cap = n * max(one)
+        vac = DetectorModel.vacuum_inefficient(cap)
+        vacuum_rows = build_chain(n, eps).interferometer.matrix[2:, 1:]
+        rows = Interferometer(np.vstack([np.full(m, 1.0 / math.sqrt(m)), vacuum_rows]))
+        s = observe(InputSpec((one,) * m), rows, ObservedPattern((0,) * (m - 1)), [vac] * (m - 1))
+        spec, z = InputSpec((one, dict(enumerate(s.normalized)))), s.pattern_probability
     a = math.sqrt(1.0 - eps * eps)
     interf = Interferometer(np.array([[-eps, a], [a, eps]]))
     if scenario == "ideal":
         res = condition_mixed(spec, interf, DetectionPattern((detected,)))
         label = DetectionPattern((detected,) + (0,) * (n - 2))
     else:
-        tap = DetectorModel.bucket(spec.max_total())
-        res = observe(spec, interf, ObservedPattern((BUCKET,)), [tap])
+        cap = spec.max_total()
+        dark = (1e-3, 1e-6) if scenario == "+darkcounts" else (0.0, 0.0)
+        res = observe(spec, interf, ObservedPattern((BUCKET,)), [DetectorModel.bucket(cap, *dark)])
         label = ObservedPattern((BUCKET,) + (0,) * (n - 2))
     return ConditionalResult.from_unnormalized(res.unnormalized * z, pattern=label)
 

@@ -375,20 +375,30 @@ def test_exp_sweep_bucket_requires_two_detected(tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("modes, code", [(6, 0), (7, 3)])
-def test_exp_sweep_two_photon_inputs_runs_up_to_six_modes(tmp_path, capsys, modes, code):
-    """Two-photon sources double the photon total: at 7 modes the joint
-    table would exceed the engine's MAX_CELLS, a dimension error."""
-    cfg = exp_config("+two-photon-inputs", [0.1], modes=modes)
+@pytest.mark.parametrize(
+    "scenario, modes, code",
+    [("+two-photon-inputs", 7, 0), ("+two-photon-inputs", 8, 3), ("+darkcounts", 9, 0)],
+)
+def test_exp_sweep_lossy_scenarios_run_to_their_mode_limits(
+    tmp_path, capsys, scenario, modes, code
+):
+    """The lossy scenarios read S's weights from the N-1 sources alone.
+    Two-photon sources double their photon total: at 8 modes the engine
+    refuses the walk's plan before it allocates it, a dimension error."""
+    cfg = exp_config(scenario, [0.1], modes=modes)
     assert run(tmp_path, "exp-sweep", cfg)[0] == code
-    assert ("dimension error" in capsys.readouterr().err) == (code == 3)
+    err = capsys.readouterr().err
+    if code == 0:
+        assert err == ""
+    else:  # raised by engine._plan, which counts the walk before allocating it
+        assert err.startswith("dimension error:") and "walked" in err
 
 
-# (scenario, modes, detected) -> CSV rows at p = 0.2.  The lossy scenarios
-# were recorded when "ideal" still ran through condition_mixed instead of
-# observe; "ideal" and "bucket" when they moved to the chain's two-mode
-# reduction, which shifted them by roundoff (at most 5.3e-16 relative from
-# 50-digit values, before and after).
+# (scenario, modes, detected) -> CSV rows at p = 0.2, recorded when each
+# scenario moved to the chain's two-mode reduction, which shifted them by
+# roundoff: "ideal" and "bucket" by at most 5.3e-16 relative from 50-digit
+# values, before and after, the lossy ones by at most 2.1e-15 relative from
+# their N-mode values (at 4 modes within 7.2e-16 of 50 digits).
 EXP_SWEEP_PINS = {
     ("ideal", 4, 2): (
         "0.29999999999999999,0.0056297249280000015,0.20973017600337013",
@@ -411,34 +421,34 @@ EXP_SWEEP_PINS = {
         "0.001,4.9242057687071867e-08,0.26617837710251824",
     ),
     ("bucket+efficiency", 4, 2): (
-        "0.29999999999999999,0.0058168880640000024,0.2064326551909389",
-        "0.050000000000000003,0.00017768177761111123,0.23859359201336872",
-        "0.001,7.1263923402699429e-08,0.23948475074714282",
+        "0.29999999999999999,0.0058168880640000033,0.20643265519093895",
+        "0.050000000000000003,0.00017768177761111123,0.23859359201336888",
+        "0.001,7.1263923402699402e-08,0.23948475074714282",
     ),
     ("bucket+efficiency", 6, 2): (
-        "0.29999999999999999,0.0042147966945049855,0.23311008808473749",
-        "0.050000000000000003,0.00012887732640347758,0.26056133513658225",
-        "0.001,5.1692867219431382e-08,0.26129910525404132",
+        "0.29999999999999999,0.0042147966945049855,0.23311008808473754",
+        "0.050000000000000003,0.00012887732640347766,0.26056133513658214",
+        "0.001,5.1692867219431382e-08,0.26129910525404138",
     ),
     ("+darkcounts", 4, 2): (
-        "0.29999999999999999,0.0059475630704250923,0.20532771376844222",
-        "0.050000000000000003,0.0003162608148079556,0.21613591663421133",
-        "0.001,0.00013890588770532555,0.18827945354855818",
+        "0.29999999999999999,0.0059475630704250914,0.20532771376844233",
+        "0.050000000000000003,0.00031626081480795571,0.21613591663421136",
+        "0.001,0.00013890588770532555,0.18827945354855813",
     ),
     ("+darkcounts", 6, 2): (
-        "0.29999999999999999,0.004303521600165134,0.23155221544735907",
-        "0.050000000000000003,0.00022277674320438694,0.2286517964249532",
-        "0.001,9.4120006562103034e-05,0.18569328804457871",
+        "0.29999999999999999,0.0043035216001651349,0.23155221544735913",
+        "0.050000000000000003,0.00022277674320438722,0.22865179642495306",
+        "0.001,9.4120006562103034e-05,0.18569328804457891",
     ),
     ("+two-photon-inputs", 4, 2): (
-        "0.29999999999999999,0.0063857536041322478,0.20129593757165876",
-        "0.050000000000000003,0.00086345962526278774,0.19779866092953935",
-        "0.001,0.00068960236138130107,0.18842927430235371",
+        "0.29999999999999999,0.0063857536041322478,0.2012959375716589",
+        "0.050000000000000003,0.00086345962526278796,0.1977986609295394",
+        "0.001,0.00068960236138130139,0.18842927430235357",
     ),
     ("+two-photon-inputs", 6, 2): (
-        "0.29999999999999999,0.0045843340188537586,0.22560120967240641",
-        "0.050000000000000003,0.00059189014923850098,0.20110458600328285",
-        "0.001,0.00046607617501588547,0.18586765875265618",
+        "0.29999999999999999,0.0045843340188537682,0.22560120967240624",
+        "0.050000000000000003,0.00059189014923850141,0.20110458600328285",
+        "0.001,0.00046607617501588541,0.18586765875265643",
     ),
     ("ideal", 5, 3): (
         "0.29999999999999999,0.00011660562765000005,0.23511928671480384",
@@ -461,9 +471,9 @@ def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
 def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monkeypatch):
     """chain-sweep ("ideal") checks the grid's two-mode reductions for
     unitarity in one (G, 2, 2) call and reads them in one (G, 2, 2) engine
-    table, building no N x N chain; exp-sweep under "+darkcounts" checks
-    each closed-form chain once and reads every point with its own
-    one-matrix table, which keeps its peak memory at one point's."""
+    table, building no N x N chain; exp-sweep under "+darkcounts" first
+    checks and reads the N-1 sources through S and the vacuum rows once,
+    in one (N-1)-mode table, and then reads the grid the same way."""
     from photonpost import conditioner, interferometer, schemes
 
     shapes = {"check_unitary": [], "output_table": []}
@@ -486,7 +496,12 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
     chain = chain_config(modes=n, detected=3, epsilon_grid={"values": grid})
     for command, cfg, checks, reads in (
         ("chain-sweep", chain, [(g, 2, 2)], [(g, 2, 2)]),
-        ("exp-sweep", exp_config("+darkcounts", grid, modes=n), [(n, n)] * g, [(1, n, n)] * g),
+        (
+            "exp-sweep",
+            exp_config("+darkcounts", grid, modes=n),
+            [(n - 1, n - 1), (g, 2, 2)],
+            [(1, n - 1, n - 1), (g, 2, 2)],
+        ),
     ):
         for calls in shapes.values():
             calls.clear()
@@ -521,6 +536,19 @@ def test_chain_sweep_heralds_a_48_mode_chain(tmp_path):
     assert [row[0] for row in rows] == grid
     # far past the 24-photon limit of the gain, and at a vanishing herald rate
     assert all(1.0 < row[4] < row[5] and 0.0 < row[1] < 1e-40 for row in rows)
+
+
+def test_chain_sweep_reports_an_underflowing_herald_as_a_dimension_error(tmp_path, capsys):
+    """At 100 modes and D = 80 every heralded weight at epsilon = 1e-3 is
+    about 1e-474, below the float range: a dimension error that names the
+    chain, not an impossible pattern."""
+    cfg = chain_config(modes=100, p=0.1, detected=80, epsilon_grid={"values": [0.3, 1e-3]})
+    code, out = run(tmp_path, "chain-sweep", cfg)
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    chain = "the 100-mode chain heralded on D = 80 at epsilon = 0.001"
+    assert err.startswith(f"dimension error: {chain}") and "underflows" in err
 
 
 def test_oversize_plan_is_a_prompt_dimension_error_under_a_memory_cap(tmp_path):

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 
@@ -13,6 +14,7 @@ from photonpost import (
     DegenerateTheta,
     DetectionPattern,
     DetectorModel,
+    DimensionTooLarge,
     InputSpec,
     Interferometer,
     ObservedPattern,
@@ -275,8 +277,10 @@ def test_asymptotics_match_weak_tap_chain():
         assert np.isclose(g2, g2_limit, rtol=0.02)
 
 
-# run_chain's lossy scenario names -> chain_scenario_reference's
+# run_chain's scenario names -> chain_scenario_reference's
 REFERENCE_SCENARIOS = {
+    "ideal": "ideal",
+    "bucket": "bucket",
     "bucket+efficiency": "efficiency",
     "+darkcounts": "dark",
     "+two-photon-inputs": "two-photon",
@@ -284,35 +288,34 @@ REFERENCE_SCENARIOS = {
 
 
 def _reference(eps, scenario, n, two_photon_prob=0.001):
-    """(pattern probability, c1) of the p = 0.2 chain on two tap photons:
-    the exact-vacuum scenarios from the two-mode oracle, the others from
-    the N-mode one."""
-    if scenario in ("ideal", "bucket"):
-        res = chain_two_mode(n, eps, 0.2, 2, scenario)
-        return res.pattern_probability, float(res.normalized[1])
-    return chain_scenario_reference(eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n)
+    """(pattern probability, c1) of the p = 0.2 chain on two tap photons,
+    from the two-mode oracle."""
+    res = chain_two_mode(n, eps, 0.2, 2, scenario, two_photon_prob)
+    return res.pattern_probability, float(res.normalized[1])
 
 
 @pytest.mark.parametrize("two_photon_prob", [0.001, 0.004])
 @pytest.mark.parametrize("n", [4, 6])
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_scenarios_match_the_reference(scenario, n, two_photon_prob):
+    """Every scenario equals the two-mode oracle bit for bit, and the
+    N-mode oracle, whose detector models are written out apart from
+    run_chain, to 1e-13 relative."""
     for eps in (0.3, 0.05, 1e-3):
         res = run_chain(n, eps, 0.2, 2, scenario, two_photon_prob)
+        want = chain_two_mode(n, eps, 0.2, 2, scenario, two_photon_prob)
+        assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+        assert res.pattern == want.pattern, eps
         c1 = 0.0 if res.zero_probability else float(res.normalized[1])
-        want = _reference(eps, scenario, n, two_photon_prob)
-        assert (res.pattern_probability, c1) == want, eps
-        if scenario in ("ideal", "bucket"):
-            want = chain_two_mode(n, eps, 0.2, 2, scenario)
-            assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
-            assert res.pattern == want.pattern, eps
+        full = chain_scenario_reference(eps, REFERENCE_SCENARIOS[scenario], two_photon_prob, n=n)
+        assert np.allclose((res.pattern_probability, c1), full, rtol=1e-13, atol=0.0), eps
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
-    """A grid builds the chain of each epsilon as that epsilon alone does,
-    so every point reads the same weights."""
+    """A grid reads each point as that epsilon alone does, so every point
+    reads the same weights."""
     grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
     results = run_chain(n, grid, 0.2, 2, scenario)
     assert len(results) == len(grid)
@@ -323,10 +326,11 @@ def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
         assert (res.pattern_probability, c1) == _reference(eps, scenario, n), eps
 
 
-@pytest.mark.parametrize("scenario", ["ideal", "bucket"])
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch, scenario):
     """A grid longer than one read's stack is read stack by stack, each
-    point still with the weights it reads alone."""
+    point still with the weights it reads alone; the lossy scenarios read
+    S's weights first, once for the grid."""
     grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
     alone = [run_chain(7, eps, 0.3, 2, scenario) for eps in grid]
     reads = []
@@ -339,9 +343,114 @@ def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch
     monkeypatch.setattr(conditioner.Readout, "stack", lambda self: 2)
     monkeypatch.setattr(conditioner.Readout, "read", read)
     results = run_chain(7, grid, 0.3, 2, scenario)
-    assert reads == [2, 2, 1]
+    assert reads == ([] if scenario in ("ideal", "bucket") else [1]) + [2, 2, 1]
     for eps, res, want in zip(grid, results, alone):
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+
+
+LOSSY_SCENARIOS = ["bucket+efficiency", "+darkcounts", "+two-photon-inputs"]
+
+
+def _lossy_spec(n, p, scenario, two_photon_prob=0.001):
+    """The n sources of a lossy scenario."""
+    if scenario == "+two-photon-inputs":
+        return InputSpec(({0: 1 - p - two_photon_prob, 1: p, 2: two_photon_prob},) * n)
+    return InputSpec.two_level([p] * n)
+
+
+@pytest.mark.parametrize(
+    "scenario, n",
+    [(s, n) for s in LOSSY_SCENARIOS for n in range(3, 7 if s == "+two-photon-inputs" else 8)],
+)
+def test_lossy_reduction_matches_the_n_mode_chain(scenario, n):
+    """Every lossy weight of the two-mode reduction matches observe on the
+    N-mode chain with the scenario's detector models within 1e-13
+    relative, with the same length and label (two-photon sources to
+    N = 6, whose N-mode table exceeds the engine's limit at N = 7)."""
+    grid = [0.9, 0.3, 0.1, 1e-2, 1e-3, 1e-6]
+    for p in (0.1, 0.5, 0.9):
+        spec = _lossy_spec(n, p, scenario)
+        vacuum, tap = CHAIN_SCENARIOS[scenario](spec.max_total())
+        observed = ObservedPattern((BUCKET,) + (0,) * (n - 2))
+        for eps, got in zip(grid, run_chain(n, grid, p, 2, scenario)):
+            interf = build_chain(n, eps).interferometer
+            want = observe(spec, interf, observed, [tap] + [vacuum] * (n - 2))
+            assert got.unnormalized.shape == want.unnormalized.shape, (p, eps)
+            assert got.pattern == want.pattern, (p, eps)
+            err = np.abs(got.unnormalized - want.unnormalized)
+            assert np.all(err <= 1e-13 * want.unnormalized), (p, eps, err / want.unnormalized)
+
+
+def _mp_chain_observed(n, eps, one, vacuum, tap):
+    """c~[n1] of the n-mode chain under lossy detectors, in mpmath at its
+    working precision: every emission configuration of sources `one`
+    (count -> probability) expanded through build_chain's closed form,
+    each output weighted by tap[t] at the tap and vacuum[t] at each vacuum
+    row (0 past their ends)."""
+    mpf, fac = mpmath.mpf, mpmath.factorial
+    eps = mpf(eps)
+    a, root = mpmath.sqrt(1 - eps**2), mpmath.sqrt(n - 1)
+    u = [[-eps] + [a / root] * (n - 1), [a] + [eps / root] * (n - 1)]
+    for k in range(1, n - 1):  # row k+1 compares source k+1 with the later ones
+        later = n - 1 - k
+        norm = mpmath.sqrt(later * (later + 1))
+        u.append([mpf(0)] * k + [later / norm] + [-1 / norm] * later)
+    vacuum, tap = [mpf(v) for v in vacuum], [mpf(t) for t in tap]
+
+    def weight(column, t):
+        return column[t] if t < len(column) else 0
+
+    out = [mpf(0)] * (n * max(one) + 1)
+    for counts in itertools.product(sorted(one), repeat=n):
+        prob = math.prod((mpf(one[c]) for c in counts), start=mpf(1))
+        poly = {(0,) * n: mpf(1)}
+        for i, c in enumerate(counts):
+            for _ in range(c):
+                grown = {}
+                for mono, coeff in poly.items():
+                    for k in range(n):
+                        key = mono[:k] + (mono[k] + 1,) + mono[k + 1 :]
+                        grown[key] = grown.get(key, 0) + coeff * u[k][i]
+                poly = grown
+        s_fac = math.prod(fac(c) for c in counts)
+        for mono, coeff in poly.items():
+            w = weight(tap, mono[1]) * math.prod(weight(vacuum, t) for t in mono[2:])
+            if w:
+                out[mono[0]] += prob * w * coeff**2 * math.prod(fac(t) for t in mono) / s_fac
+    return out
+
+
+@pytest.mark.parametrize(
+    "scenario, eps, p",
+    [
+        ("bucket+efficiency", 0.3, 0.2),
+        ("+darkcounts", 1e-3, 0.5),
+        ("+two-photon-inputs", 0.05, 0.2),
+    ],
+)
+def test_lossy_reduction_matches_50_digits(scenario, eps, p):
+    n = 4
+    got = run_chain(n, eps, p, 2, scenario).unnormalized
+    spec = _lossy_spec(n, p, scenario)
+    vacuum, tap = CHAIN_SCENARIOS[scenario](spec.max_total())
+    one = dict(spec.distributions[0])
+    with mpmath.workdps(50):
+        want = _mp_chain_observed(n, eps, one, vacuum.column(0), tap.column(BUCKET))
+        while len(want) > got.size:  # n1 above the source maximum less the tap's fewest
+            assert want.pop() == 0
+        assert got.size == len(want)
+        for g, w in zip(got, want):
+            assert abs(mpmath.mpf(float(g)) - w) <= 1e-14 * w
+
+
+def test_underflowing_herald_is_a_dimension_error():
+    """With p > 0 every pattern of the chain can occur, so a herald whose
+    weights all underflow to 0 is a float-range limit, not an impossible
+    pattern."""
+    with pytest.raises(DimensionTooLarge, match=r"100-mode chain .* D = 80 .* 0\.001.*underflow"):
+        run_chain(100, [0.3, 1e-3], 0.1, 80)
+    assert run_chain(100, 0.3, 0.1, 80).pattern_probability > 0.0
+    assert run_chain(11, 0.3, 0.0, 6).zero_probability
 
 
 def test_exact_vacuum_chain_reaches_48_modes():
