@@ -359,9 +359,11 @@ def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
     """One run_chain call for the grid, then a row per epsilon."""
     n_modes, p, detected, grid = _take_chain_fields(cfg)
     scenario = cfg.take("scenario", str)
-    two_photon_prob = cfg.take("two_photon_prob", float, required=False, default=0.001)
+    extra = []  # two_photon_prob: only "+two-photon-inputs" reads it
+    if scenario == "+two-photon-inputs":
+        extra = [cfg.take("two_photon_prob", float, required=False, default=0.001)]
     cfg.finish()
-    results = run_chain(n_modes, grid, p, detected, scenario, two_photon_prob)
+    results = run_chain(n_modes, grid, p, detected, scenario, *extra)
     rows = [_exp_sweep_point(e, r) for e, r in zip(grid, results)]
     header = "epsilon,pattern_probability,single_photon_probability"
     _write_text(out, "\n".join([header] + rows) + "\n")

@@ -166,7 +166,7 @@ class Readout:
 
     def stack(self) -> int:
         """Most matrices one read takes within the engine's cell limit."""
-        return max(1, max_stack(self.spec.distributions, self.caps, self.top))
+        return max_stack(self.spec.distributions, self.caps, self.top)
 
     def read(self, matrices) -> tuple[np.ndarray, np.ndarray]:
         """c~ per (matrix, reading, n1) and each reading's probability for a

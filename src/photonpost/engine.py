@@ -137,10 +137,17 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
     live holds the kept rows' ids (creation order) in (total, start, rows)
     blocks, and each op builds rows block by block; then the rows built
     (runs of source ids and total) get their cells and edges.  A plan whose
-    rows or cells exceed MAX_CELLS raises before its edges are allocated:
-    not even one matrix could walk it."""
+    configurations times its largest sector, walked rows or cells exceed
+    MAX_CELLS raises before its arrays are allocated: not even one matrix
+    could walk it."""
     b = basis(caps, total)
     top, sizes = len(b.offsets) - 2, np.diff(b.offsets)  # top: largest photon total
+    configs = math.prod(len(c) for c in counts)
+    if configs * int(sizes.max()) > MAX_CELLS:
+        walked = "rows" if configs > MAX_CELLS else "cells"
+        raise DimensionTooLarge(
+            f"walked {walked} exceed {MAX_CELLS}: {configs} configurations x {sizes.max()} states"
+        )
     reach = {c: [max((k for k in c if k <= top - t), default=0) for t in range(top + 1)]
              for c in set(counts)}  # reach[c][t]: the largest count total t may take
     live, blocks, built, runs, ops, layers = np.zeros(1, np.int64), [(0, 0, 1)], 1, [], [], []
@@ -191,7 +198,7 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
     for a in (order, *layers, *(a for op in ops for a in op[1:4])):
         a.setflags(write=False)
     width = int(cells_at[-1])
-    cells = max(math.prod(len(c) for c in counts) * int(sizes.max()), width)
+    cells = max(configs * int(sizes.max()), width)
     cuts = list(itertools.accumulate((n * int(sizes[t]) for t, _, n in blocks), initial=0))
     sectors = tuple((t, n, a, z) for (t, _, n), a, z in zip(blocks, cuts, cuts[1:]))
     return _Plan(b, cells, width, ops, order, sectors, layers)
@@ -214,7 +221,7 @@ def _rows(supports: tuple, kinds: tuple, caps: tuple[int, ...], total: int) -> t
 def max_stack(
     supports: Sequence[Sequence[tuple[int, float]]], caps: Sequence[int], max_total: int
 ) -> int:
-    """Most matrices one expand call takes within MAX_CELLS (0: not even one)."""
+    """Most matrices one expand call takes within MAX_CELLS."""
     counts = tuple(tuple(c for c, _ in s) for s in supports)
     return MAX_CELLS // _plan(counts, tuple(int(c) for c in caps), int(max_total)).cells
 

@@ -3,10 +3,10 @@
 Two families are built here.  The chain funnels N equally imperfect
 sources into one output through a weakly coupled tap and conditions on
 D photons at the tap detector; its ratio gain approaches D(N-D)/(N-1)
-as the coupling epsilon goes to zero.  run_chain heralds it with exact
-counts or under the detector models of CHAIN_SCENARIOS.  Its kept and
-tap rows define it; the other N-2 outputs only read vacuum and have a
-closed form that does not depend on epsilon.
+as the coupling epsilon goes to zero.  run_chain heralds it under the
+(vacuum, tap) detector pair of each CHAIN_SCENARIOS entry.  Its kept
+and tap rows define it; the other N-2 outputs only read vacuum and have
+a closed form that does not depend on epsilon.
 
 Those N-2 rows are orthogonal to source 1 and to the uniform mode S of
 sources 2..N, so their reading acts on sources 2..N alone.  The sources
@@ -172,13 +172,12 @@ def _inefficient_vacuum_bucket_tap(cap: int):
     return DetectorModel.vacuum_inefficient(cap), DetectorModel.bucket(cap)
 
 
-# run_chain scenario -> (vacuum detector, tap detector) for counts 0..cap,
-# or None for exact counting.  The detector scenarios read the ">=2" bucket.
-# Every vacuum response here is diagonal in photon number, VACUUM_MISS with
-# its cut-off too, so run_chain reads each scenario from the chain's
-# two-mode reduction (module docstring).
+# run_chain scenario -> (vacuum detector, tap detector) for counts 0..cap.
+# "ideal" counts exactly and reads `detected` tap photons; the others read
+# the ">=2" bucket.  Every vacuum response is diagonal in photon number
+# (module docstring).
 CHAIN_SCENARIOS = {
-    "ideal": None,
+    "ideal": lambda cap: (DetectorModel.exact(cap),) * 2,
     "bucket": lambda cap: (DetectorModel.exact(cap), DetectorModel.bucket(cap)),
     "bucket+efficiency": _inefficient_vacuum_bucket_tap,
     "+darkcounts": benchmark_detector_suite,
@@ -191,8 +190,6 @@ def _reduced_source(n_modes: int, one: dict, vacuum) -> tuple[InputSpec, float]:
     each reads 0, with probability vacuum[t] for t photons (module
     docstring): source 1 emitting `one` and S with the weights sigma_k
     normalised, and their sum z, the probability of those readings."""
-    if n_modes > MAX_TOTAL:
-        raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
     m = n_modes - 1
     if max(one) <= 1 and not np.any(vacuum[1:]):
         p = one.get(1, 0.0)
@@ -204,46 +201,6 @@ def _reduced_source(n_modes: int, one: dict, vacuum) -> tuple[InputSpec, float]:
     rows = Interferometer(np.delete(_chain_matrix(n_modes, 0.0)[:, 1:], 1, axis=0))
     read = Readout(InputSpec((one,) * m), [[vacuum] * (m - 1)]).condition(rows, None)
     return InputSpec((one, dict(enumerate(read.normalized)))), read.pattern_probability
-
-
-def _herald_reduced(
-    n_modes: int, grid: list, one: dict, detected: int, scenario: str
-) -> list[ConditionalResult]:
-    """run_chain from the two-mode reduction: S's weights for the
-    scenario's vacuum detectors, then one unitarity check and one Readout
-    of the (G, 2, 2) stack [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), the
-    chain's kept and tap rows on source 1 and S, read in as few engine
-    calls as its size limit allows (one for any grid of sweep size)."""
-    top = n_modes * max(one)  # the N-mode source maximum
-    if scenario == "ideal":
-        label, fewest = _tap_pattern(n_modes, detected), detected
-        vacuum, tap = np.arange(top + 1) == 0, np.arange(top + 1) == detected
-    else:
-        label = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2))
-        vacuum, tap = CHAIN_SCENARIOS[scenario](top)
-        vacuum, tap = vacuum.column(0), tap.column(BUCKET)
-        fewest = int(np.argmax(tap > 0.0))
-    spec, z = _reduced_source(n_modes, one, vacuum)
-    eps = np.array(grid, dtype=float)
-    a = np.sqrt(1.0 - eps * eps)
-    matrices = np.moveaxis(np.array([[-eps, a], [a, eps]], dtype=complex), -1, 0)
-    check_unitary(matrices)
-    readout = Readout(spec, [[tap]])
-    # n1 runs to the N-mode source maximum less the tap's fewest photons,
-    # also where a weight underflows to 0 and shortens the reduced source
-    length = readout.lengths[0]
-    kept = np.zeros((len(grid), max(top - fewest + 1, length)))
-    size = readout.stack()
-    for lo in range(0, len(grid), size):
-        q, _ = readout.read(matrices[lo : lo + size])
-        kept[lo : lo + len(q), :length] = q[:, 0, :length] * z
-    for e, row in zip(grid, kept):
-        if top and not row.any():  # a source that emits makes every row possible
-            raise DimensionTooLarge(
-                f"the {n_modes}-mode chain heralded on D = {detected} at epsilon = {e!r}: "
-                "every weight underflows to 0"
-            )
-    return [ConditionalResult.from_unnormalized(row, pattern=label) for row in kept]
 
 
 def run_chain(
@@ -259,18 +216,16 @@ def run_chain(
     epsilon, a float the one result of its one-element grid, and every
     grid point reads the weights it reads alone.
 
-    The chain's other N-2 rows are orthogonal to source 1 and to the
-    uniform mode S of sources 2..N, and every vacuum response is diagonal
-    in photon number, so each scenario is a read of the chain's two-mode
-    reduction (_reduced_source): exact vacuum counts on two-level sources
-    in closed form at any N, the lossy vacuum detectors and two-photon
-    sources from one (N-1)-mode read per grid.  A herald whose every
+    Each scenario is read from the chain's two-mode reduction (module
+    docstring): S's weights from _reduced_source, then one unitarity check
+    and one Readout of the (G, 2, 2) stack [[-eps, a], [a, eps]], read in
+    as few engine calls as its size limit allows.  A herald whose every
     weight underflows to 0 raises DimensionTooLarge.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
         raise BadParameters(f"scenario {scenario!r} is not one of {', '.join(CHAIN_SCENARIOS)}")
-    if CHAIN_SCENARIOS[scenario] is not None and detected != 2:
+    if scenario != "ideal" and detected != 2:
         raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
     n_modes = _check_chain_args(n_modes, *grid)
     if scenario == "+two-photon-inputs":
@@ -279,7 +234,36 @@ def run_chain(
         one = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
     else:
         one = dict(InputSpec.two_level([p]).distributions[0])
-    results = _herald_reduced(n_modes, grid, one, detected, scenario)
+    if scenario == "ideal":
+        label, reading = _tap_pattern(n_modes, detected), detected
+    else:
+        label, reading = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2)), BUCKET
+    if n_modes > MAX_TOTAL:
+        raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
+    top = n_modes * max(one)  # the N-mode source maximum
+    vacuum, tap = CHAIN_SCENARIOS[scenario](top)
+    vacuum, tap = vacuum.column(0), tap.column(reading)
+    spec, z = _reduced_source(n_modes, one, vacuum)
+    eps = np.array(grid, dtype=float)
+    a = np.sqrt(1.0 - eps * eps)
+    matrices = np.moveaxis(np.array([[-eps, a], [a, eps]], dtype=complex), -1, 0)
+    check_unitary(matrices)
+    readout = Readout(spec, [[tap]])
+    # n1 runs to the N-mode source maximum less the tap's fewest photons,
+    # also where a weight underflows to 0 and shortens the reduced source
+    length = readout.lengths[0]
+    kept = np.zeros((len(grid), max(top - int(np.argmax(tap > 0.0)) + 1, length)))
+    size = readout.stack()
+    for lo in range(0, len(grid), size):
+        q, _ = readout.read(matrices[lo : lo + size])
+        kept[lo : lo + len(q), :length] = q[:, 0, :length] * z
+    for e, row in zip(grid, kept):
+        if top and not row.any():  # a source that emits makes every row possible
+            raise DimensionTooLarge(
+                f"the {n_modes}-mode chain heralded on D = {detected} at epsilon = {e!r}: "
+                "every weight underflows to 0"
+            )
+    results = [ConditionalResult.from_unnormalized(row, pattern=label) for row in kept]
     return results[0] if np.ndim(epsilon) == 0 else results
 
 

@@ -857,12 +857,14 @@ def test_field_of_wrong_kind_is_named(tmp_path, capsys, command, config, field, 
 
 def test_unknown_field_is_named(tmp_path, capsys):
     """Also refine_iters under nogo-verify's patterns variant, which does
-    not refine."""
+    not refine, and two_photon_prob under an exp-sweep scenario whose
+    sources emit no pairs."""
     patterns = {"command": "nogo-verify", "version": 1, "variant": "patterns", "modes": 3,
                 "p_max": 0.3, "trials": 2, "refine_iters": 5}
     for command, cfg, field in (
         ("simulate", simulate_config(typo_field=1), "typo_field"),
         ("nogo-verify", patterns, "refine_iters"),
+        ("exp-sweep", exp_config("bucket", [0.1], two_photon_prob=-5.0), "two_photon_prob"),
     ):
         code, out = run(tmp_path, command, cfg)
         assert code == 2

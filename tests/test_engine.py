@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -25,6 +26,7 @@ from photonpost import (
     chain_asymptotics,
     condition_mixed,
     haar_random,
+    run_chain,
 )
 from photonpost import engine
 from photonpost.engine import expand, max_stack, output_table
@@ -222,6 +224,23 @@ def test_oversize_plans_and_totals_raise_before_allocating():
         max_stack(spec.distributions, (1,) * 16, 16)
     with pytest.raises(DimensionTooLarge, match="factorials"):
         output_table([((171, 1.0),), ((0, 1.0),)], np.eye(2), (171, 171), 171)
+
+
+def test_a_plan_no_matrix_can_walk_raises_before_it_is_built():
+    """The 10-mode +darkcounts chain reads 9 two-level sources with caps
+    (9, 3, ..., 3): 512 configurations times a 14266-state sector, more
+    cells than MAX_CELLS.  The plan counts them before it builds the walk,
+    so the refusal costs a fraction of the 140 MB the built plan takes."""
+    for cache in ENGINE_CACHES:
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        with pytest.raises(DimensionTooLarge, match="walked cells"):
+            run_chain(10, [0.1], 0.2, 2, "+darkcounts")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
 
 
 def test_stacked_table_equals_per_matrix_calls():

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -346,6 +347,65 @@ def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch
     assert reads == ([] if scenario in ("ideal", "bucket") else [1]) + [2, 2, 1]
     for eps, res, want in zip(grid, results, alone):
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+
+
+@pytest.mark.parametrize("n", range(3, 10))
+def test_ideal_reads_every_tap_count_as_the_two_mode_oracle(n):
+    """"ideal" is an exact detector pair on the one heralding path: every
+    D = 0..N equals the two-mode oracle bit for bit, with its label."""
+    grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
+    for d in range(n + 1):
+        for eps, res in zip(grid, run_chain(n, grid, 0.2, d)):
+            want = chain_two_mode(n, eps, 0.2, d)
+            assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), (d, eps)
+            assert res.pattern == want.pattern, (d, eps)
+
+
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
+def test_every_scenario_is_a_vacuum_and_tap_detector_pair(scenario):
+    for cap in (0, 1, 2, 5, 12):
+        models = CHAIN_SCENARIOS[scenario](cap)
+        assert len(models) == 2, cap
+        assert all(isinstance(m, DetectorModel) and m.cap >= cap for m in models), cap
+
+
+def test_run_chain_checks_its_arguments_in_order():
+    """The scenario, then D under a bucket scenario, then N and each epsilon
+    in grid order, then two_photon_prob, then the tap count, then the
+    photon limit; "ideal" never reads two_photon_prob."""
+    scenarios = ", ".join(CHAIN_SCENARIOS)
+    cases = [
+        ((4, [0.1], 0.2, 9, "nope", -1.0), BadParameters,
+         f"scenario 'nope' is not one of {scenarios}"),
+        ((2, [1.5], 0.2, 3, "bucket", -1.0), BadParameters,
+         "bucket scenarios model a '>=2' tap click and need detected = 2"),
+        ((2, [1.5], 0.2, 9, "ideal"), BadParameters, "the chain needs at least 3 modes, got 2"),
+        ((4, [0.1, 1.5, 0.0], 0.2, 9, "ideal"), BadParameters,
+         "epsilon must sit strictly inside (0, 1), got 1.5"),
+        ((4, [0.1, 0.0], 0.2, 2, "+two-photon-inputs", -1.0), BadParameters,
+         "epsilon must sit strictly inside (0, 1), got 0.0"),
+        ((4, [0.1], 0.2, 2, "+two-photon-inputs", 0.8), BadParameters,
+         "two_photon_prob must be positive with p + two_photon_prob < 1"),
+        ((4, [0.1], 0.2, 5, "ideal", -1.0), BadParameters, "detected count 5 outside 0..4"),
+        ((4, [0.1], 0.2, -1, "ideal"), BadParameters, "detected count -1 outside 0..4"),
+        ((200, [0.1], 0.2, 300, "ideal"), BadParameters, "detected count 300 outside 0..200"),
+        ((200, [0.1], 0.2, 100, "ideal"), DimensionTooLarge,
+         "a 200-mode chain holds more than 170 photons"),
+        ((171, [0.1], 0.2, 2, "+darkcounts"), DimensionTooLarge,
+         "a 171-mode chain holds more than 170 photons"),
+    ]
+    for args, kind, message in cases:
+        with pytest.raises(kind, match=re.escape(message) + "$"):
+            run_chain(*args)
+    ignored = run_chain(4, 0.1, 0.2, 2, "ideal", -1.0).unnormalized
+    assert ignored.tobytes() == run_chain(4, 0.1, 0.2, 2).unnormalized.tobytes()
+
+
+def test_readme_lists_every_chain_scenario_in_order():
+    """README's exp-sweep table names CHAIN_SCENARIOS, in order."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### exp-sweep\n", 1)[1].split("\n### ", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", section, flags=re.M) == list(CHAIN_SCENARIOS)
 
 
 LOSSY_SCENARIOS = ["bucket+efficiency", "+darkcounts", "+two-photon-inputs"]
