@@ -42,6 +42,9 @@ from .errors import BadDistributionShape, DimensionMismatch, NegativeWeight, Not
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
 
+SHORT_SUM = 7  # NumPy sums fewer than 8 terms left to right, trailing zeros changing nothing
+
+
 @dataclass(frozen=True)
 class DetectionPattern:
     """Exact photon counts on the detector modes 2..N (index 0 is mode 2)."""
@@ -102,7 +105,7 @@ class ConditionalResult:
 
 @functools.lru_cache(maxsize=128)
 def _layout(shape: tuple, weights: bytes) -> tuple:
-    """(caps, lengths, gather, factors, length groups) of a Readout of cut
+    """(caps, lengths, gather, factors, long groups) of a Readout of cut
     columns (a float array of this shape as bytes), read-only; nothing else
     shapes them, so sources with the same maximum share them."""
     readings, detectors, top = shape[0], shape[1], shape[2] - 1
@@ -131,8 +134,8 @@ def _layout(shape: tuple, weights: bytes) -> tuple:
     factors = np.ones((detectors, readings, 1, gather.shape[-1]))
     factors[:, owner, 0, k] = cut[owner[:, None], np.arange(detectors), t].T
     factors = tuple(f for f in factors if np.any(f != 1.0))
-    # sums run per length, so each adds the same terms as a 1-D sum
-    groups = tuple((m, np.flatnonzero(lengths == m)) for m in set(lengths.tolist()))
+    # readings longer than SHORT_SUM are summed per length, as a 1-D sum adds them
+    groups = tuple((m, np.flatnonzero(lengths == m)) for m in {*lengths.tolist()} if m > SHORT_SUM)
     for a in (gather, *factors, *(g for _, g in groups)):
         a.setflags(write=False)
     return caps, tuple(lengths.tolist()), gather, factors, groups
@@ -180,8 +183,10 @@ class Readout:
         q = np.concatenate([table, np.zeros((len(table), 1))], axis=1).take(self.gather, axis=1)
         for factor in self.factors:
             q *= factor
-        q = np.add.accumulate(q, axis=-1)[..., -1]  # not sum: it adds 8 or more pairwise
-        prob = np.empty(q.shape[:2])
+        if q.shape[-1] > 1:  # one-hot readings hold one true pattern: nothing to add
+            q = np.add.accumulate(q, axis=-1)  # not sum: it adds 8 or more pairwise
+        q = q[..., -1]
+        prob = q[..., :SHORT_SUM].sum(axis=-1)  # the zero cells past a length add nothing
         for size, rows in self.groups:
             prob[:, rows] = q[:, rows, :size].sum(axis=-1)
         return q, prob

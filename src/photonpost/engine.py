@@ -231,7 +231,7 @@ def _walk(supports, matrix, caps, max_total, values) -> tuple[_Plan, dict]:
     values(buf) for the walked (b, width) buffer of each slice of the stack."""
     supports = tuple(map(tuple, supports))
     kinds = tuple(type(w) for s in supports for _, w in s)
-    plan, weights = _rows(supports, kinds, tuple(int(c) for c in caps), int(max_total))
+    plan, weights = _rows(supports, kinds, tuple(map(int, caps)), int(max_total))
     matrix = np.asarray(matrix, dtype=complex)
     stack = matrix.reshape((-1,) + matrix.shape[-2:])
     if len(stack) * plan.cells > MAX_CELLS:
@@ -250,8 +250,8 @@ def _walk(supports, matrix, caps, max_total, values) -> tuple[_Plan, dict]:
         np.take(cells, plan.order, axis=1, out=kept[lo : lo + size])
     kept = kept[0] if matrix.ndim == 2 else kept
     shape = kept.shape[:-1]  # states spelt out: an empty stack has no -1 to infer
-    rows = [kept[..., a:z].reshape(shape + (n, (z - a) // n)) for _, n, a, z in plan.sectors]
-    return plan, {t: (w, r) for (t, *_), w, r in zip(plan.sectors, weights, rows)}
+    return plan, {t: (w, kept[..., a:z].reshape(shape + (n, (z - a) // n)))
+                  for (t, n, a, z), w in zip(plan.sectors, weights)}
 
 
 def expand(

@@ -82,7 +82,7 @@ def _is_number(value) -> bool:
 
 def check_unitary(a: np.ndarray) -> None:
     """Raise NotUnitary unless every matrix of an (..., N, N) stack is unitary."""
-    deviation = np.abs(np.swapaxes(a, -1, -2).conj() @ a - np.eye(a.shape[-1])).max()
+    deviation = abs(a.swapaxes(-1, -2).conj() @ a - np.eye(a.shape[-1])).max()
     if not deviation <= UNITARITY_TOL:  # NaN fails too
         raise NotUnitary(
             f"matrix is not unitary within {UNITARITY_TOL} (max deviation {deviation:.3e})"

@@ -35,7 +35,7 @@ from .interferometer import Interferometer, check_unitary, haar_random, haar_uni
 from .merit import allowed_ratio, is_dust, ratio_breaches
 from .schemes import chain_element_angles
 
-IMPROVEMENT_SLACK = 1e-9
+IMPROVEMENT_SLACK = 1e-9  # relative: a verdict means the same at every p_max
 
 OBJECTIVES = ("single_photon", "ratio", "single_photon_no_pairs")
 
@@ -190,7 +190,7 @@ class PatternScorer:
         probability 0, so value 0 and no breach."""
         q, prob = self.readout.read(matrices)
         possible = prob > 0.0
-        odd = np.flatnonzero((is_dust(q[..., 0], self.ceiling) & possible).any(axis=1))
+        odd = (is_dust(q[..., 0], self.ceiling) & possible).any(axis=1).nonzero()[0]
         if odd.size:
             paths, _ = self.readout.read(np.abs(matrices[odd]))
             prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
@@ -199,18 +199,19 @@ class PatternScorer:
             breach = np.zeros_like(possible)
         else:
             breach = ratio_breaches(q[..., 0], q[..., 1], self.allowed) & possible
-        with np.errstate(divide="ignore", invalid="ignore"):
-            normalized = q[..., :3] / prob[..., None]
-            q0, q1, q2 = normalized[..., 0], normalized[..., 1], normalized[..., 2]
-            if objective == "single_photon":
-                value = q1
-            elif objective == "ratio":
-                value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
-            else:
-                value = np.where(q2 <= 1e-9, q1, 0.0)
-        values = np.where(possible, value, 0.0)
-        first = np.argmax(values, axis=1)
-        return values[np.arange(len(first)), first], first, np.count_nonzero(breach, axis=1)
+        if objective == "single_photon":
+            values = np.divide(q[..., 1], prob, out=np.zeros(prob.shape), where=possible)
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q0, q1, q2 = (q[..., k] / prob for k in range(3))
+                if objective == "ratio":
+                    value = np.where(q0 <= 0.0, np.where(q1 > 0, math.inf, 0.0), q1 / q0)
+                elif objective == "single_photon_no_pairs":
+                    value = np.where(q2 <= 1e-9, q1, 0.0)
+                else:
+                    raise BadParameters(f"objective {objective!r} not one of {OBJECTIVES}")
+            values = np.where(possible, value, 0.0)
+        return values.max(axis=1), values.argmax(axis=1), breach.sum(axis=1)
 
 
 def evaluate_candidate(
@@ -280,8 +281,8 @@ def unitary_from_angles(n_modes: int, angles) -> Interferometer | np.ndarray:
     ct, st = np.cos(theta), np.sin(theta)
     m = np.empty(theta.shape + identity.shape, dtype=complex)  # (B, P) couplers
     m[...] = identity
-    entries = np.stack([ph * ct, -st, st, ph.conj() * ct], axis=-1)  # coupler_matrix's
-    m[:, slots, rows, cols] = entries
+    entries = np.array([ph * ct, -st, st, ph.conj() * ct])  # coupler_matrix's
+    m[:, slots, rows, cols] = entries.transpose(1, 2, 0)
     total = identity
     for k in range(count):
         total = m[:, k] @ total
@@ -301,6 +302,9 @@ def chain_seed_angles(n_modes: int, epsilon: float) -> np.ndarray:
         x[2 * k] = theta
         x[2 * k + 1] = phi
     return x
+
+
+_STEPS = np.array([[2.0, -1.0], [3.0, -2.0], [1.5, -0.5], [0.5, 0.5]])
 
 
 def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
@@ -323,18 +327,18 @@ def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
     fsim = np.array((yield (), np.copy(sim)), dtype=float)
     used = tuple(range(n + 1))
     for _ in range(2):  # scipy sorts twice before the first step
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
 
     iterations = 1
     while iterations < maxiter:
-        with np.errstate(invalid="ignore"):  # -inf - -inf: NaN, not converged
-            spread = np.max(np.abs(fsim[0] - fsim[1:]))
-        if np.max(np.abs(sim[1:] - sim[0])) <= xatol and spread <= fatol:
-            break
+        if abs(sim[1:] - sim[0]).max() <= xatol:
+            with np.errstate(invalid="ignore"):  # -inf - -inf: NaN, not converged
+                if abs(fsim[0] - fsim[1:]).max() <= fatol:
+                    break
         c, w = np.add.reduce(sim[:-1], 0) / n, sim[-1]  # centroid, worst vertex
-        # reflection, expansion, outside and inside contraction (1 * w is w)
-        trial = np.array([2 * c - w, 3 * c - 2 * w, 1.5 * c - 0.5 * w, 0.5 * c + 0.5 * w])
+        # reflection, expansion, outside and inside contraction: a * c + (-b) * w is a * c - b * w
+        trial = _STEPS[:, :1] * c + _STEPS[:, 1:] * w
         f = yield used, trial
         if f[0] < fsim[0]:
             used, k = (0, 1), 1 if f[1] < f[0] else 0
@@ -351,8 +355,8 @@ def _nelder_mead(x0, maxiter: int, xatol: float, fatol: float):
             fsim[1:] = yield used, np.copy(sim[1:])
             used = tuple(range(n))
         iterations += 1
-        ind = np.argsort(fsim)
-        sim, fsim = np.take(sim, ind, 0), np.take(fsim, ind, 0)
+        ind = fsim.argsort()
+        sim, fsim = sim.take(ind, 0), fsim.take(ind, 0)
     return used, sim[0]
 
 
@@ -434,21 +438,23 @@ class _Tally:
         ends = [None] * len(runs)
         while asked:
             values = -self.score_matrices(unitary_from_angles(n, np.concatenate([*asked.values()])))
-            told = np.split(values, np.cumsum([len(x) for x in asked.values()])[:-1])
-            for k, value in zip(list(asked), told):
+            lo = 0
+            for k, x in list(asked.items()):
+                lo += len(x)
                 try:
-                    used, asked[k] = runs[k].send(value)
+                    used, asked[k] = runs[k].send(values[lo - len(x) : lo])
                 except StopIteration as stop:
                     used, ends[k] = stop.value
                     del asked[k]
-                self.count(len(used), 0)
+                self.evals += len(used)
         x = np.array(ends)
         self.score_matrices(unitary_from_angles(n, x), lambda k: unitary_from_angles(n, x[k]))
 
     def report(self, kind: str, benchmark: float, found: str) -> SearchReport:
-        """The verdict is `found` when the best value clears the benchmark."""
+        """The verdict is `found` when the best value clears the benchmark by
+        more than the relative IMPROVEMENT_SLACK."""
         task = self.task
-        beaten = self.best_value > benchmark + IMPROVEMENT_SLACK
+        beaten = self.best_value > benchmark * (1.0 + IMPROVEMENT_SLACK)
         return SearchReport(
             kind=kind,
             n_modes=task.n_modes,
@@ -472,7 +478,7 @@ def search_improvement(task: SearchTask) -> SearchReport:
     Haar-random restarts score every pattern; the best angle-space starts
     (the chain layout when requested, plus seeded random angles) are then
     polished with Nelder-Mead.  The verdict flags improvement when the
-    best value clears the input benchmark by more than 1e-9.
+    best value clears the input benchmark by more than a relative 1e-9.
     """
     n = task.n_modes
     tally = _Tally(task, detector_patterns(n, n - 1))

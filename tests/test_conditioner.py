@@ -196,10 +196,11 @@ def test_readout_equals_the_response_column_oracle_bit_for_bit(case):
     each stacked row against its one-matrix read.  Readings read together
     share caps, so they agree with the oracle only to roundoff: the engine's
     per-sector product w @ squares can round a state's entry differently
-    when its sector holds more states."""
+    when its sector holds more states.  Each reading's probability read
+    together is the 1-D sum of its own cells, whatever the others' lengths."""
     spec, columns, seeds = case
     stack = haar_unitaries(spec.n_modes, seeds)
-    together, _ = Readout(spec, columns).read(stack)
+    together, together_prob = Readout(spec, columns).read(stack)
     for p, reading in enumerate(columns):
         readout = Readout(spec, [reading])
         q, prob = readout.read(stack)
@@ -214,6 +215,21 @@ def test_readout_equals_the_response_column_oracle_bit_for_bit(case):
             assert q[b, 0, :length].tobytes() == want.unnormalized.tobytes()
             assert prob[b, 0] == want.pattern_probability
         np.testing.assert_allclose(together[:, p, :length], q[:, 0, :length], rtol=1e-13, atol=0)
+        assert together_prob[:, p].tolist() == [row[p, :length].sum() for row in together]
+
+
+def test_readout_probabilities_are_each_readings_own_sum():
+    """Readings holding 3 to 9 kept-mode counts, read together: each one's
+    probability is the 1-D sum of its own cells, however long the kept axis
+    that the longest reading sets."""
+    spec = InputSpec.two_level([0.4] * 8)
+    patterns = [(0,) * 7, (1, 1) + (0,) * 5, (2, 1, 1) + (0,) * 4, (1,) + (0,) * 5 + (1,),
+                (3, 1, 1, 1, 0, 0, 0)]
+    readout = Readout(spec, np.array(patterns)[..., None] == np.arange(spec.max_total() + 1))
+    q, prob = readout.read(haar_unitaries(8, list(range(5))))
+    assert readout.lengths == (9, 7, 5, 7, 3)
+    for p, length in enumerate(readout.lengths):
+        assert prob[:, p].tolist() == [row[p, :length].sum() for row in q]
 
 
 # unnormalized chain rows (p = 0.2, D detected) as float.hex: a change to how

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import time
@@ -43,6 +44,7 @@ from photonpost import (
 from photonpost import beam_splitter, compose, embed_two_mode, haar_random
 from photonpost.cli import main
 from photonpost.engine import max_stack
+from photonpost.merit import is_dust
 from photonpost.search import (
     OBJECTIVES,
     PatternScorer,
@@ -118,6 +120,16 @@ def test_evaluate_candidate_reports_the_pattern_asked_for():
     spec = InputSpec.two_level([0.3] * 3)
     got = evaluate_candidate(haar_random(3, 1), spec, "single_photon", [(7, 0)])
     assert got == (0.0, (7, 0), 0)
+
+
+def test_unknown_objectives_are_refused():
+    """The scorer names every objective; any other string raises instead of
+    being scored as the last one."""
+    spec, patterns = InputSpec.two_level([0.4] * 3), detector_patterns(3, 2)
+    with pytest.raises(BadParameters, match="single_photon_no_pairs"):
+        evaluate_candidate(haar_random(3, 5), spec, "bogus", patterns)
+    with pytest.raises(BadParameters):
+        PatternScorer(spec, patterns).best(haar_random(3, 5).matrix[None], "")
 
 
 def test_pattern_scorer_reads_counts_beyond_int64_as_impossible():
@@ -373,6 +385,34 @@ def test_array_scorer_equals_per_pattern_reference(case):
         assert best == math.inf
 
 
+@pytest.mark.parametrize("objective", OBJECTIVES)
+def test_stacked_scoring_equals_one_matrix_scoring(objective):
+    """PatternScorer.best on a stack gives each matrix what its one-matrix
+    call gives, bit for bit: Haar matrices, 5-mode chain starts whose vacuum
+    entries are dust (read again from |U|) or not, and the identity, for
+    which no pattern (each has a count of 2 or more) can occur."""
+    n = 5
+    patterns = detector_patterns(n, n - 1)
+    scorer = PatternScorer(InputSpec.two_level([0.3] * n), patterns[patterns.max(axis=1) >= 2])
+    rng = np.random.default_rng(11)
+    scales = np.array([[0.0], [1e-13], [1e-12], [1e-9]])
+    starts = chain_seed_angles(n, 1e-3) + scales * rng.standard_normal((4, n * (n - 1)))
+    chains = unitary_from_angles(n, starts)
+    haar = [haar_random(n, s).matrix for s in (3, 4)]
+    stack = np.array([haar[0], chains[0], chains[1], np.eye(n), haar[1], chains[3], chains[2]])
+    q, prob = scorer.readout.read(stack)
+    paths, _ = scorer.readout.read(np.abs(stack))
+    dust = (is_dust(q[..., 0], paths[..., 0]) & (prob > 0)).any(axis=1)
+    assert dust.tolist() == [False, True, True, False, False, False, True]
+    assert not prob[3].any()
+    got = scorer.best(stack, objective)
+    assert got[0][3] == 0.0
+    for k, matrix in enumerate(stack):
+        alone = scorer.best(matrix[None], objective)
+        for stacked, single in zip(got, alone):
+            assert stacked[k : k + 1].tobytes() == single.tobytes()
+
+
 def _single_clicks(n):
     """verify_nogo_patterns' uniform-source patterns: one click."""
     return np.eye(n - 1, dtype=np.int64)
@@ -463,12 +503,17 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     """Every round of refinement is one scorer call, not one per point, and
     only the points a run reads count as evaluations."""
     calls, runs = _count_rounds(monkeypatch)
+    reads, table = [], photonpost.conditioner.output_table
+    monkeypatch.setattr(
+        photonpost.conditioner, "output_table", lambda *args: reads.append(1) or table(*args)
+    )
     report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
     assert report.trials_run == 907
     assert len(runs) == 2 and 200 + sum(read for _, read in runs) + 2 == 907
     haar = _haar_calls(4, 0.6, detector_patterns(4, 3), 200)
-    assert len(calls) == haar + max(batches for batches, _ in runs) + 1
+    assert len(calls) == haar + max(batches for batches, _ in runs) + 1 == 203
     assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
+    assert len(reads) == 237  # each scorer call, and 34 |U| re-reads of dust candidates
 
 
 @pytest.mark.parametrize(
@@ -533,6 +578,15 @@ def test_search_respects_improvement_ceiling():
     report = search_improvement(task)
     assert report.verdict == "none found"
     assert report.best_value <= 0.6 + 1e-9
+    assert report.bound_violations == 0
+
+
+def test_improvement_verdict_is_relative_to_the_benchmark():
+    """At p_max = 1e-12 the 4-mode chain's gain (q1 = 4/3 p) is far below an
+    absolute 1e-9 but is still an improvement."""
+    report = search_improvement(SearchTask(4, 1e-12, "single_photon", 5, 20, 2))
+    assert report.best_value == pytest.approx(4 / 3 * 1e-12, rel=1e-5)
+    assert report.verdict == "improvement found"
     assert report.bound_violations == 0
 
 
@@ -640,36 +694,44 @@ def test_nogo_patterns_deterministic():
 
 # Recorded before the three searches shared one tally; any change in the
 # order of evaluations, the seeds or the best-candidate rule shows here.
+# digest: sha256 of the sorted JSON report, which pins every float to the bit.
 @pytest.mark.parametrize(
-    "run, trials_run, best_pattern, best_value, verdict",
+    "run, trials_run, best_pattern, best_value, verdict, digest",
     [
         (
             lambda: search_improvement(SearchTask(4, 0.2, "single_photon", 20, 40, 7)),
             176, (2, 0, 0), 0.24242394702821612, "improvement found",
+            "ab499b090711c2aa266145f16ed18572bc941d70eee93884558e8057cf907e34",
         ),
         (
             lambda: search_improvement(SearchTask(3, 0.25, "ratio", 10, 20, 4)),
             152, (0, 0), 0.3333333333333335, "none found",
+            "9d793978f29d5a5b500a315e21c2166173e264981f02ccca71ea73960f0080a5",
         ),
         (
             lambda: verify_nogo_small(3, 0.2, 25, 6, 10),
             86, (0, 0), 0.19996321192758512, "none found",
+            "132ce109dce16656c68a4ec797b4debecbf00274f8c40e61b28d158e2ceceeb4",
         ),
         (
             lambda: verify_nogo_patterns(4, 0.25, 25, 12),
             238, (1, 0, 0), 0.3160338517450523, "none found",
+            "ec9c47ea6b7e4e1cc03d536fc032ae56a78d7407233a0268fc77f3feed95fa37",
         ),
         (
             lambda: search_improvement(SearchTask(4, 0.3, "ratio", 25, 30, 8)),
             234, (2, 0, 0), 0.5714273809527305, "improvement found",
+            "77af95ac6d2d60a4f8baf85db5322a65510a5c93c09cf79e43b955e7bb83df62",
         ),
         (
             lambda: search_improvement(SearchTask(4, 0.2, "single_photon_no_pairs", 25, 30, 9)),
             165, (3, 0, 0), 0.19999971555548618, "none found",
+            "747aca2217a323c9a5041c54c7c77ad9ab32ddc12e27f8459a3b7b0fcdb7a207",
         ),
         (  # the benchmark's search-4mode config at seed 101
             lambda: search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101)),
             907, (0, 3, 0), 0.5999999998844824, "none found",
+            "6799f0b63a8c40989ff0ad57b6f70aedcfcc81c82dd858795c818194bc2eccdc",
         ),
     ],
     ids=[
@@ -677,8 +739,12 @@ def test_nogo_patterns_deterministic():
         "search-4-ratio", "search-4-no-pairs", "search-4-benchmark",
     ],
 )
-def test_searches_reproduce_recorded_results(run, trials_run, best_pattern, best_value, verdict):
+def test_searches_reproduce_recorded_results(
+    run, trials_run, best_pattern, best_value, verdict, digest
+):
     report = run()
+    text = json.dumps(report.to_json_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
     assert report.trials_run == trials_run
     assert report.best_pattern == best_pattern
     assert report.verdict == verdict
