@@ -1,9 +1,16 @@
 """Command line front end.
 
+    photonpost COMMAND --config PATH --out PATH [--seed N] [--threads N]
+
 Every command reads a JSON config, writes one output file (JSON or CSV),
-and returns exit code 0 on success, 2 for config problems, 3 for
-dimension problems, 4 when a numerical check fails: a search or
-verification whose report counts ratio-bound violations writes no output.
+and returns exit code 0 on success; 2 for usage errors (an unknown or
+missing command, a missing --config or --out, an unknown option, a
+missing or non-integer value, an extra argument), for config problems
+and for a config that cannot be read or an output that cannot be
+written; 3 for dimension problems; 4 when a numerical check fails: a
+search or verification whose report counts ratio-bound violations writes
+no output.  Usage errors print the usage line and "photonpost: error:"
+to stderr; -h or --help prints the help and exits 0.
 Outputs are deterministic: rerunning a command with the same config and
 seed reproduces the file byte for byte.  Floats in CSV files carry 17
 significant digits so values survive a round trip.
@@ -11,9 +18,11 @@ significant digits so values survive a round trip.
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
+import os
+import re
+import stat
 import sys
 
 import numpy as np
@@ -121,6 +130,10 @@ def _load_config(path: str, command: str) -> _Config:
             data = json.load(fh)
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     cfg = _Config(data)
@@ -227,8 +240,17 @@ def _parse_grid(raw: dict, where: str) -> list[float]:
 
 
 def _write_text(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+    """Write the output file, or raise ConfigError and leave no partial file."""
+    fh = None
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="")
+        with fh:
+            fh.write(text)
+    except OSError as exc:
+        # remove only a regular file this call truncated, never a device or link
+        if fh is not None and stat.S_ISREG(os.lstat(path).st_mode):
+            os.remove(path)
+        raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}")
 
 
 def _write_json(path: str, obj):
@@ -321,9 +343,10 @@ def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
     return n_modes, p, detected, grid
 
 
-def _chain_sweep_point(n_modes: int, p: float, detected: int, epsilon: float, result) -> str:
-    report = figures_of_merit(result, InputSpec.two_level([p] * n_modes))
-    gain_limit, two_photon_limit = chain_asymptotics(n_modes, detected)
+def _chain_sweep_point(spec: InputSpec, limits: tuple[float, float], epsilon: float, result) -> str:
+    """One CSV row; spec and the (gain, two-photon) limits are the sweep's."""
+    report = figures_of_merit(result, spec)
+    gain_limit, two_photon_limit = limits
     gain = (
         report.ratio_out / report.ratio_in
         if math.isfinite(report.ratio_out) and report.ratio_in > 0
@@ -341,7 +364,9 @@ def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
     n_modes, p, detected, grid = _take_chain_fields(cfg)
     cfg.finish()
     results = run_chain(n_modes, grid, p, detected)
-    rows = [_chain_sweep_point(n_modes, p, detected, e, r) for e, r in zip(grid, results)]
+    spec = InputSpec.two_level([p] * n_modes)
+    limits = chain_asymptotics(n_modes, detected)
+    rows = [_chain_sweep_point(spec, limits, e, r) for e, r in zip(grid, results)]
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
         "ratio_gain_limit,two_photon_out,two_photon_limit,fano_out,fano_in"
@@ -422,32 +447,117 @@ COMMANDS = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="photonpost",
-        description="Conditioned photon statistics behind linear interferometers.",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="JSON config file")
-    parser.add_argument("--out", required=True, help="output file (JSON or CSV)")
-    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        help=(
-            "accepted for compatibility and ignored: sweeps run serially, "
-            "since the GIL serializes their points"
-        ),
-    )
-    return parser
+# ---------------------------------------------------------------------------
+# argv
+
+
+_USAGE = "usage: photonpost [-h] COMMAND --config PATH --out PATH [--seed N] [--threads N]\n"
+
+_OPTIONS = ("--help", "--config", "--out", "--seed", "--threads")
+
+_HELP = f"""{_USAGE}
+Conditioned photon statistics behind linear interferometers.
+
+commands:
+  {", ".join(COMMANDS)}
+
+options:
+  -h, --help     show this help message and exit
+  --config PATH  JSON config file
+  --out PATH     output file (JSON or CSV)
+  --seed N       override the config seed
+  --threads N    accepted for compatibility and ignored: sweeps run serially,
+                 since the GIL serializes their points
+"""
+
+
+def _usage_error(reason: str):
+    sys.stderr.write(f"{_USAGE}photonpost: error: {reason}\n")
+    raise SystemExit(2)
+
+
+def _option(token: str):
+    """(option, "=" value or None) for a token naming an option, ("", None)
+    for an unknown option, None for a value.  As argparse reads tokens: a
+    long option may be a unique prefix, "-h" is --help, and a negative
+    number or a token with a space is a value."""
+    if len(token) < 2 or token[0] != "-":
+        return None
+    name, eq, value = token.partition("=")
+    if name == "-h":
+        return "--help", value if eq else None
+    if token[1] == "h":  # short flags bundled after -h: argparse knew no other
+        return "--help", token[2:].lstrip("h") or None
+    matches = [o for o in _OPTIONS if token[1] == "-" and o.startswith(name)]
+    if len(matches) > 1:
+        _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
+    if matches:
+        return matches[0], value if eq else None
+    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
+        return None
+    return "", None
+
+
+def _read_argv(argv) -> tuple:
+    """(command, config, out, seed) from argv, read left to right as argparse
+    read it: options in any order, as "--opt value" or "--opt=value"; the
+    last of a repeated option wins; a first "--" ends the options.  -h or
+    --help prints the help and exits 0; anything else refused exits 2."""
+    command, given, extras = None, {}, []
+    dashes = False
+    i = command_end = 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--" and not dashes:
+            dashes = True
+            if command is not None and command_end != i - 1:
+                extras.append(token)  # argparse keeps it only next to the command
+            continue
+        found = None if dashes else _option(token)
+        if found is None:
+            if command is not None:
+                extras.append(token)
+            elif token in COMMANDS:
+                command, command_end = token, i
+            else:
+                choices = ", ".join(map(repr, COMMANDS))
+                _usage_error(f"argument command: invalid choice: {token!r} (choose from {choices})")
+            continue
+        name, value = found
+        if not name:
+            extras.append(token)
+            continue
+        if name == "--help":
+            if value is not None:
+                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
+            sys.stdout.write(_HELP)
+            raise SystemExit(0)
+        if value is None:
+            if i == len(argv) or argv[i] == "--" or _option(argv[i]) is not None:
+                _usage_error(f"argument {name}: expected one argument")
+            value = argv[i]
+            i += 1
+        if name in ("--seed", "--threads"):
+            try:
+                value = int(value)
+            except ValueError:
+                _usage_error(f"argument {name}: invalid int value: {value!r}")
+        given[name] = value
+    required = {"command": command, "--config": given.get("--config"), "--out": given.get("--out")}
+    missing = [name for name, value in required.items() if value is None]
+    if missing:
+        _usage_error(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
+    return command, given["--config"], given["--out"], given.get("--seed")
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    command, config, out, seed = _read_argv(sys.argv[1:] if argv is None else argv)
     try:
-        cfg = _load_config(args.config, args.command)
-        return COMMANDS[args.command](cfg, args.out, args.seed)
+        cfg = _load_config(config, command)
+        return COMMANDS[command](cfg, out, seed)
     except DIMENSION_ERRORS as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3

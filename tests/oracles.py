@@ -7,6 +7,7 @@ The one exception is the two-mode closed form at the end, an independent
 hand expansion of the beam-splitter case.
 """
 
+import argparse
 import itertools
 import math
 
@@ -566,3 +567,28 @@ def verify_nogo_patterns_sequential(n_modes, p_max, trials, seed) -> dict:
         "best_value": best,
         "verdict": "counterexample found" if best > ratio_in + 1e-9 else "none found",
     }
+
+
+def cli_parser() -> argparse.ArgumentParser:
+    """The argparse parser photonpost.cli once built: the reference for
+    cli._read_argv, which reads the same grammar without argparse."""
+    from photonpost.cli import COMMANDS
+
+    parser = argparse.ArgumentParser(
+        prog="photonpost",
+        description="Conditioned photon statistics behind linear interferometers.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", required=True, help="output file (JSON or CSV)")
+    parser.add_argument("--seed", type=int, default=None, help="override the config seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        help=(
+            "accepted for compatibility and ignored: sweeps run serially, "
+            "since the GIL serializes their points"
+        ),
+    )
+    return parser

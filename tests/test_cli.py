@@ -772,6 +772,35 @@ def test_package_and_cli_search_do_not_load_scipy(tmp_path):
     assert done.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
+def test_a_cli_job_loads_no_argument_parser(tmp_path):
+    """A chain-sweep job reads its argv without argparse, so neither
+    argparse nor the gettext and locale modules its messages pull in are
+    loaded; and `python -m photonpost.cli` with no arguments reads sys.argv
+    and refuses it with the usage line."""
+    cfg = write_config(tmp_path / "chain.json", chain_config(epsilon_grid={"values": [0.3, 0.1]}))
+    out = str(tmp_path / "chain.csv")
+    script = (
+        "import sys\nimport photonpost.cli\n"
+        f"code = photonpost.cli.main(['chain-sweep', '--config', {cfg!r}, '--out', {out!r}])\n"
+        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+    )
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines() == ["0 []"]
+    done = subprocess.run(
+        [sys.executable, "-m", "photonpost.cli"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.splitlines() == [
+        "usage: photonpost [-h] COMMAND --config PATH --out PATH [--seed N] [--threads N]",
+        "photonpost: error: the following arguments are required: command, --config, --out",
+    ]
+
+
 # determinism and threading ------------------------------------------------------
 
 
@@ -895,6 +924,61 @@ def test_invalid_json_config(tmp_path):
     cfg.write_text("{not json")
     code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")])
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "make, reason",
+    [
+        (lambda path: path.mkdir(), "Is a directory"),
+        (lambda path: path.write_bytes(b'{"command": "simulate", "note": "\xff"}'), "not UTF-8"),
+    ],
+    ids=["directory", "not-utf8"],
+)
+def test_unreadable_config_is_a_config_error(tmp_path, capsys, make, reason):
+    cfg = tmp_path / "cfg.json"
+    make(cfg)
+    out = tmp_path / "o.json"
+    code = main(["simulate", "--config", str(cfg), "--out", str(out)])
+    assert code == 2
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and str(cfg) in err and reason in err
+
+
+class _FailingFile:
+    """A file whose write stores half the text, then fails as a full disk would."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text[: len(text) // 2])
+        raise OSError(28, "No space left on device")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "write-fails"])
+def test_unwritable_out_exits_2_and_leaves_no_file(tmp_path, capsys, monkeypatch, where):
+    out = tmp_path / "o.csv"
+    if where == "missing-directory":
+        out = tmp_path / "missing" / "o.csv"
+    else:
+        def failing_open(path, mode="r", **kwargs):
+            fh = open(path, mode, **kwargs)
+            return _FailingFile(fh) if "w" in mode else fh
+
+        monkeypatch.setattr(photonpost.cli, "open", failing_open, raising=False)
+    code, _ = run(tmp_path, "chain-sweep", chain_config(), ("--out", str(out)))
+    assert code == 2
+    assert not out.exists()
+    reason = "No such file or directory" if where == "missing-directory" else "No space left"
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot write output file {out}: {reason}")
 
 
 def test_wrong_pattern_length(tmp_path):
