@@ -55,6 +55,9 @@ from .search import (
 )
 
 CONFIG_VERSION = 1
+# each grid point is at least a 32-byte float in a list, so no grid above
+# 2^43 points fits a 48-bit (256 TiB) address space
+MAX_GRID = 1 << 43
 
 DIMENSION_ERRORS = (
     DimensionMismatch,
@@ -136,6 +139,8 @@ def _load_config(path: str, command: str) -> _Config:
         raise ConfigError(f"config file {path} is not UTF-8: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    except RecursionError:
+        raise ConfigError(f"config file {path} nests too deeply to parse")
     cfg = _Config(data)
     declared = cfg.take("command", str)
     if declared != command:
@@ -230,6 +235,8 @@ def _parse_grid(raw: dict, where: str) -> list[float]:
     cfg.finish()
     if count < 1:
         raise ConfigError(f"{where}: count must be at least 1")
+    if count > MAX_GRID:
+        raise ConfigError(f"{where}: count {count} exceeds {MAX_GRID} points")
     if spacing == "linear":
         return [float(x) for x in np.linspace(start, stop, count)]
     if spacing == "log":

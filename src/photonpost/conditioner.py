@@ -37,7 +37,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .engine import basis, expand, max_stack, output_table
+from .engine import basis, expand, reader
 from .errors import BadDistributionShape, DimensionMismatch, NegativeWeight, NotNormalized
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer
@@ -152,7 +152,8 @@ class Readout:
     a reading holds, each detector at its largest support), each reading's
     length (the n1 it holds, 1 if none), gather[p, n1, k], the table cell
     of n1 with reading p's k-th true detector pattern in table order (else
-    an appended zero cell), and a factor array per detector not all 1.
+    the table's zero cell), and a factor array per detector not all 1.
+    The source's engine.Reader over those caps is bound once, here.
     """
 
     def __init__(self, spec: InputSpec, columns):
@@ -166,21 +167,22 @@ class Readout:
         cut[..., : columns.shape[2]] = columns[..., : top + 1]
         self.spec, self.top, layout = spec, top, _layout(cut.shape, cut.tobytes())
         self.caps, self.lengths, self.gather, self.factors, self.groups = layout
+        self.reader = reader(spec.distributions, self.caps, top)
 
     def stack(self) -> int:
         """Most matrices one read takes within the engine's cell limit."""
-        return max_stack(self.spec.distributions, self.caps, self.top)
+        return self.reader.stack
 
     def read(self, matrices) -> tuple[np.ndarray, np.ndarray]:
         """c~ per (matrix, reading, n1) and each reading's probability for a
-        (B, N, N) stack: one table, one gather, the factors in detector order
-        and a sequential sum over true patterns, the products and sums, in
-        order, of weighting the whole table column by column, summed per n1."""
+        (B, N, N) stack: one table of the bound reader, one gather, the
+        factors in detector order and a sequential sum over true patterns,
+        the products and sums, in order, of weighting the whole table column
+        by column, summed per n1."""
         n = self.spec.n_modes
         if np.shape(matrices)[1:] != (n, n):
             raise DimensionMismatch(f"input has {n} modes, matrices {np.shape(matrices)}")
-        _, table = output_table(self.spec.distributions, matrices, self.caps, self.top)
-        q = np.concatenate([table, np.zeros((len(table), 1))], axis=1).take(self.gather, axis=1)
+        q = self.reader.table(matrices).take(self.gather, axis=1)
         for factor in self.factors:
             q *= factor
         if q.shape[-1] > 1:  # one-hot readings hold one true pattern: nothing to add

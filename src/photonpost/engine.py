@@ -16,6 +16,11 @@ sector.  For a diagonal source the joint output weight of vector n is
 
 Only vectors with n[k] <= caps[k] and sum(n) <= max_total are kept, which
 is exact for them: photons are only ever added.  Cap-0 modes drop out.
+
+reader(supports, caps, max_total) returns the cached Reader of that walk,
+its plan, row weights and U entries resolved once: conditioner.Readout
+binds one, so its reads build no cache key.  output_table and expand are
+thin calls of it.
 """
 
 from __future__ import annotations
@@ -106,21 +111,23 @@ def basis(caps: tuple[int, ...], total: int) -> Basis:
 class _Plan:
     """How expand walks one support structure over basis(caps, total).
 
-    Rows fill a (B, width) buffer in creation order, the vacuum in cell 0.
-    Op (mode, sources, modes, starts, lo, hi) makes cells lo:hi, the rows
-    one more photon of input mode `mode` reaches: edge e is cell sources[e]
-    times U[modes[e], mode], cell lo + j sums the edges from starts[j], and
-    edge 0 is a spare no sum reads.  order gathers the kept rows by sector,
-    (total, rows, cells lo, hi) in sectors, in the earlier walk's order;
+    Rows fill a buffer of width cells in creation order, the vacuum in
+    cell 0.  Op (mode, sources, starts, e, f, lo, hi) makes cells lo:hi, the
+    rows one more photon of input mode `mode` reaches: its edge k is cell
+    sources[k] times the U entry entries[e + k] of the flat N x N matrix
+    (row * N + mode), cell lo + j sums the edges from starts[j], and edge 0
+    (entries[e]) is a spare no sum reads.  order gathers the kept rows by
+    sector, (total, rows, cells lo, hi) in sectors, in the earlier walk's order;
     layers[i] = (start, count, k): rows start:start + count kept before
     mode i, grown by count index k.  cells: configurations times the
-    largest sector, or the width if more, per matrix (max_stack's unit).
+    largest sector, or the width if more, per matrix (Reader.stack's unit).
     """
 
     basis: Basis
     cells: int
     width: int
     ops: tuple
+    entries: np.ndarray
     order: np.ndarray
     sectors: tuple
     layers: tuple
@@ -189,69 +196,112 @@ def _plan(counts: tuple[tuple[int, ...], ...], caps: tuple[int, ...], total: int
     base = edges_at[:-1] + 1 - first - edges_at[bounds[:-1]].repeat(np.diff(bounds))
     starts = starts[_spans(b.offsets[totals] - 1, size)] + base.repeat(size)
     e, c = edges_at[bounds].tolist(), cells_at[bounds].tolist()
-    ops = tuple(
-        (i, np.append(0, sources[a:z]), np.append(0, modes[a:z]), starts[lo - 1 : hi - 1], lo, hi)
-        for (i, _), a, z, lo, hi in zip(ops, e, e[1:], c, c[1:])
+    # each op's edges, its spare first, read U[modes, mode] of the flat matrix
+    mode = np.array([i for i, _ in ops], np.int64).repeat(np.diff(e) + 1)
+    entries = np.insert(modes, e[:-1], 0) * len(caps) + mode
+    ops = tuple(  # op j's edges, after j spares, are entries a + j:z + j + 1
+        (i, np.append(0, sources[a:z]), starts[lo - 1 : hi - 1], a + j, z + j + 1, lo, hi)
+        for j, ((i, _), a, z, lo, hi) in enumerate(zip(ops, e, e[1:], c, c[1:]))
     )
     order = _spans(cell[live], np.repeat(sizes[[t for t, *_ in blocks]], [n for *_, n in blocks]))
     layers = tuple(np.array(layer, np.int64).reshape(-1, 3).T for layer in layers)
-    for a in (order, *layers, *(a for op in ops for a in op[1:4])):
+    for a in (entries, order, *layers, *(a for op in ops for a in op[1:3])):
         a.setflags(write=False)
     width = int(cells_at[-1])
     cells = max(configs * int(sizes.max()), width)
     cuts = list(itertools.accumulate((n * int(sizes[t]) for t, _, n in blocks), initial=0))
     sectors = tuple((t, n, a, z) for (t, _, n), a, z in zip(blocks, cuts, cuts[1:]))
-    return _Plan(b, cells, width, ops, order, sectors, layers)
+    return _Plan(b, cells, width, ops, entries, order, sectors, layers)
+
+
+class Reader:
+    """One support structure's walk over basis(caps, total), bound once
+    (reader caches it): the plan, whose U entries a slice of the stack
+    gathers with one take, and its row weights prod_i weight_i / s_i! by
+    sector (read-only).  The weights' types are part of the cache key,
+    which keeps equal float and complex weights apart.
+    """
+
+    def __init__(self, supports: tuple, caps: tuple[int, ...], total: int):
+        plan = _plan(tuple(tuple(c for c, _ in s) for s in supports), caps, total)
+        self.supports, self.plan, self.basis = supports, plan, plan.basis
+        self.slice = max(1, SLICE_CELLS // plan.width)  # matrices walked at once
+        weights = np.ones(1)
+        for (lo, n, k), support in zip(plan.layers, supports):
+            factors = np.array([w / math.factorial(c) for c, w in support])
+            weights = weights[_spans(lo, n)] * factors[k.repeat(n)]
+        weights.setflags(write=False)
+        weights = np.split(weights, np.cumsum([n for _, n, _, _ in plan.sectors])[:-1])
+        offsets = plan.basis.offsets
+        # (weights, rows, cells a:z of the kept rows, states lo:hi): sector t's
+        self.sectors = {t: (w, n, a, z, offsets[t], offsets[t + 1])
+                        for (t, n, a, z), w in zip(plan.sectors, weights)}
+
+    @property
+    def stack(self) -> int:
+        """Most matrices one call takes within MAX_CELLS."""
+        return MAX_CELLS // self.plan.cells
+
+    def _walk(self, matrix, values) -> np.ndarray:
+        """values(buf) of each slice of the stack walked, its kept rows
+        gathered by sector: (B, kept) for a stack, (kept,) for one matrix.
+        The walk runs matrix-minor, buf[cell, matrix], so each op's edges
+        and U entries are contiguous rows; every product and sum is the
+        same as in a matrix-major walk."""
+        matrix = np.asarray(matrix, dtype=complex)
+        stack = matrix.reshape((-1,) + matrix.shape[-2:])
+        plan, size, kept = self.plan, self.slice, None
+        if len(stack) * plan.cells > MAX_CELLS:
+            raise DimensionTooLarge(f"{len(stack)} x {plan.cells} coefficients exceed {MAX_CELLS}")
+        # U entries by (row * N + column, matrix); no -1 in the shape: B may be 0
+        flat = stack.reshape(len(stack), math.prod(stack.shape[1:])).T
+        for lo in range(0, max(len(stack), 1), size):  # an empty stack: one empty slice
+            entries = flat[:, lo : lo + size].take(plan.entries, axis=0)
+            buf = np.empty((plan.width, entries.shape[1]), dtype=complex)
+            buf[0] = 1.0
+            for _, sources, starts, e, f, a, z in plan.ops:
+                # a spare edge: lone in-place products round apart
+                terms = buf.take(sources, axis=0)
+                terms *= entries[e:f]
+                np.add.reduceat(terms, starts, axis=0, out=buf[a:z])
+            cells = values(buf).take(plan.order, axis=0)
+            kept = np.empty((len(stack), len(plan.order)), cells.dtype) if kept is None else kept
+            kept[lo : lo + size] = cells.T
+        return kept[0] if matrix.ndim == 2 else kept
+
+    def expand(self, matrix) -> dict:
+        """sectors[t] = (weights, coeffs) of engine.expand for one matrix or a stack."""
+        kept = self._walk(matrix, lambda buf: buf)
+        shape = kept.shape[:-1]  # states spelt out: an empty stack has no -1 to infer
+        return {t: (w, kept[..., a:z].reshape(shape + (n, (z - a) // n)))
+                for t, (w, n, a, z, _, _) in self.sectors.items()}
+
+    def table(self, matrix) -> np.ndarray:
+        """engine.output_table's weights with one more cell, a zero, after
+        the states: (B, states + 1) for a stack, (states + 1,) for one
+        matrix.  The walked coefficients are squared before the kept rows
+        are gathered."""
+        squares = self._walk(matrix, lambda buf: buf.real**2 + buf.imag**2)
+        shape, b = squares.shape[:-1], self.basis
+        table = np.zeros(shape + (len(b.states) + 1,))
+        for w, n, a, z, lo, hi in self.sectors.values():
+            table[..., lo:hi] = w @ squares[..., a:z].reshape(shape + (n, (z - a) // n))
+        table[..., :-1] *= b.factorials
+        return table
 
 
 @functools.lru_cache(maxsize=128)
-def _rows(supports: tuple, kinds: tuple, caps: tuple[int, ...], total: int) -> tuple[_Plan, list]:
-    """The plan for supports and its row weights prod_i weight_i / s_i!, one
-    (cached, read-only) array per sector, multiplied mode by mode.  kinds,
-    the weights' types, keeps equal float and complex weights apart."""
-    plan = _plan(tuple(tuple(c for c, _ in s) for s in supports), caps, total)
-    weights = np.ones(1)
-    for (lo, n, k), support in zip(plan.layers, supports):
-        factors = np.array([w / math.factorial(c) for c, w in support])
-        weights = weights[_spans(lo, n)] * factors[k.repeat(n)]
-    weights.setflags(write=False)
-    return plan, np.split(weights, np.cumsum([n for _, n, _, _ in plan.sectors])[:-1])
+def _reader(supports: tuple, kinds: tuple, caps: tuple[int, ...], total: int) -> Reader:
+    return Reader(supports, caps, total)
 
 
-def max_stack(
+def reader(
     supports: Sequence[Sequence[tuple[int, float]]], caps: Sequence[int], max_total: int
-) -> int:
-    """Most matrices one expand call takes within MAX_CELLS."""
-    counts = tuple(tuple(c for c, _ in s) for s in supports)
-    return MAX_CELLS // _plan(counts, tuple(int(c) for c in caps), int(max_total)).cells
-
-
-def _walk(supports, matrix, caps, max_total, values) -> tuple[_Plan, dict]:
-    """The plan and sectors[t] = (weights, rows) of an expand call, rows of
-    values(buf) for the walked (b, width) buffer of each slice of the stack."""
+) -> Reader:
+    """The (cached) Reader of supports over basis(caps, max_total)."""
     supports = tuple(map(tuple, supports))
     kinds = tuple(type(w) for s in supports for _, w in s)
-    plan, weights = _rows(supports, kinds, tuple(map(int, caps)), int(max_total))
-    matrix = np.asarray(matrix, dtype=complex)
-    stack = matrix.reshape((-1,) + matrix.shape[-2:])
-    if len(stack) * plan.cells > MAX_CELLS:
-        raise DimensionTooLarge(f"{len(stack)} x {plan.cells} coefficients exceed {MAX_CELLS}")
-    size, kept = max(1, SLICE_CELLS // plan.width), None
-    for lo in range(0, max(len(stack), 1), size):  # an empty stack: one empty slice
-        matrices = stack[lo : lo + size]
-        buf = np.empty((len(matrices), plan.width), dtype=complex)
-        buf[:, 0] = 1.0
-        for i, sources, modes, starts, a, z in plan.ops:
-            terms = buf.take(sources, axis=1)  # a spare edge: lone in-place products round apart
-            terms *= matrices[:, :, i].take(modes, axis=1)
-            np.add.reduceat(terms, starts, axis=1, out=buf[:, a:z])
-        cells = values(buf)
-        kept = np.empty((len(stack), len(plan.order)), cells.dtype) if kept is None else kept
-        np.take(cells, plan.order, axis=1, out=kept[lo : lo + size])
-    kept = kept[0] if matrix.ndim == 2 else kept
-    shape = kept.shape[:-1]  # states spelt out: an empty stack has no -1 to infer
-    return plan, {t: (w, kept[..., a:z].reshape(shape + (n, (z - a) // n)))
-                  for (t, n, a, z), w in zip(plan.sectors, weights)}
+    return _reader(supports, kinds, tuple(map(int, caps)), int(max_total))
 
 
 def expand(
@@ -267,10 +317,10 @@ def expand(
     (read-only) and its coefficients on the states of sector t.
     matrix is one N x N matrix or a stack (B, N, N); a stack gives coeffs
     a leading batch axis, and each matrix gets exactly the coefficients a
-    call with it alone would.  The walk comes from the supports' cached plan.
+    call with it alone would.  The walk is the supports' cached Reader's.
     """
-    plan, sectors = _walk(supports, matrix, caps, max_total, lambda buf: buf)
-    return plan.basis, sectors
+    r = reader(supports, caps, max_total)
+    return r.basis, r.expand(matrix)
 
 
 def output_table(
@@ -280,12 +330,8 @@ def output_table(
 
     With probabilities as the support weights these are the joint output
     probabilities P(n); every entry is exact, however tight the caps.  A
-    stack of B matrices gives a (B, states) table, one row per matrix.
-    The walked coefficients are squared before the kept rows are gathered.
+    stack of B matrices gives a (B, states) table, one row per matrix: the
+    cached Reader's table without its zero cell.
     """
-    plan, sectors = _walk(supports, matrix, caps, max_total, lambda buf: buf.real**2 + buf.imag**2)
-    b = plan.basis
-    table = np.zeros(np.shape(matrix)[:-2] + (len(b.states),))
-    for t, (w, squares) in sectors.items():
-        table[..., b.offsets[t] : b.offsets[t + 1]] = w @ squares
-    return b, table * b.factorials
+    r = reader(supports, caps, max_total)
+    return r.basis, r.table(matrix)[..., :-1]

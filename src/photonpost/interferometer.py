@@ -8,6 +8,7 @@ with the later element on the left.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -80,9 +81,17 @@ def _is_number(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+@functools.lru_cache(maxsize=16)
+def _identity(n: int) -> np.ndarray:
+    """np.eye(n), cached read-only."""
+    eye = np.eye(n)
+    eye.setflags(write=False)
+    return eye
+
+
 def check_unitary(a: np.ndarray) -> None:
     """Raise NotUnitary unless every matrix of an (..., N, N) stack is unitary."""
-    deviation = abs(a.swapaxes(-1, -2).conj() @ a - np.eye(a.shape[-1])).max()
+    deviation = abs(a.swapaxes(-1, -2).conj() @ a - _identity(a.shape[-1])).max()
     if not deviation <= UNITARITY_TOL:  # NaN fails too
         raise NotUnitary(
             f"matrix is not unitary within {UNITARITY_TOL} (max deviation {deviation:.3e})"

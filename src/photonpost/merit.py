@@ -126,8 +126,11 @@ def ratio_breaches(q0, q1, allowed) -> np.ndarray:
     """Where (q0, q1) breaches the allowed ratio by more than BOUND_SLACK, or
     q0 <= 0 while q1 > 1e-12.  Callers that may hold dust drop it with is_dust."""
     q0, q1 = np.asarray(q0), np.asarray(q1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return np.where(q0 <= 0.0, q1 > 1e-12, q1 / q0 > allowed + BOUND_SLACK)
+    # q0 <= 0 reads as ratio +inf where q1 > 1e-12, else -inf: for the finite
+    # allowed of allowed_ratio, a breach exactly where q1 > 1e-12
+    ratio = np.where(q1 > 1e-12, math.inf, -math.inf)
+    np.divide(q1, q0, out=ratio, where=~(q0 <= 0.0))  # NaN q0 divides: no breach
+    return ratio > allowed + BOUND_SLACK
 
 
 def detection_coefficients(interf: Interferometer, pattern: DetectionPattern) -> np.ndarray:

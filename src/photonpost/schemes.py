@@ -62,9 +62,13 @@ class ChainScheme:
         return _tap_pattern(self.n_modes, detected)
 
 
-def _tap_pattern(n_modes: int, detected: int) -> DetectionPattern:
+def _check_detected(n_modes: int, detected: int) -> None:
     if detected < 0 or detected > n_modes:
         raise BadParameters(f"detected count {detected} outside 0..{n_modes}")
+
+
+def _tap_pattern(n_modes: int, detected: int) -> DetectionPattern:
+    _check_detected(n_modes, detected)
     return DetectionPattern((detected,) + (0,) * (n_modes - 2))
 
 
@@ -234,12 +238,13 @@ def run_chain(
         one = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
     else:
         one = dict(InputSpec.two_level([p]).distributions[0])
+    _check_detected(n_modes, detected)  # a bucket scenario's D = 2 always passes
+    if n_modes > MAX_TOTAL:  # before the N-mode pattern labels are built
+        raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
     if scenario == "ideal":
         label, reading = _tap_pattern(n_modes, detected), detected
     else:
         label, reading = ObservedPattern((BUCKET,) + (0,) * (n_modes - 2)), BUCKET
-    if n_modes > MAX_TOTAL:
-        raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
     top = n_modes * max(one)  # the N-mode source maximum
     vacuum, tap = CHAIN_SCENARIOS[scenario](top)
     vacuum, tap = vacuum.column(0), tap.column(reading)

@@ -32,7 +32,7 @@ from .engine import basis
 from .errors import BadCount, BadParameters, DimensionMismatch
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
-from .merit import allowed_ratio, is_dust, ratio_breaches
+from .merit import DUST, allowed_ratio, is_dust, ratio_breaches
 from .schemes import chain_element_angles
 
 IMPROVEMENT_SLACK = 1e-9  # relative: a verdict means the same at every p_max
@@ -180,6 +180,7 @@ class PatternScorer:
         self.allowed = allowed_ratio(spec, totals)
         # a vacuum entry of D photons computed from |U| never exceeds D!
         self.ceiling = np.array([math.factorial(d) for d in totals], dtype=float)
+        self.floor = DUST * self.ceiling  # merit.is_dust against the ceiling
 
     def best(self, matrices, objective: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Per matrix: the best objective value over the patterns (0 for one
@@ -190,7 +191,7 @@ class PatternScorer:
         probability 0, so value 0 and no breach."""
         q, prob = self.readout.read(matrices)
         possible = prob > 0.0
-        odd = (is_dust(q[..., 0], self.ceiling) & possible).any(axis=1).nonzero()[0]
+        odd = ((q[..., 0] < self.floor) & possible).any(axis=1).nonzero()[0]
         if odd.size:
             paths, _ = self.readout.read(np.abs(matrices[odd]))
             prob[odd] = np.where(is_dust(q[odd, :, 0], paths[..., 0]), 0.0, prob[odd])
@@ -279,13 +280,13 @@ def unitary_from_angles(n_modes: int, angles) -> Interferometer | np.ndarray:
     ph = np.empty(phi.shape, dtype=complex)
     ph.real, ph.imag = np.cos(phi), np.sin(phi)
     ct, st = np.cos(theta), np.sin(theta)
-    m = np.empty(theta.shape + identity.shape, dtype=complex)  # (B, P) couplers
+    m = np.empty((count, len(theta)) + identity.shape, dtype=complex)  # (P, B): m[k] contiguous
     m[...] = identity
     entries = np.array([ph * ct, -st, st, ph.conj() * ct])  # coupler_matrix's
-    m[:, slots, rows, cols] = entries.transpose(1, 2, 0)
+    m[slots, :, rows, cols] = entries.transpose(2, 0, 1)
     total = identity
     for k in range(count):
-        total = m[:, k] @ total
+        total = m[k] @ total
     if angles.ndim == 1:
         return Interferometer(total[0], provenance=f"compose({count} elements)")
     check_unitary(total)

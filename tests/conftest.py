@@ -3,10 +3,11 @@
 For a two-level input with uniform best probability p and M occupied
 modes, detecting D photons can raise the one-to-zero photon ratio by at
 most a factor (M - D), and not at all when D = 0 or D = M - 1.  The
-fixture below wraps condition_mixed, the engine's joint output table
-that every consumer builds on, and schemes.run_chain in every loaded
-photonpost module that binds them, so a violation fails the specific
-test that produced it, wherever it ran.  run_chain reads its exact-count
+fixture below wraps condition_mixed and schemes.run_chain in every loaded
+photonpost module that binds them, and the table method of
+engine.Reader, the joint output table that every consumer builds on
+(output_table and each Readout's bound reader alike), so a violation
+fails the specific test that produced it, wherever it ran.  run_chain reads its exact-count
 scenarios from a two-mode source that is not two-level, which the table
 check passes over, so its "ideal" results are checked against the bound
 of the N two-level sources they herald.
@@ -26,10 +27,11 @@ import pytest
 import photonpost.cli  # noqa: F401  (loaded so that its names are wrapped too)
 from photonpost import conditioner, engine, merit, schemes
 from photonpost.conditioner import DetectionPattern
+from photonpost.errors import PhotonPostError
 from photonpost.fock import InputSpec
 
 _original = conditioner.condition_mixed
-_original_table = engine.output_table
+_original_table = engine.Reader.table
 _original_chain = schemes.run_chain
 
 
@@ -45,9 +47,13 @@ def _checked_condition_mixed(spec, interf, pattern, *args, **kwargs):
     return result
 
 
-def _checked_output_table(supports, matrix, caps, max_total):
-    basis, table = _original_table(supports, matrix, caps, max_total)
-    spec = InputSpec(tuple(supports))
+def _checked_table(reader, matrix):
+    table = _original_table(reader, matrix)
+    try:
+        spec = InputSpec(reader.supports)
+    except PhotonPostError:  # weights that are not probabilities: no bound applies
+        return table
+    basis = reader.basis
     # pair each (0, pattern) entry with its (1, pattern) entry, in every
     # table of a stack
     zero = np.flatnonzero(basis.states[:, 0] == 0)
@@ -57,11 +63,11 @@ def _checked_output_table(supports, matrix, caps, max_total):
     zero, one = zero[one >= 0], one[one >= 0]
     allowed = merit.allowed_ratio(spec, basis.states[zero, 1:].sum(axis=1))
     if allowed is None:
-        return basis, table
+        return table
     q0, q1 = table[..., zero], table[..., one]
     bad = merit.ratio_breaches(q0, q1, allowed)
     if bad.any():  # a raw breach: drop the dust entries, read from |U|
-        _, paths = _original_table(supports, np.abs(matrix), caps, max_total)
+        paths = _original_table(reader, np.abs(matrix))
         bad &= ~merit.is_dust(q0, paths[..., zero])
     bad = np.argwhere(bad)
     assert bad.size == 0, (
@@ -70,7 +76,7 @@ def _checked_output_table(supports, matrix, caps, max_total):
         f"{tuple(bad[0][:-1].tolist())}): q1/q0 = {q1[tuple(bad[0])]}/{q0[tuple(bad[0])]} "
         f"> {allowed[bad[0][-1]]}"
     )
-    return basis, table
+    return table
 
 
 def _checked_run_chain(n_modes, epsilon, p, detected, scenario="ideal", *args, **kwargs):
@@ -102,10 +108,10 @@ def ratio_bound_tripwire():
         (name, original, checked, _holders(name, original))
         for name, original, checked in (
             ("condition_mixed", _original, _checked_condition_mixed),
-            ("output_table", _original_table, _checked_output_table),
             ("run_chain", _original_chain, _checked_run_chain),
         )
     ]
+    wrapped.append(("table", _original_table, _checked_table, [engine.Reader]))
     for name, _, checked, holders in wrapped:
         for mod in holders:
             setattr(mod, name, checked)

@@ -167,22 +167,19 @@ def test_criterion_3_ratio_bound():
         # every conditional computation and every joint output table in
         # this suite flows through the session-wide checked wrappers
         # installed by conftest: no loaded photonpost module binds an
-        # unwrapped one ...
-        wrappers = {
-            "condition_mixed": "_checked_condition_mixed",
-            "output_table": "_checked_output_table",
-        }
+        # unwrapped condition_mixed ...
         for key, mod in list(sys.modules.items()):
             if key == "photonpost" or key.startswith("photonpost."):
-                for name, wrapper in wrappers.items():
-                    if hasattr(mod, name):
-                        assert getattr(mod, name).__name__ == wrapper, (key, name)
-        # ... and the callers hold the wrappers, including the conditioner
-        # whose Readout reads the stacked tables the searches score
+                if hasattr(mod, "condition_mixed"):
+                    assert mod.condition_mixed.__name__ == "_checked_condition_mixed", key
+        # ... and the callers hold the wrappers; every table, output_table's
+        # and that of the reader a Readout binds (the stacked tables the
+        # searches score), comes from the one checked Reader.table
         for mod in (photonpost.conditioner, photonpost.schemes, cli, photonpost):
             assert mod.condition_mixed.__name__ == "_checked_condition_mixed"
-        for mod in (photonpost.engine, photonpost.conditioner):
-            assert mod.output_table.__name__ == "_checked_output_table"
+        assert photonpost.engine.Reader.table.__name__ == "_checked_table"
+        bound = photonpost.conditioner.Readout(InputSpec.two_level([0.3] * 3), [np.eye(3)[:2]])
+        assert isinstance(bound.reader, photonpost.engine.Reader)
 
         # explicit spot checks at the pattern extremes
         rng = np.random.default_rng(ACCEPTANCE_SEED + 3)

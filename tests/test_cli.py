@@ -474,9 +474,9 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
     table, building no N x N chain; exp-sweep under "+darkcounts" first
     checks and reads the N-1 sources through S and the vacuum rows once,
     in one (N-1)-mode table, and then reads the grid the same way."""
-    from photonpost import conditioner, interferometer, schemes
+    from photonpost import engine, interferometer, schemes
 
-    shapes = {"check_unitary": [], "output_table": []}
+    shapes = {"check_unitary": [], "table": []}
 
     def counted(name, fn, arg):
         def wrapper(*args, **kwargs):
@@ -488,9 +488,7 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
     checked = counted("check_unitary", interferometer.check_unitary, 0)
     monkeypatch.setattr(interferometer, "check_unitary", checked)
     monkeypatch.setattr(schemes, "check_unitary", checked)
-    monkeypatch.setattr(
-        conditioner, "output_table", counted("output_table", conditioner.output_table, 1)
-    )
+    monkeypatch.setattr(engine.Reader, "table", counted("table", engine.Reader.table, 1))
     grid = [0.4, 0.2, 0.1, 0.05, 0.01]
     g, n = len(grid), 6
     chain = chain_config(modes=n, detected=3, epsilon_grid={"values": grid})
@@ -508,7 +506,7 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
         code, out = run(tmp_path, command, cfg, name=command)
         assert code == 0
         assert shapes["check_unitary"] == checks, command
-        assert shapes["output_table"] == reads, command
+        assert shapes["table"] == reads, command
         assert len(out.read_text().splitlines()) == g + 1
 
 
@@ -523,6 +521,56 @@ def test_sweep_reports_the_first_bad_epsilon(tmp_path, capsys):
         assert not out.exists()
         err = capsys.readouterr().err
         assert err == "config error: epsilon must sit strictly inside (0, 1), got 1.5\n"
+
+
+@pytest.mark.parametrize("modes", [10**6, 10**30])
+@pytest.mark.parametrize("command", ["chain-sweep", "exp-sweep"])
+def test_a_chain_past_the_photon_limit_exits_3_before_building_labels(
+    tmp_path, capsys, monkeypatch, command, modes
+):
+    """The photon limit is checked before run_chain builds its N-mode pattern
+    labels, which took 0.34 s at a million modes and overflowed at 10^30."""
+    from photonpost import schemes
+
+    def unbuilt(*args):
+        raise AssertionError("a label was built")
+
+    monkeypatch.setattr(schemes, "_tap_pattern", unbuilt)
+    monkeypatch.setattr(schemes, "ObservedPattern", unbuilt)
+    if command == "chain-sweep":
+        cfg = chain_config(modes=modes)
+    else:
+        cfg = exp_config("+darkcounts", [0.1], modes=modes, detected=2)
+    code, out = run(tmp_path, command, cfg)
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == f"dimension error: a {modes}-mode chain holds more than 170 photons\n"
+
+
+@pytest.mark.parametrize("count", [photonpost.cli.MAX_GRID + 1, 10**30])
+@pytest.mark.parametrize("spacing", ["linear", "log"])
+def test_a_grid_count_past_the_ceiling_is_refused_before_allocating(
+    tmp_path, capsys, monkeypatch, spacing, count
+):
+    def unallocated(*args):
+        raise AssertionError("the grid was allocated")
+
+    monkeypatch.setattr(photonpost.cli.np, "linspace", unallocated)
+    monkeypatch.setattr(photonpost.cli.np, "geomspace", unallocated)
+    grid = {"start": 0.3, "stop": 0.1, "count": count, "spacing": spacing}
+    for command, cfg in (
+        ("chain-sweep", chain_config(epsilon_grid=grid)),
+        ("pure-landscape", landscape_config([1.0]) | {"phi_grid": grid}),
+    ):
+        code, out = run(tmp_path, command, cfg, name=command)
+        assert code == 2
+        assert not out.exists()
+        where = "epsilon_grid" if command == "chain-sweep" else "phi_grid"
+        limit = photonpost.cli.MAX_GRID
+        assert capsys.readouterr().err == (
+            f"config error: {where}: count {count} exceeds {limit} points\n"
+        )
 
 
 def test_chain_sweep_heralds_a_48_mode_chain(tmp_path):
@@ -943,6 +991,17 @@ def test_unreadable_config_is_a_config_error(tmp_path, capsys, make, reason):
     assert not out.exists()
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and str(cfg) in err and reason in err
+
+
+def test_a_config_nested_too_deeply_is_a_config_error(tmp_path, capsys):
+    """JSON nested past the parser's recursion limit exits 2 naming the file,
+    not 1 with a RecursionError traceback."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text("[" * 100_000)
+    out = tmp_path / "o.json"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out)]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err == f"config error: config file {cfg} nests too deeply to parse\n"
 
 
 class _FailingFile:

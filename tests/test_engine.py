@@ -29,7 +29,7 @@ from photonpost import (
     run_chain,
 )
 from photonpost import engine
-from photonpost.engine import expand, max_stack, output_table
+from photonpost.engine import expand, output_table, reader
 
 REL_TOL = 1e-12
 
@@ -218,10 +218,10 @@ def test_oversize_plans_and_totals_raise_before_allocating():
     170 photons, whose factorials overflow a float, raises too."""
     spec = InputSpec.two_level([0.5] * 24)
     with pytest.raises(DimensionTooLarge, match="walked rows"):
-        max_stack(spec.distributions, (12, 12) + (0,) * 22, 24)
+        reader(spec.distributions, (12, 12) + (0,) * 22, 24).stack
     spec = InputSpec.two_level([0.5] * 16)
     with pytest.raises(DimensionTooLarge, match="walked cells"):
-        max_stack(spec.distributions, (1,) * 16, 16)
+        reader(spec.distributions, (1,) * 16, 16).stack
     with pytest.raises(DimensionTooLarge, match="factorials"):
         output_table([((171, 1.0),), ((0, 1.0),)], np.eye(2), (171, 171), 171)
 
@@ -270,7 +270,7 @@ def test_stacked_table_equals_per_matrix_calls():
 def test_stacks_beyond_the_size_guard_raise():
     spec = InputSpec.two_level([0.5] * 4)
     caps, top = (4, 3, 3, 3), 4
-    fits = max_stack(spec.distributions, caps, top)
+    fits = reader(spec.distributions, caps, top).stack
     assert fits >= 1
     with pytest.raises(DimensionTooLarge):
         output_table(spec.distributions, np.broadcast_to(np.eye(4), (fits + 1, 4, 4)), caps, top)
@@ -327,6 +327,70 @@ def test_walk_equals_the_chain_oracle_bit_for_bit(walk):
             assert table.tobytes() == reference.tobytes()
 
 
+def _assert_reader_matches(supports, stack, caps, total, table=True):
+    """The bound reader of supports against output_table and expand, the
+    chain oracle and its one-matrix calls, by their bytes; its table's
+    last cell is a zero."""
+    bound = engine.reader(supports, caps, total)
+    assert bound is engine.reader([list(s) for s in supports], list(caps), total)  # cached
+    got = bound.expand(stack)
+    for walk in (expand, expand_by_chains):
+        want = walk(supports, stack, caps, total)[1]
+        assert list(got) == list(want)
+        for t, (weights, coeffs) in want.items():
+            assert got[t][0].tobytes() == weights.tobytes()
+            assert got[t][1].shape == coeffs.shape and got[t][1].tobytes() == coeffs.tobytes()
+    if table:
+        cells = bound.table(stack)
+        assert cells.shape == (len(stack), len(bound.basis.states) + 1)
+        assert not cells[:, -1].any()
+        for walk in (output_table, output_table_by_chains):
+            assert cells[:, :-1].tobytes() == walk(supports, stack, caps, total)[1].tobytes()
+        for row, matrix in zip(cells, stack):
+            assert row.tobytes() == bound.table(matrix).tobytes()
+    return bound
+
+
+@pytest.mark.parametrize("weights", ["probabilities", "amplitudes"])
+def test_a_bound_reader_equals_the_table_and_expansion_around_its_slice_width(weights):
+    """Stacks one short of, at and one past the matrices walked at once, and
+    an empty stack; amplitudes (complex weights) are read by expand only."""
+    spec = InputSpec(({0: 0.5, 1: 0.3, 2: 0.2}, {0: 0.6, 1: 0.4}, {0: 0.1, 1: 0.9}))
+    supports = spec.distributions
+    if weights == "amplitudes":
+        supports = tuple(
+            tuple((c, math.sqrt(w) * complex(math.cos(c + i), math.sin(c + i))) for c, w in s)
+            for i, s in enumerate(supports)
+        )
+    caps, top = (3, 2, 2), 4
+    size = engine.reader(supports, caps, top).slice
+    assert 1 < size < 200
+    matrices = np.array([haar_random(3, s).matrix for s in range(size + 1)])
+    for count in (size - 1, size, size + 1, 0):
+        _assert_reader_matches(supports, matrices[:count], caps, top, weights == "probabilities")
+
+
+def test_a_bound_reader_equals_the_table_on_the_five_mode_dust_stack():
+    """The 5-mode stack of search's stacked-scoring test: chain starts whose
+    vacuum entries are dust or not, Haar matrices, the identity, and |U|."""
+    from photonpost.search import PatternScorer, chain_seed_angles, detector_patterns
+    from photonpost.search import unitary_from_angles
+
+    n = 5
+    spec = InputSpec.two_level([0.3] * n)
+    patterns = detector_patterns(n, n - 1)
+    readout = PatternScorer(spec, patterns[patterns.max(axis=1) >= 2]).readout
+    rng = np.random.default_rng(11)
+    scales = np.array([[0.0], [1e-13], [1e-12], [1e-9]])
+    starts = chain_seed_angles(n, 1e-3) + scales * rng.standard_normal((4, n * (n - 1)))
+    chains = unitary_from_angles(n, starts)
+    haar = [haar_random(n, s).matrix for s in (3, 4)]
+    stack = np.array([haar[0], chains[0], chains[1], np.eye(n), haar[1], chains[3], chains[2]])
+    for matrices in (stack, np.abs(stack)):
+        bound = _assert_reader_matches(spec.distributions, matrices, readout.caps, n)
+        assert bound is readout.reader
+
+
 @pytest.mark.parametrize(
     "n, caps", [(4, (4, 3, 3, 3)), (6, (4, 2, 2, 2, 2, 2)), (11, (5, 6) + (0,) * 9)]
 )
@@ -338,7 +402,7 @@ def test_a_two_level_plan_takes_one_op_per_input_mode(n, caps):
     assert [op[0] for op in plan.ops] == list(range(n))
 
 
-ENGINE_CACHES = (engine.basis, engine._plan, engine._rows)
+ENGINE_CACHES = (engine.basis, engine._plan, engine._reader)
 
 
 def test_cached_plans_never_mix_up_row_weights():
@@ -378,7 +442,7 @@ def test_repeated_call_builds_no_new_plan():
     built = [cache.cache_info().misses for cache in ENGINE_CACHES]
     output_table(spec.distributions, haar_random(4, 2).matrix, list(caps), top)
     expand(spec.distributions, np.eye(4)[None], caps, top)
-    max_stack(spec.distributions, caps, top)
+    reader(spec.distributions, caps, top).stack
     assert [cache.cache_info().misses for cache in ENGINE_CACHES] == built
 
 
@@ -387,7 +451,7 @@ def test_importing_the_cli_builds_no_basis_or_plan():
     script = (
         "import photonpost.cli\n"
         "from photonpost import engine, search\n"
-        "caches = (engine.basis, engine._plan, engine._rows, search._coupler_layout)\n"
+        "caches = (engine.basis, engine._plan, engine._reader, search._coupler_layout)\n"
         "print([cache.cache_info().currsize for cache in caches])\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")

@@ -43,7 +43,6 @@ from photonpost import (
 )
 from photonpost import beam_splitter, compose, embed_two_mode, haar_random
 from photonpost.cli import main
-from photonpost.engine import max_stack
 from photonpost.merit import is_dust
 from photonpost.search import (
     OBJECTIVES,
@@ -435,9 +434,9 @@ def test_haar_stacks_do_not_change_results(run, n, patterns, monkeypatch):
     whole = run().to_json_dict()
     supports = InputSpec.two_level([0.5] * n).distributions
     caps = PatternScorer(InputSpec.two_level([0.5] * n), patterns).readout.caps
-    cells = photonpost.engine.MAX_CELLS // max_stack(supports, caps, n)
-    monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * cells + 1)
-    assert max_stack(supports, caps, n) == 7  # 30 trials: four stacks of 7, one of 2
+    bound = photonpost.engine.reader(supports, caps, n)
+    monkeypatch.setattr(photonpost.engine, "MAX_CELLS", 7 * bound.plan.cells + 1)
+    assert bound.stack == 7  # 30 trials: four stacks of 7, one of 2
     assert run().to_json_dict() == whole
 
 
@@ -496,16 +495,16 @@ def _haar_calls(n, p_max, patterns, trials):
     """Scorer calls that the Haar trials of a uniform-source search take."""
     spec = InputSpec.two_level([p_max] * n)
     caps = PatternScorer(spec, patterns).readout.caps
-    return math.ceil(trials / max_stack(spec.distributions, caps, n))
+    return math.ceil(trials / photonpost.engine.reader(spec.distributions, caps, n).stack)
 
 
 def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     """Every round of refinement is one scorer call, not one per point, and
     only the points a run reads count as evaluations."""
     calls, runs = _count_rounds(monkeypatch)
-    reads, table = [], photonpost.conditioner.output_table
+    reads, table = [], photonpost.engine.Reader.table
     monkeypatch.setattr(
-        photonpost.conditioner, "output_table", lambda *args: reads.append(1) or table(*args)
+        photonpost.engine.Reader, "table", lambda *args: reads.append(1) or table(*args)
     )
     report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
     assert report.trials_run == 907
@@ -514,6 +513,24 @@ def test_refinement_scores_its_starts_in_stacks(monkeypatch):
     assert len(calls) == haar + max(batches for batches, _ in runs) + 1 == 203
     assert max(calls[haar:]) == 26  # the two initial simplices of 13 points
     assert len(reads) == 237  # each scorer call, and 34 |U| re-reads of dust candidates
+
+
+def test_a_search_looks_up_its_reader_once_per_scorer(monkeypatch):
+    """A seeded search binds its engine reader, the plan and row weights, once
+    per PatternScorer built: one lookup for its 237 reads, none per call."""
+    built, reads = [], []
+    init, table = PatternScorer.__init__, photonpost.engine.Reader.table
+    monkeypatch.setattr(PatternScorer, "__init__", lambda *args: built.append(1) or init(*args))
+    monkeypatch.setattr(
+        photonpost.engine.Reader, "table", lambda *args: reads.append(1) or table(*args)
+    )
+    cache = photonpost.engine._reader
+    before = cache.cache_info()
+    report = search_improvement(SearchTask(4, 0.6, "single_photon", 200, 200, 101))
+    after = cache.cache_info()
+    assert report.trials_run == 907 and len(reads) == 237
+    assert len(built) == 1
+    assert (after.hits + after.misses) - (before.hits + before.misses) == len(built)
 
 
 @pytest.mark.parametrize(
