@@ -39,7 +39,7 @@ from .errors import (
 )
 from .fock import InputSpec
 from .interferometer import Interferometer, beam_splitter, haar_random
-from .merit import figures_of_merit
+from .merit import figures_of_merit, ratio_breaches
 from .schemes import (
     build_chain,
     build_chain_from_elements,
@@ -56,7 +56,10 @@ from .search import (
 
 CONFIG_VERSION = 1
 # each grid point is at least a 32-byte float in a list, so no grid above
-# 2^43 points fits a 48-bit (256 TiB) address space
+# 2^43 points fits a 48-bit (256 TiB) address space; trial counts meet the
+# same ceiling (each trial's seed is a Python int in a list), and so do
+# refinement iterations, which at a microsecond or more each would run
+# for over three months
 MAX_GRID = 1 << 43
 
 DIMENSION_ERRORS = (
@@ -264,15 +267,19 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
+def _refuse(path: str, violations: int) -> int:
+    """Exit 4 for output that breaks the ratio bound, writing nothing."""
+    print(
+        f"numerical check failed: {violations} ratio-bound violation(s); {path} not written",
+        file=sys.stderr,
+    )
+    return 4
+
+
 def _write_report(path: str, report) -> int:
     """Write a search report, or nothing (exit 4) if it breaks the ratio bound."""
     if report.bound_violations > 0:
-        print(
-            f"numerical check failed: {report.bound_violations} ratio-bound "
-            f"violation(s); {path} not written",
-            file=sys.stderr,
-        )
-        return 4
+        return _refuse(path, report.bound_violations)
     _write_json(path, report.to_json_dict())
     return 0
 
@@ -335,6 +342,15 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     return 0
 
 
+def _take_count(cfg: _Config, name: str, **options) -> int:
+    """A trial or iteration count, refused past MAX_GRID before anything
+    is allocated for it."""
+    count = cfg.take(name, int, **options)
+    if count > MAX_GRID:
+        raise ConfigError(f"field {name!r} is {count}, above the ceiling of {MAX_GRID}")
+    return count
+
+
 def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
     """A sweep's modes, p, detected (default ceil(N/2)) and epsilon_grid.
 
@@ -350,9 +366,14 @@ def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
     return n_modes, p, detected, grid
 
 
-def _chain_sweep_point(spec: InputSpec, limits: tuple[float, float], epsilon: float, result) -> str:
-    """One CSV row; spec and the (gain, two-photon) limits are the sweep's."""
+def _chain_sweep_point(
+    spec: InputSpec, limits: tuple[float, float], epsilon: float, result
+) -> tuple[str, bool]:
+    """One CSV row, and whether it breaches the ratio bound; spec and the
+    (gain, two-photon) limits are the sweep's."""
     report = figures_of_merit(result, spec)
+    q0, q1 = np.append(result.unnormalized, 0.0)[:2]
+    breach = report.ratio_bound is not None and bool(ratio_breaches(q0, q1, report.ratio_bound))
     gain_limit, two_photon_limit = limits
     gain = (
         report.ratio_out / report.ratio_in
@@ -363,22 +384,25 @@ def _chain_sweep_point(spec: InputSpec, limits: tuple[float, float], epsilon: fl
     fano = math.nan if report.fano_out is None else report.fano_out
     row = [epsilon, result.pattern_probability, report.ratio_out, report.ratio_in, gain]
     row += [gain_limit, two_photon, two_photon_limit, fano, report.fano_in]
-    return ",".join(map(fmt, row))
+    return ",".join(map(fmt, row)), breach
 
 
 def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
-    """One run_chain call for the grid, then a row per epsilon."""
+    """One run_chain call for the grid, then a row per epsilon; no file
+    (exit 4) if a row breaks the ratio bound."""
     n_modes, p, detected, grid = _take_chain_fields(cfg)
     cfg.finish()
     results = run_chain(n_modes, grid, p, detected)
     spec = InputSpec.two_level([p] * n_modes)
     limits = chain_asymptotics(n_modes, detected)
-    rows = [_chain_sweep_point(spec, limits, e, r) for e, r in zip(grid, results)]
+    rows, breaches = zip(*(_chain_sweep_point(spec, limits, e, r) for e, r in zip(grid, results)))
+    if any(breaches):
+        return _refuse(out, sum(breaches))
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
         "ratio_gain_limit,two_photon_out,two_photon_limit,fano_out,fano_in"
     )
-    _write_text(out, "\n".join([header] + rows) + "\n")
+    _write_text(out, "\n".join((header,) + rows) + "\n")
     return 0
 
 
@@ -406,12 +430,12 @@ def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
     variant = cfg.take("variant", str)
     n_modes = cfg.take("modes", int)
     p_max = cfg.take("p_max", float)
-    trials = cfg.take("trials", int)
+    trials = _take_count(cfg, "trials")
     cfg_seed = cfg.take("seed", int, required=False, default=0)
     if variant not in ("small", "patterns"):
         raise ConfigError(f"field 'variant' must be 'small' or 'patterns', got {variant!r}")
     if variant == "small":  # the patterns variant does not refine
-        refine_iters = cfg.take("refine_iters", int, required=False, default=80)
+        refine_iters = _take_count(cfg, "refine_iters", required=False, default=80)
     cfg.finish()
     use_seed = cfg_seed if seed is None else seed
     if variant == "small":
@@ -425,8 +449,8 @@ def _cmd_search(cfg: _Config, out: str, seed) -> int:
     n_modes = cfg.take("modes", int)
     p_max = cfg.take("p_max", float)
     objective = cfg.take("objective", str, required=False, default="single_photon")
-    trials = cfg.take("trials", int)
-    refine_iters = cfg.take("refine_iters", int, required=False, default=200)
+    trials = _take_count(cfg, "trials")
+    refine_iters = _take_count(cfg, "refine_iters", required=False, default=200)
     cfg_seed = cfg.take("seed", int, required=False, default=0)
     include_chain = cfg.take("include_chain_seed", bool, required=False, default=True)
     chain_epsilon = cfg.take("chain_epsilon", float, required=False, default=1e-3)

@@ -15,7 +15,8 @@ state the reading leaves on S is diagonal again: a phase rotation of S
 alone leaves it unchanged.  The chain is therefore a two-mode problem,
 source 1 and S with weights sigma_k through the 2 x 2 matrix
 [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads every
-scenario that way.  Under exact vacuum counts a photon of source i >= 2
+scenario that way, from the closed form of that matrix's photon-number
+amplitudes (_tap_read) with no engine call.  Under exact vacuum counts a photon of source i >= 2
 is S/sqrt(N-1) plus a part on the vacuum rows, so k two-level photons
 all miss them with probability k!/(N-1)^k and
 sigma_k = W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k, at any N.  Lossy
@@ -30,6 +31,7 @@ conditioning on a vacuum count and a two-photon count.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -46,7 +48,7 @@ from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detecto
 from .engine import MAX_TOTAL
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta, DimensionTooLarge
 from .fock import InputSpec, photon_count
-from .interferometer import Interferometer, beam_splitter, check_unitary, compose, embed_two_mode
+from .interferometer import Interferometer, beam_splitter, compose, embed_two_mode
 
 
 @dataclass(frozen=True)
@@ -207,6 +209,107 @@ def _reduced_source(n_modes: int, one: dict, vacuum) -> tuple[InputSpec, float]:
     return InputSpec((one, dict(enumerate(read.normalized)))), read.pattern_probability
 
 
+# Veltkamp's splits of a double: two 26-bit halves, whose products are
+# exact, or a 36-bit head, exact times any integer below 2^17
+_HALVES, _HEAD = 2.0**27 + 1.0, 2.0**17 + 1.0
+
+
+def _split(x, factor: float):
+    c = factor * x
+    head = c - (c - x)
+    return head, x - head
+
+
+def _times(x, y):
+    """The product of two (hi, lo) pairs as a pair, hi * hi exact (Dekker)."""
+    (xh, xl), (yh, yl) = x, y
+    hi = xh * yh
+    (x1, x2), (y1, y2) = _split(xh, _HALVES), _split(yh, _HALVES)
+    return hi, (((x1 * y1 - hi) + x1 * y2 + x2 * y1) + x2 * y2) + (xh * yl + xl * yh)
+
+
+def _two_sum(x, y):
+    """x + y rounded and its exact rounding error (Knuth)."""
+    s = x + y
+    back = s - x
+    return s, (x - (s - back)) + (y - back)
+
+
+def _powers(x: np.ndarray, top: int, step: float = 1.0) -> np.ndarray:
+    """x[:, None] ** (step * (0..top)), each from the C library's pow: within
+    an ulp, and the same bits whatever the grid's size."""
+    return np.array([[math.pow(v, step * m) for m in range(top + 1)] for v in x.tolist()])
+
+
+@functools.lru_cache(maxsize=8)
+def _binomials(top: int) -> np.ndarray:
+    """C(m, r) for m, r = 0..top, each exact integer rounded once (read-only)."""
+    table = np.zeros((top + 1, top + 1))
+    for m in range(top + 1):
+        table[m, : m + 1] = [math.comb(m, r) for r in range(m + 1)]
+    table.setflags(write=False)
+    return table
+
+
+def _falling(x: np.ndarray, m: int) -> np.ndarray:
+    """x (x - 1) ... (x - m + 1)."""
+    return math.prod((x - i for i in range(m)), start=np.ones_like(x))
+
+
+def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, width: int):
+    """q[g, n1] = sum_D tap[D] sum_{j+k = n1+D} one[j] sigma[k] |<n1, D|U|j, k>|^2
+    for n1 < width, U = [[-eps, a], [a, eps]] at eps[g] and a = sqrt(1 - eps^2).
+
+    With M = n1 + D, s = a^2, t = eps^2 and (x)_m = x (x-1) ... (x-m+1),
+    <n1, D|U|j, k> = sqrt(C(M, n1) / (j! (M)_j)) a^|n1-j| eps^|D-j| P, where
+    P = sum_i (-1)^i C(j, i) (D)_(j-i) (n1)_i s^(h-i) t^(i-l) runs over the
+    i photons of source 1 that reach the kept mode, from l = max(0, j-D)
+    to h = min(j, n1).  P's terms can cancel, so t = eps^2 and s = 1 - t
+    are (hi, lo) pairs to twice double precision, s from eps and not from
+    a rounded a, each term's 36-bit head times its integer (below 2^17
+    wherever a weight is held, M being at most 2 + 2 MAX_TOTAL) is exact,
+    and the heads add with their rounding errors kept.  Every operation is
+    elementwise, so each eps reads as it does alone.
+    """
+    d, n1 = np.flatnonzero(tap > 0.0)[:, None], np.arange(width)
+    top_j, top_d = max(one), int(d.max(initial=0))
+    t = _times((eps, 0.0), (eps, 0.0))
+    one_less, error = _two_sum(1.0, -t[0])
+    s = (one_less, error - t[1])  # 1 - eps^2, not a rounded a squared
+    hi, lo = np.zeros((2, len(eps), top_j + 1, top_j + 1))  # s^u t^v at [:, u, v]
+    hi[:, 0, 0] = 1.0
+    for u, v in ((u, v) for u in range(top_j + 1) for v in range(top_j + 1 - u) if u or v):
+        x, y = (u, v - 1) if v else (u - 1, 0)
+        hi[:, u, v], lo[:, u, v] = _times((hi[:, x, y], lo[:, x, y]), t if v else s)
+    head, tail = _split(hi, _HEAD)
+    rest = tail + lo
+    # a^e = s^(e/2) = pow(s_hi, e/2) (1 + s_lo/s_hi)^(e/2), the last to first order
+    halves = 0.5 * np.arange(width + top_j + 1)
+    pa = _powers(s[0], width + top_j, 0.5) * (1.0 + halves * (s[1] / s[0])[:, None])
+    pe = _powers(eps, top_d + top_j)
+    binomials, m = _binomials(width - 1 + top_d), n1 + d
+    padded = np.append(sigma, 0.0)
+    q = np.zeros((len(eps), len(d), width))
+    for j, weight in one.items():
+        k = m - j
+        held = (k >= 0) & (k < len(sigma))
+        w = weight * padded[np.where(held, k, -1)] * tap[d]
+        scale = binomials[m, n1] / np.maximum(math.factorial(j) * _falling(m, j), 1) * held
+        low, high = np.maximum(j - d, 0), np.minimum(j, n1)
+        total = error = 0.0
+        for i in range(j + 1):
+            b = (-1) ** i * math.comb(j, i) * _falling(d, j - i) * _falling(n1, i)
+            u, v = np.maximum(high - i, 0), np.maximum(i - low, 0)  # exact where b != 0
+            total, e = _two_sum(total, b * head[:, u, v])
+            error = error + e + b * rest[:, u, v]
+        amp = pa[:, None, np.abs(n1 - j)] * pe[:, np.abs(d - j)] * (total + error)
+        q += (scale * amp) * amp * w
+    kept = np.zeros((len(eps), width))
+    for row in np.moveaxis(q, 1, 0):  # tap counts in order, as the grid point alone adds them
+        kept += row
+    return kept
+
+
 def run_chain(
     n_modes: int, epsilon, p: float, detected: int, scenario: str = "ideal", two_photon_prob=0.001
 ) -> ConditionalResult | list[ConditionalResult]:
@@ -221,10 +324,11 @@ def run_chain(
     grid point reads the weights it reads alone.
 
     Each scenario is read from the chain's two-mode reduction (module
-    docstring): S's weights from _reduced_source, then one unitarity check
-    and one Readout of the (G, 2, 2) stack [[-eps, a], [a, eps]], read in
-    as few engine calls as its size limit allows.  A herald whose every
-    weight underflows to 0 raises DimensionTooLarge.
+    docstring): S's weights from _reduced_source, in closed form under
+    "ideal" and "bucket" and from one engine read otherwise, then the tap
+    of [[-eps, a], [a, eps]] over the whole grid from _tap_read's closed
+    form, elementwise in eps.  A herald whose every weight underflows to 0
+    raises DimensionTooLarge.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
@@ -249,19 +353,13 @@ def run_chain(
     vacuum, tap = CHAIN_SCENARIOS[scenario](top)
     vacuum, tap = vacuum.column(0), tap.column(reading)
     spec, z = _reduced_source(n_modes, one, vacuum)
-    eps = np.array(grid, dtype=float)
-    a = np.sqrt(1.0 - eps * eps)
-    matrices = np.moveaxis(np.array([[-eps, a], [a, eps]], dtype=complex), -1, 0)
-    check_unitary(matrices)
-    readout = Readout(spec, [[tap]])
+    source, reduced = (dict(dist) for dist in spec.distributions)
+    sigma = np.zeros(max(reduced) + 1)
+    sigma[list(reduced)] = list(reduced.values())
     # n1 runs to the N-mode source maximum less the tap's fewest photons,
     # also where a weight underflows to 0 and shortens the reduced source
-    length = readout.lengths[0]
-    kept = np.zeros((len(grid), max(top - int(np.argmax(tap > 0.0)) + 1, length)))
-    size = readout.stack()
-    for lo in range(0, len(grid), size):
-        q, _ = readout.read(matrices[lo : lo + size])
-        kept[lo : lo + len(q), :length] = q[:, 0, :length] * z
+    width = top - int(np.argmax(tap > 0.0)) + 1
+    kept = _tap_read(np.array(grid, dtype=float), source, sigma, tap, width) * z
     for e, row in zip(grid, kept):
         if top and not row.any():  # a source that emits makes every row possible
             raise DimensionTooLarge(

@@ -28,8 +28,8 @@ from typing import Sequence
 import numpy as np
 
 from .conditioner import Readout
-from .engine import basis
-from .errors import BadCount, BadParameters, DimensionMismatch
+from .engine import MAX_TOTAL, basis
+from .errors import BadCount, BadParameters, DimensionMismatch, DimensionTooLarge
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer, check_unitary, haar_random, haar_unitaries
 from .merit import DUST, allowed_ratio, is_dust, ratio_breaches
@@ -57,6 +57,10 @@ class SearchTask:
         object.__setattr__(self, "n_modes", photon_count(self.n_modes))
         if self.n_modes < 2:
             raise BadParameters("searches need at least two modes")
+        if self.n_modes - 1 > MAX_TOTAL:  # before any (N - 1)-detector pattern is built
+            raise DimensionTooLarge(
+                f"a {self.n_modes}-mode search detects more than {MAX_TOTAL} photons"
+            )
         if not (0.0 < self.p_max < 1.0):
             raise BadParameters(f"p_max must sit inside (0, 1), got {self.p_max}")
         if self.objective not in OBJECTIVES:

@@ -296,14 +296,15 @@ def test_chain_sweep_floats_survive_round_trip(tmp_path):
         },
     )
     assert code == 0
-    from photonpost import InputSpec, build_chain, condition_mixed
+    from photonpost import InputSpec, build_chain, condition_mixed, run_chain
 
     _, rows = read_csv(out)
+    assert rows[0][1] == run_chain(4, 0.17, 0.2, 2).pattern_probability
     chain = build_chain(4, 0.17)
     res = condition_mixed(
         InputSpec.two_level([0.2] * 4), chain.interferometer, chain.pattern_for(2)
     )
-    assert rows[0][1] == res.pattern_probability
+    assert np.isclose(rows[0][1], res.pattern_probability, rtol=1e-14, atol=0.0)
 
 
 # exp-sweep ------------------------------------------------------------------
@@ -324,8 +325,8 @@ def exp_config(scenario, eps_values, **overrides):
 
 
 def test_exp_sweep_ideal_matches_simulate(tmp_path):
-    """"ideal" rows are the chain's two-mode reduction bit for bit, and the
-    N-mode chain's condition_mixed to 2e-13."""
+    """"ideal" rows are the chain's two-mode reduction to 1e-14 relative,
+    and the N-mode chain's condition_mixed to 2e-13."""
     code, out = run(tmp_path, "exp-sweep", exp_config("ideal", [0.05, 0.2]))
     assert code == 0
     header, rows = read_csv(out)
@@ -335,7 +336,8 @@ def test_exp_sweep_ideal_matches_simulate(tmp_path):
 
     for row, eps in zip(rows, (0.05, 0.2)):
         reduced = chain_two_mode(4, eps, 0.2, 2)
-        assert row[1:] == [reduced.pattern_probability, float(reduced.normalized[1])]
+        want = [reduced.pattern_probability, float(reduced.normalized[1])]
+        assert np.allclose(row[1:], want, rtol=1e-14, atol=0.0)
         chain = build_chain(4, eps)
         res = condition_mixed(
             InputSpec.two_level([0.2] * 4), chain.interferometer, chain.pattern_for(2)
@@ -394,65 +396,65 @@ def test_exp_sweep_lossy_scenarios_run_to_their_mode_limits(
         assert err.startswith("dimension error:") and "walked" in err
 
 
-# (scenario, modes, detected) -> CSV rows at p = 0.2, recorded when each
-# scenario moved to the chain's two-mode reduction, which shifted them by
-# roundoff: "ideal" and "bucket" by at most 5.3e-16 relative from 50-digit
-# values, before and after, the lossy ones by at most 2.1e-15 relative from
-# their N-mode values (at 4 modes within 7.2e-16 of 50 digits).
+# (scenario, modes, detected) -> CSV rows at p = 0.2, re-recorded when
+# run_chain moved to the closed form of the chain's two-mode reduction:
+# every value moved by at most 6.3e-16 relative from the engine-read pins,
+# and the "ideal" and "bucket" rows lie within 7.7e-16 relative of
+# 50-digit values (5.3e-16 before).
 EXP_SWEEP_PINS = {
     ("ideal", 4, 2): (
-        "0.29999999999999999,0.0056297249280000015,0.20973017600337013",
-        "0.050000000000000003,0.00017542746633333344,0.24154636416028044",
+        "0.29999999999999999,0.0056297249280000024,0.2097301760033701",
+        "0.050000000000000003,0.00017542746633333344,0.24154636416028039",
         "0.001,7.0399908266717896e-08,0.24242389164356123",
     ),
     ("ideal", 6, 2): (
         "0.29999999999999999,0.0039053951112592851,0.23713811930833703",
-        "0.050000000000000003,0.0001226715581961496,0.2654198994353526",
-        "0.001,4.9242042474548063e-08,0.26617836949875412",
+        "0.050000000000000003,0.0001226715581961496,0.26541989943535244",
+        "0.001,4.9242042474548063e-08,0.26617836949875406",
     ),
     ("bucket", 4, 2): (
-        "0.29999999999999999,0.0057461264640000015,0.20897480337808313",
-        "0.050000000000000003,0.0001755271776111112,0.24152233364955547",
+        "0.29999999999999999,0.0057461264640000023,0.20897480337808311",
+        "0.050000000000000003,0.0001755271776111112,0.24152233364955536",
         "0.001,7.0399924266699398e-08,0.24242388200169979",
     ),
     ("bucket", 6, 2): (
         "0.29999999999999999,0.0040145001959565824,0.23784919188963138",
-        "0.050000000000000003,0.00012276632131804244,0.26543893105406335",
-        "0.001,4.9242057687071867e-08,0.26617837710251824",
+        "0.050000000000000003,0.00012276632131804241,0.2654389310540633",
+        "0.001,4.9242057687071861e-08,0.26617837710251824",
     ),
     ("bucket+efficiency", 4, 2): (
         "0.29999999999999999,0.0058168880640000033,0.20643265519093895",
-        "0.050000000000000003,0.00017768177761111123,0.23859359201336888",
+        "0.050000000000000003,0.00017768177761111123,0.23859359201336877",
         "0.001,7.1263923402699402e-08,0.23948475074714282",
     ),
     ("bucket+efficiency", 6, 2): (
         "0.29999999999999999,0.0042147966945049855,0.23311008808473754",
-        "0.050000000000000003,0.00012887732640347766,0.26056133513658214",
-        "0.001,5.1692867219431382e-08,0.26129910525404138",
+        "0.050000000000000003,0.00012887732640347766,0.26056133513658208",
+        "0.001,5.1692867219431362e-08,0.26129910525404149",
     ),
     ("+darkcounts", 4, 2): (
         "0.29999999999999999,0.0059475630704250914,0.20532771376844233",
-        "0.050000000000000003,0.00031626081480795571,0.21613591663421136",
+        "0.050000000000000003,0.00031626081480795571,0.21613591663421128",
         "0.001,0.00013890588770532555,0.18827945354855813",
     ),
     ("+darkcounts", 6, 2): (
         "0.29999999999999999,0.0043035216001651349,0.23155221544735913",
-        "0.050000000000000003,0.00022277674320438722,0.22865179642495306",
-        "0.001,9.4120006562103034e-05,0.18569328804457891",
+        "0.050000000000000003,0.00022277674320438722,0.22865179642495304",
+        "0.001,9.4120006562103034e-05,0.18569328804457894",
     ),
     ("+two-photon-inputs", 4, 2): (
         "0.29999999999999999,0.0063857536041322478,0.2012959375716589",
-        "0.050000000000000003,0.00086345962526278796,0.1977986609295394",
-        "0.001,0.00068960236138130139,0.18842927430235357",
+        "0.050000000000000003,0.00086345962526278796,0.19779866092953932",
+        "0.001,0.00068960236138130128,0.18842927430235351",
     ),
     ("+two-photon-inputs", 6, 2): (
         "0.29999999999999999,0.0045843340188537682,0.22560120967240624",
-        "0.050000000000000003,0.00059189014923850141,0.20110458600328285",
-        "0.001,0.00046607617501588541,0.18586765875265643",
+        "0.050000000000000003,0.00059189014923850141,0.20110458600328279",
+        "0.001,0.00046607617501588536,0.1858676587526564",
     ),
     ("ideal", 5, 3): (
-        "0.29999999999999999,0.00011660562765000005,0.23511928671480384",
-        "0.050000000000000003,1.0201634750976572e-07,0.26297531625930726",
+        "0.29999999999999999,0.00011660562765000007,0.23511928671480378",
+        "0.050000000000000003,1.0201634750976574e-07,0.2629753162593072",
         "0.001,1.6379977020010511e-14,0.26373595974705649",
     ),
 }
@@ -469,12 +471,12 @@ def test_exp_sweep_csv_is_pinned(tmp_path, scenario, modes, detected):
 
 
 def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monkeypatch):
-    """chain-sweep ("ideal") checks the grid's two-mode reductions for
-    unitarity in one (G, 2, 2) call and reads them in one (G, 2, 2) engine
-    table, building no N x N chain; exp-sweep under "+darkcounts" first
-    checks and reads the N-1 sources through S and the vacuum rows once,
-    in one (N-1)-mode table, and then reads the grid the same way."""
-    from photonpost import engine, interferometer, schemes
+    """chain-sweep ("ideal") reads the grid's two-mode reductions in closed
+    form, with no unitarity check, engine table or N x N chain; exp-sweep
+    under "+darkcounts" checks and reads the N-1 sources through S and the
+    vacuum rows once, in one (N-1)-mode table, and then reads the grid the
+    same way."""
+    from photonpost import engine, interferometer
 
     shapes = {"check_unitary": [], "table": []}
 
@@ -487,19 +489,13 @@ def test_sweeps_complete_the_grid_once_and_read_each_point_alone(tmp_path, monke
 
     checked = counted("check_unitary", interferometer.check_unitary, 0)
     monkeypatch.setattr(interferometer, "check_unitary", checked)
-    monkeypatch.setattr(schemes, "check_unitary", checked)
     monkeypatch.setattr(engine.Reader, "table", counted("table", engine.Reader.table, 1))
     grid = [0.4, 0.2, 0.1, 0.05, 0.01]
     g, n = len(grid), 6
     chain = chain_config(modes=n, detected=3, epsilon_grid={"values": grid})
     for command, cfg, checks, reads in (
-        ("chain-sweep", chain, [(g, 2, 2)], [(g, 2, 2)]),
-        (
-            "exp-sweep",
-            exp_config("+darkcounts", grid, modes=n),
-            [(n - 1, n - 1), (g, 2, 2)],
-            [(1, n - 1, n - 1), (g, 2, 2)],
-        ),
+        ("chain-sweep", chain, [], []),
+        ("exp-sweep", exp_config("+darkcounts", grid, modes=n), [(n - 1, n - 1)], [(1, n - 1, n - 1)]),
     ):
         for calls in shapes.values():
             calls.clear()
@@ -571,6 +567,78 @@ def test_a_grid_count_past_the_ceiling_is_refused_before_allocating(
         assert capsys.readouterr().err == (
             f"config error: {where}: count {count} exceeds {limit} points\n"
         )
+
+
+SEARCH_CONFIG = {
+    "command": "search",
+    "version": 1,
+    "modes": 4,
+    "p_max": 0.2,
+    "trials": 5,
+    "refine_iters": 10,
+    "seed": 2,
+}
+HUGE = 10**30
+
+
+@pytest.mark.parametrize(
+    "command, cfg, code, err",
+    [
+        ("search", SEARCH_CONFIG | {"modes": HUGE}, 3, "more than 170 photons"),
+        ("search", SEARCH_CONFIG | {"trials": HUGE}, 2, "field 'trials'"),
+        ("search", SEARCH_CONFIG | {"refine_iters": HUGE}, 2, "field 'refine_iters'"),
+        ("nogo-verify", "patterns", 2, "field 'trials'"),
+        ("nogo-verify", "small", 2, "field 'refine_iters'"),
+    ],
+)
+def test_a_huge_search_count_is_refused_before_allocating(tmp_path, capsys, command, cfg, code, err):
+    """A mode, trial or iteration count no run could finish exits 2 or 3
+    with one line on stderr; it used to exit 1 with a traceback."""
+    if command == "nogo-verify":
+        field = "trials" if cfg == "patterns" else "refine_iters"
+        cfg = nogo_config(variant=cfg, **{field: HUGE})
+    got, out = run(tmp_path, command, cfg)
+    assert got == code
+    assert not out.exists()
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and err in lines[0], lines
+
+
+def test_chain_sweep_refuses_rows_that_breach_the_ratio_bound(tmp_path, capsys, monkeypatch):
+    """A chain row above the ratio bound is a failed numerical check: exit 4
+    and no file, as for a search report."""
+    from photonpost import ConditionalResult, DetectionPattern
+
+    def breaching(n_modes, grid, p, detected):
+        # q1/q0 = 100 against the bound 0.25 * (4 - 2) of four p = 0.2 sources at D = 2
+        row, pattern = np.array([1e-4, 1e-2]), DetectionPattern((2, 0, 0))
+        return [ConditionalResult.from_unnormalized(row, pattern=pattern)] * len(grid)
+
+    monkeypatch.setattr(photonpost.cli, "run_chain", breaching)
+    cfg = chain_config(detected=2, epsilon_grid={"values": [0.3, 0.1]})
+    code, out = run(tmp_path, "chain-sweep", cfg)
+    assert code == 4
+    assert not out.exists()
+    assert capsys.readouterr().err == (
+        f"numerical check failed: 2 ratio-bound violation(s); {out} not written\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "key", ["chain-sweep-11/full", "chain-small-eps/full", "exp-sweep-dark6/full"]
+)
+def test_benchmark_sweeps_match_their_references(tmp_path, key):
+    """The benchmark's sweep jobs, run from the configs stored with their
+    references, match those high-precision rows to 1e-14 relative (the
+    benchmark itself asks 1e-8)."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "refs.json")
+    with open(path, encoding="utf-8") as fh:
+        ref = json.load(fh)[key]
+    code, out = run(tmp_path, ref["config"]["command"], ref["config"])
+    assert code == 0
+    header, rows = read_csv(out)
+    assert header == ref["columns"]
+    assert np.allclose(rows, ref["rows"], rtol=1e-14, atol=0.0)
 
 
 def test_chain_sweep_heralds_a_48_mode_chain(tmp_path):
