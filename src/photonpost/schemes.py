@@ -16,12 +16,15 @@ alone leaves it unchanged.  The chain is therefore a two-mode problem,
 source 1 and S with weights sigma_k through the 2 x 2 matrix
 [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads every
 scenario that way, from the closed form of that matrix's photon-number
-amplitudes (_tap_read) with no engine call.  Under exact vacuum counts a photon of source i >= 2
-is S/sqrt(N-1) plus a part on the vacuum rows, so k two-level photons
-all miss them with probability k!/(N-1)^k and
-sigma_k = W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k, at any N.  Lossy
-vacuum detectors and multiphoton sources take sigma_k from one read of
-the N-1 sources through S and the vacuum rows, the same at every epsilon.
+amplitudes (_tap_read), with no engine call.  Under exact vacuum counts
+a photon of source i >= 2 is S/sqrt(N-1) plus a part on the vacuum rows,
+so k two-level photons all miss them with probability k!/(N-1)^k and
+sigma_k = W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k, at any N.  Under
+lossy vacuum detectors or multiphoton sources, S is built by merging
+sources N, N-1, ..., 2 into one beam (chain_element_angles), the m-th
+merge at reflectivity 1/m, and no later coupler touches its contrast
+output, a vacuum row: each merge is the same two-mode read at
+eps = sqrt(1/m), the new source as source 1 and the beam as S.
 
 The pure-state scheme takes three identical superposition sources
 through two beam splitters and distills an exact one-photon state by
@@ -37,13 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .conditioner import (
-    ConditionalResult,
-    DetectionPattern,
-    Readout,
-    condition_mixed,
-    condition_pure,
-)
+from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
 from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite
 from .engine import MAX_TOTAL
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta, DimensionTooLarge
@@ -191,22 +188,26 @@ CHAIN_SCENARIOS = {
 }
 
 
-def _reduced_source(n_modes: int, one: dict, vacuum) -> tuple[InputSpec, float]:
-    """The chain's sources as the two-mode spec its vacuum rows leave when
-    each reads 0, with probability vacuum[t] for t photons (module
-    docstring): source 1 emitting `one` and S with the weights sigma_k
-    normalised, and their sum z, the probability of those readings."""
+def _reduced_source(n_modes: int, one: dict, vacuum: np.ndarray, table) -> tuple[np.ndarray, float]:
+    """S's weights sigma_k, normalised, when every vacuum row reads 0 with
+    probability vacuum[t] for t photons, and z, the probability of those
+    readings: W_k for exact counts, else N-2 merges (module docstring)."""
     m = n_modes - 1
     if max(one) <= 1 and not np.any(vacuum[1:]):
         p = one.get(1, 0.0)
         # C(N-1, k) k!/(N-1)^k = (N-1)!/((N-1-k)! (N-1)^k), rounded once
         weights = [math.perm(m, k) / m**k * p**k * (1.0 - p) ** (m - k) for k in range(m + 1)]
         z = math.fsum(weights)
-        return InputSpec((one, {k: w / z for k, w in enumerate(weights)})), z
-    # at epsilon = 0 the kept row is S and the tap row is source 1 alone
-    rows = Interferometer(np.delete(_chain_matrix(n_modes, 0.0)[:, 1:], 1, axis=0))
-    read = Readout(InputSpec((one,) * m), [[vacuum] * (m - 1)]).condition(rows, None)
-    return InputSpec((one, dict(enumerate(read.normalized)))), read.pattern_probability
+        return np.array(weights) / z, z
+    beam, z = np.array([one.get(j, 0.0) for j in range(max(one) + 1)]), 1.0
+    for merged in range(2, n_modes):  # at reflectivity 1/merged
+        beam = _tap_read(np.sqrt([1.0 / merged]), one, beam, vacuum, len(beam) + max(one), table)[0]
+        total = math.fsum(beam)
+        z *= total
+        if not z:  # also where every weight of the beam underflows: no NaN
+            raise DimensionTooLarge(f"the {n_modes}-mode chain's vacuum readings underflow to 0")
+        beam = beam / total
+    return beam, z
 
 
 # Veltkamp's splits of a double: two 26-bit halves, whose products are
@@ -243,10 +244,11 @@ def _powers(x: np.ndarray, top: int, step: float = 1.0) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _binomials(top: int) -> np.ndarray:
-    """C(m, r) for m, r = 0..top, each exact integer rounded once (read-only)."""
-    table = np.zeros((top + 1, top + 1))
+    """C(m, r) for m, r = 0..top, exact integers (Pascal's rule) rounded once (read-only)."""
+    table, row = np.zeros((top + 1, top + 1)), [1]
     for m in range(top + 1):
-        table[m, : m + 1] = [math.comb(m, r) for r in range(m + 1)]
+        table[m, : m + 1] = row
+        row = [x + y for x, y in zip([0] + row, row + [0])]
     table.setflags(write=False)
     return table
 
@@ -256,9 +258,10 @@ def _falling(x: np.ndarray, m: int) -> np.ndarray:
     return math.prod((x - i for i in range(m)), start=np.ones_like(x))
 
 
-def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, width: int):
+def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, width: int, table):
     """q[g, n1] = sum_D tap[D] sum_{j+k = n1+D} one[j] sigma[k] |<n1, D|U|j, k>|^2
-    for n1 < width, U = [[-eps, a], [a, eps]] at eps[g] and a = sqrt(1 - eps^2).
+    for n1 < width, U = [[-eps, a], [a, eps]] at eps[g] and a = sqrt(1 - eps^2);
+    table is a _binomials table reaching width - 1 plus tap's last count.
 
     With M = n1 + D, s = a^2, t = eps^2 and (x)_m = x (x-1) ... (x-m+1),
     <n1, D|U|j, k> = sqrt(C(M, n1) / (j! (M)_j)) a^|n1-j| eps^|D-j| P, where
@@ -287,14 +290,14 @@ def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, wi
     halves = 0.5 * np.arange(width + top_j + 1)
     pa = _powers(s[0], width + top_j, 0.5) * (1.0 + halves * (s[1] / s[0])[:, None])
     pe = _powers(eps, top_d + top_j)
-    binomials, m = _binomials(width - 1 + top_d), n1 + d
+    m = n1 + d
     padded = np.append(sigma, 0.0)
     q = np.zeros((len(eps), len(d), width))
     for j, weight in one.items():
         k = m - j
         held = (k >= 0) & (k < len(sigma))
         w = weight * padded[np.where(held, k, -1)] * tap[d]
-        scale = binomials[m, n1] / np.maximum(math.factorial(j) * _falling(m, j), 1) * held
+        scale = table[m, n1] / np.maximum(math.factorial(j) * _falling(m, j), 1) * held
         low, high = np.maximum(j - d, 0), np.minimum(j, n1)
         total = error = 0.0
         for i in range(j + 1):
@@ -324,11 +327,10 @@ def run_chain(
     grid point reads the weights it reads alone.
 
     Each scenario is read from the chain's two-mode reduction (module
-    docstring): S's weights from _reduced_source, in closed form under
-    "ideal" and "bucket" and from one engine read otherwise, then the tap
-    of [[-eps, a], [a, eps]] over the whole grid from _tap_read's closed
-    form, elementwise in eps.  A herald whose every weight underflows to 0
-    raises DimensionTooLarge.
+    docstring) with no engine call: S's weights from _reduced_source, then
+    the tap of [[-eps, a], [a, eps]] over the whole grid from _tap_read's
+    closed form, elementwise in eps.  A herald whose every weight, or
+    vacuum readings whose probability, underflows to 0 raise DimensionTooLarge.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
     if scenario not in CHAIN_SCENARIOS:
@@ -336,12 +338,11 @@ def run_chain(
     if scenario != "ideal" and detected != 2:
         raise BadParameters("bucket scenarios model a '>=2' tap click and need detected = 2")
     n_modes = _check_chain_args(n_modes, *grid)
+    one = dict(InputSpec.two_level([p]).distributions[0])  # p inside [0, 1]
     if scenario == "+two-photon-inputs":
         if not (0.0 < two_photon_prob and p + two_photon_prob < 1.0):
             raise BadParameters("two_photon_prob must be positive with p + two_photon_prob < 1")
         one = {0: 1.0 - p - two_photon_prob, 1: p, 2: two_photon_prob}
-    else:
-        one = dict(InputSpec.two_level([p]).distributions[0])
     _check_detected(n_modes, detected)  # a bucket scenario's D = 2 always passes
     if n_modes > MAX_TOTAL:  # before the N-mode pattern labels are built
         raise DimensionTooLarge(f"a {n_modes}-mode chain holds more than {MAX_TOTAL} photons")
@@ -352,14 +353,13 @@ def run_chain(
     top = n_modes * max(one)  # the N-mode source maximum
     vacuum, tap = CHAIN_SCENARIOS[scenario](top)
     vacuum, tap = vacuum.column(0), tap.column(reading)
-    spec, z = _reduced_source(n_modes, one, vacuum)
-    source, reduced = (dict(dist) for dist in spec.distributions)
-    sigma = np.zeros(max(reduced) + 1)
-    sigma[list(reduced)] = list(reduced.values())
-    # n1 runs to the N-mode source maximum less the tap's fewest photons,
-    # also where a weight underflows to 0 and shortens the reduced source
+    # n1 runs to the N-mode source maximum less the tap's fewest photons, also
+    # where a weight underflows to 0; one table reaches every read's n1 + D
+    last_tap, last_vacuum = (int(np.flatnonzero(c > 0.0).max(initial=0)) for c in (tap, vacuum))
     width = top - int(np.argmax(tap > 0.0)) + 1
-    kept = _tap_read(np.array(grid, dtype=float), source, sigma, tap, width) * z
+    table = _binomials(max(width - 1 + last_tap, top - max(one) + last_vacuum))
+    sigma, z = _reduced_source(n_modes, one, vacuum, table)
+    kept = _tap_read(np.array(grid, dtype=float), one, sigma, tap, width, table) * z
     for e, row in zip(grid, kept):
         if top and not row.any():  # a source that emits makes every row possible
             raise DimensionTooLarge(

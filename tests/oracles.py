@@ -3,14 +3,16 @@
 Everything here works by expanding creation-operator polynomials in a
 dense dictionary keyed by photon configuration.  No permanents, no
 combinatorial shortcuts; slow but obviously correct for small sizes.
-The one exception is the two-mode closed form at the end, an independent
-hand expansion of the beam-splitter case.
+The exceptions are the two-mode closed form at the end, an independent
+hand expansion of the beam-splitter case, and the chain's merges
+(chain_merged), the same expansion in mpmath.
 """
 
 import argparse
 import itertools
 import math
 
+import mpmath
 import numpy as np
 
 from photonpost import (
@@ -304,10 +306,10 @@ def chain_two_mode(
     C(n-1, k) p^k (1-p)^(n-1-k) k!/(n-1)^k; under the lossy vacuum
     detectors, written out here as in chain_scenario_reference, observe
     reads S's weights from the n-1 sources through S's row and
-    build_chain's vacuum rows, every one read 0.  The weights repeat
-    schemes.run_chain's expressions, so the two agree bit for bit; the
-    reduction itself is checked against the n-mode chain and against
-    mpmath."""
+    build_chain's vacuum rows, every one read 0, apart from run_chain's
+    merges.  The exact-count weights repeat schemes.run_chain's
+    expressions, so those two agree bit for bit; the reduction itself is
+    checked against the n-mode chain and against mpmath."""
     m = n - 1
     one = {0: 1.0 - p, 1: p}
     if scenario in ("ideal", "bucket"):
@@ -334,6 +336,46 @@ def chain_two_mode(
         res = observe(spec, interf, ObservedPattern((BUCKET,)), [DetectorModel.bucket(cap, *dark)])
         label = ObservedPattern((BUCKET,) + (0,) * (n - 2))
     return ConditionalResult.from_unnormalized(res.unnormalized * z, pattern=label)
+
+
+def _mp_two_mode_read(one: dict, sigma: list, eps, tap: list) -> list:
+    """q[n1] = sum_D tap[D] sum_{j + k = n1 + D} one[j] sigma[k] |<n1, D|U|j, k>|^2
+    for U = [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), in mpmath at its
+    working precision, every amplitude expanded by hand: i of source 1's j
+    photons and n1 - i of S's k reach the kept mode."""
+    top = max(one) + len(sigma)
+    a = mpmath.sqrt(1 - eps**2)
+    pe, pa = [eps**e for e in range(top)], [a**e for e in range(top)]
+    fac = [mpmath.factorial(e) for e in range(top)]
+    out = [mpmath.mpf(0)] * top
+    for (j, pj), (k, sk) in itertools.product(one.items(), enumerate(sigma)):
+        for d in (d for d in range(min(j + k, len(tap) - 1) + 1) if tap[d]):
+            n1 = j + k - d
+            amp = sum(
+                (-1) ** i * math.comb(j, i) * math.comb(k, n1 - i)
+                * pe[i] * pa[j - i] * pa[n1 - i] * pe[k - n1 + i]
+                for i in range(max(0, n1 - k), min(j, n1) + 1)
+            )
+            out[n1] += tap[d] * pj * sk * amp**2 * fac[n1] * fac[d] / (fac[j] * fac[k])
+    return out
+
+
+def chain_merged(n: int, eps: float, one: dict, vacuum, tap) -> tuple[list, object, list]:
+    """(sigma, z, kept) of the n-mode chain of sources `one` (count ->
+    probability) in mpmath at its working precision, from the floats given:
+    sources n, n-1, ..., 2 merge into one beam at reflectivities 1/2, 1/3,
+    ..., 1/(n-1), each merge's contrast output weighted by vacuum[t]; sigma
+    is the beam normalised, z the product of the merges' sums, and kept
+    source 1 and the beam through the tap [[-eps, a], [a, eps]], weighted
+    by tap[D] and scaled by z."""
+    one = {j: mpmath.mpf(w) for j, w in one.items()}
+    vacuum, tap = [mpmath.mpf(v) for v in vacuum], [mpmath.mpf(t) for t in tap]
+    beam, z = [one.get(j, mpmath.mpf(0)) for j in range(max(one) + 1)], mpmath.mpf(1)
+    for m in range(2, n):
+        beam = _mp_two_mode_read(one, beam, mpmath.sqrt(mpmath.mpf(1) / m), vacuum)
+        total = mpmath.fsum(beam)
+        beam, z = [b / total for b in beam], z * total
+    return beam, z, [z * q for q in _mp_two_mode_read(one, beam, mpmath.mpf(eps), tap)]
 
 
 def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9) -> bool:

@@ -26,7 +26,6 @@ from photonpost import (
     chain_asymptotics,
     condition_mixed,
     haar_random,
-    run_chain,
 )
 from photonpost import engine
 from photonpost.engine import expand, output_table, reader
@@ -227,16 +226,16 @@ def test_oversize_plans_and_totals_raise_before_allocating():
 
 
 def test_a_plan_no_matrix_can_walk_raises_before_it_is_built():
-    """The 10-mode +darkcounts chain reads 9 two-level sources with caps
-    (9, 3, ..., 3): 512 configurations times a 14266-state sector, more
-    cells than MAX_CELLS.  The plan counts them before it builds the walk,
-    so the refusal costs a fraction of the 140 MB the built plan takes."""
+    """9 two-level sources with caps (9, 3, ..., 3): 512 configurations
+    times a 14266-state sector, more cells than MAX_CELLS.  The plan counts
+    them before it builds the walk, so the refusal costs a fraction of the
+    140 MB the built plan takes."""
     for cache in ENGINE_CACHES:
         cache.cache_clear()
     tracemalloc.start()
     try:
         with pytest.raises(DimensionTooLarge, match="walked cells"):
-            run_chain(10, [0.1], 0.2, 2, "+darkcounts")
+            reader(InputSpec.two_level([0.2] * 9).distributions, (9,) + (3,) * 8, 9)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -7,7 +7,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from oracles import chain_scenario_reference, chain_two_mode, complete_rows_by_loop
+from oracles import chain_merged, chain_scenario_reference, chain_two_mode, complete_rows_by_loop
 from photonpost import (
     BUCKET,
     BadDistributionShape,
@@ -84,16 +84,6 @@ def test_vacuum_rows_are_the_closed_form_completion(n):
     # row source N - 1 with source N
     assert np.allclose(u[2], np.array([0, n - 2] + [-1] * (n - 2)) / math.sqrt((n - 2) * (n - 1)))
     assert np.allclose(u[-1], np.array([0] * (n - 2) + [1, -1]) / math.sqrt(2))
-
-
-def _run_both(monkeypatch, n, scenario, detected):
-    """run_chain over the closed-form epsilons, then with each chain
-    completed by the loop oracle instead."""
-    closed = run_chain(n, list(CLOSED_FORM_EPSILONS), 0.2, detected, scenario)
-    with monkeypatch.context() as patched:
-        patched.setattr(schemes, "_chain_matrix", _loop_completed_chain)
-        looped = run_chain(n, list(CLOSED_FORM_EPSILONS), 0.2, detected, scenario)
-    return zip(CLOSED_FORM_EPSILONS, closed, looped)
 
 
 def _exact_vacuum_read(spec, interf, scenario, detected):
@@ -197,12 +187,18 @@ def test_reduction_matches_50_digits(n, eps, p, detected, scenario):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 @pytest.mark.parametrize("scenario", ["bucket+efficiency", "+darkcounts", "+two-photon-inputs"])
-def test_lossy_vacuum_detectors_read_the_closed_form_to_roundoff(monkeypatch, scenario, n):
-    for eps, got, want in _run_both(monkeypatch, n, scenario, 2):
-        assert got.unnormalized.shape == want.unnormalized.shape
-        assert np.all(
-            np.abs(got.unnormalized - want.unnormalized) <= 1e-15 * np.abs(want.unnormalized)
-        ), eps
+def test_lossy_vacuum_detectors_read_the_closed_form_to_roundoff(scenario, n):
+    """The merges that give S's weights are the vacuum rows of the chain
+    Gram-Schmidt completes: observe on that N-mode chain gives the same
+    weights within 1e-13 relative."""
+    spec = _lossy_spec(n, 0.2, scenario)
+    vacuum, tap = CHAIN_SCENARIOS[scenario](spec.max_total())
+    observed = ObservedPattern((BUCKET,) + (0,) * (n - 2))
+    results = run_chain(n, list(CLOSED_FORM_EPSILONS), 0.2, 2, scenario)
+    for eps, got in zip(CLOSED_FORM_EPSILONS, results):
+        looped = Interferometer(_loop_completed_chain(n, eps))
+        want = observe(spec, looped, observed, [tap] + [vacuum] * (n - 2)).unnormalized
+        assert _within(got.unnormalized, want, 1e-13), eps
 
 
 def test_chain_matches_element_product():
@@ -336,9 +332,8 @@ def test_run_chain_grid_equals_per_epsilon_calls(scenario, n):
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch, scenario):
     """However small the engine's stack limit, a grid is read in one pass
-    of the closed form, each point still with the weights it reads alone:
-    the engine reads only S's weights, once per grid, under the lossy
-    scenarios, and nothing under "ideal" and "bucket"."""
+    of the closed form, each point still with the weights it reads alone,
+    and no scenario reads the engine."""
     grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
     alone = [run_chain(7, eps, 0.3, 2, scenario) for eps in grid]
     reads = []
@@ -351,16 +346,15 @@ def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch
     monkeypatch.setattr(conditioner.Readout, "stack", lambda self: 2)
     monkeypatch.setattr(conditioner.Readout, "read", read)
     results = run_chain(7, grid, 0.3, 2, scenario)
-    assert reads == ([] if scenario in ("ideal", "bucket") else [1])
+    assert reads == []
     for eps, res, want in zip(grid, results, alone):
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
 
 
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_counts_its_engine_reads(monkeypatch, scenario):
-    """"ideal" and "bucket" look up no engine reader and build no table;
-    each lossy scenario makes one lookup and one table, the read of S's
-    weights, whatever the grid."""
+    """No scenario looks up an engine reader or builds a table, whatever
+    the grid: the lossy ones merge S's weights with the tap's closed form."""
     calls = {"reader": 0, "table": 0}
 
     def counted(name, fn):
@@ -377,8 +371,7 @@ def test_run_chain_counts_its_engine_reads(monkeypatch, scenario):
     for grid in ([0.3], [0.8, 0.3, 0.05, 1e-3, 1e-6] * 4):
         calls.update(reader=0, table=0)
         run_chain(6, grid, 0.2, 2, scenario)
-        lossy = scenario not in ("ideal", "bucket")
-        assert calls == {"reader": int(lossy), "table": int(lossy)}, grid
+        assert calls == {"reader": 0, "table": 0}, grid
 
 
 @pytest.mark.parametrize("n", range(3, 10))
@@ -533,6 +526,48 @@ def test_lossy_reduction_matches_50_digits(scenario, eps, p):
         assert got.size == len(want)
         for g, w in zip(got, want):
             assert abs(mpmath.mpf(float(g)) - w) <= 1e-14 * w
+
+
+@pytest.mark.parametrize(
+    "scenario, eps, p",
+    [
+        ("bucket+efficiency", 0.3, 0.2),
+        ("+darkcounts", 1e-3, 0.5),
+        ("+two-photon-inputs", 0.05, 0.2),
+    ],
+)
+def test_lossy_merges_match_50_digits_at_48_modes(scenario, eps, p):
+    """S's weights, their sum z and the heralded row of the 48-mode chain,
+    each within 1e-13 relative of the merges in 50-digit arithmetic."""
+    n = 48
+    spec = _lossy_spec(n, p, scenario)
+    one, top = dict(spec.distributions[0]), spec.max_total()
+    vacuum, tap = CHAIN_SCENARIOS[scenario](top)
+    vacuum, tap = vacuum.column(0), tap.column(BUCKET)
+    sigma, z = schemes._reduced_source(n, one, vacuum, schemes._binomials(2 * top))
+    got = run_chain(n, eps, p, 2, scenario).unnormalized
+    with mpmath.workdps(50):
+        want_sigma, want_z, want = chain_merged(n, eps, one, vacuum, tap)
+        assert want[got.size :] == [0] * (len(want) - got.size)
+        assert len(sigma) == len(want_sigma)
+        for g, w in itertools.chain(zip(sigma, want_sigma), [(z, want_z)], zip(got, want)):
+            assert abs(mpmath.mpf(float(g)) - w) <= 1e-13 * w
+
+
+@pytest.mark.parametrize("scenario", LOSSY_SCENARIOS)
+def test_lossy_scenarios_read_170_modes(scenario):
+    """At 170 nearly full sources every lossy weight is a finite number:
+    the vacuum readings' probability z is near 1e-71, far from underflow."""
+    results = run_chain(170, [1e-3, 0.3, 0.9], 0.95, 2, scenario)
+    for res in results:
+        assert np.all(np.isfinite(res.unnormalized)) and res.pattern_probability > 0.0
+
+
+def test_underflowing_vacuum_readings_are_a_dimension_error():
+    """A z that underflows to 0 raises before any weight is divided by it."""
+    vacuum = np.full(10, 1e-160)
+    with pytest.raises(DimensionTooLarge, match="9-mode chain's vacuum readings underflow"):
+        schemes._reduced_source(9, {0: 0.5, 1: 0.5}, vacuum, schemes._binomials(20))
 
 
 def test_underflowing_herald_is_a_dimension_error():
