@@ -393,6 +393,17 @@ def test_exp_sweep_lossy_scenarios_run_at_48_and_170_modes(tmp_path, capsys, sce
     assert capsys.readouterr().err == ""
 
 
+@pytest.mark.parametrize("scenario", ["bucket+efficiency", "+darkcounts", "+two-photon-inputs"])
+def test_exp_sweep_lossy_scenarios_stop_at_171_modes(tmp_path, capsys, scenario):
+    """170 modes is the lossy scenarios' mode limit, as it is every chain's:
+    one mode more is a dimension error, exit 3, and no file is written."""
+    code, out = run(tmp_path, "exp-sweep", exp_config(scenario, [0.1], modes=171))
+    assert code == 3
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err == "dimension error: a 171-mode chain holds more than 170 photons\n"
+
+
 # (scenario, modes, detected) -> CSV rows at p = 0.2, re-recorded when
 # run_chain moved to the closed form of the chain's two-mode reduction:
 # every value moved by at most 6.3e-16 relative from the engine-read pins,
