@@ -3,25 +3,23 @@
     photonpost COMMAND --config PATH --out PATH [--seed N] [--threads N]
 
 Every command reads a JSON config, writes one output file (JSON or CSV),
-and returns exit code 0 on success; 2 for usage errors (an unknown or
-missing command, a missing --config or --out, an unknown option, a
-missing or non-integer value, an extra argument), for config problems
-and for a config that cannot be read or an output that cannot be
+and returns exit code 0 on success; 2 for usage errors, for config
+problems and for a config that cannot be read or an output that cannot be
 written; 3 for dimension problems; 4 when a numerical check fails: a
 search or verification whose report counts ratio-bound violations writes
-no output.  Usage errors print the usage line and "photonpost: error:"
-to stderr; -h or --help prints the help and exits 0.
-Outputs are deterministic: rerunning a command with the same config and
-seed reproduces the file byte for byte.  Floats in CSV files carry 17
+no output.  Argparse reads any argv not of the shape above, each option
+spelt in full, and prints the help (exit 0) or the usage line and
+"photonpost: error:" (exit 2).  Rerunning a command with the same config
+and seed reproduces its output byte for byte; CSV floats carry 17
 significant digits so values survive a round trip.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 import os
-import re
 import stat
 import sys
 
@@ -482,106 +480,52 @@ COMMANDS = {
 # argv
 
 
-_USAGE = "usage: photonpost [-h] COMMAND --config PATH --out PATH [--seed N] [--threads N]\n"
+def _parser():
+    """The parser of every argv _read_argv does not read itself, built on
+    demand so that a job never loads argparse, gettext or locale."""
+    import argparse
 
-_OPTIONS = ("--help", "--config", "--out", "--seed", "--threads")
-
-_HELP = f"""{_USAGE}
-Conditioned photon statistics behind linear interferometers.
-
-commands:
-  {", ".join(COMMANDS)}
-
-options:
-  -h, --help     show this help message and exit
-  --config PATH  JSON config file
-  --out PATH     output file (JSON or CSV)
-  --seed N       override the config seed
-  --threads N    accepted for compatibility and ignored: sweeps run serially,
-                 since the GIL serializes their points
-"""
-
-
-def _usage_error(reason: str):
-    sys.stderr.write(f"{_USAGE}photonpost: error: {reason}\n")
-    raise SystemExit(2)
-
-
-def _option(token: str):
-    """(option, "=" value or None) for a token naming an option, ("", None)
-    for an unknown option, None for a value.  As argparse reads tokens: a
-    long option may be a unique prefix, "-h" is --help, and a negative
-    number or a token with a space is a value."""
-    if len(token) < 2 or token[0] != "-":
-        return None
-    name, eq, value = token.partition("=")
-    if name == "-h":
-        return "--help", value if eq else None
-    if token[1] == "h":  # short flags bundled after -h: argparse knew no other
-        return "--help", token[2:].lstrip("h") or None
-    matches = [o for o in _OPTIONS if token[1] == "-" and o.startswith(name)]
-    if len(matches) > 1:
-        _usage_error(f"ambiguous option: {token} could match {', '.join(matches)}")
-    if matches:
-        return matches[0], value if eq else None
-    if re.match(r"-\d+$|-\d*\.\d+$", token) or " " in token:
-        return None
-    return "", None
+    parser = argparse.ArgumentParser(
+        prog="photonpost",
+        usage="photonpost [-h] COMMAND --config PATH --out PATH [--seed N] [--threads N]",
+        description="Conditioned photon statistics behind linear interferometers.",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, metavar="PATH", help="JSON config file")
+    parser.add_argument("--out", required=True, metavar="PATH", help="output file (JSON or CSV)")
+    parser.add_argument("--seed", type=int, metavar="N", help="override the config seed")
+    parser.add_argument(
+        "--threads",
+        type=int,
+        metavar="N",
+        help="accepted for compatibility and ignored: sweeps run serially, "
+        "since the GIL serializes their points",
+    )
+    return parser
 
 
 def _read_argv(argv) -> tuple:
-    """(command, config, out, seed) from argv, read left to right as argparse
-    read it: options in any order, as "--opt value" or "--opt=value"; the
-    last of a repeated option wins; a first "--" ends the options.  -h or
-    --help prints the help and exits 0; anything else refused exits 2."""
-    command, given, extras = None, {}, []
-    dashes = False
-    i = command_end = 0
-    while i < len(argv):
-        token = argv[i]
-        i += 1
-        if token == "--" and not dashes:
-            dashes = True
-            if command is not None and command_end != i - 1:
-                extras.append(token)  # argparse keeps it only next to the command
-            continue
-        found = None if dashes else _option(token)
-        if found is None:
-            if command is not None:
-                extras.append(token)
-            elif token in COMMANDS:
-                command, command_end = token, i
-            else:
-                choices = ", ".join(map(repr, COMMANDS))
-                _usage_error(f"argument command: invalid choice: {token!r} (choose from {choices})")
-            continue
-        name, value = found
-        if not name:
-            extras.append(token)
-            continue
-        if name == "--help":
-            if value is not None:
-                _usage_error(f"argument -h/--help: ignored explicit argument {value!r}")
-            sys.stdout.write(_HELP)
-            raise SystemExit(0)
-        if value is None:
-            if i == len(argv) or argv[i] == "--" or _option(argv[i]) is not None:
-                _usage_error(f"argument {name}: expected one argument")
-            value = argv[i]
-            i += 1
-        if name in ("--seed", "--threads"):
-            try:
-                value = int(value)
-            except ValueError:
-                _usage_error(f"argument {name}: invalid int value: {value!r}")
-        given[name] = value
-    required = {"command": command, "--config": given.get("--config"), "--out": given.get("--out")}
-    missing = [name for name, value in required.items() if value is None]
-    if missing:
-        _usage_error(f"the following arguments are required: {', '.join(missing)}")
-    if extras:
-        _usage_error(f"unrecognized arguments: {' '.join(extras)}")
-    return command, given["--config"], given["--out"], given.get("--seed")
+    """(command, config, out, seed) from argv.  A command then "--option
+    value" pairs, --config and --out among them, each option spelt in full,
+    no value starting with "-" and integer --seed and --threads, is read as
+    argparse reads it; argparse reads any other argv, exiting 0 or 2."""
+    pairs = dict(zip(argv[1::2], argv[2::2]))
+    if (
+        len(argv) % 2 == 1
+        and argv[0] in COMMANDS
+        and {"--config", "--out"} <= pairs.keys() <= {"--config", "--out", "--seed", "--threads"}
+        and not any(value.startswith("-") for value in argv[2::2])
+    ):
+        with contextlib.suppress(ValueError):  # argparse refuses it
+            seed = int(pairs["--seed"]) if "--seed" in pairs else None
+            int(pairs.get("--threads", 0))
+            return argv[0], pairs["--config"], pairs["--out"], seed
+    parser = _parser()
+    args = parser.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse 3.11 reads "--config=--" as an empty list
+            parser.error(f"argument --{name}: expected one argument")
+    return args.command, args.config, args.out, args.seed
 
 
 def main(argv=None) -> int:

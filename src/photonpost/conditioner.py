@@ -15,11 +15,13 @@ repeats column i of the interferometer s_i times and row j n_j times.
 Summing c~ over n1 gives exactly the probability of seeing the pattern.
 
 That formula is the definition.  engine.py computes it by expanding the
-creation operators, multiplying and adding path amplitudes only, so no
-entry is a difference of large terms.  Readout is the one reader of its
-tables: it weights them with a response column per detector, one-hot for
-exact counts (condition_mixed, search.PatternScorer) or a detector's
-response (detectors.observe), for one interferometer or a stack.
+creation operators, multiplying and adding path amplitudes only.  These are
+signed or complex and can cancel: on the chain's 2 x 2 stack the engine lost
+every digit at N = 100 and 170 and up to 1.7e-13 at N <= 12, so run_chain
+reads schemes._tap_read; no entry has an error bar yet (ROADMAP item 3).
+Readout, the one reader of its tables, weights them with a response column
+per detector, one-hot for exact counts (condition_mixed, search.PatternScorer)
+or a detector's response (detectors.observe), for one interferometer or a stack.
 
 Mixed and pure sources read the same engine rows c_s[n]: a mixed source
 squares each row and then adds them (the incoherent sum of the table),

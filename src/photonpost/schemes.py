@@ -42,7 +42,7 @@ import numpy as np
 
 from .conditioner import ConditionalResult, DetectionPattern, condition_mixed, condition_pure
 from .detectors import BUCKET, DetectorModel, ObservedPattern, benchmark_detector_suite
-from .engine import MAX_TOTAL
+from .engine import MAX_CELLS, MAX_TOTAL
 from .errors import BadDistributionShape, BadParameters, DegenerateTheta, DimensionTooLarge
 from .fock import InputSpec, photon_count
 from .interferometer import Interferometer, beam_splitter, compose, embed_two_mode
@@ -328,8 +328,8 @@ def run_chain(
 
     Each scenario is read from the chain's two-mode reduction (module
     docstring) with no engine call: S's weights from _reduced_source, then
-    the tap of [[-eps, a], [a, eps]] over the whole grid from _tap_read's
-    closed form, elementwise in eps.  A herald whose every weight, or
+    the tap of [[-eps, a], [a, eps]] in grid slices within MAX_CELLS from
+    _tap_read's closed form, elementwise in eps.  A herald whose every weight, or
     vacuum readings whose probability, underflows to 0 raise DimensionTooLarge.
     """
     grid = [epsilon] if np.ndim(epsilon) == 0 else list(epsilon)
@@ -359,7 +359,9 @@ def run_chain(
     width = top - int(np.argmax(tap > 0.0)) + 1
     table = _binomials(max(width - 1 + last_tap, top - max(one) + last_vacuum))
     sigma, z = _reduced_source(n_modes, one, vacuum, table)
-    kept = _tap_read(np.array(grid, dtype=float), one, sigma, tap, width, table) * z
+    step = max(1, MAX_CELLS // max(1, np.count_nonzero(tap) * width))  # grid points a read holds
+    slices = (np.array(grid[i : i + step], dtype=float) for i in range(0, len(grid), step))
+    kept = np.concatenate([_tap_read(e, one, sigma, tap, width, table) for e in slices]) * z
     for e, row in zip(grid, kept):
         if top and not row.any():  # a source that emits makes every row possible
             raise DimensionTooLarge(

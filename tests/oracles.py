@@ -613,7 +613,8 @@ def verify_nogo_patterns_sequential(n_modes, p_max, trials, seed) -> dict:
 
 def cli_parser() -> argparse.ArgumentParser:
     """The argparse parser photonpost.cli once built: the reference for
-    cli._read_argv, which reads the same grammar without argparse."""
+    cli._read_argv, which reads a job's argv without argparse and hands
+    every other argv to cli._parser, this parser with a set usage line."""
     from photonpost.cli import COMMANDS
 
     parser = argparse.ArgumentParser(

@@ -1,4 +1,5 @@
 import dataclasses
+import importlib.util
 import json
 import math
 import os
@@ -897,24 +898,41 @@ def test_package_and_cli_search_do_not_load_scipy(tmp_path):
     assert done.stdout.splitlines() == ["[]", "0 []", "0 []"]
 
 
-def test_a_cli_job_loads_no_argument_parser(tmp_path):
-    """A chain-sweep job reads its argv without argparse, so neither
+def _benchmark_jobs(monkeypatch):
+    """Each benchmark workload's job at its measured size, as
+    perfbench/workloads.py builds it."""
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "workloads", workloads)  # for its dataclass
+    spec.loader.exec_module(workloads)
+    return {name: make(101, "full") for name, make in workloads.WORKLOADS.items()}
+
+
+def test_a_cli_job_loads_no_argument_parser(tmp_path, monkeypatch):
+    """A chain-sweep job, and each benchmark job with the argv its Job.argv
+    builds (--threads included), is read without argparse, so neither
     argparse nor the gettext and locale modules its messages pull in are
     loaded; and `python -m photonpost.cli` with no arguments reads sys.argv
     and refuses it with the usage line."""
     cfg = write_config(tmp_path / "chain.json", chain_config(epsilon_grid={"values": [0.3, 0.1]}))
-    out = str(tmp_path / "chain.csv")
+    argvs = [["chain-sweep", "--config", cfg, "--out", str(tmp_path / "chain.csv")]]
+    for name, job in _benchmark_jobs(monkeypatch).items():
+        path = write_config(tmp_path / f"{name}.json", job.config)
+        argvs.append(job.argv(path, str(tmp_path / f"{name}.out")))
+    assert len(argvs) == 4 and all("--threads" in argv for argv in argvs[1:])
     script = (
         "import sys\nimport photonpost.cli\n"
-        f"code = photonpost.cli.main(['chain-sweep', '--config', {cfg!r}, '--out', {out!r}])\n"
-        "print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
+        f"for argv in {argvs!r}:\n"
+        "    code = photonpost.cli.main(argv)\n"
+        "    print(code, [m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n"
     )
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = dict(os.environ, PYTHONPATH=src)
     done = subprocess.run(
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
     )
-    assert done.stdout.splitlines() == ["0 []"]
+    assert done.stdout.splitlines() == ["0 []"] * len(argvs)
     done = subprocess.run(
         [sys.executable, "-m", "photonpost.cli"], env=env, capture_output=True, text=True
     )

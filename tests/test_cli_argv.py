@@ -1,18 +1,20 @@
-"""photonpost.cli reads its argv without argparse, the way argparse read it.
+"""photonpost.cli reads its argv the way argparse reads it.
 
-The reference is the argparse parser the CLI once built, kept as
-oracles.cli_parser.  For every argv below the reader and the parser must
-both accept it with the same (command, config, out, seed), or both exit
-with the same code; a refusal (exit 2) must end on the same
-"photonpost: error:" line.  Two argparse readings are not kept and are
-left out of the generated argv: "--opt=--" (argparse 3.11 read the value
-as an empty list, the reader reads "--"), and an ambiguous "--=value"
-after -h (argparse refused it before reading -h; the reader prints the
-help).
+_read_argv reads the shape every job passes (a command, then "--option
+value" pairs spelt in full) itself, and hands every other argv to an
+argparse parser.  The reference is the argparse parser the CLI once built,
+kept as oracles.cli_parser.  For every argv below the reader and the
+parser must both accept it with the same (command, config, out, seed), or
+both exit with the same code; a refusal (exit 2) must end on the same
+"photonpost: error:" line.  One argparse reading is not kept: argparse
+3.11 reads "--opt=--" as an empty list, which the reader refuses as
+argparse refuses "--opt --".  Those argv are listed apart, and the
+generated argv leave them out, as they leave out an ambiguous "--=value"
+after -h.
 
-The reader keeps argparse's reading as of Python 3.10-3.12.  Python 3.13
-reads "-hx" as -h and lists the choices of an invalid command unquoted,
-so the comparisons are skipped there.
+The comparisons follow argparse's reading as of Python 3.10-3.12.  Python
+3.13 reads "-hx" as -h and lists the choices of an invalid command
+unquoted, so they are skipped there.
 """
 
 import contextlib
@@ -98,6 +100,13 @@ REFUSED = {
     "bundled-unknown-flag": ["-hx"],
     "ambiguous": ["simulate", *BASE, "--=x"],
     "bad-value-before-help": ["simulate", "--seed", "x", "--help"],
+    "ambiguous-after-help": ["-h", "--=x"],
+}
+
+# option -> an argv that argparse 3.11 reads with that option an empty list
+READ_AS_EMPTY_LIST = {
+    "config": ["simulate", "--config=--", "--out", "o.csv"],
+    "out": ["simulate", "--config", "c.json", "--out=--"],
 }
 
 
@@ -111,6 +120,16 @@ def test_reader_accepts_what_argparse_accepted(argv):
 @pytest.mark.parametrize("argv", REFUSED.values(), ids=REFUSED)
 def test_reader_refuses_what_argparse_refused(argv):
     assert _assert_read_as_argparse_read(argv) == ("exit", 2)
+
+
+@AS_ARGPARSE_READ
+@pytest.mark.parametrize("option, argv", READ_AS_EMPTY_LIST.items(), ids=READ_AS_EMPTY_LIST)
+def test_reader_refuses_what_argparse_read_as_an_empty_list(option, argv):
+    assert getattr(cli_parser().parse_args(argv), option) == []
+    result, out, err = _outcome(_read_argv, argv)
+    assert result == ("exit", 2)
+    assert out == ""
+    assert err == f"{USAGE}photonpost: error: argument --{option}: expected one argument\n"
 
 
 PATHS = ["c.json", "c.json", "-1", "", "a b", "--out", "--"]

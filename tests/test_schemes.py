@@ -1,6 +1,9 @@
 import itertools
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import mpmath
@@ -351,6 +354,46 @@ def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
 
 
+def _tap_reads(monkeypatch) -> list:
+    """(points, cells per point) of each _tap_read call, the merges' included."""
+    reads, original = [], schemes._tap_read
+
+    def tap_read(eps, one, sigma, tap, width, table):
+        reads.append((len(eps), np.count_nonzero(tap) * width))
+        return original(eps, one, sigma, tap, width, table)
+
+    monkeypatch.setattr(schemes, "_tap_read", tap_read)
+    return reads
+
+
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
+def test_run_chain_reads_the_grid_in_slices_within_the_cell_limit(monkeypatch, scenario):
+    """The grid is read in slices whose (points, tap counts, width) arrays
+    fit MAX_CELLS, each point with the bits it reads alone; the lossy
+    merges stay one-point reads."""
+    grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
+    reads = _tap_reads(monkeypatch)
+    whole = run_chain(7, grid, 0.3, 2, scenario)
+    *merges, (points, cells) = reads
+    assert points == len(grid) and [n for n, _ in merges] == [1] * len(merges)
+    reads.clear()
+    monkeypatch.setattr(schemes, "MAX_CELLS", 2 * cells + 1)
+    sliced = run_chain(7, grid, 0.3, 2, scenario)
+    assert [n for n, _ in reads] == [1] * len(merges) + [2, 2, 1]
+    for eps, res, want in zip(grid, sliced, whole):
+        assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
+
+
+@pytest.mark.parametrize(
+    "n, detected, scenario, points", [(11, 6, "ideal", 6), (6, 2, "+darkcounts", 8)]
+)
+def test_benchmark_grids_read_in_one_slice(monkeypatch, n, detected, scenario, points):
+    """The benchmark's chain-sweep and exp-sweep grids fit one slice."""
+    reads = _tap_reads(monkeypatch)
+    run_chain(n, list(np.geomspace(0.8, 0.1, points)), 0.2, detected, scenario)
+    assert reads[-1][0] == points
+
+
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_counts_its_engine_reads(monkeypatch, scenario):
     """No scenario looks up an engine reader or builds a table, whatever
@@ -561,6 +604,22 @@ def test_lossy_scenarios_read_170_modes(scenario):
     results = run_chain(170, [1e-3, 0.3, 0.9], 0.95, 2, scenario)
     for res in results:
         assert np.all(np.isfinite(res.unnormalized)) and res.pattern_probability > 0.0
+
+
+@pytest.mark.parametrize("scenario", ["+darkcounts", "+two-photon-inputs"])
+def test_a_170_mode_160_point_grid_peaks_below_300_mb(scenario):
+    """Read in slices within MAX_CELLS, the widest lossy grids peak near
+    210 MB in a fresh interpreter (392 MB and 1.45 GB as one read)."""
+    script = (
+        "import resource\nimport numpy as np\nfrom photonpost.schemes import run_chain\n"
+        f"run_chain(170, list(np.geomspace(1e-4, 0.99, 160)), 0.95, 2, {scenario!r})\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True
+    )
+    assert int(done.stdout) / 1024 < 300  # kilobytes on Linux
 
 
 def test_underflowing_vacuum_readings_are_a_dimension_error():
