@@ -16,15 +16,19 @@ alone leaves it unchanged.  The chain is therefore a two-mode problem,
 source 1 and S with weights sigma_k through the 2 x 2 matrix
 [[-eps, a], [a, eps]], a = sqrt(1 - eps^2), and run_chain reads every
 scenario that way, from the closed form of that matrix's photon-number
-amplitudes (_tap_read), with no engine call.  Under exact vacuum counts
-a photon of source i >= 2 is S/sqrt(N-1) plus a part on the vacuum rows,
-so k two-level photons all miss them with probability k!/(N-1)^k and
+amplitudes, with no engine call: _tap_coefficients holds everything but
+S's weights and _tap_apply weighs them in (_tap_read, the two in turn).
+Under exact vacuum counts a photon of source i >= 2 is S/sqrt(N-1) plus
+a part on the vacuum rows, so k two-level photons all miss them with
+probability k!/(N-1)^k and
 sigma_k = W_k = C(N-1, k) p^k (1-p)^(N-1-k) k!/(N-1)^k, at any N.  Under
 lossy vacuum detectors or multiphoton sources, S is built by merging
 sources N, N-1, ..., 2 into one beam (chain_element_angles), the m-th
 merge at reflectivity 1/m, and no later coupler touches its contrast
 output, a vacuum row: each merge is the same two-mode read at
-eps = sqrt(1/m), the new source as source 1 and the beam as S.
+eps = sqrt(1/m), the new source as source 1 and the beam as S.  No
+merge's coefficients depend on the beam, so one _tap_coefficients pass
+holds them all and each merge is one _tap_apply.
 
 The pure-state scheme takes three identical superposition sources
 through two beam splitters and distills an exact one-photon state by
@@ -191,7 +195,11 @@ CHAIN_SCENARIOS = {
 def _reduced_source(n_modes: int, one: dict, vacuum: np.ndarray, table) -> tuple[np.ndarray, float]:
     """S's weights sigma_k, normalised, when every vacuum row reads 0 with
     probability vacuum[t] for t photons, and z, the probability of those
-    readings: W_k for exact counts, else N-2 merges (module docstring)."""
+    readings: W_k for exact counts, else N-2 merges (module docstring).
+    The merges' coefficients come from one _tap_coefficients pass over
+    eps_m = sqrt(1/m), m = 2..N-1, at the last merge's width, in slices
+    within MAX_CELLS; each merge applies its row to the beam, at the beam's
+    width plus the source maximum."""
     m = n_modes - 1
     if max(one) <= 1 and not np.any(vacuum[1:]):
         p = one.get(1, 0.0)
@@ -200,14 +208,25 @@ def _reduced_source(n_modes: int, one: dict, vacuum: np.ndarray, table) -> tuple
         z = math.fsum(weights)
         return np.array(weights) / z, z
     beam, z = np.array([one.get(j, 0.0) for j in range(max(one) + 1)]), 1.0
-    for merged in range(2, n_modes):  # at reflectivity 1/merged
-        beam = _tap_read(np.sqrt([1.0 / merged]), one, beam, vacuum, len(beam) + max(one), table)[0]
-        total = math.fsum(beam)
-        z *= total
-        if not z:  # also where every weight of the beam underflows: no NaN
-            raise DimensionTooLarge(f"the {n_modes}-mode chain's vacuum readings underflow to 0")
-        beam = beam / total
+    width = m * max(one) + 1
+    for eps in _slices(np.sqrt(1.0 / np.arange(2, n_modes)), vacuum, width):
+        coefs = list(_tap_coefficients(eps, one, vacuum, width, table))
+        for row in range(len(eps)):  # merges in order, at reflectivities 1/2, 1/3, ...
+            beam = _tap_apply(coefs, beam, vacuum, slice(row, row + 1), len(beam) + max(one))[0]
+            total = math.fsum(beam)
+            z *= total
+            if not z:  # also where every weight of the beam underflows: no NaN
+                raise DimensionTooLarge(
+                    f"the {n_modes}-mode chain's vacuum readings underflow to 0"
+                )
+            beam = beam / total
     return beam, z
+
+
+def _slices(grid, tap: np.ndarray, width: int):
+    """grid in runs whose (points, tap counts, width) arrays fit MAX_CELLS."""
+    step = max(1, MAX_CELLS // max(1, np.count_nonzero(tap) * width))  # grid points a read holds
+    return (np.array(grid[i : i + step], dtype=float) for i in range(0, len(grid), step))
 
 
 # Veltkamp's splits of a double: two 26-bit halves, whose products are
@@ -258,21 +277,24 @@ def _falling(x: np.ndarray, m: int) -> np.ndarray:
     return math.prod((x - i for i in range(m)), start=np.ones_like(x))
 
 
-def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, width: int, table):
-    """q[g, n1] = sum_D tap[D] sum_{j+k = n1+D} one[j] sigma[k] |<n1, D|U|j, k>|^2
-    for n1 < width, U = [[-eps, a], [a, eps]] at eps[g] and a = sqrt(1 - eps^2);
-    table is a _binomials table reaching width - 1 plus tap's last count.
+def _tap_coefficients(eps: np.ndarray, one: dict, tap: np.ndarray, width: int, table):
+    """The part of _tap_read that does not involve sigma: per photon count j
+    of source 1, in turn, (one[j], k, c) with S's count k[D, n1] =
+    n1 + D - j and c[g, D, n1] = |<n1, D|U|j, k>|^2 at eps[g], for n1 < width
+    and the counts D the tap reads, in order; table is a _binomials table
+    reaching width - 1 plus tap's last count.
 
     With M = n1 + D, s = a^2, t = eps^2 and (x)_m = x (x-1) ... (x-m+1),
     <n1, D|U|j, k> = sqrt(C(M, n1) / (j! (M)_j)) a^|n1-j| eps^|D-j| P, where
     P = sum_i (-1)^i C(j, i) (D)_(j-i) (n1)_i s^(h-i) t^(i-l) runs over the
     i photons of source 1 that reach the kept mode, from l = max(0, j-D)
-    to h = min(j, n1).  P's terms can cancel, so t = eps^2 and s = 1 - t
-    are (hi, lo) pairs to twice double precision, s from eps and not from
-    a rounded a, each term's 36-bit head times its integer (below 2^17
+    to h = min(j, n1), and c = (C(M, n1) / (j! (M)_j) A) A, A the rest of
+    the amplitude.  P's terms can cancel, so t = eps^2 and s = 1 - t are
+    (hi, lo) pairs to twice double precision, s from eps and not from a
+    rounded a, each term's 36-bit head times its integer (below 2^17
     wherever a weight is held, M being at most 2 + 2 MAX_TOTAL) is exact,
     and the heads add with their rounding errors kept.  Every operation is
-    elementwise, so each eps reads as it does alone.
+    elementwise, so each eps and each n1 read as they do alone.
     """
     d, n1 = np.flatnonzero(tap > 0.0)[:, None], np.arange(width)
     top_j, top_d = max(one), int(d.max(initial=0))
@@ -291,13 +313,9 @@ def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, wi
     pa = _powers(s[0], width + top_j, 0.5) * (1.0 + halves * (s[1] / s[0])[:, None])
     pe = _powers(eps, top_d + top_j)
     m = n1 + d
-    padded = np.append(sigma, 0.0)
-    q = np.zeros((len(eps), len(d), width))
-    for j, weight in one.items():
-        k = m - j
-        held = (k >= 0) & (k < len(sigma))
-        w = weight * padded[np.where(held, k, -1)] * tap[d]
-        scale = table[m, n1] / np.maximum(math.factorial(j) * _falling(m, j), 1) * held
+
+    def squared(j: int) -> np.ndarray:  # no array of one j outlives the next j's
+        scale = table[m, n1] / np.maximum(math.factorial(j) * _falling(m, j), 1)
         low, high = np.maximum(j - d, 0), np.minimum(j, n1)
         total = error = 0.0
         for i in range(j + 1):
@@ -306,11 +324,34 @@ def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, wi
             total, e = _two_sum(total, b * head[:, u, v])
             error = error + e + b * rest[:, u, v]
         amp = pa[:, None, np.abs(n1 - j)] * pe[:, np.abs(d - j)] * (total + error)
-        q += (scale * amp) * amp * w
-    kept = np.zeros((len(eps), width))
-    for row in np.moveaxis(q, 1, 0):  # tap counts in order, as the grid point alone adds them
-        kept += row
+        return (scale * amp) * amp
+
+    return ((weight, m - j, squared(j)) for j, weight in one.items())
+
+
+def _tap_apply(coefs, sigma: np.ndarray, tap: np.ndarray, rows: slice, width: int):
+    """sum_D tap[D] sum_j one[j] sigma[k] c[rows, D, n1] for n1 < width, from
+    _tap_coefficients' (one[j], k, c) at a width of at least `width`, for a
+    tap at least max(one) long, as every chain's is."""
+    # k runs from -max(one) to width - 1 + D: every k outside sigma reads a 0 past it
+    padded = np.zeros(len(sigma) + width + len(tap))
+    padded[: len(sigma)] = sigma
+    taps = tap[tap > 0.0][:, None]
+    q = 0.0
+    for weight, k, c in coefs:
+        q += c[rows, :, :width] * (weight * padded[k[:, :width]] * taps)
+    kept = np.zeros((len(q), width))
+    for d in range(len(taps)):  # tap counts in order, as the grid point alone adds them
+        kept += q[:, d]
     return kept
+
+
+def _tap_read(eps: np.ndarray, one: dict, sigma: np.ndarray, tap: np.ndarray, width: int, table):
+    """q[g, n1] = sum_D tap[D] sum_{j+k = n1+D} one[j] sigma[k] |<n1, D|U|j, k>|^2
+    for n1 < width, U = [[-eps, a], [a, eps]] at eps[g] and a = sqrt(1 - eps^2):
+    _tap_coefficients' closed form (table as there), then _tap_apply."""
+    coefs = _tap_coefficients(eps, one, tap, width, table)
+    return _tap_apply(coefs, sigma, tap, slice(None), width)
 
 
 def run_chain(
@@ -359,9 +400,8 @@ def run_chain(
     width = top - int(np.argmax(tap > 0.0)) + 1
     table = _binomials(max(width - 1 + last_tap, top - max(one) + last_vacuum))
     sigma, z = _reduced_source(n_modes, one, vacuum, table)
-    step = max(1, MAX_CELLS // max(1, np.count_nonzero(tap) * width))  # grid points a read holds
-    slices = (np.array(grid[i : i + step], dtype=float) for i in range(0, len(grid), step))
-    kept = np.concatenate([_tap_read(e, one, sigma, tap, width, table) for e in slices]) * z
+    reads = [_tap_read(e, one, sigma, tap, width, table) for e in _slices(grid, tap, width)]
+    kept = np.concatenate(reads) * z
     for e, row in zip(grid, kept):
         if top and not row.any():  # a source that emits makes every row possible
             raise DimensionTooLarge(

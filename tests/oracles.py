@@ -4,8 +4,9 @@ Everything here works by expanding creation-operator polynomials in a
 dense dictionary keyed by photon configuration.  No permanents, no
 combinatorial shortcuts; slow but obviously correct for small sizes.
 The exceptions are the two-mode closed form at the end, an independent
-hand expansion of the beam-splitter case, and the chain's merges
-(chain_merged), the same expansion in mpmath.
+hand expansion of the beam-splitter case, the chain's merges
+(chain_merged), the same expansion in mpmath, and those merges read one
+at a time through schemes._tap_read (merges_one_at_a_time).
 """
 
 import argparse
@@ -29,8 +30,9 @@ from photonpost import (
     haar_random,
     observe,
 )
+from photonpost import schemes
 from photonpost.engine import output_table
-from photonpost.errors import DimensionMismatch, NotNormalized
+from photonpost.errors import DimensionMismatch, DimensionTooLarge, NotNormalized
 from photonpost.merit import _excess
 
 
@@ -376,6 +378,26 @@ def chain_merged(n: int, eps: float, one: dict, vacuum, tap) -> tuple[list, obje
         total = mpmath.fsum(beam)
         beam, z = [b / total for b in beam], z * total
     return beam, z, [z * q for q in _mp_two_mode_read(one, beam, mpmath.mpf(eps), tap)]
+
+
+def merges_one_at_a_time(n: int, one: dict, vacuum, table) -> tuple[np.ndarray, float]:
+    """schemes._reduced_source's lossy branch read merge by merge: for
+    m = 2..n-1 a one-point schemes._tap_read at eps = sqrt(1/m), the new
+    source as source 1 and the beam as S, at the beam's width plus the
+    source maximum; the beam is normalised after each merge and z is the
+    product of the merges' sums, with the same DimensionTooLarge where it
+    underflows to 0."""
+    beam, z = np.array([one.get(j, 0.0) for j in range(max(one) + 1)]), 1.0
+    for merged in range(2, n):
+        beam = schemes._tap_read(
+            np.sqrt([1.0 / merged]), one, beam, vacuum, len(beam) + max(one), table
+        )[0]
+        total = math.fsum(beam)
+        z *= total
+        if not z:
+            raise DimensionTooLarge(f"the {n}-mode chain's vacuum readings underflow to 0")
+        beam = beam / total
+    return beam, z
 
 
 def check_bound(result: ConditionalResult, spec: InputSpec, slack: float = 1e-9) -> bool:

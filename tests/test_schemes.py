@@ -9,8 +9,16 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from oracles import chain_merged, chain_scenario_reference, chain_two_mode, complete_rows_by_loop
+from oracles import (
+    chain_merged,
+    chain_scenario_reference,
+    chain_two_mode,
+    complete_rows_by_loop,
+    merges_one_at_a_time,
+)
 from photonpost import (
     BUCKET,
     BadDistributionShape,
@@ -354,32 +362,61 @@ def test_run_chain_grid_reads_in_stacks_the_size_of_the_engine_limit(monkeypatch
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
 
 
-def _tap_reads(monkeypatch) -> list:
-    """(points, cells per point) of each _tap_read call, the merges' included."""
-    reads, original = [], schemes._tap_read
+def _coefficient_passes(monkeypatch) -> list:
+    """(epsilons, cells per point) of each _tap_coefficients call: the
+    lossy merges' pass, then the grid's slices."""
+    passes, original = [], schemes._tap_coefficients
 
-    def tap_read(eps, one, sigma, tap, width, table):
-        reads.append((len(eps), np.count_nonzero(tap) * width))
-        return original(eps, one, sigma, tap, width, table)
+    def tap_coefficients(eps, one, tap, width, table):
+        passes.append((eps.tolist(), np.count_nonzero(tap) * width))
+        return original(eps, one, tap, width, table)
 
-    monkeypatch.setattr(schemes, "_tap_read", tap_read)
-    return reads
+    monkeypatch.setattr(schemes, "_tap_coefficients", tap_coefficients)
+    return passes
+
+
+def _merge_epsilons(n):
+    """The merges' eps_m = sqrt(1/m), m = 2..n-1, as _reduced_source reads them."""
+    return np.sqrt(1.0 / np.arange(2, n)).tolist()
+
+
+def _runs(points, cells, limit):
+    """points in runs of as many as fit `limit` cells at `cells` a point, at
+    least one a run."""
+    step = max(1, limit // cells)
+    return [points[i : i + step] for i in range(0, len(points), step)]
 
 
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
 def test_run_chain_reads_the_grid_in_slices_within_the_cell_limit(monkeypatch, scenario):
-    """The grid is read in slices whose (points, tap counts, width) arrays
-    fit MAX_CELLS, each point with the bits it reads alone; the lossy
-    merges stay one-point reads."""
-    grid = [0.8, 0.3, 0.05, 1e-3, 1e-6]
-    reads = _tap_reads(monkeypatch)
+    """The lossy merges and the grid are read in slices whose (points, tap
+    counts, width) arrays fit MAX_CELLS: one merge pass and one grid pass
+    at the real limit, the merges in runs of two when it is small, with
+    S's weights, z and every grid point keeping their bits."""
+    grid, merges = [0.8, 0.3, 0.05, 1e-3, 1e-6], _merge_epsilons(7)
+    lossy = scenario in LOSSY_SCENARIOS
+    sources, original = [], schemes._reduced_source
+
+    def reduced_source(*args):
+        sigma, z = original(*args)
+        sources.append((sigma.tobytes(), z))
+        return sigma, z
+
+    monkeypatch.setattr(schemes, "_reduced_source", reduced_source)
+    passes = _coefficient_passes(monkeypatch)
     whole = run_chain(7, grid, 0.3, 2, scenario)
-    *merges, (points, cells) = reads
-    assert points == len(grid) and [n for n, _ in merges] == [1] * len(merges)
-    reads.clear()
-    monkeypatch.setattr(schemes, "MAX_CELLS", 2 * cells + 1)
+    assert [eps for eps, _ in passes] == [merges] * lossy + [grid]
+    assert all(len(eps) * cells <= schemes.MAX_CELLS for eps, cells in passes)
+    grid_cells = passes[-1][1]
+    merge_cells = passes[0][1] if lossy else grid_cells
+    limit = 2 * min(merge_cells, grid_cells) + 1  # two points of the narrower pass
+    monkeypatch.setattr(schemes, "MAX_CELLS", limit)
+    passes.clear()
     sliced = run_chain(7, grid, 0.3, 2, scenario)
-    assert [n for n, _ in reads] == [1] * len(merges) + [2, 2, 1]
+    merge_runs = [(run, merge_cells) for run in _runs(merges, merge_cells, limit)] * lossy
+    assert passes == merge_runs + [(run, grid_cells) for run in _runs(grid, grid_cells, limit)]
+    assert [len(eps) for eps, _ in passes[:3]] == [2, 2, 1]  # the merges, or else the grid
+    assert sources[1] == sources[0]
     for eps, res, want in zip(grid, sliced, whole):
         assert res.unnormalized.tobytes() == want.unnormalized.tobytes(), eps
 
@@ -388,10 +425,25 @@ def test_run_chain_reads_the_grid_in_slices_within_the_cell_limit(monkeypatch, s
     "n, detected, scenario, points", [(11, 6, "ideal", 6), (6, 2, "+darkcounts", 8)]
 )
 def test_benchmark_grids_read_in_one_slice(monkeypatch, n, detected, scenario, points):
-    """The benchmark's chain-sweep and exp-sweep grids fit one slice."""
-    reads = _tap_reads(monkeypatch)
-    run_chain(n, list(np.geomspace(0.8, 0.1, points)), 0.2, detected, scenario)
-    assert reads[-1][0] == points
+    """The benchmark's chain-sweep and exp-sweep grids fit one slice, and
+    exp-sweep's lossy merges one pass."""
+    passes = _coefficient_passes(monkeypatch)
+    grid = list(np.geomspace(0.8, 0.1, points))
+    run_chain(n, grid, 0.2, detected, scenario)
+    merges = [_merge_epsilons(n)] if scenario in LOSSY_SCENARIOS else []
+    assert [eps for eps, _ in passes] == merges + [grid]
+
+
+@pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
+def test_run_chain_makes_one_merge_pass_and_one_grid_pass_per_slice(monkeypatch, scenario):
+    """A lossy scenario reads its N-2 merges in one coefficient pass before
+    the grid's; "ideal" and "bucket" make none, whatever the grid."""
+    passes = _coefficient_passes(monkeypatch)
+    for n, grid in ((3, [0.3]), (6, [0.8, 0.3, 0.05, 1e-3, 1e-6] * 4), (48, [0.3, 1e-3])):
+        passes.clear()
+        run_chain(n, grid, 0.2, 2, scenario)
+        merges = [_merge_epsilons(n)] if scenario in LOSSY_SCENARIOS else []
+        assert [eps for eps, _ in passes] == merges + [grid], n
 
 
 @pytest.mark.parametrize("scenario", list(CHAIN_SCENARIOS))
@@ -595,6 +647,52 @@ def test_lossy_merges_match_50_digits_at_48_modes(scenario, eps, p):
         assert len(sigma) == len(want_sigma)
         for g, w in itertools.chain(zip(sigma, want_sigma), [(z, want_z)], zip(got, want)):
             assert abs(mpmath.mpf(float(g)) - w) <= 1e-13 * w
+
+
+def _merge_inputs(n, p, scenario, two_photon_prob, scale=1.0):
+    """(one, vacuum, table) as run_chain hands them to _reduced_source, the
+    vacuum column times `scale`."""
+    one = dict(_lossy_spec(1, p, scenario, two_photon_prob).distributions[0])
+    top = n * max(one)
+    vacuum = CHAIN_SCENARIOS[scenario](top)[0].column(0) * scale
+    return one, vacuum, schemes._binomials(top + 3)
+
+
+def _assert_merges_match_one_at_a_time(n, one, vacuum, table):
+    try:
+        want = merges_one_at_a_time(n, one, vacuum, table)
+    except DimensionTooLarge as error:
+        with pytest.raises(DimensionTooLarge, match=f"^{re.escape(str(error))}$"):
+            schemes._reduced_source(n, one, vacuum, table)
+        return
+    sigma, z = schemes._reduced_source(n, one, vacuum, table)
+    assert sigma.tobytes() == want[0].tobytes() and z == want[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(LOSSY_SCENARIOS),
+    st.integers(3, 48),
+    st.sampled_from([0.0, 1e-9, 0.05, 0.2, 0.5, 0.9, 0.999]) | st.floats(0.0, 0.99),
+    st.sampled_from([1e-6, 1e-3, 0.05, 0.3]),
+    st.sampled_from([1.0, 1.0, 1e-5, 1e-40, 1e-160]),
+)
+@example("+darkcounts", 9, 0.5, 1e-3, 1e-160)
+def test_merges_in_one_pass_match_one_at_a_time(scenario, n, p, two_photon_prob, scale):
+    """Wherever _reduced_source merges, its one coefficient pass gives S's
+    weights and z bit for bit as the merges read one at a time do, and the
+    same DimensionTooLarge where the vacuum readings, scaled down here,
+    underflow (two-level sources at p = 0 emit nothing and take W_k)."""
+    if scenario == "+two-photon-inputs":
+        p = min(p, 0.999 - two_photon_prob)
+    one, vacuum, table = _merge_inputs(n, p, scenario, two_photon_prob, scale)
+    assume(np.any(vacuum[1:]))
+    _assert_merges_match_one_at_a_time(n, one, vacuum, table)
+
+
+def test_170_mode_merges_in_one_pass_match_one_at_a_time():
+    one, vacuum, table = _merge_inputs(170, 0.95, "+two-photon-inputs", 0.01)
+    _assert_merges_match_one_at_a_time(170, one, vacuum, table)
 
 
 @pytest.mark.parametrize("scenario", LOSSY_SCENARIOS)
