@@ -2,16 +2,18 @@
 
     photonpost COMMAND --config PATH --out PATH [--seed N] [--threads N]
 
-Every command reads a JSON config, writes one output file (JSON or CSV),
-and returns exit code 0 on success; 2 for usage errors, for config
-problems and for a config that cannot be read or an output that cannot be
-written; 3 for dimension problems; 4 when a numerical check fails: a
-search or verification whose report counts ratio-bound violations writes
-no output.  Argparse reads any argv not of the shape above, each option
-spelt in full, and prints the help (exit 0) or the usage line and
-"photonpost: error:" (exit 2).  Rerunning a command with the same config
-and seed reproduces its output byte for byte; CSV floats carry 17
-significant digits so values survive a round trip.
+Every command reads a JSON config, whose fields, kinds, defaults and
+trial and iteration ceilings `FIELDS` declares, writes one output file
+(JSON or CSV), and returns exit code 0 on success; 2 for usage errors,
+for config problems and for a config that cannot be read or an output
+that cannot be written; 3 for dimension problems; 4 when a numerical
+check fails: a search or verification whose report counts ratio-bound
+violations, or a pattern probability above 1, writes no output.  Argparse
+reads any argv not of the shape above, each option spelt in full, and
+prints the help (exit 0) or the usage line and "photonpost: error:"
+(exit 2).  Rerunning a command with the same config and seed reproduces
+its output byte for byte; CSV floats carry 17 significant digits so
+values survive a round trip.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .errors import (
 )
 from .fock import InputSpec
 from .interferometer import Interferometer, beam_splitter, haar_random
-from .merit import figures_of_merit, ratio_breaches
+from .merit import BOUND_SLACK, figures_of_merit, ratio_breaches
 from .schemes import (
     build_chain,
     build_chain_from_elements,
@@ -60,12 +62,7 @@ CONFIG_VERSION = 1
 # for over three months
 MAX_GRID = 1 << 43
 
-DIMENSION_ERRORS = (
-    DimensionMismatch,
-    DimensionTooLarge,
-    BadModeIndex,
-    NotUnitary,
-)
+DIMENSION_ERRORS = (DimensionMismatch, DimensionTooLarge, BadModeIndex, NotUnitary)
 
 
 def fmt(x: float) -> str:
@@ -87,48 +84,84 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+# A config field is (name, kind, default) or (name, kind, default, adds), where
+# adds maps a value of the field to the fields it brings in, read after the rest.
+REQUIRED = object()  # default: the field must be present
+COUNT = object()  # kind: an integer, refused past MAX_GRID before any allocation
+
 # config field kind -> (accepts a JSON value, noun for the error message)
 _KINDS = {
     float: (_is_number, "a number"),
     int: (_is_int, "an integer"),
+    COUNT: (_is_int, "an integer"),
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     str: (lambda v: isinstance(v, str), "a string"),
     list: (lambda v: isinstance(v, list), "an array"),
     dict: (lambda v: isinstance(v, dict), "an object"),
 }
 
+_HEADER = (("command", str, REQUIRED), ("version", int, REQUIRED))
+_CHAIN = _HEADER + (("modes", int, REQUIRED), ("p", float, REQUIRED),
+                    ("detected", int, None),  # None: ceil(modes / 2)
+                    ("epsilon_grid", dict, REQUIRED))
+_SMALL = {"small": (("refine_iters", COUNT, 80),)}  # the patterns variant does not refine
+_PAIRS = {"+two-photon-inputs": (("two_photon_prob", float, 0.001),)}
 
-class _Config:
-    """A dict wrapper that tracks touched fields and complains by name."""
+# Every config field: one table per command and per nested object.
+FIELDS = {
+    "simulate": _HEADER + (("modes", int, REQUIRED), ("inputs", list, REQUIRED),
+                           ("interferometer", dict, REQUIRED), ("pattern", list, REQUIRED)),
+    "pure-landscape": _HEADER + (("theta_grid", dict, REQUIRED), ("phi_grid", dict, REQUIRED),
+                                 ("beta_mag", float, REQUIRED)),
+    "chain-sweep": _CHAIN,
+    "exp-sweep": _CHAIN + (("scenario", str, REQUIRED, _PAIRS),),
+    "nogo-verify": _HEADER + (("variant", str, REQUIRED, _SMALL), ("modes", int, REQUIRED),
+                              ("p_max", float, REQUIRED), ("trials", COUNT, REQUIRED),
+                              ("seed", int, 0)),
+    "search": _HEADER + (("modes", int, REQUIRED), ("p_max", float, REQUIRED),
+                         ("objective", str, "single_photon"), ("trials", COUNT, REQUIRED),
+                         ("refine_iters", COUNT, 200), ("seed", int, 0),
+                         ("include_chain_seed", bool, True), ("chain_epsilon", float, 1e-3)),
+    "interferometer": (("type", str, REQUIRED, {
+        "beam_splitter": (("theta", float, REQUIRED), ("phi", float, 0.0)),
+        "chain": (("epsilon", float, REQUIRED),),
+        "chain_elements": (("epsilon", float, REQUIRED),),
+        "haar": (("seed", int, REQUIRED),),
+        "matrix": (("matrix", list, REQUIRED),),
+    }),),
+    "grid": (("start", float, REQUIRED), ("stop", float, REQUIRED), ("count", int, REQUIRED),
+             ("spacing", str, "linear")),
+    "values grid": (("values", list, REQUIRED),),
+}
 
-    def __init__(self, data, where: str = "config"):
-        if not isinstance(data, dict):
-            raise ConfigError(f"{where} must be a JSON object")
-        self.data = data
-        self.where = where
-        self.seen: set[str] = set()
 
-    def take(self, field: str, kind, required: bool = True, default=None):
-        self.seen.add(field)
-        if field not in self.data:
-            if required:
-                raise ConfigError(f"{self.where}: missing required field {field!r}")
-            return default
-        value = self.data[field]
+def _fields(data, table, where: str) -> dict:
+    """The fields table declares, read from the JSON object data in order:
+    kinds checked, floats made float, defaults filled, and a missing
+    required field or any field table does not declare named."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"{where} must be a JSON object")
+    cfg = {}
+    table = list(table)
+    for name, kind, default, *adds in table:  # a selector's adds extend table
+        value = data.get(name, default)
+        if value is REQUIRED:
+            raise ConfigError(f"{where}: missing required field {name!r}")
         accepts, noun = _KINDS[kind]
-        if not accepts(value):
-            raise ConfigError(f"{self.where}: field {field!r} must be {noun}")
-        return float(value) if kind is float else value
+        if name in data and not accepts(value):
+            raise ConfigError(f"{where}: field {name!r} must be {noun}")
+        if kind is COUNT and value > MAX_GRID:
+            raise ConfigError(f"field {name!r} is {value}, above the ceiling of {MAX_GRID}")
+        cfg[name] = float(value) if kind is float else value
+        if adds:
+            table += adds[0].get(value, ())
+    extra = sorted(set(data) - set(cfg))
+    if extra:
+        raise ConfigError(f"{where}: unknown field(s) {', '.join(repr(f) for f in extra)}")
+    return cfg
 
-    def finish(self):
-        extra = sorted(set(self.data) - self.seen)
-        if extra:
-            raise ConfigError(
-                f"{self.where}: unknown field(s) {', '.join(repr(f) for f in extra)}"
-            )
 
-
-def _load_config(path: str, command: str) -> _Config:
+def _load_config(path: str, command: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -142,15 +175,13 @@ def _load_config(path: str, command: str) -> _Config:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
     except RecursionError:
         raise ConfigError(f"config file {path} nests too deeply to parse")
-    cfg = _Config(data)
-    declared = cfg.take("command", str)
-    if declared != command:
-        raise ConfigError(
-            f"config declares command {declared!r} but {command!r} was invoked"
-        )
-    version = cfg.take("version", int)
-    if version != CONFIG_VERSION:
-        raise ConfigError(f"unsupported config version {version}, expected {CONFIG_VERSION}")
+    # checked first, as another command's fields would otherwise be named
+    declared = data.get("command") if isinstance(data, dict) else None
+    if isinstance(declared, str) and declared != command:
+        raise ConfigError(f"config declares command {declared!r} but {command!r} was invoked")
+    cfg = _fields(data, FIELDS[command], "config")
+    if cfg["version"] != CONFIG_VERSION:
+        raise ConfigError(f"unsupported config version {cfg['version']}, expected {CONFIG_VERSION}")
     return cfg
 
 
@@ -187,53 +218,34 @@ def _parse_inputs(raw: list, n_modes: int) -> InputSpec:
 
 
 def _parse_interferometer(raw: dict, n_modes: int, where: str) -> Interferometer:
-    cfg = _Config(raw, where)
-    kind = cfg.take("type", str)
+    cfg = _fields(raw, FIELDS["interferometer"], where)
+    kind = cfg["type"]
     if kind == "beam_splitter":
-        theta = cfg.take("theta", float)
-        phi = cfg.take("phi", float, required=False, default=0.0)
-        cfg.finish()
         if n_modes != 2:
             raise ConfigError(f"{where}: a beam splitter needs exactly 2 modes")
-        return beam_splitter(theta, phi)
+        return beam_splitter(cfg["theta"], cfg["phi"])
     if kind in ("chain", "chain_elements"):
-        epsilon = cfg.take("epsilon", float)
-        cfg.finish()
-        if kind == "chain":
-            return build_chain(n_modes, epsilon).interferometer
-        return build_chain_from_elements(n_modes, epsilon).interferometer
+        build = build_chain if kind == "chain" else build_chain_from_elements
+        return build(n_modes, cfg["epsilon"]).interferometer
     if kind == "haar":
-        seed = cfg.take("seed", int)
-        cfg.finish()
-        return haar_random(n_modes, seed)
+        return haar_random(n_modes, cfg["seed"])
     if kind == "matrix":
-        rows = cfg.take("matrix", list)
-        cfg.finish()
+        rows = cfg["matrix"]
         return Interferometer.from_json_dict({"n_modes": len(rows), "matrix": rows})
-    raise ConfigError(
-        f"{where}: unknown interferometer type {kind!r}; expected one of "
-        "'beam_splitter', 'chain', 'chain_elements', 'haar', 'matrix'"
-    )
+    types = ", ".join(map(repr, FIELDS["interferometer"][0][3]))
+    raise ConfigError(f"{where}: unknown interferometer type {kind!r}; expected one of {types}")
 
 
 def _parse_grid(raw: dict, where: str) -> list[float]:
-    cfg = _Config(raw, where)
     if "values" in raw:
-        values = cfg.take("values", list)
-        cfg.finish()
-        out = []
+        values = _fields(raw, FIELDS["values grid"], where)["values"]
         for i, v in enumerate(values):
             if not _is_number(v):
                 raise ConfigError(f"{where}: values[{i}] must be a number")
-            out.append(float(v))
-        if not out:
+        if not values:
             raise ConfigError(f"{where}: values must not be empty")
-        return out
-    start = cfg.take("start", float)
-    stop = cfg.take("stop", float)
-    count = cfg.take("count", int)
-    spacing = cfg.take("spacing", str, required=False, default="linear")
-    cfg.finish()
+        return [float(v) for v in values]
+    start, stop, count, spacing = _fields(raw, FIELDS["grid"], where).values()
     if count < 1:
         raise ConfigError(f"{where}: count must be at least 1")
     if count > MAX_GRID:
@@ -265,19 +277,16 @@ def _write_json(path: str, obj):
     _write_text(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def _refuse(path: str, violations: int) -> int:
-    """Exit 4 for output that breaks the ratio bound, writing nothing."""
-    print(
-        f"numerical check failed: {violations} ratio-bound violation(s); {path} not written",
-        file=sys.stderr,
-    )
+def _refuse(path: str, reason: str) -> int:
+    """Exit 4 for output that fails a numerical check, writing nothing."""
+    print(f"numerical check failed: {reason}; {path} not written", file=sys.stderr)
     return 4
 
 
 def _write_report(path: str, report) -> int:
     """Write a search report, or nothing (exit 4) if it breaks the ratio bound."""
     if report.bound_violations > 0:
-        return _refuse(path, report.bound_violations)
+        return _refuse(path, f"{report.bound_violations} ratio-bound violation(s)")
     _write_json(path, report.to_json_dict())
     return 0
 
@@ -286,16 +295,13 @@ def _write_report(path: str, report) -> int:
 # commands
 
 
-def _cmd_simulate(cfg: _Config, out: str, seed) -> int:
-    n_modes = cfg.take("modes", int)
+def _cmd_simulate(cfg: dict, out: str, seed) -> int:
+    n_modes = cfg["modes"]
     if n_modes < 2:
         raise ConfigError("field 'modes' must be at least 2")
-    spec = _parse_inputs(cfg.take("inputs", list), n_modes)
-    interf = _parse_interferometer(
-        cfg.take("interferometer", dict), n_modes, "interferometer"
-    )
-    raw_pattern = cfg.take("pattern", list)
-    cfg.finish()
+    spec = _parse_inputs(cfg["inputs"], n_modes)
+    interf = _parse_interferometer(cfg["interferometer"], n_modes, "interferometer")
+    raw_pattern = cfg["pattern"]
     if len(raw_pattern) != n_modes - 1:
         raise ConfigError(
             f"field 'pattern' must list {n_modes - 1} detector counts, got {len(raw_pattern)}"
@@ -306,6 +312,8 @@ def _cmd_simulate(cfg: _Config, out: str, seed) -> int:
     pattern = DetectionPattern(tuple(raw_pattern))
 
     result = condition_mixed(spec, interf, pattern)
+    if result.pattern_probability > 1.0 + BOUND_SLACK:
+        return _refuse(out, f"pattern probability {result.pattern_probability:.3g} exceeds 1")
     payload = {
         "command": "simulate",
         "version": CONFIG_VERSION,
@@ -322,17 +330,15 @@ def _cmd_simulate(cfg: _Config, out: str, seed) -> int:
     return 0
 
 
-def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
-    theta_grid = _parse_grid(cfg.take("theta_grid", dict), "theta_grid")
-    phi_grid = _parse_grid(cfg.take("phi_grid", dict), "phi_grid")
-    beta_mag = cfg.take("beta_mag", float)
-    cfg.finish()
+def _cmd_pure_landscape(cfg: dict, out: str, seed) -> int:
+    theta_grid = _parse_grid(cfg["theta_grid"], "theta_grid")
+    phi_grid = _parse_grid(cfg["phi_grid"], "phi_grid")
 
     lines = ["theta,phi,probability"]
     for theta in theta_grid:
         for phi in phi_grid:
             try:
-                prob = pure_success_probability(theta, phi, beta_mag)
+                prob = pure_success_probability(theta, phi, cfg["beta_mag"])
             except DegenerateTheta:
                 prob = 0.0
             lines.append(f"{fmt(theta)},{fmt(phi)},{fmt(prob)}")
@@ -340,23 +346,13 @@ def _cmd_pure_landscape(cfg: _Config, out: str, seed) -> int:
     return 0
 
 
-def _take_count(cfg: _Config, name: str, **options) -> int:
-    """A trial or iteration count, refused past MAX_GRID before anything
-    is allocated for it."""
-    count = cfg.take(name, int, **options)
-    if count > MAX_GRID:
-        raise ConfigError(f"field {name!r} is {count}, above the ceiling of {MAX_GRID}")
-    return count
-
-
-def _take_chain_fields(cfg: _Config) -> tuple[int, float, int, list[float]]:
+def _chain_fields(cfg: dict) -> tuple[int, float, int, list[float]]:
     """A sweep's modes, p, detected (default ceil(N/2)) and epsilon_grid.
 
     p and detected are checked here; the chain checks modes and epsilon."""
-    n_modes = cfg.take("modes", int)
-    p = cfg.take("p", float)
-    detected = cfg.take("detected", int, required=False, default=-(-n_modes // 2))
-    grid = _parse_grid(cfg.take("epsilon_grid", dict), "epsilon_grid")
+    n_modes, p, detected = cfg["modes"], cfg["p"], cfg["detected"]
+    detected = -(-n_modes // 2) if detected is None else detected
+    grid = _parse_grid(cfg["epsilon_grid"], "epsilon_grid")
     if not (0.0 < p < 1.0):
         raise ConfigError(f"field 'p' must lie inside (0, 1), got {p}")
     if not (1 <= detected < n_modes):
@@ -385,17 +381,16 @@ def _chain_sweep_point(
     return ",".join(map(fmt, row)), breach
 
 
-def _cmd_chain_sweep(cfg: _Config, out: str, seed) -> int:
+def _cmd_chain_sweep(cfg: dict, out: str, seed) -> int:
     """One run_chain call for the grid, then a row per epsilon; no file
     (exit 4) if a row breaks the ratio bound."""
-    n_modes, p, detected, grid = _take_chain_fields(cfg)
-    cfg.finish()
+    n_modes, p, detected, grid = _chain_fields(cfg)
     results = run_chain(n_modes, grid, p, detected)
     spec = InputSpec.two_level([p] * n_modes)
     limits = chain_asymptotics(n_modes, detected)
     rows, breaches = zip(*(_chain_sweep_point(spec, limits, e, r) for e, r in zip(grid, results)))
     if any(breaches):
-        return _refuse(out, sum(breaches))
+        return _refuse(out, f"{sum(breaches)} ratio-bound violation(s)")
     header = (
         "epsilon,pattern_probability,ratio_out,ratio_in,ratio_gain,"
         "ratio_gain_limit,two_photon_out,two_photon_limit,fano_out,fano_in"
@@ -409,59 +404,39 @@ def _exp_sweep_point(epsilon: float, result) -> str:
     return f"{fmt(epsilon)},{fmt(result.pattern_probability)},{fmt(c1)}"
 
 
-def _cmd_exp_sweep(cfg: _Config, out: str, seed) -> int:
+def _cmd_exp_sweep(cfg: dict, out: str, seed) -> int:
     """One run_chain call for the grid, then a row per epsilon."""
-    n_modes, p, detected, grid = _take_chain_fields(cfg)
-    scenario = cfg.take("scenario", str)
-    extra = []  # two_photon_prob: only "+two-photon-inputs" reads it
-    if scenario == "+two-photon-inputs":
-        extra = [cfg.take("two_photon_prob", float, required=False, default=0.001)]
-    cfg.finish()
-    results = run_chain(n_modes, grid, p, detected, scenario, *extra)
+    n_modes, p, detected, grid = _chain_fields(cfg)
+    extra = [cfg["two_photon_prob"]] if "two_photon_prob" in cfg else []
+    results = run_chain(n_modes, grid, p, detected, cfg["scenario"], *extra)
     rows = [_exp_sweep_point(e, r) for e, r in zip(grid, results)]
     header = "epsilon,pattern_probability,single_photon_probability"
     _write_text(out, "\n".join([header] + rows) + "\n")
     return 0
 
 
-def _cmd_nogo_verify(cfg: _Config, out: str, seed) -> int:
-    variant = cfg.take("variant", str)
-    n_modes = cfg.take("modes", int)
-    p_max = cfg.take("p_max", float)
-    trials = _take_count(cfg, "trials")
-    cfg_seed = cfg.take("seed", int, required=False, default=0)
+def _cmd_nogo_verify(cfg: dict, out: str, seed) -> int:
+    variant = cfg["variant"]
     if variant not in ("small", "patterns"):
         raise ConfigError(f"field 'variant' must be 'small' or 'patterns', got {variant!r}")
-    if variant == "small":  # the patterns variant does not refine
-        refine_iters = _take_count(cfg, "refine_iters", required=False, default=80)
-    cfg.finish()
-    use_seed = cfg_seed if seed is None else seed
+    args = (cfg["modes"], cfg["p_max"], cfg["trials"], cfg["seed"] if seed is None else seed)
     if variant == "small":
-        report = verify_nogo_small(n_modes, p_max, trials, use_seed, refine_iters)
+        report = verify_nogo_small(*args, cfg["refine_iters"])
     else:
-        report = verify_nogo_patterns(n_modes, p_max, trials, use_seed)
+        report = verify_nogo_patterns(*args)
     return _write_report(out, report)
 
 
-def _cmd_search(cfg: _Config, out: str, seed) -> int:
-    n_modes = cfg.take("modes", int)
-    p_max = cfg.take("p_max", float)
-    objective = cfg.take("objective", str, required=False, default="single_photon")
-    trials = _take_count(cfg, "trials")
-    refine_iters = _take_count(cfg, "refine_iters", required=False, default=200)
-    cfg_seed = cfg.take("seed", int, required=False, default=0)
-    include_chain = cfg.take("include_chain_seed", bool, required=False, default=True)
-    chain_epsilon = cfg.take("chain_epsilon", float, required=False, default=1e-3)
-    cfg.finish()
+def _cmd_search(cfg: dict, out: str, seed) -> int:
     task = SearchTask(
-        n_modes=n_modes,
-        p_max=p_max,
-        objective=objective,
-        trials=trials,
-        refine_iters=refine_iters,
-        seed=cfg_seed if seed is None else seed,
-        include_chain_seed=include_chain,
-        chain_epsilon=chain_epsilon,
+        n_modes=cfg["modes"],
+        p_max=cfg["p_max"],
+        objective=cfg["objective"],
+        trials=cfg["trials"],
+        refine_iters=cfg["refine_iters"],
+        seed=cfg["seed"] if seed is None else seed,
+        include_chain_seed=cfg["include_chain_seed"],
+        chain_epsilon=cfg["chain_epsilon"],
     )
     return _write_report(out, search_improvement(task))
 

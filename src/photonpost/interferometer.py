@@ -152,20 +152,20 @@ def compose(*elements: Interferometer) -> Interferometer:
 def haar_unitaries(n_modes: int, seeds: Sequence[int]) -> np.ndarray:
     """Seeded Haar-random unitaries, a (len(seeds), n, n) stack.
 
-    Each seed draws a complex Gaussian matrix from its own generator; one
-    stacked QR factors them all, and dividing out the R-diagonal phases
-    makes the distribution exactly Haar.  A seed gives the bit-identical
-    matrix wherever it stands in the stack.
+    Each seed draws a complex Gaussian matrix from its own generator, real
+    parts then imaginary parts in one normal draw; one stacked QR factors
+    them all, and dividing out the R-diagonal phases makes the distribution
+    exactly Haar.  A seed gives the bit-identical matrix wherever it stands
+    in the stack.
     """
     n_modes = photon_count(n_modes)
     if n_modes < 1:
         raise BadModeIndex("need at least one mode")
-    z = np.empty((len(seeds), n_modes, n_modes), dtype=complex)
+    draws = np.empty((len(seeds), 2, n_modes, n_modes))
     for k, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed)
-        z[k] = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal(
-            (n_modes, n_modes)
-        )
+        np.random.default_rng(seed).standard_normal(out=draws[k])
+    z = np.empty((len(seeds), n_modes, n_modes), dtype=complex)
+    z.real, z.imag = draws[:, 0], draws[:, 1]
     q, r = np.linalg.qr(z)
     d = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (d / np.abs(d))[:, None, :]

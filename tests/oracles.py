@@ -174,6 +174,20 @@ def output_table_by_chains(supports, matrix, caps, max_total):
     return b, table * b.factorials
 
 
+def haar_unitaries_two_draws(n_modes: int, seeds) -> np.ndarray:
+    """interferometer.haar_unitaries as once written: the real and the
+    imaginary parts of each seed's Gaussian matrix in two normal draws."""
+    z = np.empty((len(seeds), n_modes, n_modes), dtype=complex)
+    for k, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        z[k] = rng.standard_normal((n_modes, n_modes)) + 1j * rng.standard_normal(
+            (n_modes, n_modes)
+        )
+    q, r = np.linalg.qr(z)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[:, None, :]
+
+
 def permanent_reference(matrix: np.ndarray) -> complex:
     """Permutation-sum permanent, O(n! * n): the reference for photonpost.permanent."""
     n = matrix.shape[0]

@@ -18,6 +18,8 @@ from photonpost import (
 )
 from photonpost.interferometer import haar_unitaries
 
+from oracles import haar_unitaries_two_draws
+
 
 def test_constructor_checks_unitarity():
     Interferometer(np.eye(3))
@@ -119,6 +121,14 @@ def test_haar_stack_equals_haar_random_per_seed():
         for matrix, seed in zip(stack, seeds):
             assert np.array_equal(matrix, haar_random(n, seed).matrix)
     assert haar_unitaries(3, []).shape == (0, 3, 3)
+
+
+def test_haar_stack_is_bit_identical_to_two_draws_per_seed():
+    """One normal draw per seed fills the real then the imaginary parts, as
+    the two draws of the old formula did."""
+    for n, count in ((1, 200), (2, 200), (3, 200), (4, 2000), (6, 200)):
+        seeds = list(range(count)) + [2**63 + 5]
+        assert np.array_equal(haar_unitaries(n, seeds), haar_unitaries_two_draws(n, seeds))
 
 
 def test_haar_first_entry_moment():
